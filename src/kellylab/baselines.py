@@ -109,10 +109,9 @@ class RegimeSwitchingPolicy:
     def _label(self, obs, env) -> int:
         if self.use_true_regime:
             return env.current_regime
-        n = env.config.n_assets
-        window = obs[: n * env.config.window].reshape(env.config.window, n)
-        returns = np.diff(np.log(window), axis=0)
-        return hmm_module.predict_current(self.detector, returns)
+        return hmm_module.label_observation(
+            self.detector, obs, env.config.window, env.config.n_assets
+        )
 
     def act(self, obs, env):
         label = self._label(obs, env)

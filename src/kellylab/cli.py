@@ -264,7 +264,7 @@ def _train_one(exp: ExperimentConfig, seed: int, out: Path):
         update_rows,
     )
 
-    if result.detector is not None:
+    if exp.context_policy:
         policy = ContextNetPolicy(net, result.detector)
     else:
         policy = NetPolicy(net)

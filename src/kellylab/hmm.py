@@ -6,6 +6,13 @@ priors and a covariance eigenvalue floor. The detection problem here is tiny
 (K = 2 states, 3 features), so everything is dense and exact; log-domain
 arithmetic keeps million-step sequences from underflowing.
 
+The Viterbi recursion (Rabiner 1989) runs over a stack of equal-length
+sequences, one loop over time for the whole stack; one sequence is a stack of
+one, and the fit decodes its sequences grouped by length. predict_current
+runs only the forward max pass (no backpointers); max is exact, so its label
+is decode's last state bit for bit. A model computes its Cholesky factors and
+log probabilities once, and its arrays are read-only so they cannot go stale.
+
 The fit works on raw, unlabelled returns; mapping the arbitrary state indices
 onto simulator regimes (label switching) is the job of align_labels, and
 accuracy() scores against the best label permutation so callers cannot get it
@@ -15,9 +22,10 @@ wrong silently.
 import itertools
 import json
 from dataclasses import dataclass, field
+from operator import add
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import AlignmentError, FitError
 
@@ -58,19 +66,24 @@ class GaussianHmmModel:
     fit_history: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
-        self.means = np.asarray(self.means, dtype=np.float64)
-        self.covariances = np.asarray(self.covariances, dtype=np.float64)
-        self.transition = np.asarray(self.transition, dtype=np.float64)
-        self.initial = np.asarray(self.initial, dtype=np.float64)
+        # private read-only copies: the per-model constants below stay valid
+        for name in ("means", "covariances", "transition", "initial"):
+            value = np.array(getattr(self, name), dtype=np.float64)
+            value.flags.writeable = False
+            setattr(self, name, value)
         k, n = self.means.shape
         if self.covariances.shape != (k, n, n):
             raise ValueError(
                 f"covariances must be ({k}, {n}, {n}), got {self.covariances.shape}"
             )
+        self._chol = []
+        self._logdet = []
         for i in range(k):
             if not np.allclose(self.covariances[i], self.covariances[i].T, atol=1e-12):
                 raise ValueError(f"covariance {i} is not symmetric")
-            np.linalg.cholesky(self.covariances[i])  # PD check
+            chol = np.linalg.cholesky(self.covariances[i])  # PD check
+            self._chol.append(chol)
+            self._logdet.append(2.0 * np.sum(np.log(np.diag(chol))))
         if self.transition.shape != (k, k) or np.any(self.transition < 0):
             raise ValueError("transition must be a non-negative (K, K) matrix")
         if not np.allclose(self.transition.sum(axis=1), 1.0, atol=1e-9):
@@ -79,6 +92,12 @@ class GaussianHmmModel:
             raise ValueError("initial must be a non-negative length-K vector")
         if not np.isclose(self.initial.sum(), 1.0, atol=1e-9):
             raise ValueError("initial must sum to 1")
+        with np.errstate(divide="ignore"):
+            self._log_trans = np.log(self.transition)
+            self._log_init = np.log(self.initial)
+        # plain-float copies for predict_current; _log_into[j][i] = log P(i -> j)
+        self._log_into = self._log_trans.T.tolist()
+        self._log_init_list = self._log_init.tolist()
 
     @property
     def n_states(self) -> int:
@@ -89,61 +108,103 @@ class GaussianHmmModel:
         return self.means.shape[1]
 
 
+_LOG_2PI = np.log(2.0 * np.pi)
+
+
 def _emission_logprobs(model: GaussianHmmModel, x: np.ndarray) -> np.ndarray:
-    """log N(x_t | mean_k, cov_k) for every (t, k), shape (T, K)."""
+    """log N(x_t | mean_k, cov_k) for every (t, k), shape (T, K).
+
+    One triangular solve per state over the whole (T, n) block: the solve's
+    result depends on its column count, so a caller that wants the same bits
+    must pass the same block.
+    """
     t, n = x.shape
     out = np.empty((t, model.n_states))
     for k in range(model.n_states):
-        chol = np.linalg.cholesky(model.covariances[k])
         diff = x - model.means[k]
-        z = scipy.linalg.solve_triangular(chol, diff.T, lower=True)
+        if not np.isfinite(diff).all():
+            raise ValueError("array must not contain infs or NaNs")
+        # the LAPACK call that solve_triangular(chol, diff.T, lower=True)
+        # makes, without its per-call overhead; the check above is its
+        # check_finite
+        z, info = dtrtrs(model._chol[k].T, diff.T, lower=0, trans=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"triangular solve failed (info {info})")
         quad = np.sum(z * z, axis=0)
-        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
-        out[:, k] = -0.5 * (quad + logdet + n * np.log(2.0 * np.pi))
+        out[:, k] = -0.5 * (quad + model._logdet[k] + n * _LOG_2PI)
     return out
 
 
-def decode(model: GaussianHmmModel, sequence) -> np.ndarray:
-    """Most-likely state path (Viterbi) in log domain."""
-    x = np.atleast_2d(np.asarray(sequence, dtype=np.float64))
-    t_len = x.shape[0]
-    k = model.n_states
-    if k == 1:
-        return np.zeros(t_len, dtype=np.int64)
-    with np.errstate(divide="ignore"):
-        log_trans = np.log(model.transition)
-        log_init = np.log(model.initial)
-    emis = _emission_logprobs(model, x)
-    score = log_init + emis[0]
-    backptr = np.empty((t_len, k), dtype=np.int64)
+def _viterbi(model: GaussianHmmModel, emis: np.ndarray) -> np.ndarray:
+    """Most-likely state paths (S, T) from stacked emissions (S, T, K)."""
+    s_len, t_len, k = emis.shape
+    score = model._log_init + emis[:, 0]
+    backptr = np.empty((t_len, s_len, k), dtype=np.int64)
     for t in range(1, t_len):
-        cand = score[:, None] + log_trans
-        backptr[t] = np.argmax(cand, axis=0)
-        score = cand[backptr[t], np.arange(k)] + emis[t]
-    path = np.empty(t_len, dtype=np.int64)
-    path[-1] = int(np.argmax(score))
+        cand = score[:, :, None] + model._log_trans  # (S, from, to)
+        backptr[t] = cand.argmax(axis=1)
+        score = cand.max(axis=1) + emis[:, t]
+    path = np.empty((s_len, t_len), dtype=np.int64)
+    path[:, -1] = np.argmax(score, axis=1)
+    rows = np.arange(s_len)
     for t in range(t_len - 1, 0, -1):
-        path[t - 1] = backptr[t, path[t]]
+        path[:, t - 1] = backptr[t, rows, path[:, t]]
     return path
 
 
+def decode(model: GaussianHmmModel, sequence) -> np.ndarray:
+    """Most-likely state path (Viterbi) in log domain.
+
+    sequence is one (T, n) sequence, giving a (T,) path, or a stack of
+    equal-length sequences (S, T, n), giving (S, T) paths.
+    """
+    x = np.asarray(sequence, dtype=np.float64)
+    stacked = x.ndim == 3
+    xs = x if stacked else np.atleast_2d(x)[None]
+    if model.n_states == 1:
+        paths = np.zeros(xs.shape[:2], dtype=np.int64)
+    else:
+        paths = _viterbi(model, np.stack([_emission_logprobs(model, s) for s in xs]))
+    return paths if stacked else paths[0]
+
+
 def predict_current(model: GaussianHmmModel, window) -> int:
-    """Regime label now: final state of the decode over a recent window."""
+    """Regime label now: final state of the decode over a recent window.
+
+    Runs the forward max-product pass on plain floats and keeps no
+    backpointers; every step takes the same max of the same sums as decode,
+    so the label is decode(model, window)[-1] exactly.
+    """
     window = np.atleast_2d(np.asarray(window, dtype=np.float64))
     if window.shape[0] < 1:
         raise ValueError("window must contain at least one return row")
-    return int(decode(model, window)[-1])
+    if model.n_states == 1:
+        return 0
+    emis = _emission_logprobs(model, window).tolist()
+    score = list(map(add, model._log_init_list, emis[0]))
+    for row in emis[1:]:
+        score = [
+            max(map(add, score, into)) + e for into, e in zip(model._log_into, row)
+        ]
+    return max(range(len(score)), key=score.__getitem__)
 
 
-def _path_log_likelihood(model, sequences, paths) -> float:
-    with np.errstate(divide="ignore"):
-        log_trans = np.log(model.transition)
-        log_init = np.log(model.initial)
+def label_observation(model: GaussianHmmModel, obs, window: int,
+                      n_assets: int) -> int:
+    """Regime label from an observation that starts with its price window.
+
+    The first window * n_assets entries of obs are the (window, n_assets)
+    prices, oldest row first; the detector sees their log returns.
+    """
+    prices = obs[: n_assets * window].reshape(window, n_assets)
+    return predict_current(model, np.diff(np.log(prices), axis=0))
+
+
+def _path_log_likelihood(model, emissions, paths) -> float:
     total = 0.0
-    for x, z in zip(sequences, paths):
-        emis = _emission_logprobs(model, x)
-        total += log_init[z[0]] + emis[np.arange(len(z)), z].sum()
-        total += log_trans[z[:-1], z[1:]].sum()
+    for emis, z in zip(emissions, paths):
+        total += model._log_init[z[0]] + emis[np.arange(len(z)), z].sum()
+        total += model._log_trans[z[:-1], z[1:]].sum()
     return float(total)
 
 
@@ -272,10 +333,18 @@ def fit(sequences, config: HmmFitConfig = None, rng=None) -> GaussianHmmModel:
 
 
 def _train_restart(sequences, model, config):
+    groups = {}
+    for i, x in enumerate(sequences):
+        groups.setdefault(x.shape[0], []).append(i)
     history = []
     for _iteration in range(config.max_iter):
-        paths = [decode(model, x) for x in sequences]
-        ll = _path_log_likelihood(model, sequences, paths)
+        emissions = [_emission_logprobs(model, x) for x in sequences]
+        paths = [None] * len(sequences)
+        for members in groups.values():
+            group_paths = _viterbi(model, np.stack([emissions[i] for i in members]))
+            for i, path in zip(members, group_paths):
+                paths[i] = path
+        ll = _path_log_likelihood(model, emissions, paths)
         if history and ll - history[-1] < config.tol:
             history.append(ll)
             return model, history  # converged; model produced history[-1]
@@ -355,7 +424,11 @@ def accuracy(predicted, true) -> float:
 
 
 def save(model: GaussianHmmModel, path):
-    """Plain-text (JSON) parameter file with full round-trip precision."""
+    """Plain-text (JSON) parameter file with full round-trip precision.
+
+    fit_history (the winning restart's per-iteration log-likelihoods) is
+    written too; load accepts files with or without it.
+    """
     payload = {
         "format_version": 1,
         "n_states": model.n_states,
@@ -364,6 +437,7 @@ def save(model: GaussianHmmModel, path):
         "covariances": model.covariances.tolist(),
         "transition": model.transition.tolist(),
         "initial": model.initial.tolist(),
+        "fit_history": [float(ll) for ll in model.fit_history],
     }
     with open(path, "w") as f:
         json.dump(payload, f, indent=2)
@@ -382,4 +456,5 @@ def load(path) -> GaussianHmmModel:
         covariances=payload["covariances"],
         transition=payload["transition"],
         initial=payload["initial"],
+        fit_history=[float(ll) for ll in payload.get("fit_history", [])],
     )

@@ -83,9 +83,7 @@ def _context_from_obs(obs, window, n_assets, detector, n_states) -> np.ndarray:
     """
     if detector is None:
         return np.full(n_states, 1.0 / n_states)
-    prices = obs[: n_assets * window].reshape(window, n_assets)
-    returns = np.diff(np.log(prices), axis=0)
-    label = hmm_module.predict_current(detector, returns)
+    label = hmm_module.label_observation(detector, obs, window, n_assets)
     context = np.zeros(n_states)
     context[label] = 1.0
     return context
@@ -112,6 +110,9 @@ class EvalResult:
     n_episodes: int
     growths: list = field(default_factory=list, repr=False)
 
+
+# a context net's regime detector is fit once on this many first episodes
+DETECTOR_FIT_EPISODES = 10
 
 # post-training evaluation starts here, far past any training episode index,
 # so evaluation paths are never paths the agent trained on
@@ -217,6 +218,17 @@ def train(
                 f"detector has {hmm_config.n_states} states, net expects "
                 f"{net.context_dim}"
             )
+        n_rollouts = -(-config.total_steps // config.rollout_steps)
+        steps = n_rollouts * config.rollout_steps
+        episode_steps = env.config.n_periods
+        if steps < DETECTOR_FIT_EPISODES * episode_steps:
+            raise ValueError(
+                f"a context policy fits its regime detector after "
+                f"{DETECTOR_FIT_EPISODES} episodes, but total_steps "
+                f"{config.total_steps} runs {steps} steps ({n_rollouts} "
+                f"rollouts of {config.rollout_steps}), fewer than "
+                f"{DETECTOR_FIT_EPISODES} episodes of {episode_steps} steps"
+            )
 
     action_rng = stream(seed, ACTION_STREAM)
     update_rng = stream(seed, UPDATE_STREAM)
@@ -286,11 +298,11 @@ def train(
                     )
                     if seq.shape[0] >= hmm_config.n_states * 10:
                         detector_sequences.append(seq)
-                    if episodes_completed == 10:
+                    if episodes_completed == DETECTOR_FIT_EPISODES:
                         if not detector_sequences:
                             raise FitError(
-                                "first 10 episodes were all too short to fit "
-                                "the regime detector"
+                                f"first {DETECTOR_FIT_EPISODES} episodes were "
+                                "all too short to fit the regime detector"
                             )
                         detector = hmm_module.fit(
                             detector_sequences, hmm_config, stream(seed, HMM_STREAM)

@@ -252,6 +252,20 @@ def test_context_train_and_checkpoint_evaluate(tmp_path):
     assert rc == 0
 
 
+def test_context_train_too_short_for_the_detector_fails_up_front(
+        tmp_path, capsys):
+    # 9 rollouts of 24 steps finish 9 of the 10 episodes the detector needs
+    config = write(tmp_path, "short.yaml",
+                   REGIME.replace("total_steps: 264", "total_steps: 216"))
+    out = tmp_path / "train"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
+    assert "10 episodes" in err
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
 def test_qsurface_matches_the_library(tmp_path, capsys):
     config = write(tmp_path, "two.yaml", TWO_ASSET)
     out = tmp_path / "out"

@@ -5,8 +5,12 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kellylab import hmm as hmm_module
 from kellylab.errors import AlignmentError, FitError
 from kellylab.hmm import (
     GaussianHmmModel,
@@ -295,6 +299,27 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(loaded.covariances, model.covariances)
     assert np.array_equal(loaded.transition, model.transition)
     assert np.array_equal(loaded.initial, model.initial)
+    assert loaded.fit_history == []
+
+
+def test_save_load_keeps_the_fit_history(tmp_path):
+    rng = np.random.default_rng(7)
+    x, _ = sample_chain(rng, 200, means=[-0.02, 0.02], stds=[0.005, 0.005],
+                        transition=[[0.95, 0.05], [0.1, 0.9]])
+    model = fit([x], HmmFitConfig(n_states=2, n_init=2),
+                rng=np.random.default_rng(0))
+    path = tmp_path / "hmm.json"
+    save(model, path)
+    payload = json.loads(path.read_text())
+    assert payload["format_version"] == 1
+    assert payload["fit_history"] == model.fit_history
+    assert load(path).fit_history == model.fit_history
+    # files written without the key still load
+    del payload["fit_history"]
+    path.write_text(json.dumps(payload))
+    loaded = load(path)
+    assert loaded.fit_history == []
+    assert np.array_equal(loaded.means, model.means)
 
 
 def test_load_rejects_unknown_version(tmp_path):
@@ -306,3 +331,198 @@ def test_load_rejects_unknown_version(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="unsupported model file version 2"):
         load(path)
+
+
+# -- properties of the fast paths ---------------------------------------------
+#
+# The oracle below is the straightforward implementation the fast paths
+# replace: a fresh Cholesky factor and solve_triangular per state, one
+# backpointer Viterbi per sequence, and a fit that decodes each sequence on
+# its own and recomputes emissions for the log-likelihood. The fast paths must
+# agree with it bit for bit.
+
+
+def oracle_emissions(model, x):
+    t, n = x.shape
+    out = np.empty((t, model.n_states))
+    for k in range(model.n_states):
+        chol = np.linalg.cholesky(model.covariances[k])
+        diff = x - model.means[k]
+        z = scipy.linalg.solve_triangular(chol, diff.T, lower=True)
+        quad = np.sum(z * z, axis=0)
+        logdet = 2.0 * np.sum(np.log(np.diag(chol)))
+        out[:, k] = -0.5 * (quad + logdet + n * np.log(2.0 * np.pi))
+    return out
+
+
+def oracle_decode(model, sequence):
+    x = np.atleast_2d(np.asarray(sequence, dtype=np.float64))
+    t_len = x.shape[0]
+    k = model.n_states
+    if k == 1:
+        return np.zeros(t_len, dtype=np.int64)
+    with np.errstate(divide="ignore"):
+        log_trans = np.log(model.transition)
+        log_init = np.log(model.initial)
+    emis = oracle_emissions(model, x)
+    score = log_init + emis[0]
+    backptr = np.empty((t_len, k), dtype=np.int64)
+    for t in range(1, t_len):
+        cand = score[:, None] + log_trans
+        backptr[t] = np.argmax(cand, axis=0)
+        score = cand[backptr[t], np.arange(k)] + emis[t]
+    path = np.empty(t_len, dtype=np.int64)
+    path[-1] = int(np.argmax(score))
+    for t in range(t_len - 1, 0, -1):
+        path[t - 1] = backptr[t, path[t]]
+    return path
+
+
+def oracle_fit(sequences, config, rng):
+    sequences = [np.atleast_2d(np.asarray(s, dtype=np.float64)) for s in sequences]
+    x_all = np.vstack(sequences)
+
+    def log_likelihood(model, paths):
+        with np.errstate(divide="ignore"):
+            log_trans = np.log(model.transition)
+            log_init = np.log(model.initial)
+        total = 0.0
+        for x, z in zip(sequences, paths):
+            emis = oracle_emissions(model, x)
+            total += log_init[z[0]] + emis[np.arange(len(z)), z].sum()
+            total += log_trans[z[:-1], z[1:]].sum()
+        return float(total)
+
+    def train_restart(model):
+        history = []
+        for _ in range(config.max_iter):
+            paths = [oracle_decode(model, x) for x in sequences]
+            ll = log_likelihood(model, paths)
+            if history and ll - history[-1] < config.tol:
+                history.append(ll)
+                return model, history
+            history.append(ll)
+            model = hmm_module._m_step(sequences, paths, config)
+            if model is None:
+                return None
+        return model, history
+
+    best_model, best_ll = None, -np.inf
+    for _ in range(config.n_init):
+        for _ in range(hmm_module._MAX_REINIT_ATTEMPTS):
+            trained = train_restart(hmm_module._random_init(x_all, config, rng))
+            if trained is not None:
+                break
+        else:
+            continue
+        model, history = trained
+        if history[-1] > best_ll:
+            best_ll, best_model = history[-1], model
+            best_model.fit_history = history
+    if best_model is None:
+        raise FitError("every restart degenerated")
+    return best_model
+
+
+@st.composite
+def hmm_models(draw):
+    """Random K in {1, 2, 3} models over 1-3 features.
+
+    Transitions and initial distributions may carry exact zeros (forbidden
+    moves, impossible starts), and a model may repeat one state's emission
+    parameters so that scores tie exactly.
+    """
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    means = rng.normal(0.0, 0.02, size=(k, n))
+    covariances = np.empty((k, n, n))
+    for s in range(k):
+        a = rng.normal(0.0, 0.01, size=(n, n))
+        covariances[s] = a @ a.T + rng.uniform(1e-5, 1e-3) * np.eye(n)
+    if k > 1 and draw(st.booleans()):
+        means[1], covariances[1] = means[0], covariances[0]
+    transition = rng.uniform(size=(k, k))
+    initial = rng.uniform(size=k)
+    if k > 1:
+        transition[rng.uniform(size=(k, k)) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+        transition[np.arange(k), rng.integers(0, k, size=k)] += 0.5
+        initial[rng.uniform(size=k) < draw(st.sampled_from([0.0, 0.5]))] = 0.0
+        initial[rng.integers(0, k)] += 0.5
+    transition /= transition.sum(axis=1, keepdims=True)
+    initial /= initial.sum()
+    return GaussianHmmModel(means, covariances, transition, initial)
+
+
+WINDOWS_PER_MODEL = 50
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(model=hmm_models(), seed=st.integers(0, 2**32 - 1))
+def test_predict_current_equals_the_last_decoded_state(model, seed):
+    # 250 models x 50 windows: 12,500 (model, window) pairs
+    rng = np.random.default_rng(seed)
+    for _ in range(WINDOWS_PER_MODEL):
+        t_len = int(rng.integers(1, 81))
+        states = rng.integers(0, model.n_states, size=t_len)
+        scale = rng.choice([0.5, 1.0, 3.0])
+        window = model.means[states] + scale * rng.normal(
+            0.0, 0.03, size=(t_len, model.n_features)
+        )
+        label = predict_current(model, window)
+        assert label == decode(model, window)[-1]
+        assert label == oracle_decode(model, window)[-1]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(model=hmm_models(), seed=st.integers(0, 2**32 - 1),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_non_finite_windows_still_raise(model, seed, bad):
+    rng = np.random.default_rng(seed)
+    t_len = int(rng.integers(1, 81))
+    window = rng.normal(0.0, 0.02, size=(t_len, model.n_features))
+    window[rng.integers(0, t_len), rng.integers(0, model.n_features)] = bad
+    if model.n_states == 1:
+        return  # one state needs no emissions: the label is 0 for any window
+    with pytest.raises(ValueError):
+        predict_current(model, window)
+    with pytest.raises(ValueError):
+        decode(model, window)
+
+
+def test_decode_of_a_stack_is_each_sequence_decoded():
+    model = two_state_model()
+    rng = np.random.default_rng(4)
+    stack = rng.normal(0.0, 0.02, size=(4, 30, 1))
+    paths = decode(model, stack)
+    assert paths.shape == (4, 30)
+    for x, path in zip(stack, paths):
+        assert np.array_equal(path, decode(model, x))
+        assert np.array_equal(path, oracle_decode(model, x))
+
+
+def assert_same_model(got, want):
+    for name in ("means", "covariances", "transition", "initial"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.fit_history == want.fit_history
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),
+       lengths=st.sampled_from([(40, 40, 40, 40), (40, 33, 40, 31, 33), (60,)]),
+       n_states=st.sampled_from([1, 2, 3]))
+def test_fit_equals_the_per_sequence_loop(seed, lengths, n_states):
+    rng = np.random.default_rng(seed)
+    means = rng.normal(0.0, 0.02, size=(n_states, 2))
+    seqs = []
+    for t_len in lengths:
+        states = np.repeat(rng.integers(0, n_states, size=t_len // 10 + 1), 10)
+        seqs.append(means[states[:t_len]] + rng.normal(0.0, 0.01, (t_len, 2)))
+    config = HmmFitConfig(n_states=n_states, n_init=2, max_iter=30)
+    try:
+        want = oracle_fit(seqs, config, np.random.default_rng(seed))
+    except FitError:
+        with pytest.raises(FitError):
+            fit(seqs, config, rng=np.random.default_rng(seed))
+        return
+    assert_same_model(fit(seqs, config, rng=np.random.default_rng(seed)), want)
