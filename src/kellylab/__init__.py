@@ -17,7 +17,6 @@ from . import (
     impact,
     market,
     nets,
-    presets,
     rl,
     training,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "impact",
     "market",
     "nets",
-    "presets",
     "rl",
     "training",
     "__version__",

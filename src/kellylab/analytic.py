@@ -34,10 +34,6 @@ class WeightVector:
     def n_assets(self) -> int:
         return self.stocks.shape[0]
 
-    def as_full(self) -> np.ndarray:
-        """(cash, stock_1, ..., stock_n); sums to 1 by construction."""
-        return np.concatenate([[self.cash], self.stocks])
-
 
 def _stocks_of(w) -> np.ndarray:
     if isinstance(w, WeightVector):

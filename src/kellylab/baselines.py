@@ -11,8 +11,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hmm as hmm_module
-from .analytic import fractional_weights, optimal_weights
-from .env import EnvConfig
+from .analytic import optimal_weights
+from .env import EnvConfig, PortfolioEnv
+from .training import evaluate
 
 
 class FixedWeightPolicy:
@@ -55,12 +56,6 @@ class StaggeredPolicy:
         scale = min((self._k + 1) / self.adjustment_periods, 1.0)
         self._k += 1
         return scale * self.weights
-
-
-def staggered_policy(w_star, n: int) -> StaggeredPolicy:
-    """Stagger entry into w_star over n periods (n = 1: jump immediately)."""
-    stocks = w_star.stocks if hasattr(w_star, "stocks") else w_star
-    return StaggeredPolicy(stocks, n)
 
 
 class RegimeSwitchingPolicy:
@@ -130,9 +125,6 @@ class GridSearchResult:
     mean_growth: float
     table: list = field(default_factory=list, repr=False)
 
-    def __iter__(self):
-        return iter((self.fraction, self.adjustment_periods, self.mean_growth))
-
 
 def rs_baseline_grid_search(
     config: EnvConfig,
@@ -149,8 +141,6 @@ def rs_baseline_grid_search(
     deterministic. Bankrupt episodes are excluded from a cell's mean; a cell
     with no surviving episodes is skipped.
     """
-    from .training import evaluate  # deferred: training pulls in the RL stack
-
     if fractions is None:
         fractions = [round(0.1 * i, 1) for i in range(1, 11)]
     if adjustment_grid is None:
@@ -171,8 +161,8 @@ def rs_baseline_grid_search(
                 targets, adjustment_periods=n, fraction=f
             )
             result = evaluate(
-                policy, lambda seed: _make_env(config, seed), episodes_per_cell,
-                master_seed,
+                policy, lambda seed: PortfolioEnv(config, seed),
+                episodes_per_cell, master_seed,
             )
             table.append(
                 {
@@ -199,14 +189,3 @@ def rs_baseline_grid_search(
         mean_growth=best[0],
         table=table,
     )
-
-
-def _make_env(config: EnvConfig, master_seed: int):
-    from .env import PortfolioEnv
-
-    return PortfolioEnv(config, master_seed)
-
-
-def fractional_policy(params, f: float) -> FixedWeightPolicy:
-    """Fixed-weight policy at fraction f of the growth-optimal weights."""
-    return FixedWeightPolicy(fractional_weights(optimal_weights(params), f).stocks)

@@ -56,8 +56,8 @@ from .nets import ContextPolicyNet, PolicyNet, load_checkpoint, save_checkpoint
 from .rng import HMM_STREAM, NET_INIT_STREAM, episode_stream, stream
 from .training import (
     EVAL_EPISODE_OFFSET,
-    ContextNetPolicy,
     NetPolicy,
+    check_detector_budget,
     evaluate,
     train,
     write_training_log,
@@ -151,12 +151,19 @@ def _build_net(exp: ExperimentConfig, seed: int):
     return PolicyNet(obs_dim, n, init_rng, init_log_std=exp.algo.init_log_std)
 
 
-def _eval_seeds(policy, exp, seeds, episodes, episode_offset):
+def _episodes(args, default: int) -> int:
+    episodes = args.episodes if args.episodes is not None else default
+    if episodes < 1:
+        raise KellylabError(f"--episodes must be >= 1, got {episodes}")
+    return episodes
+
+
+def _eval_seeds(policy, exp, seeds, episodes):
     rows = []
     for seed in seeds:
         result = evaluate(
             policy, _env_factory(exp), episodes, seed,
-            episode_offset=episode_offset,
+            episode_offset=EVAL_EPISODE_OFFSET,
         )
         rows.append(
             [
@@ -181,9 +188,9 @@ def _eval_seeds(policy, exp, seeds, episodes, episode_offset):
 def cmd_simulate(args) -> int:
     started = time.time()
     exp = load_config(args.config)
+    episodes = _episodes(args, 1)
     out = _out_dir(args, "simulate")
     seed = args.seed if args.seed is not None else exp.run.seeds[0]
-    episodes = args.episodes if args.episodes is not None else 1
     cfg = exp.env
     for ep in range(episodes):
         path = generate_path(
@@ -264,13 +271,9 @@ def _train_one(exp: ExperimentConfig, seed: int, out: Path):
         update_rows,
     )
 
-    if exp.context_policy:
-        policy = ContextNetPolicy(net, result.detector)
-    else:
-        policy = NetPolicy(net)
     ev = evaluate(
-        policy, _env_factory(exp), exp.run.eval_episodes, seed,
-        episode_offset=EVAL_EPISODE_OFFSET,
+        NetPolicy(net, result.detector), _env_factory(exp),
+        exp.run.eval_episodes, seed, episode_offset=EVAL_EPISODE_OFFSET,
     )
     _write_csv(
         out / "eval.csv",
@@ -284,16 +287,22 @@ def _train_one(exp: ExperimentConfig, seed: int, out: Path):
 def cmd_train(args) -> int:
     started = time.time()
     exp = load_config(args.config)
-    out = _out_dir(args, "train")
     seeds = _seeds(args, exp)
 
     if args.sweep is not None:
         sweep = load_sweep(args.sweep)
         base = exp.to_dict()
-        summary = []
+        # every value's config is built and checked before the first run
+        sub_exps = []
         for value in sweep.values:
             data = apply_override(base, sweep.key, value)
             sub_exp = parse_config(yaml.safe_dump(data, sort_keys=False))
+            if sub_exp.context_policy:
+                check_detector_budget(sub_exp.env, sub_exp.algo)
+            sub_exps.append((value, sub_exp))
+        out = _out_dir(args, "train")
+        summary = []
+        for value, sub_exp in sub_exps:
             for seed in seeds:
                 subdir = out / f"{sweep.key}={value}" / f"seed{seed}"
                 print(f"training {sweep.key}={value} seed {seed}")
@@ -314,6 +323,7 @@ def cmd_train(args) -> int:
         _write_manifest(out, "train", exp, seeds, started)
         return 0
 
+    out = _out_dir(args, "train")
     summary = []
     for seed in seeds:
         print(f"training seed {seed}")
@@ -334,12 +344,13 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     started = time.time()
     exp = load_config(args.config)
+    episodes = _episodes(args, exp.run.eval_episodes)
     out = _out_dir(args, "evaluate")
     seeds = _seeds(args, exp)
-    episodes = args.episodes if args.episodes is not None else exp.run.eval_episodes
 
     if args.checkpoint is not None:
         net, meta = load_checkpoint(args.checkpoint)
+        detector = None
         if isinstance(net, ContextPolicyNet):
             detector_file = meta.get("extra", {}).get("detector_file")
             if detector_file is None:
@@ -348,15 +359,11 @@ def cmd_evaluate(args) -> int:
                     "detector file"
                 )
             detector = hmm_module.load(Path(args.checkpoint).parent / detector_file)
-            policy = ContextNetPolicy(net, detector)
-        else:
-            policy = NetPolicy(net)
-        offset = EVAL_EPISODE_OFFSET
+        policy = NetPolicy(net, detector)
     else:
         policy = _baseline_policy(exp)
-        offset = EVAL_EPISODE_OFFSET
 
-    rows = _eval_seeds(policy, exp, seeds, episodes, offset)
+    rows = _eval_seeds(policy, exp, seeds, episodes)
     _write_csv(out / "eval.csv", EVAL_HEADER, rows)
     _write_manifest(out, "evaluate", exp, seeds, started)
     return 0
@@ -365,11 +372,11 @@ def cmd_evaluate(args) -> int:
 def cmd_baseline(args) -> int:
     started = time.time()
     exp = load_config(args.config)
+    episodes = _episodes(args, exp.run.eval_episodes)
     out = _out_dir(args, "baseline")
     seeds = _seeds(args, exp)
-    episodes = args.episodes if args.episodes is not None else exp.run.eval_episodes
     policy = _baseline_policy(exp)
-    rows = _eval_seeds(policy, exp, seeds, episodes, EVAL_EPISODE_OFFSET)
+    rows = _eval_seeds(policy, exp, seeds, episodes)
     _write_csv(out / "baseline.csv", EVAL_HEADER, rows)
     _write_manifest(out, "baseline", exp, seeds, started)
     return 0

@@ -17,13 +17,12 @@ experiences is independent of its actions; trading feeds back only through
 impact multipliers and costs.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BankruptEpisodeError, ConfigError, LifecycleError
+from .errors import ConfigError, LifecycleError
 from .impact import ImpactParams, ImpactState, trade_cost
 from .market import PricePath, RegimeModel, generate_path
 from .rng import episode_stream
@@ -107,17 +106,6 @@ class StepResult:
     info: dict = field(default_factory=dict)
 
 
-def episode_growth_rate(rewards, horizon_years: float, bankrupt: bool = False) -> float:
-    """Per-annum exponential growth: undiscounted reward sum over the horizon.
-
-    Bankrupt episodes have no defined growth (the terminal penalty is not a
-    log return); callers must exclude them.
-    """
-    if bankrupt:
-        raise BankruptEpisodeError("growth rate is undefined for a bankrupt episode")
-    return float(np.sum(rewards) / horizon_years)
-
-
 class PortfolioEnv:
     """Single-agent portfolio environment; one instance per worker.
 
@@ -142,12 +130,6 @@ class PortfolioEnv:
         self._interest = np.array(
             [math.exp(reg.cash_rate * config.dt) for reg in config.market.regimes]
         )
-        # trace columns: wealth, cash, reward, cost; weights separately
-        self._trace_wealth = np.zeros(cfg_n + 1)
-        self._trace_cash = np.zeros(cfg_n + 1)
-        self._trace_reward = np.zeros(cfg_n + 1)
-        self._trace_cost = np.zeros(cfg_n + 1)
-        self._trace_weights = np.zeros((cfg_n + 1, n + 1))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -176,13 +158,6 @@ class PortfolioEnv:
         if cfg.window > 1:
             self._eff_hist[: cfg.window - 1] = self._path.warmup_prices
         self._eff_hist[cfg.window - 1] = self._unaffected[0]
-
-        self._trace_wealth[0] = self._wealth
-        self._trace_cash[0] = self._cash
-        self._trace_reward[0] = 0.0
-        self._trace_cost[0] = 0.0
-        self._trace_weights[0] = 0.0
-        self._trace_weights[0, 0] = 1.0
         return self._observation()
 
     def step(self, action) -> StepResult:
@@ -229,12 +204,6 @@ class PortfolioEnv:
             reward = math.log(new_wealth / wealth)
             self._done = self._t == cfg.n_periods
         self._wealth = new_wealth
-
-        self._trace_wealth[self._t] = new_wealth
-        self._trace_cash[self._t] = cash
-        self._trace_reward[self._t] = reward
-        self._trace_cost[self._t] = cost_paid
-        self._trace_weights[self._t] = self._weight_row()
 
         return StepResult(
             observation=self._observation(),
@@ -314,32 +283,3 @@ class PortfolioEnv:
         obs[n * cfg.window : n * cfg.window + n] = self._weight_row()[1:]
         obs[-1] = self._wealth / cfg.initial_wealth
         return obs
-
-    # -- export ------------------------------------------------------------
-
-    def write_trace_csv(self, path):
-        """Episode trace: one row per observed time, through the last step."""
-        if self._t < 0:
-            raise LifecycleError("no episode to export; reset() first")
-        n = self.config.n_assets
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(
-                ["t", "wealth", "cash"]
-                + [f"w_{i}" for i in range(n + 1)]
-                + ["reward", "regime", "cost_paid"]
-            )
-            for t in range(self._t + 1):
-                writer.writerow(
-                    [
-                        t,
-                        repr(float(self._trace_wealth[t])),
-                        repr(float(self._trace_cash[t])),
-                    ]
-                    + [repr(float(w)) for w in self._trace_weights[t]]
-                    + [
-                        repr(float(self._trace_reward[t])),
-                        int(self._regimes[t]),
-                        repr(float(self._trace_cost[t])),
-                    ]
-                )

@@ -41,16 +41,8 @@ class LifecycleError(KellylabError, RuntimeError):
     """Operation called out of order (e.g. step before reset)."""
 
 
-class BankruptEpisodeError(KellylabError, ValueError):
-    """Growth rate requested for a bankrupt episode (undefined)."""
-
-
 class FitError(KellylabError, RuntimeError):
     """Model fitting failed (degenerate data or no usable restart)."""
-
-
-class AlignmentError(KellylabError, ValueError):
-    """Detector states could not be matched one-to-one to regimes."""
 
 
 class CheckpointError(KellylabError, ValueError):

@@ -13,8 +13,8 @@ runs only the forward max pass (no backpointers); max is exact, so its label
 is decode's last state bit for bit. A model computes its Cholesky factors and
 log probabilities once, and its arrays are read-only so they cannot go stale.
 
-The fit works on raw, unlabelled returns; mapping the arbitrary state indices
-onto simulator regimes (label switching) is the job of align_labels, and
+The fit works on raw, unlabelled returns, so its state indices are arbitrary
+(label switching): best_permutation() maps them onto simulator regimes, and
 accuracy() scores against the best label permutation so callers cannot get it
 wrong silently.
 """
@@ -27,7 +27,7 @@ from operator import add
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .errors import AlignmentError, FitError
+from .errors import FitError
 
 _MAX_REINIT_ATTEMPTS = 10
 
@@ -354,30 +354,6 @@ def _train_restart(sequences, model, config):
             return None
         model = new_model
     return model, history
-
-
-def align_labels(model: GaussianHmmModel, regimes, dt: float) -> np.ndarray:
-    """Permutation p with p[state] = simulator regime index.
-
-    Matches each state's mean return to the nearest regime per-period drift
-    (mu - sigma^2/2) * dt. Nearest-neighbour by construction; two states
-    claiming the same regime is an alignment error (the fit did not separate
-    the regimes).
-    """
-    targets = np.array([(r.mu - 0.5 * r.sigma**2) * dt for r in regimes])
-    if targets.shape[0] != model.n_states:
-        raise AlignmentError(
-            f"{model.n_states} states cannot map onto {targets.shape[0]} regimes"
-        )
-    perm = np.empty(model.n_states, dtype=np.int64)
-    for s in range(model.n_states):
-        perm[s] = int(np.argmin(np.sum((targets - model.means[s]) ** 2, axis=1)))
-    if len(set(perm.tolist())) != model.n_states:
-        raise AlignmentError(
-            f"nearest-neighbour matching is not one-to-one (got {perm.tolist()}); "
-            "state means do not separate the regimes"
-        )
-    return perm
 
 
 def best_permutation(predicted, true) -> np.ndarray:

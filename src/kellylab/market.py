@@ -239,12 +239,6 @@ class PricePath:
     def n_assets(self) -> int:
         return self.prices.shape[1]
 
-    def full_prices(self) -> np.ndarray:
-        """Warm-up rows followed by episode rows, shape (warmup + N + 1, n)."""
-        if self.warmup_prices.size == 0:
-            return self.prices
-        return np.vstack([self.warmup_prices, self.prices])
-
     def log_returns(self) -> np.ndarray:
         """Per-period episode log returns, shape (N, n); row t was generated
         under regimes[t]."""

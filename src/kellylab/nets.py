@@ -111,34 +111,35 @@ class _Stack:
 
 
 class _NetBase:
+    """One contiguous parameter vector per net.
+
+    `flat` holds every parameter and `flat_grad` every gradient, in params()
+    order; each Param's value and grad are views into them, made once at
+    construction. A view keeps its array's memory order (orthogonal() gives
+    an F-ordered W when n_in < n_out), so matmuls and per-parameter sums see
+    the same layouts as separately allocated arrays.
+    """
+
     def params(self):
         raise NotImplementedError
 
+    def _flatten(self):
+        params = self.params()
+        self.flat = np.concatenate([p.value.ravel(order="K") for p in params])
+        self.flat_grad = np.zeros_like(self.flat)
+        offset = 0
+        for p in params:
+            end = offset + p.value.size
+            order = "C" if p.value.flags.c_contiguous else "F"
+            p.value = self.flat[offset:end].reshape(p.value.shape, order=order)
+            p.grad = self.flat_grad[offset:end].reshape(p.value.shape, order=order)
+            offset = end
+
     def zero_grads(self):
-        for p in self.params():
-            p.grad[...] = 0.0
+        self.flat_grad.fill(0.0)
 
     def clamp_log_std(self):
         np.clip(self.log_std.value, LOG_STD_MIN, LOG_STD_MAX, out=self.log_std.value)
-
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([p.value.ravel() for p in self.params()])
-
-    def set_flat(self, flat):
-        flat = np.asarray(flat, dtype=np.float64)
-        expected = sum(p.value.size for p in self.params())
-        if flat.size != expected:
-            raise ValueError(
-                f"flat vector has {flat.size} entries, net needs {expected}"
-            )
-        offset = 0
-        for p in self.params():
-            size = p.value.size
-            p.value[...] = flat[offset : offset + size].reshape(p.value.shape)
-            offset += size
-
-    def get_flat_grad(self) -> np.ndarray:
-        return np.concatenate([p.grad.ravel() for p in self.params()])
 
 
 class PolicyNet(_NetBase):
@@ -157,6 +158,7 @@ class PolicyNet(_NetBase):
         self.actor = Dense(last, self.action_dim, "linear", 0.01, rng, "actor")
         self.critic = Dense(last, 1, "linear", 1.0, rng, "critic")
         self.log_std = Param(np.full(self.action_dim, self.init_log_std), "log_std")
+        self._flatten()
 
     def params(self):
         return (
@@ -238,6 +240,7 @@ class ContextPolicyNet(_NetBase):
         self.log_std = Param(np.full(self.action_dim, self.init_log_std), "log_std")
         self._feat_out = None
         self._regime_out = None
+        self._flatten()
 
     def params(self):
         return (
@@ -308,33 +311,42 @@ def build_net(config: dict, rng=None):
 
 
 class Adam:
-    """Adaptive moment estimation over a fixed param list.
+    """Adaptive moment estimation over a net's parameter vector.
 
     beta1 = 0.9, beta2 = 0.999, eps = 1e-8; bias-corrected first and second
-    moments, one shared step counter.
+    moments, one shared step counter. The step writes through preallocated
+    scratch vectors, so it allocates nothing per call.
     """
 
-    def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = list(params)
+    def __init__(self, net, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.value = net.flat
+        self.grad = net.flat_grad
         self.learning_rate = float(learning_rate)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = [np.zeros_like(p.value) for p in self.params]
-        self._v = [np.zeros_like(p.value) for p in self.params]
+        self._m = np.zeros_like(self.value)
+        self._v = np.zeros_like(self.value)
+        self._scratch = (np.empty_like(self.value), np.empty_like(self.value))
 
     def step(self):
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
-        for p, m, v in zip(self.params, self._m, self._v):
-            m *= b1
-            m += (1.0 - b1) * p.grad
-            v *= b2
-            v += (1.0 - b2) * p.grad**2
-            p.value -= self.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        m, v, g = self._m, self._v, self.grad
+        step, denom = self._scratch
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=step)
+        v *= b2
+        v += np.multiply(np.square(g, out=step), 1.0 - b2, out=step)
+        # value -= lr (m / bias1) / (sqrt(v / bias2) + eps)
+        np.add(np.sqrt(np.divide(v, bias2, out=denom), out=denom), self.eps,
+               out=denom)
+        np.multiply(np.divide(m, bias1, out=step), self.learning_rate, out=step)
+        self.value -= np.divide(step, denom, out=step)
 
 
 def global_grad_norm(params) -> float:
@@ -344,16 +356,15 @@ def global_grad_norm(params) -> float:
     return math.sqrt(total)
 
 
-def clip_grad_norm(params, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm.
+def clip_grad_norm(net, max_norm: float) -> float:
+    """Scale the net's gradient so its global L2 norm is at most max_norm.
 
-    Returns the pre-clip norm.
+    The norm sums squares one parameter at a time, in params() order, so it
+    is written to the training logs bit for bit. Returns the pre-clip norm.
     """
-    norm = global_grad_norm(params)
+    norm = global_grad_norm(net.params())
     if max_norm > 0 and norm > max_norm:
-        scale = max_norm / norm
-        for p in params:
-            p.grad *= scale
+        net.flat_grad *= max_norm / norm
     return norm
 
 

@@ -97,8 +97,9 @@ class TrainConfig:
 
     @property
     def effective_epochs(self) -> int:
-        """Unclipped PPO must take a single pass or the policy runs away."""
-        if self.algo == "ppo" and not self.clipping_enabled:
+        """A2C takes one pass; unclipped PPO must too, or the policy runs
+        away."""
+        if self.algo == "a2c" or not self.clipping_enabled:
             return 1
         return self.n_epochs
 
@@ -282,14 +283,6 @@ def loss_and_grads(net, batch: MiniBatch, config: TrainConfig) -> dict:
     return terms
 
 
-def sample_action(net, observation, rng=None, deterministic=False, context=None):
-    """Draw (action, log-probability) from the policy at one observation."""
-    action, log_prob, _ = act_and_value(
-        net, observation, rng, deterministic=deterministic, context=context
-    )
-    return action, log_prob
-
-
 def act_and_value(net, observation, rng=None, deterministic=False, context=None):
     """(action, log-probability, value) in a single forward pass."""
     obs = np.asarray(observation, dtype=np.float64)[None, :]
@@ -329,20 +322,24 @@ def _aggregate(diags: list, aborted: bool) -> dict:
 
 
 def ppo_update(net, buffer: RolloutBuffer, config: TrainConfig, optimizer: Adam,
-               rng) -> dict:
-    """Epochs of shuffled-minibatch clipped-surrogate steps over one rollout.
+               rng=None) -> dict:
+    """Epochs of shuffled-minibatch surrogate steps over one rollout.
 
-    With clipping disabled the surrogate is the raw ratio * advantage and a
-    single epoch runs regardless of n_epochs. A non-finite loss or gradient
-    aborts the update before applying that step.
+    PPO shuffles with `rng` each epoch. With clipping disabled the surrogate
+    is the raw ratio * advantage and a single epoch runs regardless of
+    n_epochs. A2C is the special case of one epoch whose single minibatch is
+    the whole rollout in order, so it draws nothing from `rng`. A non-finite
+    loss or gradient aborts the update before applying that step.
     """
     if buffer.advantages is None:
         raise ValueError("compute_advantages() before updating")
+    a2c = config.algo == "a2c"
+    batch_size = buffer.size if a2c else config.batch_size
     diags = []
     for _epoch in range(config.effective_epochs):
-        perm = rng.permutation(buffer.size)
-        for start in range(0, buffer.size, config.batch_size):
-            idx = perm[start : start + config.batch_size]
+        order = np.arange(buffer.size) if a2c else rng.permutation(buffer.size)
+        for start in range(0, buffer.size, batch_size):
+            idx = order[start : start + batch_size]
             adv = _normalized(
                 buffer.advantages[idx], config.advantage_normalization
             )
@@ -355,7 +352,7 @@ def ppo_update(net, buffer: RolloutBuffer, config: TrainConfig, optimizer: Adam,
                 contexts=None if buffer.contexts is None else buffer.contexts[idx],
             )
             terms = loss_and_grads(net, batch, config)
-            grad_norm = clip_grad_norm(net.params(), config.max_grad_norm)
+            grad_norm = clip_grad_norm(net, config.max_grad_norm)
             terms["grad_norm"] = grad_norm
             if not (math.isfinite(terms["loss"]) and math.isfinite(grad_norm)):
                 return _aggregate(diags, aborted=True)
@@ -363,28 +360,3 @@ def ppo_update(net, buffer: RolloutBuffer, config: TrainConfig, optimizer: Adam,
             net.clamp_log_std()
             diags.append(terms)
     return _aggregate(diags, aborted=False)
-
-
-def a2c_update(net, buffer: RolloutBuffer, config: TrainConfig, optimizer: Adam,
-               rng=None) -> dict:
-    """One gradient step over the whole rollout (no shuffling, raw advantages
-    unless the config says otherwise)."""
-    if buffer.advantages is None:
-        raise ValueError("compute_advantages() before updating")
-    adv = _normalized(buffer.advantages, config.advantage_normalization)
-    batch = MiniBatch(
-        observations=buffer.observations,
-        actions=buffer.actions,
-        old_log_probs=buffer.log_probs,
-        advantages=adv,
-        returns=buffer.returns,
-        contexts=buffer.contexts,
-    )
-    terms = loss_and_grads(net, batch, config)
-    grad_norm = clip_grad_norm(net.params(), config.max_grad_norm)
-    terms["grad_norm"] = grad_norm
-    if not (math.isfinite(terms["loss"]) and math.isfinite(grad_norm)):
-        return _aggregate([], aborted=True)
-    optimizer.step()
-    net.clamp_log_std()
-    return _aggregate([terms], aborted=False)

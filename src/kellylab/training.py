@@ -1,4 +1,4 @@
-"""Training loop, deterministic evaluation, and net-backed policies.
+"""Training loop, deterministic evaluation, and the net-backed policy.
 
 train() alternates rollout collection and one update per rollout until the
 step budget is spent. The training log gets one row per completed episode:
@@ -19,36 +19,20 @@ import numpy as np
 
 from . import hmm as hmm_module
 from .errors import FitError
-from .nets import Adam, ContextPolicyNet, PolicyNet
-from .rl import TrainConfig, RolloutBuffer, a2c_update, act_and_value, ppo_update
+from .nets import Adam, ContextPolicyNet
+from .rl import TrainConfig, RolloutBuffer, act_and_value, ppo_update
 from .rng import ACTION_STREAM, HMM_STREAM, UPDATE_STREAM, stream
 
 
 class NetPolicy:
-    """Evaluation wrapper: act with the policy mean (or sampled actions)."""
+    """Evaluation wrapper: act with the policy mean (or sampled actions).
 
-    def __init__(self, net, deterministic=True, rng=None):
-        self.net = net
-        self.deterministic = deterministic
-        self.rng = rng
-        if not deterministic and rng is None:
-            raise ValueError("stochastic evaluation needs an rng")
+    A context net reads its regime context from its frozen detector, which
+    it must be given.
+    """
 
-    def reset(self, env):
-        pass
-
-    def act(self, obs, env):
-        action, _, _ = act_and_value(
-            self.net, obs, self.rng, deterministic=self.deterministic
-        )
-        return action
-
-
-class ContextNetPolicy:
-    """Evaluation wrapper pairing a context net with its frozen detector."""
-
-    def __init__(self, net, detector, deterministic=True, rng=None):
-        if detector is None:
+    def __init__(self, net, detector=None, deterministic=True, rng=None):
+        if isinstance(net, ContextPolicyNet) and detector is None:
             raise ValueError("a context policy needs its fitted regime detector")
         self.net = net
         self.detector = detector
@@ -61,13 +45,15 @@ class ContextNetPolicy:
         pass
 
     def act(self, obs, env):
-        context = _context_from_obs(
-            obs,
-            env.config.window,
-            env.config.n_assets,
-            self.detector,
-            self.net.context_dim,
-        )
+        context = None
+        if self.detector is not None:
+            context = _context_from_obs(
+                obs,
+                env.config.window,
+                env.config.n_assets,
+                self.detector,
+                self.net.context_dim,
+            )
         action, _, _ = act_and_value(
             self.net, obs, self.rng, deterministic=self.deterministic,
             context=context,
@@ -87,19 +73,6 @@ def _context_from_obs(obs, window, n_assets, detector, n_states) -> np.ndarray:
     context = np.zeros(n_states)
     context[label] = 1.0
     return context
-
-
-def _as_policy(obj):
-    if hasattr(obj, "act"):
-        return obj
-    if isinstance(obj, ContextPolicyNet):
-        raise ValueError(
-            "wrap a ContextPolicyNet in ContextNetPolicy(net, detector) so the "
-            "regime context is available"
-        )
-    if isinstance(obj, PolicyNet):
-        return NetPolicy(obj)
-    raise TypeError(f"cannot evaluate {type(obj).__name__}: no act() method")
 
 
 @dataclass
@@ -128,14 +101,12 @@ def evaluate(policy, env_factory, n_episodes: int, seed: int,
     (their growth is undefined); if nothing survives, the statistics are NaN.
     MAD is the mean absolute deviation about the mean.
     """
-    policy = _as_policy(policy)
     env = env_factory(seed)
     growths = []
     bankruptcies = 0
     for episode in range(episode_offset, episode_offset + n_episodes):
         obs = env.reset(episode=episode)
-        if hasattr(policy, "reset"):
-            policy.reset(env)
+        policy.reset(env)
         reward_sum = 0.0
         bankrupt = False
         while True:
@@ -185,6 +156,30 @@ class TrainResult:
     updates: list = field(default_factory=list, repr=False)
 
 
+def check_detector_budget(env_config, config: TrainConfig):
+    """Reject a context-policy run that cannot fit its regime detector.
+
+    The detector needs at least one return row per observation window, and
+    the run's rollouts must finish the DETECTOR_FIT_EPISODES episodes it is
+    fit on.
+    """
+    if env_config.window < 2:
+        raise ValueError(
+            "context policies need window >= 2 (at least one return row)"
+        )
+    n_rollouts = -(-config.total_steps // config.rollout_steps)
+    steps = n_rollouts * config.rollout_steps
+    episode_steps = env_config.n_periods
+    if steps < DETECTOR_FIT_EPISODES * episode_steps:
+        raise ValueError(
+            f"a context policy fits its regime detector after "
+            f"{DETECTOR_FIT_EPISODES} episodes, but total_steps "
+            f"{config.total_steps} runs {steps} steps ({n_rollouts} "
+            f"rollouts of {config.rollout_steps}), fewer than "
+            f"{DETECTOR_FIT_EPISODES} episodes of {episode_steps} steps"
+        )
+
+
 def train(
     env_factory,
     net,
@@ -207,10 +202,6 @@ def train(
         )
     is_context = isinstance(net, ContextPolicyNet)
     if is_context:
-        if env.config.window < 2:
-            raise ValueError(
-                "context policies need window >= 2 (at least one return row)"
-            )
         if hmm_config is None:
             hmm_config = hmm_module.HmmFitConfig(n_states=net.context_dim)
         elif hmm_config.n_states != net.context_dim:
@@ -218,21 +209,11 @@ def train(
                 f"detector has {hmm_config.n_states} states, net expects "
                 f"{net.context_dim}"
             )
-        n_rollouts = -(-config.total_steps // config.rollout_steps)
-        steps = n_rollouts * config.rollout_steps
-        episode_steps = env.config.n_periods
-        if steps < DETECTOR_FIT_EPISODES * episode_steps:
-            raise ValueError(
-                f"a context policy fits its regime detector after "
-                f"{DETECTOR_FIT_EPISODES} episodes, but total_steps "
-                f"{config.total_steps} runs {steps} steps ({n_rollouts} "
-                f"rollouts of {config.rollout_steps}), fewer than "
-                f"{DETECTOR_FIT_EPISODES} episodes of {episode_steps} steps"
-            )
+        check_detector_budget(env.config, config)
 
     action_rng = stream(seed, ACTION_STREAM)
     update_rng = stream(seed, UPDATE_STREAM)
-    optimizer = Adam(net.params(), config.learning_rate)
+    optimizer = Adam(net, config.learning_rate)
     buffer = RolloutBuffer(
         config.rollout_steps,
         env.config.observation_dim,
@@ -325,10 +306,7 @@ def train(
                 net, obs, deterministic=True, context=context
             )
         buffer.compute_advantages(bootstrap, config.discount, config.gae_lambda)
-        if config.algo == "ppo":
-            diag = ppo_update(net, buffer, config, optimizer, update_rng)
-        else:
-            diag = a2c_update(net, buffer, config, optimizer, update_rng)
+        diag = ppo_update(net, buffer, config, optimizer, update_rng)
         updates.append(diag)
         latest = diag
 

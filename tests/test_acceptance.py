@@ -45,16 +45,6 @@ from kellylab.env import EnvConfig, PortfolioEnv
 from kellylab.impact import ImpactParams, trade_cost
 from kellylab.market import RegimeModel, generate_path, rescale_transition
 from kellylab.nets import PolicyNet
-from kellylab.presets import (
-    bear_market,
-    bull_market,
-    default_impact,
-    etf3,
-    etf3_market,
-    regime_model,
-    regimes3,
-    single_asset,
-)
 from kellylab.rl import (
     MiniBatch,
     TrainConfig,
@@ -65,6 +55,7 @@ from kellylab.rl import (
 from kellylab.rng import episode_stream, stream, HMM_STREAM, NET_INIT_STREAM
 from kellylab.training import EVAL_EPISODE_OFFSET, NetPolicy, evaluate, train
 
+from shipped import regime, shipped
 from test_rl import gradient_rel_error, random_case
 
 pytestmark = pytest.mark.acceptance
@@ -87,7 +78,7 @@ def report(number, clauses):
 
 
 def test_criterion_01_single_regime_analytic_growth():
-    params = etf3_market()
+    params = regime("etf3")
     growth = expected_growth(optimal_weights(params), params)
     report(1, [
         ("growth 0.114 +- 0.002", abs(growth - 0.114) <= 0.002,
@@ -98,8 +89,8 @@ def test_criterion_01_single_regime_analytic_growth():
 def test_criterion_02_regime_weights_and_growths():
     # weight targets are (cash, stocks...) at two decimals
     targets = {
-        "bull": (bull_market(), (-4.80, 1.94, 1.68, 2.18), 0.274),
-        "bear": (bear_market(), (1.56, -2.18, 1.22, 0.40), 0.104),
+        "bull": (regime("regimes3", 0), (-4.80, 1.94, 1.68, 2.18), 0.274),
+        "bear": (regime("regimes3", 1), (1.56, -2.18, 1.22, 0.40), 0.104),
     }
     clauses = []
     for name, (params, weights, growth_target) in targets.items():
@@ -120,10 +111,11 @@ def test_criterion_02_regime_weights_and_growths():
         ))
         w = optimal_weights(params)
         growth = expected_growth(w, params)
-        gap = float(np.max(np.abs(w.as_full() - target)))
+        full = np.concatenate([[w.cash], w.stocks])
+        gap = float(np.max(np.abs(full - target)))
         clauses.append((
             f"{name} weights +- 0.02", gap <= 0.02,
-            f"solved ({', '.join(f'{v:.3f}' for v in w.as_full())}), "
+            f"solved ({', '.join(f'{v:.3f}' for v in full)}), "
             f"max gap {gap:.3f}",
         ))
         clauses.append((
@@ -135,7 +127,7 @@ def test_criterion_02_regime_weights_and_growths():
 
 
 def test_criterion_03_switching_growth():
-    model = regime_model()
+    model = shipped("regimes3").market
     pi = stationary_distribution(model.transition)
     growths = [expected_growth(optimal_weights(p), p) for p in model.regimes]
     value = switching_growth(growths, pi)
@@ -148,7 +140,7 @@ def test_criterion_03_switching_growth():
 def test_criterion_04_monte_carlo_baseline():
     # fixed protocol, chosen before results were seen: master seed 0,
     # episodes 0..19 of that stream
-    exp = etf3()
+    exp = shipped("etf3")
     params = exp.env.market.regimes[0]
     w_star = optimal_weights(params)
     policy = FixedWeightPolicy(w_star.stocks)
@@ -214,7 +206,7 @@ def test_baseline_large_sample_diagnostic():
     too wide for a 20-episode batch, which is why criterion 4 measures each
     episode net of its own path's Brownian term.
     """
-    exp = etf3()
+    exp = shipped("etf3")
     params = exp.env.market.regimes[0]
     w_star = optimal_weights(params)
     target = expected_growth(w_star, params)
@@ -313,7 +305,7 @@ def test_criterion_07_markov_chain_consistency():
     worst_stationary = 0.0
     dt = 1.0 / 256
     matrices = [
-        regime_model().transition,
+        shipped("regimes3").market.transition,
         np.array([[0.9, 0.1], [0.2, 0.8]]),
         np.array([[0.95, 0.03, 0.02], [0.05, 0.9, 0.05], [0.01, 0.04, 0.95]]),
     ]
@@ -333,7 +325,7 @@ def test_criterion_07_markov_chain_consistency():
 
 
 def test_criterion_08_hmm_regime_accuracy():
-    exp = regimes3()
+    exp = shipped("regimes3")
     cfg = exp.env
     seed = 0
     paths = [
@@ -359,7 +351,7 @@ def test_criterion_08_hmm_regime_accuracy():
 
 @pytest.mark.slow
 def test_criterion_09_desk_scale_learning_check():
-    exp = single_asset(200_000)
+    exp = shipped("single_asset")
     factory = lambda seed: PortfolioEnv(exp.env, seed)
     clauses = []
     for seed in exp.run.seeds:
@@ -414,12 +406,12 @@ def test_criterion_10_clipping_property():
             batch = MiniBatch(obs, actions, log_probs + offsets, isolated,
                               value.copy())
             loss_and_grads(net, batch, config)
-            assert np.all(net.get_flat_grad() == 0.0), f"buffer {b} sample {i}"
+            assert np.all(net.flat_grad == 0.0), f"buffer {b} sample {i}"
             checked += 1
     assert checked >= 100
 
     # part 2: paired single-epoch runs from one seed, clipping on vs off
-    exp = single_asset()
+    exp = shipped("single_asset")
     factory = lambda seed: PortfolioEnv(exp.env, seed)
     kl = {}
     for clipping in (True, False):
@@ -491,15 +483,15 @@ def _accounting_group(market, impact, n_episodes, master_seed,
 
 
 def test_criterion_11_environment_accounting():
-    impact = default_impact()
+    impact = shipped("etf3").impact
     mark_a, tel_a, _ = _accounting_group(
-        RegimeModel.single(etf3_market()), impact, 350, 11, False
+        RegimeModel.single(regime("etf3")), impact, 350, 11, False
     )
     mark_b, tel_b, _ = _accounting_group(
-        regime_model(), impact, 350, 13, False
+        shipped("regimes3").market, impact, 350, 13, False
     )
     mark_c, tel_c, fin_c = _accounting_group(
-        RegimeModel.single(etf3_market()), ImpactParams(0.0, 0.0), 300, 17, True
+        RegimeModel.single(regime("etf3")), ImpactParams(0.0, 0.0), 300, 17, True
     )
     worst_mark = max(mark_a, mark_b, mark_c)
     worst_telescope = max(tel_a, tel_b, tel_c)

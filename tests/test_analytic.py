@@ -16,15 +16,9 @@ from kellylab.baselines import FixedWeightPolicy
 from kellylab.env import EnvConfig, PortfolioEnv
 from kellylab.impact import ImpactParams
 from kellylab.market import MarketParams, RegimeModel
-from kellylab.presets import (
-    REGIME_TRANSITION,
-    bear_market,
-    bull_market,
-    etf3_market,
-    single_asset_market,
-    two_asset_market,
-)
 from kellylab.training import evaluate
+
+from shipped import regime, shipped
 
 ETF3_STOCKS = np.array(
     [0.766513403674217, 0.6592560500046568, 1.2842178197510679]
@@ -41,35 +35,32 @@ def test_weight_vector_accounting():
     w = WeightVector(np.array([0.7, 0.5]))
     assert w.cash == pytest.approx(-0.2, abs=1e-15)
     assert w.n_assets == 2
-    full = w.as_full()
-    assert full.shape == (3,)
-    assert full.sum() == pytest.approx(1.0, abs=1e-15)
-    assert np.array_equal(full[1:], w.stocks)
+    assert w.cash + w.stocks.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_single_asset_closed_form():
     # w* = (mu - r) / sigma^2, L* = r + (mu - r)^2 / (2 sigma^2)
-    w = optimal_weights(single_asset_market())
+    w = optimal_weights(regime("single_asset"))
     assert w.stocks[0] == pytest.approx(2.0, abs=1e-12)
     assert w.cash == pytest.approx(-1.0, abs=1e-12)
-    assert expected_growth(w, single_asset_market()) == pytest.approx(
+    assert expected_growth(w, regime("single_asset")) == pytest.approx(
         0.12, abs=1e-14
     )
 
 
 def test_all_cash_grows_at_the_cash_rate():
-    params = etf3_market()
+    params = regime("etf3")
     assert expected_growth(np.zeros(3), params) == params.cash_rate
 
 
 def test_growth_accepts_weight_vector_and_array():
-    params = etf3_market()
+    params = regime("etf3")
     w = np.array([0.3, 0.3, 0.2])
     assert expected_growth(w, params) == expected_growth(WeightVector(w), params)
 
 
 def test_three_asset_optimal_weights():
-    params = etf3_market()
+    params = regime("etf3")
     w = optimal_weights(params)
     assert np.max(np.abs(w.stocks - ETF3_STOCKS)) < 1e-12
     assert w.cash == pytest.approx(-1.7099872734299417, abs=1e-12)
@@ -79,22 +70,22 @@ def test_three_asset_optimal_weights():
 
 
 def test_bull_and_bear_optimal_weights():
-    bull = optimal_weights(bull_market())
+    bull = optimal_weights(regime("regimes3", 0))
     assert np.max(np.abs(bull.stocks - BULL_STOCKS)) < 1e-12
     assert bull.cash == pytest.approx(-4.8026941996446935, abs=1e-12)
-    assert expected_growth(bull, bull_market()) == pytest.approx(
+    assert expected_growth(bull, regime("regimes3", 0)) == pytest.approx(
         0.2734781459394937, abs=1e-14
     )
-    bear = optimal_weights(bear_market())
+    bear = optimal_weights(regime("regimes3", 1))
     assert np.max(np.abs(bear.stocks - BEAR_STOCKS)) < 1e-12
     assert bear.cash == pytest.approx(1.5669378303431423, abs=1e-12)
-    assert expected_growth(bear, bear_market()) == pytest.approx(
+    assert expected_growth(bear, regime("regimes3", 1)) == pytest.approx(
         0.10320190244134217, abs=1e-14
     )
 
 
 def test_optimal_weights_satisfy_first_order_conditions():
-    for params in (etf3_market(), bull_market(), bear_market()):
+    for params in (regime("etf3"), regime("regimes3", 0), regime("regimes3", 1)):
         w = optimal_weights(params)
         sigma = params.covariance()
         residual = sigma @ w.stocks - (params.mu - params.cash_rate)
@@ -105,7 +96,7 @@ def test_optimal_weights_satisfy_first_order_conditions():
 
 
 def test_no_perturbation_beats_the_optimum():
-    params = etf3_market()
+    params = regime("etf3")
     w_star = optimal_weights(params)
     best = expected_growth(w_star, params)
     rng = np.random.default_rng(314)
@@ -127,7 +118,7 @@ def test_fractional_weights_scale_stocks_only():
     w = fractional_weights(np.array([2.0]), 0.5)
     assert w.stocks[0] == 1.0
     assert w.cash == 0.0
-    assert expected_growth(w, single_asset_market()) == pytest.approx(
+    assert expected_growth(w, regime("single_asset")) == pytest.approx(
         0.10, abs=1e-14
     )
     same = fractional_weights(WeightVector(np.array([2.0])), 1.0)
@@ -139,7 +130,7 @@ def test_fractional_weights_scale_stocks_only():
 
 def test_fractional_frontier_identity():
     # L(f w) - r = f (L(w) - r) + f (1 - f) w' Sigma w / 2 for every w
-    params = etf3_market()
+    params = regime("etf3")
     sigma = params.covariance()
     r = params.cash_rate
     rng = np.random.default_rng(77)
@@ -154,7 +145,7 @@ def test_fractional_frontier_identity():
 
 
 def test_portfolio_volatility_scales_linearly_with_fraction():
-    params = etf3_market()
+    params = regime("etf3")
     sigma = params.covariance()
     w = optimal_weights(params).stocks
     vol = np.sqrt(w @ sigma @ w)
@@ -167,7 +158,7 @@ def test_portfolio_volatility_scales_linearly_with_fraction():
 
 
 def test_stationary_two_state_closed_form():
-    pi = stationary_distribution(np.array(REGIME_TRANSITION))
+    pi = stationary_distribution(shipped("regimes3").market.transition)
     assert pi[0] == pytest.approx(0.75, abs=1e-12)
     assert pi[1] == pytest.approx(0.25, abs=1e-12)
     assert pi.sum() == pytest.approx(1.0, abs=1e-14)
@@ -208,10 +199,10 @@ def test_switching_growth_aggregation():
 
 def test_switching_growth_of_per_regime_optima():
     growths = [
-        expected_growth(optimal_weights(bull_market()), bull_market()),
-        expected_growth(optimal_weights(bear_market()), bear_market()),
+        expected_growth(optimal_weights(regime("regimes3", 0)), regime("regimes3", 0)),
+        expected_growth(optimal_weights(regime("regimes3", 1)), regime("regimes3", 1)),
     ]
-    pi = stationary_distribution(np.array(REGIME_TRANSITION))
+    pi = stationary_distribution(shipped("regimes3").market.transition)
     assert switching_growth(growths, pi) == pytest.approx(
         0.2309090850649558, rel=1e-9
     )
@@ -221,14 +212,14 @@ def test_switching_growth_of_per_regime_optima():
 
 
 def test_q_surface_origin_is_the_cash_rate():
-    params = two_asset_market()
+    params = regime("two_asset")
     surf = q_surface(params, np.array([0.0]), np.array([0.0]))
     assert surf.shape == (1, 1)
     assert surf[0, 0] == params.cash_rate
 
 
 def test_q_surface_matches_expected_growth_pointwise():
-    params = two_asset_market()
+    params = regime("two_asset")
     w1 = np.linspace(-1.0, 3.0, 9)
     w2 = np.linspace(-1.0, 3.0, 7)
     surf = q_surface(params, w1, w2)
@@ -242,7 +233,7 @@ def test_q_surface_matches_expected_growth_pointwise():
 
 
 def test_q_surface_is_concave_along_grid_lines():
-    params = two_asset_market()
+    params = regime("two_asset")
     grid = np.linspace(-1.0, 3.0, 41)
     surf = q_surface(params, grid, grid)
     d2_rows = np.diff(surf, n=2, axis=0)
@@ -255,7 +246,7 @@ def test_q_surface_is_concave_along_grid_lines():
 
 
 def test_q_surface_argmax_brackets_the_optimum():
-    params = two_asset_market()
+    params = regime("two_asset")
     grid = np.linspace(-1.0, 3.0, 41)
     surf = q_surface(params, grid, grid)
     i, j = np.unravel_index(np.argmax(surf), surf.shape)
@@ -267,7 +258,7 @@ def test_q_surface_argmax_brackets_the_optimum():
 
 def test_q_surface_needs_two_assets():
     with pytest.raises(ValueError, match="2-asset"):
-        q_surface(etf3_market(), np.zeros(2), np.zeros(2))
+        q_surface(regime("etf3"), np.zeros(2), np.zeros(2))
 
 
 # -- Monte Carlo consistency -----------------------------------------------------
@@ -275,7 +266,7 @@ def test_q_surface_needs_two_assets():
 
 def test_simulated_growth_matches_analytic_growth():
     # frictionless fixed-w* portfolio: sample mean growth within 3 SE of L(w*)
-    params = single_asset_market()
+    params = regime("single_asset")
     config = EnvConfig(
         horizon_years=1.0,
         periods_per_year=256,

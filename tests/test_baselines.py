@@ -3,27 +3,21 @@
 import numpy as np
 import pytest
 
-from kellylab.analytic import WeightVector, optimal_weights
+from kellylab.analytic import optimal_weights
 from kellylab.baselines import (
     FixedWeightPolicy,
     GridSearchResult,
     RegimeSwitchingPolicy,
     StaggeredPolicy,
-    fractional_policy,
     rs_baseline_grid_search,
-    staggered_policy,
 )
 from kellylab.env import EnvConfig, PortfolioEnv
 from kellylab.hmm import GaussianHmmModel
 from kellylab.impact import ImpactParams
 from kellylab.market import MarketParams, RegimeModel
-from kellylab.presets import (
-    default_impact,
-    etf3_market,
-    regime_model,
-    single_asset_market,
-)
 from kellylab.training import evaluate
+
+from shipped import regime, shipped
 
 
 class FakeEnv:
@@ -42,7 +36,7 @@ def small_env_config(market=None, horizon_years=0.25, initial_wealth=1000.0,
         window=window,
         initial_wealth=initial_wealth,
         market=market if market is not None else RegimeModel.single(
-            single_asset_market()
+            regime("single_asset")
         ),
         impact=impact if impact is not None else ImpactParams(0.0, 0.0),
     )
@@ -58,6 +52,8 @@ def test_staggered_ramp_schedule():
     policy = StaggeredPolicy(np.array([2.0]), 4)
     targets = [float(policy.act(None, None)[0]) for _ in range(6)]
     assert targets == [0.5, 1.0, 1.5, 2.0, 2.0, 2.0]
+    with pytest.raises(ValueError, match="adjustment_periods"):
+        StaggeredPolicy(np.array([1.0]), 0)
 
 
 def test_staggered_with_one_period_is_fixed():
@@ -72,14 +68,6 @@ def test_staggered_reset_restarts_the_ramp():
     assert policy.act(None, None)[0] == 1.0
     policy.reset(None)
     assert policy.act(None, None)[0] == 0.5
-
-
-def test_staggered_policy_accepts_weight_vector():
-    policy = staggered_policy(WeightVector(np.array([2.0])), 2)
-    assert isinstance(policy, StaggeredPolicy)
-    assert policy.act(None, None)[0] == 1.0
-    with pytest.raises(ValueError, match="adjustment_periods"):
-        staggered_policy(np.array([1.0]), 0)
 
 
 def test_regime_switching_ramps_toward_the_active_target():
@@ -141,12 +129,6 @@ def test_regime_switching_reads_a_detector():
     assert policy.act(obs_down, env)[0] == 0.0
 
 
-def test_fractional_policy_scales_the_optimum():
-    policy = fractional_policy(single_asset_market(), 0.5)
-    assert isinstance(policy, FixedWeightPolicy)
-    assert policy.weights[0] == pytest.approx(1.0, abs=1e-12)
-
-
 # -- grid search ---------------------------------------------------------------
 
 
@@ -159,8 +141,6 @@ def test_grid_search_single_cell():
     assert result.adjustment_periods == 2
     assert len(result.table) == 1
     assert result.table[0]["mean_growth"] == result.mean_growth
-    f, n, g = result
-    assert (f, n, g) == (0.5, 2, result.mean_growth)
 
 
 def test_grid_search_tie_breaks_toward_larger_fraction_then_smaller_ramp():
@@ -205,8 +185,8 @@ def test_grid_search_high_wealth_regime_benchmark():
         periods_per_year=256,
         window=60,
         initial_wealth=100_000.0,
-        market=regime_model(),
-        impact=default_impact(),
+        market=shipped("regimes3").market,
+        impact=shipped("etf3").impact,
     )
     result = rs_baseline_grid_search(config, episodes_per_cell=20, master_seed=0)
     assert abs(result.mean_growth - 0.164) <= 0.01
@@ -219,14 +199,14 @@ def test_grid_search_high_wealth_regime_benchmark():
     "at high wealth under this cost model",
 )
 def test_staggered_entry_beats_immediate_jump_at_high_wealth():
-    w_star = optimal_weights(etf3_market()).stocks
+    w_star = optimal_weights(regime("etf3")).stocks
     config = EnvConfig(
         horizon_years=5.0,
         periods_per_year=256,
         window=2,
         initial_wealth=200_000.0,
-        market=RegimeModel.single(etf3_market()),
-        impact=default_impact(),
+        market=RegimeModel.single(regime("etf3")),
+        impact=shipped("etf3").impact,
     )
     factory = lambda seed: PortfolioEnv(config, seed)
     jump = evaluate(FixedWeightPolicy(w_star), factory, 10, 0)

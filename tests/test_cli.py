@@ -266,6 +266,48 @@ def test_context_train_too_short_for_the_detector_fails_up_front(
     assert [p for p in out.rglob("*") if p.is_file()] == []
 
 
+def test_train_sweep_checks_every_value_before_the_first_run(tmp_path,
+                                                              capsys):
+    # 264 steps fit the detector; 216 finish only 9 of its 10 episodes
+    config = write(tmp_path, "regime.yaml", REGIME)
+    sweep = write(tmp_path, "sweep.yaml",
+                  "key: algo.total_steps\nvalues: [264, 216]\n")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config), "--out", str(out),
+                 "--sweep", str(sweep)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
+    assert "10 episodes" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+    # a value that does not parse fails before the valid one trains
+    tiny = write(tmp_path, "tiny.yaml", TINY)
+    bad = write(tmp_path, "bad.yaml",
+                "key: algo.learning_rate\nvalues: [0.001, -1.0]\n")
+    assert main(["train", "--config", str(tiny), "--out", str(out),
+                 "--sweep", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "learning_rate" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "evaluate", "baseline"])
+@pytest.mark.parametrize("episodes", ["0", "-1"])
+def test_episode_counts_below_one_are_rejected(tmp_path, capsys, command,
+                                               episodes):
+    config = write(tmp_path, "tiny.yaml", TINY)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out),
+                 "--episodes", episodes]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --episodes must be >= 1, got {episodes}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_qsurface_matches_the_library(tmp_path, capsys):
     config = write(tmp_path, "two.yaml", TWO_ASSET)
     out = tmp_path / "out"

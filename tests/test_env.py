@@ -1,20 +1,16 @@
-"""Portfolio environment: accounting identities, lifecycle, and export."""
+"""Portfolio environment: accounting identities and lifecycle."""
 
 import math
 
 import numpy as np
 import pytest
 
-from kellylab.env import (
-    BANKRUPTCY_REWARD,
-    EnvConfig,
-    PortfolioEnv,
-    episode_growth_rate,
-)
-from kellylab.errors import BankruptEpisodeError, ConfigError, LifecycleError
+from kellylab.env import BANKRUPTCY_REWARD, EnvConfig, PortfolioEnv
+from kellylab.errors import ConfigError, LifecycleError
 from kellylab.impact import ImpactParams, trade_cost
 from kellylab.market import MarketParams, RegimeModel
-from kellylab.presets import etf3_market
+
+from shipped import regime
 
 
 def single_market(mu=0.12, sigma=0.2, cash_rate=0.04):
@@ -39,7 +35,7 @@ def make_config(market=None, horizon_years=0.25, periods_per_year=256,
 
 
 def test_observation_dim_formula():
-    cfg = make_config(market=RegimeModel.single(etf3_market()), window=60)
+    cfg = make_config(market=RegimeModel.single(regime("etf3")), window=60)
     assert cfg.observation_dim == 3 * 60 + 3 + 1
     assert make_config(window=1).observation_dim == 1 + 1 + 1
     assert cfg.n_periods == 64
@@ -66,7 +62,7 @@ def test_config_validation():
 
 
 def test_initial_observation_layout():
-    cfg = make_config(market=RegimeModel.single(etf3_market()), window=4)
+    cfg = make_config(market=RegimeModel.single(regime("etf3")), window=4)
     env = PortfolioEnv(cfg, master_seed=0)
     obs = env.reset(episode=0)
     assert obs.shape == (cfg.observation_dim,)
@@ -221,7 +217,7 @@ def test_two_period_ledger_replication():
 
 def test_wealth_identity_and_reward_telescoping():
     cfg = make_config(
-        market=RegimeModel.single(etf3_market()),
+        market=RegimeModel.single(regime("etf3")),
         impact=ImpactParams(1e-9, 1e-7),
     )
     env = PortfolioEnv(cfg, master_seed=5)
@@ -243,7 +239,7 @@ def test_zero_impact_self_financing():
     # with no impact, wealth moves only through interest and price moves on
     # the held shares (executions average over the period: half the traded
     # shares ride the move)
-    cfg = make_config(market=RegimeModel.single(etf3_market()))
+    cfg = make_config(market=RegimeModel.single(regime("etf3")))
     env = PortfolioEnv(cfg, master_seed=2)
     env.reset(episode=0)
     S = env.path.prices
@@ -278,7 +274,7 @@ def test_observation_tracks_drifted_weights():
 
 
 def test_effective_prices_equal_unaffected_without_impact():
-    cfg = make_config(market=RegimeModel.single(etf3_market()))
+    cfg = make_config(market=RegimeModel.single(regime("etf3")))
     env = PortfolioEnv(cfg, master_seed=0)
     env.reset(episode=0)
     for _ in range(6):
@@ -340,34 +336,3 @@ def test_bankruptcy_pays_the_penalty_and_terminates():
     # drifted weights are reported as zeros once wealth is gone
     n, w = 1, 4
     assert result.observation[n * w] == 0.0
-
-
-def test_episode_growth_rate():
-    assert episode_growth_rate([0.1, 0.2], 2.0) == pytest.approx(0.15)
-    assert episode_growth_rate(np.zeros(5), 1.0) == 0.0
-    with pytest.raises(BankruptEpisodeError):
-        episode_growth_rate([0.1], 1.0, bankrupt=True)
-
-
-# -- export -------------------------------------------------------------------------
-
-
-def test_trace_csv_schema(tmp_path):
-    cfg = make_config(market=RegimeModel.single(etf3_market()))
-    env = PortfolioEnv(cfg, master_seed=0)
-    env.reset(episode=0)
-    for _ in range(3):
-        env.step(np.array([0.3, 0.2, 0.1]))
-    out = tmp_path / "trace.csv"
-    env.write_trace_csv(out)
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == "t,wealth,cash,w_0,w_1,w_2,w_3,reward,regime,cost_paid"
-    assert len(lines) == 5
-    first = lines[1].split(",")
-    assert first[0] == "0"
-    assert float(first[1]) == 1000.0
-    assert float(first[3]) == 1.0  # cash weight before any trade
-    last = lines[4].split(",")
-    assert float(last[1]) == pytest.approx(env.state.wealth, rel=1e-15)
-    weights = [float(c) for c in last[3:7]]
-    assert sum(weights) == pytest.approx(1.0, abs=1e-9)

@@ -1,4 +1,4 @@
-"""Gaussian HMM fitting, decoding, label alignment, and persistence."""
+"""Gaussian HMM fitting, decoding, label permutations, and persistence."""
 
 import itertools
 import json
@@ -11,12 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kellylab import hmm as hmm_module
-from kellylab.errors import AlignmentError, FitError
+from kellylab.errors import FitError
 from kellylab.hmm import (
     GaussianHmmModel,
     HmmFitConfig,
     accuracy,
-    align_labels,
     best_permutation,
     decode,
     fit,
@@ -24,7 +23,6 @@ from kellylab.hmm import (
     predict_current,
     save,
 )
-from kellylab.market import MarketParams
 
 
 def sample_chain(rng, t_len, means, stds, transition):
@@ -234,42 +232,6 @@ def test_predict_current_returns_the_final_state():
     assert predict_current(model, [0.019]) == 1
     with pytest.raises(ValueError, match="at least one return row"):
         predict_current(model, np.empty((0, 1)))
-
-
-def test_align_labels_matches_means_to_regime_drifts():
-    bull = MarketParams(np.array([0.12]), np.array([0.2]), np.eye(1), 0.04)
-    bear = MarketParams(np.array([-0.5]), np.array([0.3]), np.eye(1), 0.04)
-    model = GaussianHmmModel(
-        means=np.array([[-0.005], [0.01]]),
-        covariances=np.full((2, 1, 1), 1e-4),
-        transition=np.array([[0.9, 0.1], [0.1, 0.9]]),
-        initial=np.array([0.5, 0.5]),
-    )
-    perm = align_labels(model, [bull, bear], 1.0 / 256)
-    assert perm.tolist() == [1, 0]
-    flipped = GaussianHmmModel(
-        means=model.means[::-1].copy(),
-        covariances=model.covariances,
-        transition=model.transition,
-        initial=model.initial,
-    )
-    assert align_labels(flipped, [bull, bear], 1.0 / 256).tolist() == [0, 1]
-
-
-def test_align_labels_errors():
-    bull = MarketParams(np.array([0.12]), np.array([0.2]), np.eye(1), 0.04)
-    bear = MarketParams(np.array([-0.5]), np.array([0.3]), np.eye(1), 0.04)
-    model = two_state_model()
-    with pytest.raises(AlignmentError, match="cannot map"):
-        align_labels(model, [bull, bear, bull], 1.0 / 256)
-    collided = GaussianHmmModel(
-        means=np.array([[0.0004], [0.0005]]),
-        covariances=model.covariances,
-        transition=model.transition,
-        initial=model.initial,
-    )
-    with pytest.raises(AlignmentError, match="one-to-one"):
-        align_labels(collided, [bull, bear], 1.0 / 256)
 
 
 def test_best_permutation_and_accuracy():

@@ -16,8 +16,9 @@ from kellylab.market import (
     sample_regime_path,
     step_prices,
 )
-from kellylab.presets import etf3_market, regime_model
 from kellylab.rng import episode_stream, stream
+
+from shipped import regime, shipped
 
 
 def two_asset(rho=0.5, mu=(0.1, 0.05), sigma=(0.2, 0.3), cash_rate=0.02):
@@ -40,7 +41,7 @@ def test_cholesky_two_assets_closed_form():
 
 
 def test_cholesky_reconstructs_correlation():
-    corr = etf3_market().corr
+    corr = regime("etf3").corr
     L = cholesky_factor(corr)
     assert np.max(np.abs(L @ L.T - corr)) < 1e-12
     assert np.max(np.abs(np.triu(L, k=1))) == 0.0
@@ -73,7 +74,7 @@ def test_market_params_validation():
 
 
 def test_covariance_matches_outer_product():
-    params = etf3_market()
+    params = regime("etf3")
     cov = params.covariance()
     expected = params.corr * np.outer(params.sigma, params.sigma)
     assert np.array_equal(cov, expected)
@@ -100,7 +101,7 @@ def test_step_prices_zero_draws_gives_median_growth():
 
 
 def test_step_prices_batch_matches_loop():
-    params = etf3_market()
+    params = regime("etf3")
     rng = np.random.default_rng(11)
     draws = rng.standard_normal((8, 3))
     prices = rng.uniform(0.5, 2.0, size=(8, 3))
@@ -112,7 +113,7 @@ def test_step_prices_batch_matches_loop():
 
 def test_step_prices_sample_moments_match_gbm():
     # mean and covariance of one-period log returns vs the exact discretization
-    params = etf3_market()
+    params = regime("etf3")
     dt = 1.0 / 256
     n = 100_000
     rng = np.random.default_rng(2024)
@@ -140,7 +141,7 @@ def test_step_prices_sample_moments_match_gbm():
 
 
 def test_single_regime_consumes_no_randomness():
-    model = RegimeModel.single(etf3_market())
+    model = RegimeModel.single(regime("etf3"))
     rng = episode_stream(0, 0)
     z = sample_regime_path(model, 100, rng)
     assert np.array_equal(z, np.zeros(101, dtype=np.int64))
@@ -158,7 +159,7 @@ def test_absorbing_chain_stays_put():
 
 
 def test_transition_frequencies_match_matrix():
-    model = regime_model()
+    model = shipped("regimes3").market
     P = model.transition
     z = sample_regime_path(model, 1_000_000, episode_stream(7, 0))
     src, dst = z[:-1], z[1:]
@@ -173,7 +174,7 @@ def test_transition_frequencies_match_matrix():
 def test_occupancy_approaches_stationary_distribution():
     # two-state chain: pi = (p10, p01) / (p01 + p10); the 3-sigma band uses the
     # integrated autocorrelation time of the chain, not the iid rate
-    model = regime_model()
+    model = shipped("regimes3").market
     p01, p10 = model.transition[0, 1], model.transition[1, 0]
     pi0 = p10 / (p01 + p10)
     n = 1_000_000
@@ -255,7 +256,7 @@ def test_rescale_input_validation():
 
 
 def test_generate_path_opens_at_one():
-    model = RegimeModel.single(etf3_market())
+    model = RegimeModel.single(regime("etf3"))
     path = generate_path(model, 16, 1.0 / 256, episode_stream(0, 0))
     assert np.array_equal(path.prices[0], np.ones(3))
     assert path.prices.shape == (17, 3)
@@ -274,7 +275,7 @@ def test_generate_path_zero_vol_is_deterministic():
 
 
 def test_generate_path_is_deterministic_in_seed():
-    model = regime_model()
+    model = shipped("regimes3").market
     a = generate_path(model, 32, 1.0 / 256, episode_stream(9, 4), warmup=5)
     b = generate_path(model, 32, 1.0 / 256, episode_stream(9, 4), warmup=5)
     assert np.array_equal(a.prices, b.prices)
@@ -286,7 +287,7 @@ def test_generate_path_is_deterministic_in_seed():
 
 def test_generate_path_matches_step_prices_loop():
     # same draws through the one-step kernel reproduce the whole path
-    model = regime_model()
+    model = shipped("regimes3").market
     dt = 1.0 / 256
     n = 64
     path = generate_path(model, n, dt, episode_stream(3, 1))
@@ -306,12 +307,12 @@ def test_generate_path_matches_step_prices_loop():
 
 
 def test_generate_path_warmup_shares_normalization():
-    model = regime_model()
+    model = shipped("regimes3").market
     path = generate_path(model, 8, 1.0 / 256, episode_stream(2, 2), warmup=6)
     assert path.warmup_prices.shape == (6, 3)
     assert path.warmup_regimes.shape == (6,)
     assert np.array_equal(path.prices[0], np.ones(3))
-    full = path.full_prices()
+    full = np.vstack([path.warmup_prices, path.prices])
     assert full.shape == (15, 3)
     assert np.array_equal(full[6], path.prices[0])
     # warm-up returns flow continuously into the episode
@@ -347,7 +348,7 @@ def test_generate_path_input_validation():
 
 
 def test_price_path_csv_round_trip(tmp_path):
-    model = regime_model()
+    model = shipped("regimes3").market
     path = generate_path(model, 5, 1.0 / 256, episode_stream(0, 3))
     out = tmp_path / "path.csv"
     path.write_csv(out)

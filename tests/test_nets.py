@@ -1,8 +1,9 @@
-"""Network plumbing: init, flatten/restore, Adam, clipping, checkpoints."""
+"""Network plumbing: init, the parameter vector, Adam, clipping, checkpoints."""
 
 import io
 import json
 import zipfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -57,9 +58,9 @@ def test_policy_net_shapes_and_log_std():
 def test_policy_net_seed_determinism():
     a = PolicyNet(5, 1, np.random.default_rng(42))
     b = PolicyNet(5, 1, np.random.default_rng(42))
-    assert np.array_equal(a.get_flat(), b.get_flat())
+    assert np.array_equal(a.flat, b.flat)
     c = PolicyNet(5, 1, np.random.default_rng(43))
-    assert not np.array_equal(a.get_flat(), c.get_flat())
+    assert not np.array_equal(a.flat, c.flat)
 
 
 def test_context_net_shapes():
@@ -95,11 +96,40 @@ def test_clamp_log_std():
 def test_flat_round_trip():
     a = PolicyNet(4, 2, np.random.default_rng(0), hidden=(8,))
     b = PolicyNet(4, 2, np.random.default_rng(9), hidden=(8,))
-    assert not np.array_equal(a.get_flat(), b.get_flat())
-    b.set_flat(a.get_flat())
-    assert np.array_equal(a.get_flat(), b.get_flat())
-    with pytest.raises(ValueError, match="flat vector has"):
-        b.set_flat(np.zeros(3))
+    assert not np.array_equal(a.flat, b.flat)
+    b.flat[:] = a.flat
+    assert np.array_equal(a.flat, b.flat)
+    obs = np.random.default_rng(1).normal(size=(3, 4))
+    for got, want in zip(b.forward(obs), a.forward(obs)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: PolicyNet(6, 2, rng, hidden=(8, 16)),
+    lambda rng: ContextPolicyNet(39, 3, 3, rng),
+])
+def test_params_are_views_into_the_flat_vectors(make):
+    net = make(np.random.default_rng(0))
+    offset = 0
+    for p in net.params():
+        size = p.value.size
+        assert np.shares_memory(p.value, net.flat[offset:offset + size])
+        assert np.shares_memory(p.grad, net.flat_grad[offset:offset + size])
+        assert p.grad.shape == p.value.shape
+        assert p.grad.flags.f_contiguous == p.value.flags.f_contiguous
+        assert p.grad.flags.c_contiguous == p.value.flags.c_contiguous
+        assert np.array_equal(p.value.ravel(order="K"),
+                              net.flat[offset:offset + size])
+        offset += size
+    assert offset == net.flat.size == net.flat_grad.size
+    # orthogonal() returns a transposed (F-ordered) W when n_in < n_out; the
+    # view keeps that order, so per-parameter sums add in the same order
+    if isinstance(net, ContextPolicyNet):
+        first = net.feature.layers[0].W
+        assert first.value.shape == (39, 256)
+        assert first.value.flags.f_contiguous
+        assert not first.value.flags.c_contiguous
+        assert first.grad.flags.f_contiguous
 
 
 def test_zero_grads():
@@ -113,7 +143,7 @@ def test_zero_grads():
 def test_adam_single_step_closed_form():
     p = Param(np.array([1.0]), "p")
     p.grad[:] = 0.5
-    opt = Adam([p], learning_rate=0.1)
+    opt = Adam(SimpleNamespace(flat=p.value, flat_grad=p.grad), learning_rate=0.1)
     opt.step()
     m_hat = (0.1 * 0.5) / (1.0 - 0.9)
     v_hat = (0.001 * 0.25) / (1.0 - 0.999)
@@ -129,21 +159,21 @@ def test_adam_single_step_closed_form():
 
 
 def test_grad_norm_and_clipping():
-    a = Param(np.zeros(1), "a")
-    b = Param(np.zeros(1), "b")
-    a.grad[:] = 3.0
+    net = PolicyNet(3, 1, np.random.default_rng(0), hidden=(4,))
+    a, b = net.params()[0], net.params()[-1]
+    a.grad.flat[0] = 3.0
     b.grad[:] = 4.0
-    assert global_grad_norm([a, b]) == pytest.approx(5.0, rel=1e-15)
-    returned = clip_grad_norm([a, b], 1.0)
+    assert global_grad_norm(net.params()) == pytest.approx(5.0, rel=1e-15)
+    returned = clip_grad_norm(net, 1.0)
     assert returned == pytest.approx(5.0, rel=1e-15)
-    assert a.grad[0] == pytest.approx(0.6, rel=1e-12)
+    assert a.grad.flat[0] == pytest.approx(0.6, rel=1e-12)
     assert b.grad[0] == pytest.approx(0.8, rel=1e-12)
     # already inside the ball: untouched
-    returned = clip_grad_norm([a, b], 10.0)
+    returned = clip_grad_norm(net, 10.0)
     assert returned == pytest.approx(1.0, rel=1e-12)
-    assert a.grad[0] == pytest.approx(0.6, rel=1e-12)
+    assert a.grad.flat[0] == pytest.approx(0.6, rel=1e-12)
     # max_norm = 0 disables clipping entirely
-    returned = clip_grad_norm([a, b], 0.0)
+    returned = clip_grad_norm(net, 0.0)
     assert returned == pytest.approx(1.0, rel=1e-12)
     assert b.grad[0] == pytest.approx(0.8, rel=1e-12)
 
@@ -156,7 +186,7 @@ def test_checkpoint_round_trip(tmp_path):
     save_checkpoint(net, path, extra_meta={"episodes": 12})
     loaded, meta = load_checkpoint(path)
     assert isinstance(loaded, PolicyNet)
-    assert np.array_equal(loaded.get_flat(), net.get_flat())
+    assert np.array_equal(loaded.flat, net.flat)
     assert meta["net"]["kind"] == "policy"
     assert meta["net"]["hidden"] == [8]
     assert meta["extra"] == {"episodes": 12}
@@ -167,11 +197,13 @@ def test_checkpoint_context_net_round_trip(tmp_path):
         6, 2, 2, np.random.default_rng(3),
         feature_sizes=(8, 4), regime_sizes=(4, 4), shared_sizes=(4,),
     )
+    net.flat[:] = np.random.default_rng(4).normal(size=net.flat.size)
     path = tmp_path / "ctx.npz"
     save_checkpoint(net, path)
     loaded, meta = load_checkpoint(path)
     assert isinstance(loaded, ContextPolicyNet)
-    assert np.array_equal(loaded.get_flat(), net.get_flat())
+    assert np.array_equal(loaded.flat, net.flat)
+    assert all(np.shares_memory(p.value, loaded.flat) for p in loaded.params())
     assert meta["net"]["feature_sizes"] == [8, 4]
     obs = np.ones((2, 6))
     ctx = np.eye(2)

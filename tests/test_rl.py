@@ -5,17 +5,19 @@ backward pass: central differences over the full flattened parameter vector,
 compared to the analytic gradient by vector-norm relative error.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
 
-from kellylab.nets import Adam, ContextPolicyNet, PolicyNet
+from kellylab.nets import Adam, ContextPolicyNet, PolicyNet, clip_grad_norm
 from kellylab.rl import (
     MiniBatch,
     RolloutBuffer,
     TrainConfig,
+    _aggregate,
     _normalized,
-    a2c_update,
     act_and_value,
     gae_advantages,
     gaussian_entropy,
@@ -23,7 +25,6 @@ from kellylab.rl import (
     loss_and_grads,
     loss_terms,
     ppo_update,
-    sample_action,
 )
 
 
@@ -116,7 +117,7 @@ def test_act_and_value_deterministic_returns_the_mean():
 def test_sample_action_requires_rng_when_stochastic():
     net = PolicyNet(3, 1, np.random.default_rng(0), hidden=(4,))
     with pytest.raises(ValueError, match="needs an rng"):
-        sample_action(net, np.zeros(3))
+        act_and_value(net, np.zeros(3))
 
 
 def test_sample_action_moments():
@@ -125,11 +126,11 @@ def test_sample_action_moments():
     obs = np.array([0.3, -0.2, 0.1])
     mean = net.forward(obs[None, :])[0][0, 0]
     rng = np.random.default_rng(1)
-    draws = np.array([sample_action(net, obs, rng)[0][0] for _ in range(20000)])
+    draws = np.array([act_and_value(net, obs, rng)[0][0] for _ in range(20000)])
     assert abs(draws.mean() - mean) < 3.0 * 0.5 / np.sqrt(20000)
     assert abs(draws.std(ddof=1) - 0.5) < 3.0 * 0.5 / np.sqrt(2 * 20000)
     # reported log-probability is the density at the sampled action
-    action, log_prob = sample_action(net, obs, np.random.default_rng(2))
+    action, log_prob, _ = act_and_value(net, obs, np.random.default_rng(2))
     want = float(gaussian_log_prob(
         np.array([[mean]]), net.log_std.value, action[None, :])[0])
     assert log_prob == pytest.approx(want, rel=1e-12)
@@ -140,24 +141,21 @@ def test_sample_action_moments():
 
 def fd_gradient(net, batch, config, h=1e-5):
     """Central-difference gradient of the total loss over the flat params."""
-    flat0 = net.get_flat().copy()
+    flat0 = net.flat.copy()
     grad = np.empty_like(flat0)
     for i in range(flat0.size):
-        bump = flat0.copy()
-        bump[i] += h
-        net.set_flat(bump)
+        net.flat[i] += h
         up = loss_terms(net, batch, config)["loss"]
-        bump[i] -= 2.0 * h
-        net.set_flat(bump)
+        net.flat[i] -= 2.0 * h
         down = loss_terms(net, batch, config)["loss"]
+        net.flat[i] = flat0[i]
         grad[i] = (up - down) / (2.0 * h)
-    net.set_flat(flat0)
     return grad
 
 
 def gradient_rel_error(net, batch, config):
     loss_and_grads(net, batch, config)
-    analytic = net.get_flat_grad().copy()
+    analytic = net.flat_grad.copy()
     numeric = fd_gradient(net, batch, config)
     denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-12)
     return float(np.linalg.norm(analytic - numeric) / denom)
@@ -257,7 +255,7 @@ def test_zero_advantages_and_matched_returns_give_zero_gradients():
     batch = batch._replace(advantages=np.zeros(len(batch.advantages)),
                            returns=value.copy())
     loss_and_grads(net, batch, config)
-    assert np.all(net.get_flat_grad() == 0.0)
+    assert np.all(net.flat_grad == 0.0)
 
 
 def test_clipped_out_samples_contribute_no_policy_gradient():
@@ -275,19 +273,19 @@ def test_clipped_out_samples_contribute_no_policy_gradient():
                       value.copy())
     terms = loss_and_grads(net, batch, config)
     assert terms["clip_fraction"] == 1.0
-    assert np.all(net.get_flat_grad() == 0.0)
+    assert np.all(net.flat_grad == 0.0)
 
     # negative advantage with ratio e^-0.5 < 0.8: same story
     batch = MiniBatch(obs, action, log_prob + 0.5, np.array([-1.0]),
                       value.copy())
     loss_and_grads(net, batch, config)
-    assert np.all(net.get_flat_grad() == 0.0)
+    assert np.all(net.flat_grad == 0.0)
 
     # same ratios with the advantage signs flipped flow gradients again
     batch = MiniBatch(obs, action, log_prob - 0.5, np.array([-1.0]),
                       value.copy())
     loss_and_grads(net, batch, config)
-    assert np.any(net.get_flat_grad() != 0.0)
+    assert np.any(net.flat_grad != 0.0)
 
 
 def test_a2c_gradient_equals_unclipped_ppo_at_ratio_one():
@@ -302,10 +300,10 @@ def test_a2c_gradient_equals_unclipped_ppo_at_ratio_one():
     base = dict(total_steps=1, learning_rate=1e-3, rollout_steps=6,
                 batch_size=6, n_epochs=1)
     loss_and_grads(net, batch, TrainConfig(algo="a2c", **base))
-    a2c_grad = net.get_flat_grad().copy()
+    a2c_grad = net.flat_grad.copy()
     loss_and_grads(net, batch,
                    TrainConfig(algo="ppo", clipping_enabled=False, **base))
-    ppo_grad = net.get_flat_grad().copy()
+    ppo_grad = net.flat_grad.copy()
     assert np.array_equal(a2c_grad, ppo_grad)
 
 
@@ -366,10 +364,10 @@ def test_buffer_lifecycle_errors():
                              n_epochs=1)
     fresh = RolloutBuffer(2, 3, 1)
     with pytest.raises(ValueError, match="compute_advantages"):
-        ppo_update(net, fresh, config, Adam(net.params(), 1e-3),
+        ppo_update(net, fresh, config, Adam(net, 1e-3),
                    np.random.default_rng(0))
     with pytest.raises(ValueError, match="compute_advantages"):
-        a2c_update(net, fresh, config, Adam(net.params(), 1e-3))
+        ppo_update(net, fresh, TrainConfig.a2c(total_steps=2), Adam(net, 1e-3))
 
 
 def test_ppo_update_runs_and_moves_parameters():
@@ -379,15 +377,15 @@ def test_ppo_update_runs_and_moves_parameters():
     buffer.compute_advantages(0.0, 0.99, 0.9)
     config = TrainConfig.ppo(total_steps=8, rollout_steps=8, batch_size=4,
                              n_epochs=2)
-    before = net.get_flat().copy()
-    diag = ppo_update(net, buffer, config, Adam(net.params(), 3e-4),
+    before = net.flat.copy()
+    diag = ppo_update(net, buffer, config, Adam(net, 3e-4),
                       np.random.default_rng(0))
     assert not diag["aborted"]
     assert diag["n_minibatches"] == 4
     assert np.isfinite(diag["loss"])
     assert np.isfinite(diag["approx_kl"])
     assert 0.0 <= diag["clip_fraction"] <= 1.0
-    assert not np.array_equal(before, net.get_flat())
+    assert not np.array_equal(before, net.flat)
 
 
 def test_a2c_update_takes_one_step():
@@ -396,11 +394,90 @@ def test_a2c_update_takes_one_step():
     buffer = filled_buffer(rng)
     buffer.compute_advantages(0.0, 0.99, 0.9)
     config = TrainConfig.a2c(total_steps=8, rollout_steps=8, batch_size=8)
-    before = net.get_flat().copy()
-    diag = a2c_update(net, buffer, config, Adam(net.params(), 1e-4))
+    before = net.flat.copy()
+    diag = ppo_update(net, buffer, config, Adam(net, 1e-4))
     assert not diag["aborted"]
     assert diag["n_minibatches"] == 1
-    assert not np.array_equal(before, net.get_flat())
+    assert not np.array_equal(before, net.flat)
+
+
+def a2c_update_oracle(net, buffer, config, optimizer):
+    """The separate A2C update that ppo_update absorbed, kept as the oracle:
+    one step over the whole rollout as stored, no index, no rng."""
+    adv = _normalized(buffer.advantages, config.advantage_normalization)
+    batch = MiniBatch(
+        observations=buffer.observations,
+        actions=buffer.actions,
+        old_log_probs=buffer.log_probs,
+        advantages=adv,
+        returns=buffer.returns,
+        contexts=buffer.contexts,
+    )
+    terms = loss_and_grads(net, batch, config)
+    grad_norm = clip_grad_norm(net, config.max_grad_norm)
+    terms["grad_norm"] = grad_norm
+    if not (math.isfinite(terms["loss"]) and math.isfinite(grad_norm)):
+        return _aggregate([], aborted=True)
+    optimizer.step()
+    net.clamp_log_std()
+    return _aggregate([terms], aborted=False)
+
+
+def a2c_case(case):
+    """A fresh (net, filled buffer) pair; equal on every call."""
+    rng = np.random.default_rng(21)
+    context_dim = 2 if case == "context" else None
+    if context_dim:
+        net = ContextPolicyNet(4, context_dim, 2, rng, feature_sizes=(8, 4),
+                               regime_sizes=(4, 4), shared_sizes=(4,))
+    else:
+        net = PolicyNet(4, 2, rng, hidden=(8,))
+    buffer = RolloutBuffer(8, 4, 2, context_dim=context_dim)
+    for i in range(8):
+        buffer.add(
+            rng.normal(size=4), rng.normal(size=2), float(rng.normal()),
+            float(rng.normal()), float(rng.normal()), i == 7,
+            context=rng.dirichlet(np.ones(2)) if context_dim else None,
+        )
+    buffer.compute_advantages(0.0, 0.99, 0.9)
+    if case == "aborted":
+        buffer.advantages[3] = np.inf
+    return net, buffer
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", ["plain", "context", "normalized", "aborted"])
+def test_ppo_update_on_a2c_config_matches_the_a2c_oracle(case):
+    # batch_size and n_epochs are set to show that A2C ignores them
+    config = TrainConfig.a2c(
+        total_steps=8, rollout_steps=8, batch_size=4, n_epochs=3,
+        advantage_normalization=case == "normalized",
+    )
+    net, buffer = a2c_case(case)
+    oracle_net, oracle_buffer = a2c_case(case)
+    optimizer = Adam(net, 1e-3)
+    oracle_optimizer = Adam(oracle_net, 1e-3)
+    rng = np.random.default_rng(0)
+    rng_state = rng.bit_generator.state
+    start = net.flat.copy()
+    for _ in range(3):
+        diag = ppo_update(net, buffer, config, optimizer, rng)
+        want = a2c_update_oracle(oracle_net, oracle_buffer, config,
+                                 oracle_optimizer)
+        assert diag.keys() == want.keys()
+        for key, value in want.items():
+            assert diag[key] == value or (math.isnan(diag[key])
+                                          and math.isnan(value)), key
+        assert np.array_equal(net.flat, oracle_net.flat)
+        assert np.array_equal(net.flat_grad, oracle_net.flat_grad,
+                              equal_nan=True)
+    assert rng.bit_generator.state == rng_state
+    if case == "aborted":
+        assert diag["aborted"] and diag["n_minibatches"] == 0
+        assert np.array_equal(net.flat, start)
+    else:
+        assert not diag["aborted"] and diag["n_minibatches"] == 1
+        assert not np.array_equal(net.flat, start)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -412,12 +489,12 @@ def test_ppo_update_aborts_on_nonfinite_loss():
     buffer.advantages[3] = np.inf
     config = TrainConfig.ppo(total_steps=8, rollout_steps=8, batch_size=8,
                              n_epochs=3, advantage_normalization=False)
-    before = net.get_flat().copy()
-    diag = ppo_update(net, buffer, config, Adam(net.params(), 3e-4),
+    before = net.flat.copy()
+    diag = ppo_update(net, buffer, config, Adam(net, 3e-4),
                       np.random.default_rng(0))
     assert diag["aborted"]
     assert diag["n_minibatches"] == 0
-    assert np.array_equal(before, net.get_flat())
+    assert np.array_equal(before, net.flat)
 
 
 # -- TrainConfig -----------------------------------------------------------------

@@ -15,7 +15,6 @@ from kellylab.nets import ContextPolicyNet, PolicyNet
 from kellylab.rl import TrainConfig
 from kellylab.training import (
     EVAL_EPISODE_OFFSET,
-    ContextNetPolicy,
     NetPolicy,
     evaluate,
     train,
@@ -95,33 +94,16 @@ def test_evaluate_all_bankrupt_is_nan():
     assert math.isnan(result.mad)
 
 
-def test_evaluate_accepts_a_bare_policy_net():
-    config = make_config()
-    net = PolicyNet(config.observation_dim, 1, np.random.default_rng(0),
-                    init_log_std=-3.0, hidden=(8,))
-    result = evaluate(net, factory_for(config), 2, seed=0)
-    assert result.n_episodes == 2
-    assert np.isfinite(result.mean_growth)
-
-
-def test_evaluate_rejects_unwrapped_context_net():
-    config = make_config(window=3)
-    net = ContextPolicyNet(
-        config.observation_dim, 2, 1, np.random.default_rng(0),
-        feature_sizes=(8, 4), regime_sizes=(4, 4), shared_sizes=(4,),
-    )
-    with pytest.raises(ValueError, match="ContextNetPolicy"):
-        evaluate(net, factory_for(config), 1, seed=0)
-    with pytest.raises(TypeError, match="no act"):
-        evaluate(object(), factory_for(config), 1, seed=0)
-
-
 def test_policy_wrappers_validate_their_inputs():
     net = PolicyNet(4, 1, np.random.default_rng(0), hidden=(4,))
     with pytest.raises(ValueError, match="needs an rng"):
         NetPolicy(net, deterministic=False)
+    context_net = ContextPolicyNet(
+        4, 2, 1, np.random.default_rng(0),
+        feature_sizes=(8, 4), regime_sizes=(4, 4), shared_sizes=(4,),
+    )
     with pytest.raises(ValueError, match="regime detector"):
-        ContextNetPolicy(net, detector=None)
+        NetPolicy(context_net)
 
 
 def test_context_net_policy_acts_from_detected_regime():
@@ -137,7 +119,7 @@ def test_context_net_policy_acts_from_detected_regime():
         init_log_std=-2.0,
         feature_sizes=(8, 4), regime_sizes=(4, 4), shared_sizes=(4,),
     )
-    policy = ContextNetPolicy(net, detector)
+    policy = NetPolicy(net, detector)
     env = PortfolioEnv(config, 0)
     obs = env.reset()
     action = policy.act(obs, env)
@@ -190,7 +172,7 @@ def test_train_is_bitwise_reproducible():
 
     first = run()
     second = run()
-    assert np.array_equal(first.net.get_flat(), second.net.get_flat())
+    assert np.array_equal(first.net.flat, second.net.flat)
     assert len(first.log) == len(second.log)
     for a, b in zip(first.log, second.log):
         assert a.episode == b.episode
