@@ -289,54 +289,39 @@ def cmd_train(args) -> int:
     exp = load_config(args.config)
     seeds = _seeds(args, exp)
 
-    if args.sweep is not None:
-        sweep = load_sweep(args.sweep)
+    # every config is built and checked before the first run
+    sweep = load_sweep(args.sweep) if args.sweep is not None else None
+    if sweep is None:
+        sub_exps = [(None, exp)]
+    else:
         base = exp.to_dict()
-        # every value's config is built and checked before the first run
-        sub_exps = []
-        for value in sweep.values:
-            data = apply_override(base, sweep.key, value)
-            sub_exp = parse_config(yaml.safe_dump(data, sort_keys=False))
-            if sub_exp.context_policy:
-                check_detector_budget(sub_exp.env, sub_exp.algo)
-            sub_exps.append((value, sub_exp))
-        out = _out_dir(args, "train")
-        summary = []
-        for value, sub_exp in sub_exps:
-            for seed in seeds:
-                subdir = out / f"{sweep.key}={value}" / f"seed{seed}"
-                print(f"training {sweep.key}={value} seed {seed}")
-                ev = _train_one(sub_exp, seed, subdir)
-                summary.append(
-                    [value, seed, _fmt(ev.mean_growth), _fmt(ev.mad),
-                     ev.bankruptcies, ev.n_episodes]
-                )
-                print(
-                    f"  eval: mean growth {ev.mean_growth:.6f}, MAD "
-                    f"{ev.mad:.6f}, bankruptcies {ev.bankruptcies}"
-                )
-        _write_csv(
-            out / "sweep_summary.csv",
-            [sweep.key, "seed"] + EVAL_HEADER[1:],
-            summary,
-        )
-        _write_manifest(out, "train", exp, seeds, started)
-        return 0
-
+        sub_exps = [
+            (value, parse_config(yaml.safe_dump(
+                apply_override(base, sweep.key, value), sort_keys=False)))
+            for value in sweep.values
+        ]
+    for _, sub_exp in sub_exps:
+        if sub_exp.context_policy:
+            check_detector_budget(sub_exp.env, sub_exp.algo)
     out = _out_dir(args, "train")
+
     summary = []
-    for seed in seeds:
-        print(f"training seed {seed}")
-        ev = _train_one(exp, seed, out / f"seed{seed}")
-        summary.append(
-            [seed, _fmt(ev.mean_growth), _fmt(ev.mad), ev.bankruptcies,
-             ev.n_episodes]
-        )
-        print(
-            f"  eval: mean growth {ev.mean_growth:.6f}, MAD {ev.mad:.6f}, "
-            f"bankruptcies {ev.bankruptcies}"
-        )
-    _write_csv(out / "train_summary.csv", EVAL_HEADER, summary)
+    for value, sub_exp in sub_exps:
+        label = "" if sweep is None else f"{sweep.key}={value}"
+        for seed in seeds:
+            print(f"training {label + ' ' if label else ''}seed {seed}")
+            ev = _train_one(sub_exp, seed, out / label / f"seed{seed}")
+            row = [seed, _fmt(ev.mean_growth), _fmt(ev.mad), ev.bankruptcies,
+                   ev.n_episodes]
+            summary.append(row if sweep is None else [value] + row)
+            print(
+                f"  eval: mean growth {ev.mean_growth:.6f}, MAD {ev.mad:.6f}, "
+                f"bankruptcies {ev.bankruptcies}"
+            )
+    if sweep is None:
+        _write_csv(out / "train_summary.csv", EVAL_HEADER, summary)
+    else:
+        _write_csv(out / "sweep_summary.csv", [sweep.key] + EVAL_HEADER, summary)
     _write_manifest(out, "train", exp, seeds, started)
     return 0
 
@@ -345,7 +330,6 @@ def cmd_evaluate(args) -> int:
     started = time.time()
     exp = load_config(args.config)
     episodes = _episodes(args, exp.run.eval_episodes)
-    out = _out_dir(args, "evaluate")
     seeds = _seeds(args, exp)
 
     if args.checkpoint is not None:
@@ -363,6 +347,7 @@ def cmd_evaluate(args) -> int:
     else:
         policy = _baseline_policy(exp)
 
+    out = _out_dir(args, "evaluate")
     rows = _eval_seeds(policy, exp, seeds, episodes)
     _write_csv(out / "eval.csv", EVAL_HEADER, rows)
     _write_manifest(out, "evaluate", exp, seeds, started)
@@ -548,8 +533,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (KellylabError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # KeyboardInterrupt is no Exception: it propagates
+        message = str(exc)
+        if not isinstance(exc, (KellylabError, OSError, ValueError)):
+            message = f"{type(exc).__name__}: {message}"  # not an expected failure
+        print(f"error: {' '.join(message.splitlines())}", file=sys.stderr)
         return 1
 
 

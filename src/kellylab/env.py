@@ -120,81 +120,83 @@ class PortfolioEnv:
         self._t = -1  # reset() not called yet
         self._done = True
         self._path: PricePath | None = None
-        n = config.n_assets
-        cfg_n = config.n_periods
+        # config scalars read on every step, looked up once
+        n = self._n = config.n_assets
+        self._window = config.window
+        self._n_periods = config.n_periods
+        self._dt = config.dt
+        self._impact = config.impact
+        self._initial_wealth = float(config.initial_wealth)
+        self._obs_dim = config.observation_dim
         # effective price rows: (window-1) warm-up rows then N+1 episode rows
-        self._eff_hist = np.empty((config.window - 1 + cfg_n + 1, n))
+        self._eff_hist = np.empty((self._window - 1 + self._n_periods + 1, n))
         self._holdings = np.zeros(n)
         self._mult = np.ones(n)
         # per-regime interest factor over one period
-        self._interest = np.array(
-            [math.exp(reg.cash_rate * config.dt) for reg in config.market.regimes]
-        )
+        self._interest = [
+            math.exp(reg.cash_rate * self._dt) for reg in config.market.regimes
+        ]
 
     # -- lifecycle ---------------------------------------------------------
 
     def reset(self, episode: int | None = None) -> np.ndarray:
-        cfg = self.config
         if episode is None:
             episode = self._next_episode
         self.episode = int(episode)
         self._next_episode = self.episode + 1
 
         rng = episode_stream(self.master_seed, self.episode)
+        w1 = self._window - 1
         self._path = generate_path(
-            cfg.market, cfg.n_periods, cfg.dt, rng, warmup=cfg.window - 1
+            self.config.market, self._n_periods, self._dt, rng, warmup=w1
         )
         self._unaffected = self._path.prices
-        self._regimes = self._path.regimes
+        self._regimes = self._path.regimes.tolist()
 
-        n = cfg.n_assets
         self._t = 0
         self._done = False
-        self._holdings = np.zeros(n)
-        self._mult = np.ones(n)
-        self._cash = float(cfg.initial_wealth)
-        self._wealth = float(cfg.initial_wealth)
+        self._holdings = np.zeros(self._n)
+        self._mult = np.ones(self._n)
+        self._cash = self._initial_wealth
+        self._wealth = self._initial_wealth
         # warm-up rows carry no trading, so effective = unaffected there
-        if cfg.window > 1:
-            self._eff_hist[: cfg.window - 1] = self._path.warmup_prices
-        self._eff_hist[cfg.window - 1] = self._unaffected[0]
-        return self._observation()
+        if w1:
+            self._eff_hist[:w1] = self._path.warmup_prices
+        self._eff_hist[w1] = self._unaffected[0]
+        return self._observation(self._unaffected[0] * self._mult)
 
     def step(self, action) -> StepResult:
         if self._done:
             raise LifecycleError("step() called on a finished episode; reset() first")
-        cfg = self.config
         t = self._t
         a = np.asarray(action, dtype=np.float64)
-        if a.shape != (cfg.n_assets,):
-            raise ValueError(
-                f"action must have shape ({cfg.n_assets},), got {a.shape}"
-            )
+        if a.shape != (self._n,):
+            raise ValueError(f"action must have shape ({self._n},), got {a.shape}")
 
-        s0_eff = self._unaffected[t] * self._mult
+        unaffected = self._unaffected
+        s0_eff = unaffected[t] * self._mult
         wealth = self._wealth
-        regime = int(self._regimes[t])
 
         # (1) trade to target weights at current effective prices
         target_holdings = a * wealth / s0_eff
         traded = target_holdings - self._holdings
         # (2) cost against the pre-permanent-impact end price, then debit
-        s1_pre = self._unaffected[t + 1] * self._mult
-        costs = trade_cost(s0_eff, s1_pre, traded, cfg.dt, cfg.impact)
+        s1_pre = unaffected[t + 1] * self._mult
+        costs = trade_cost(s0_eff, s1_pre, traded, self._dt, self._impact)
         cost_paid = float(costs.sum())
         cash = self._cash - float(traded @ s0_eff) - cost_paid
         # (3) interest at the regime in effect this period
-        cash *= self._interest[regime]
+        cash *= self._interest[self._regimes[t]]
         # (4) market already advanced on the precomputed path; (5) impact
-        self._mult = self._mult * np.exp(cfg.impact.gamma * traded)
-        s1_eff = self._unaffected[t + 1] * self._mult
+        self._mult = self._mult * np.exp(self._impact.gamma * traded)
+        s1_eff = unaffected[t + 1] * self._mult
         # (6) mark to market
         self._holdings = target_holdings
         new_wealth = cash + float(target_holdings @ s1_eff)
 
         self._cash = cash
-        self._t = t + 1
-        self._eff_hist[cfg.window - 1 + self._t] = s1_eff
+        self._t = t = t + 1
+        self._eff_hist[self._window - 1 + t] = s1_eff
 
         bankrupt = not new_wealth > 0.0  # catches <= 0 and NaN
         if bankrupt:
@@ -202,16 +204,16 @@ class PortfolioEnv:
             self._done = True
         else:
             reward = math.log(new_wealth / wealth)
-            self._done = self._t == cfg.n_periods
+            self._done = t == self._n_periods
         self._wealth = new_wealth
 
         return StepResult(
-            observation=self._observation(),
+            observation=self._observation(s1_eff),
             reward=reward,
             done=self._done,
             info={
                 "bankrupt": bankrupt,
-                "regime": int(self._regimes[self._t]),
+                "regime": self._regimes[t],
                 "cost_paid": cost_paid,
                 "wealth": new_wealth,
             },
@@ -232,7 +234,7 @@ class PortfolioEnv:
         """True regime label at the current clock (foresight consumers only)."""
         if self._t < 0:
             raise LifecycleError("regime requested before reset()")
-        return int(self._regimes[self._t])
+        return self._regimes[self._t]
 
     @property
     def path(self) -> PricePath:
@@ -242,44 +244,35 @@ class PortfolioEnv:
     def state(self) -> EnvState:
         if self._t < 0:
             raise LifecycleError("state requested before reset()")
-        cfg = self.config
         return EnvState(
             t=self._t,
             prices=self._unaffected[self._t] * self._mult,
-            history=self._history_window().copy(),
+            # rows t .. t+window-1 of the shifted buffer end at time t
+            history=self._eff_hist[self._t : self._t + self._window].copy(),
             holdings=self._holdings.copy(),
             cash=self._cash,
             wealth=self._wealth,
-            regime=int(self._regimes[self._t]),
+            regime=self._regimes[self._t],
             impact_state=ImpactState(self._mult.copy()),
         )
-
-    def _history_window(self) -> np.ndarray:
-        # rows t .. t+window-1 of the shifted buffer end at the current time
-        return self._eff_hist[self._t : self._t + self.config.window]
 
     def effective_episode_prices(self) -> np.ndarray:
         """Effective prices observed this episode, rows 0..t (copies)."""
         if self._t < 0:
             raise LifecycleError("no episode yet; reset() first")
-        w = self.config.window
-        return self._eff_hist[w - 1 : w - 1 + self._t + 1].copy()
+        w1 = self._window - 1
+        return self._eff_hist[w1 : w1 + self._t + 1].copy()
 
-    def _weight_row(self) -> np.ndarray:
-        """(cash weight, stock weights) at current marks; zeros if bankrupt."""
-        n = self.config.n_assets
-        row = np.zeros(n + 1)
+    def _observation(self, s_eff) -> np.ndarray:
+        """Price window, stock weights at marks s_eff (zeros if bankrupt),
+        and W/W_0."""
+        n, window = self._n, self._window
+        nw = n * window
+        obs = np.empty(self._obs_dim)
+        obs[:nw] = self._eff_hist[self._t : self._t + window].ravel()
         if self._wealth > 0:
-            s_eff = self._unaffected[self._t] * self._mult
-            row[1:] = self._holdings * s_eff / self._wealth
-            row[0] = 1.0 - row[1:].sum()
-        return row
-
-    def _observation(self) -> np.ndarray:
-        cfg = self.config
-        obs = np.empty(cfg.observation_dim)
-        n = cfg.n_assets
-        obs[: n * cfg.window] = self._history_window().ravel()
-        obs[n * cfg.window : n * cfg.window + n] = self._weight_row()[1:]
-        obs[-1] = self._wealth / cfg.initial_wealth
+            obs[nw:-1] = self._holdings * s_eff / self._wealth
+        else:
+            obs[nw:-1] = 0.0
+        obs[-1] = self._wealth / self._initial_wealth
         return obs

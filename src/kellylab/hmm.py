@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from operator import add
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from .errors import FitError
 
@@ -118,6 +117,10 @@ def _emission_logprobs(model: GaussianHmmModel, x: np.ndarray) -> np.ndarray:
     result depends on its column count, so a caller that wants the same bits
     must pass the same block.
     """
+    # deferred: scipy.linalg costs ~0.3 s to import, and only detector
+    # commands reach this line
+    from scipy.linalg.lapack import dtrtrs
+
     t, n = x.shape
     out = np.empty((t, model.n_states))
     for k in range(model.n_states):

@@ -9,10 +9,10 @@ governs the period (t, t+1].
 """
 
 import csv
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import FactorizationError, RescaleError
 
@@ -168,6 +168,8 @@ def rescale_transition(P, from_dt: float, to_dt: float) -> np.ndarray:
         raise ValueError(f"transition matrix must be square, got {P.shape}")
     if from_dt <= 0 or to_dt <= 0:
         raise ValueError("period lengths must be positive")
+    import scipy.linalg  # deferred: ~0.3 s to import, used only here
+
     ratio = to_dt / from_dt
     log_P = scipy.linalg.logm(P)
     if np.max(np.abs(np.imag(log_P))) > 1e-9:
@@ -196,19 +198,24 @@ def sample_regime_path(model: RegimeModel, n_steps: int, rng) -> np.ndarray:
 
     Draw order (relied on by reproducibility tests): one uniform for the
     initial state, then n_steps uniforms as a single array. A single-regime
-    model consumes no randomness.
+    model consumes no randomness. Each state is the first index whose CDF
+    entry reaches the draw. Every CDF ends at exactly 1, so a row summing to
+    just under 1 cannot step past the last state.
     """
     k = model.n_regimes
-    z = np.zeros(n_steps + 1, dtype=np.int64)
     if k == 1:
-        return z
+        return np.zeros(n_steps + 1, dtype=np.int64)
     init_cdf = np.cumsum(model.initial_dist)
     cdf = np.cumsum(model.transition, axis=1)
-    z[0] = np.searchsorted(init_cdf, rng.random())
-    u = rng.random(n_steps)
-    for t in range(n_steps):
-        z[t + 1] = np.searchsorted(cdf[z[t]], u[t])
-    return z
+    init_cdf[-1] = 1.0
+    cdf[:, -1] = 1.0
+    rows = cdf.tolist()
+    state = bisect_left(init_cdf.tolist(), rng.random())
+    z = [state]
+    for u in rng.random(n_steps).tolist():
+        state = bisect_left(rows[state], u)
+        z.append(state)
+    return np.array(z, dtype=np.int64)
 
 
 @dataclass

@@ -187,11 +187,10 @@ class MiniBatch(NamedTuple):
 
 def gaussian_log_prob(mean, log_std, actions) -> np.ndarray:
     """Row-wise log density of a diagonal Gaussian."""
-    std = np.exp(log_std)
-    diff = (actions - mean) / std
-    return -0.5 * np.sum(diff**2, axis=1) - np.sum(log_std) - 0.5 * mean.shape[
-        1
-    ] * _LOG_2PI
+    diff = (actions - mean) / np.exp(log_std)
+    return (
+        -0.5 * (diff**2).sum(axis=1) - log_std.sum() - 0.5 * mean.shape[1] * _LOG_2PI
+    )
 
 
 def gaussian_entropy(log_std) -> float:
@@ -292,13 +291,19 @@ def act_and_value(net, observation, rng=None, deterministic=False, context=None)
         mean, value = net.forward(obs)
     mean = mean[0]
     log_std = net.log_std.value
+    std = np.exp(log_std)
     if deterministic:
         action = mean.copy()
     else:
         if rng is None:
             raise ValueError("stochastic sampling needs an rng")
-        action = mean + np.exp(log_std) * rng.standard_normal(mean.shape[0])
-    log_prob = float(gaussian_log_prob(mean[None, :], log_std, action[None, :])[0])
+        action = mean + std * rng.standard_normal(mean.shape[0])
+    # gaussian_log_prob of the one row, in its order of operations
+    diff = (action - mean) / std
+    log_prob = (
+        -0.5 * float((diff**2).sum()) - float(log_std.sum())
+        - 0.5 * mean.shape[0] * _LOG_2PI
+    )
     return action, log_prob, float(value[0])
 
 

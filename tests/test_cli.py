@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kellylab import cli
 from kellylab.analytic import optimal_weights, q_surface
 from kellylab.cli import main
 from kellylab.config import load_config
@@ -263,7 +267,7 @@ def test_context_train_too_short_for_the_detector_fails_up_front(
     assert err.startswith("error:")
     assert len(err.splitlines()) == 1
     assert "10 episodes" in err
-    assert [p for p in out.rglob("*") if p.is_file()] == []
+    assert not out.exists()
 
 
 def test_train_sweep_checks_every_value_before_the_first_run(tmp_path,
@@ -306,6 +310,64 @@ def test_episode_counts_below_one_are_rejected(tmp_path, capsys, command,
     assert captured.err == f"error: --episodes must be >= 1, got {episodes}\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_evaluate_missing_checkpoint_creates_no_output(tmp_path, capsys):
+    config = write(tmp_path, "tiny.yaml", TINY)
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--config", str(config), "--out", str(out),
+                 "--checkpoint", str(tmp_path / "missing.npz")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_unexpected_errors_are_one_line(tmp_path, capsys, monkeypatch):
+    def fail(args):
+        raise RuntimeError("first line\nsecond line")
+
+    monkeypatch.setattr(cli, "cmd_solve", fail)
+    config = write(tmp_path, "tiny.yaml", TINY)
+    assert main(["solve", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == "error: RuntimeError: first line second line\n"
+
+    def interrupt(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_solve", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["solve", "--config", str(config)])
+
+
+IMPORT_CHECK = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+import kellylab.cli
+assert "scipy.linalg" not in sys.modules
+import numpy as np
+from kellylab import hmm
+from kellylab.market import rescale_transition
+P = np.array([[0.9, 0.1], [0.2, 0.8]])
+assert np.allclose(rescale_transition(P, 1.0, 2.0), P @ P, atol=1e-12)
+rng = np.random.default_rng(0)
+x = np.concatenate([rng.normal(0.01, 0.01, (60, 2)), rng.normal(-0.01, 0.03, (60, 2))])
+model = hmm.fit([x], hmm.HmmFitConfig(n_init=2), rng)
+assert hmm.decode(model, x).shape == (120,)
+print("ok")
+"""
+
+
+def test_cli_import_defers_scipy_linalg():
+    # scipy.linalg takes ~0.3 s to import; only the detector and
+    # rescale_transition use it, and they import it on first use
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_CHECK,
+         str(Path(__file__).resolve().parent.parent / "src")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "ok"
 
 
 def test_qsurface_matches_the_library(tmp_path, capsys):

@@ -10,7 +10,7 @@ from kellylab.errors import ConfigError, LifecycleError
 from kellylab.impact import ImpactParams, trade_cost
 from kellylab.market import MarketParams, RegimeModel
 
-from shipped import regime
+from shipped import regime, shipped
 
 
 def single_market(mu=0.12, sigma=0.2, cash_rate=0.04):
@@ -271,6 +271,41 @@ def test_observation_tracks_drifted_weights():
     assert result.observation[-1] == pytest.approx(
         state.wealth / 1000.0, rel=1e-12
     )
+
+
+def weight_row_observation(env):
+    """The observation formula before step reused its own marks, kept as the
+    oracle: (cash, stock) weights recomputed from the state, cash dropped."""
+    state = env.state
+    cfg = env.config
+    n, w = cfg.n_assets, cfg.window
+    row = np.zeros(n + 1)
+    if state.wealth > 0:
+        row[1:] = state.holdings * state.prices / state.wealth
+        row[0] = 1.0 - row[1:].sum()
+    obs = np.empty(cfg.observation_dim)
+    obs[: n * w] = state.history.ravel()
+    obs[n * w : n * w + n] = row[1:]
+    obs[-1] = state.wealth / cfg.initial_wealth
+    return obs
+
+
+@pytest.mark.parametrize("leverage, bankrupt", [(0.4, False), (40.0, True)])
+def test_step_observation_equals_the_weight_row_formula(leverage, bankrupt):
+    # regimes3 with its impact, so multipliers move and regimes switch
+    cfg = make_config(market=shipped("regimes3").market,
+                      impact=shipped("regimes3").env.impact, window=5,
+                      horizon_years=1.0)
+    env = PortfolioEnv(cfg, master_seed=3)
+    obs = env.reset(episode=1)
+    assert np.array_equal(obs, weight_row_observation(env))
+    signs = np.array([1.0, -0.5, 0.8])
+    result = None
+    while result is None or not result.done:
+        result = env.step(leverage * signs * (1.0 + 0.1 * np.sin(env.t)))
+        assert np.array_equal(result.observation, weight_row_observation(env))
+    assert result.info["bankrupt"] == bankrupt
+    assert (env.t < cfg.n_periods) == bankrupt
 
 
 def test_effective_prices_equal_unaffected_without_impact():

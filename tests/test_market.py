@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kellylab.errors import FactorizationError, RescaleError
 from kellylab.market import (
@@ -198,6 +200,78 @@ def test_regime_model_validation():
     one_asset = MarketParams(np.array([0.1]), np.array([0.2]), np.eye(1), 0.0)
     with pytest.raises(ValueError, match="assets"):
         RegimeModel([params, one_asset], np.eye(2), np.array([0.5, 0.5]))
+
+
+def searchsorted_regime_path(model, n_steps, rng):
+    """The chain sampler before the bisect rewrite, kept as the oracle."""
+    k = model.n_regimes
+    z = np.zeros(n_steps + 1, dtype=np.int64)
+    if k == 1:
+        return z
+    init_cdf = np.cumsum(model.initial_dist)
+    cdf = np.cumsum(model.transition, axis=1)
+    z[0] = np.searchsorted(init_cdf, rng.random())
+    u = rng.random(n_steps)
+    for t in range(n_steps):
+        z[t + 1] = np.searchsorted(cdf[z[t]], u[t])
+    return z
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       zero_share=st.sampled_from([0.0, 0.3, 0.6]),
+       n_steps=st.integers(0, 300))
+def test_bisect_chain_equals_the_searchsorted_loop(k, seed, zero_share,
+                                                   n_steps):
+    rng = np.random.default_rng(seed)
+    transition = rng.uniform(size=(k, k))
+    transition[rng.uniform(size=(k, k)) < zero_share] = 0.0
+    transition[np.arange(k), rng.integers(0, k, size=k)] += 0.1  # no zero row
+    transition /= transition.sum(axis=1, keepdims=True)
+    initial = rng.uniform(size=k)
+    initial[rng.uniform(size=k) < zero_share] = 0.0
+    initial[rng.integers(0, k)] += 0.1
+    initial /= initial.sum()
+    params = two_asset()
+    model = RegimeModel([params] * k, transition, initial)
+    draw_seed = int(rng.integers(0, 2**32))
+    got = sample_regime_path(model, n_steps, np.random.default_rng(draw_seed))
+    want = searchsorted_regime_path(model, n_steps,
+                                    np.random.default_rng(draw_seed))
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+class StubUniforms:
+    """Draws one fixed uniform everywhere and zero normals."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
+def test_chain_stays_in_its_state_space_when_a_row_sums_below_one():
+    # the first row sums to 1 - 5e-10, inside validation's 1e-9 tolerance; a
+    # draw above that sum used to index state K = 2 and raise IndexError
+    model = RegimeModel(
+        [regime("regimes3", 0), regime("regimes3", 1)],
+        np.array([[1.0 - 5e-10, 0.0], [0.009, 0.991]]),
+        np.array([1.0, 0.0]),
+    )
+    z = sample_regime_path(model, 5, StubUniforms(0.9999999999))
+    assert z.tolist() == [0, 1, 1, 1, 1, 1]
+    path = generate_path(model, 5, 1.0 / 256, StubUniforms(0.9999999999),
+                         warmup=2)
+    assert path.warmup_regimes.tolist() == [0, 1]
+    assert path.regimes.tolist() == [1] * 6
+    # an initial distribution summing below one stays in range too
+    model.initial_dist = np.array([0.5, 0.5 - 5e-10])
+    assert sample_regime_path(model, 0, StubUniforms(0.9999999999)).tolist() == [1]
 
 
 # -- transition rescaling -----------------------------------------------------
