@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-import yaml
 
 from . import __version__
 from . import hmm as hmm_module
@@ -45,9 +44,9 @@ from .config import (
     BaselineConfig,
     ExperimentConfig,
     apply_override,
+    build_config,
     load_config,
     load_sweep,
-    parse_config,
 )
 from .env import PortfolioEnv
 from .errors import KellylabError
@@ -296,8 +295,8 @@ def cmd_train(args) -> int:
     else:
         base = exp.to_dict()
         sub_exps = [
-            (value, parse_config(yaml.safe_dump(
-                apply_override(base, sweep.key, value), sort_keys=False)))
+            (value, build_config(apply_override(base, sweep.key, value),
+                                 source=f"{args.sweep}: {sweep.key}={value}"))
             for value in sweep.values
         ]
     for _, sub_exp in sub_exps:

@@ -2,15 +2,24 @@
 
 One file describes a full experiment: the market (one regime or a Markov
 chain of them), impact coefficients, episode geometry, the training
-hyperparameters, the regime-detector settings, and the run plan (seeds,
-evaluation episode counts, output directory). load_config validates every
-block on load and reports violations as ConfigError with the offending
-file:line and dotted key path.
+hyperparameters, the regime-detector settings, and the run plan (seeds and
+evaluation episode counts).
 
-to_dict() emits the fully resolved state, so dump/parse round-trips are
-idempotent byte-for-byte.
+Each block has one field table below. It maps every YAML key of the block
+to its kind, in dump order; "!" marks a required key and "?" a key whose
+null means absent. The tables are the only list of a block's keys: _read
+rejects unknown keys, reports missing ones and parses the rest by kind,
+_build constructs the block's dataclass, and _dump writes it back. Absent
+keys are not passed, so their defaults are the dataclasses' own. Numbers
+must be finite.
+
+Every violation is a ConfigError with the offending file:line and dotted
+key path. to_dict() emits the fully resolved state, so dump/parse round
+trips are idempotent byte-for-byte.
 """
 
+import copy
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +35,9 @@ from .rl import TrainConfig
 
 CONFIG_FORMAT = "yaml/1"
 
-_MISSING = object()
 
-
-def _line_map(text: str) -> dict:
+def _line_map(root) -> dict:
     """Dotted key path -> 1-based source line, from the YAML node tree."""
-    root = yaml.compose(text)
     lines = {}
 
     def walk(node, path):
@@ -52,134 +58,246 @@ def _line_map(text: str) -> dict:
     return lines
 
 
+def _load_yaml(text: str, filename):
+    """One SafeLoader pass over text: its data and its line map."""
+    loader = yaml.SafeLoader(text)
+    try:
+        node = loader.get_single_node()
+        # map lines first: constructing flattens merge keys in the tree
+        lines = _line_map(node)
+        data = None if node is None else loader.construct_document(node)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        line = None if mark is None else mark.line + 1
+        raise ConfigError(str(exc), line=line, filename=filename) from exc
+    finally:
+        loader.dispose()
+    return data, lines
+
+
 class _Ctx:
     def __init__(self, lines: dict, filename):
         self.lines = lines
         self.filename = filename
 
     def fail(self, path, message):
-        raise ConfigError(
-            message, path=path or None, line=self.lines.get(path),
-            filename=self.filename,
-        )
+        line = self.lines.get(path)
+        raise ConfigError(message, path or None, line, self.filename)
 
 
-class _Reader:
-    """Typed access to one mapping block with path-tagged errors."""
+def _join(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
 
-    def __init__(self, mapping, path: str, ctx: _Ctx):
-        if not isinstance(mapping, dict):
-            ctx.fail(path, f"expected a mapping, got {type(mapping).__name__}")
-        self.mapping = mapping
-        self.path = path
-        self.ctx = ctx
 
-    def child_path(self, key) -> str:
-        return f"{self.path}.{key}" if self.path else str(key)
+def _number(value, path, ctx) -> float:
+    # tolerate "1e-9": YAML 1.1 resolves exponent-only floats as strings
+    if isinstance(value, str):
+        try:
+            value = float(value)
+        except ValueError:
+            pass
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        ctx.fail(path, f"expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # nan, inf, or an int past float
+        ctx.fail(path, f"expected a finite number, got {value!r}")
+    return float(value)
 
-    def has(self, key) -> bool:
-        return key in self.mapping
 
-    def raw(self, key, default=_MISSING):
-        if key not in self.mapping:
-            if default is _MISSING:
-                self.ctx.fail(self.path, f"missing required key {key!r}")
-            return default
-        return self.mapping[key]
+def _integer(value, path, ctx) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        ctx.fail(path, f"expected an integer, got {value!r}")
+    return value
 
-    def section(self, key, required=True):
-        value = self.raw(key, default=None if not required else _MISSING)
-        if value is None:
-            return None
-        return _Reader(value, self.child_path(key), self.ctx)
 
-    def number(self, key, default=_MISSING) -> float:
-        value = self.raw(key, default)
-        if value is default and default is not _MISSING:
-            return default
-        return self._coerce_number(self.child_path(key), value)
+def _boolean(value, path, ctx) -> bool:
+    if not isinstance(value, bool):
+        ctx.fail(path, f"expected true/false, got {value!r}")
+    return value
 
-    def _coerce_number(self, path, value) -> float:
-        if isinstance(value, bool) or value is None:
-            self.ctx.fail(path, f"expected a number, got {value!r}")
-        if isinstance(value, (int, float)):
-            return float(value)
-        # tolerate "1e-9": YAML 1.1 resolves exponent-only floats as strings
-        if isinstance(value, str):
-            try:
-                return float(value)
-            except ValueError:
-                pass
-        self.ctx.fail(path, f"expected a number, got {value!r}")
 
-    def integer(self, key, default=_MISSING) -> int:
-        value = self.raw(key, default)
-        if value is default and default is not _MISSING:
-            return default
-        if isinstance(value, bool) or not isinstance(value, int):
-            self.ctx.fail(self.child_path(key), f"expected an integer, got {value!r}")
-        return value
+def _string(value, path, ctx) -> str:
+    if not isinstance(value, str):
+        ctx.fail(path, f"expected a string, got {value!r}")
+    return value
 
-    def boolean(self, key, default=_MISSING) -> bool:
-        value = self.raw(key, default)
-        if value is default and default is not _MISSING:
-            return default
-        if not isinstance(value, bool):
-            self.ctx.fail(self.child_path(key), f"expected true/false, got {value!r}")
-        return value
 
-    def string(self, key, default=_MISSING) -> str:
-        value = self.raw(key, default)
-        if value is default and default is not _MISSING:
-            return default
-        if not isinstance(value, str):
-            self.ctx.fail(self.child_path(key), f"expected a string, got {value!r}")
-        return value
+def _mapping(value, path, ctx) -> dict:
+    if not isinstance(value, dict):
+        ctx.fail(path, f"expected a mapping, got {type(value).__name__}")
+    return value
 
-    def number_list(self, key, default=_MISSING) -> list:
-        value = self.raw(key, default)
-        if value is default and default is not _MISSING:
-            return default
-        path = self.child_path(key)
+
+def _list_of(item, what):
+    def parse(value, path, ctx) -> list:
         if not isinstance(value, list) or not value:
-            self.ctx.fail(path, "expected a non-empty list of numbers")
-        return [self._coerce_number(f"{path}[{i}]", v) for i, v in enumerate(value)]
+            ctx.fail(path, f"expected a non-empty list of {what}")
+        return [item(v, f"{path}[{i}]", ctx) for i, v in enumerate(value)]
 
-    def matrix(self, key) -> list:
-        value = self.raw(key)
-        path = self.child_path(key)
-        if not isinstance(value, list) or not value:
-            self.ctx.fail(path, "expected a non-empty list of rows")
-        rows = []
-        for i, row in enumerate(value):
-            if not isinstance(row, list):
-                self.ctx.fail(f"{path}[{i}]", "expected a list of numbers")
-            rows.append(
-                [self._coerce_number(f"{path}[{i}][{j}]", v) for j, v in enumerate(row)]
+    return parse
+
+
+def _row(value, path, ctx) -> list:
+    if not isinstance(value, list):
+        ctx.fail(path, "expected a list of numbers")
+    return [_number(v, f"{path}[{j}]", ctx) for j, v in enumerate(value)]
+
+
+_numbers = _list_of(_number, "numbers")
+
+
+def _regime(node, path, ctx) -> MarketParams:
+    values = _read(node, path, ctx, _REGIME)
+    values.pop("name", None)  # a label for the reader, not a parameter
+    return _build(MarketParams, path, ctx, **values)
+
+
+def _distribution(value, path, ctx):
+    if isinstance(value, str):
+        if value != "stationary":
+            ctx.fail(
+                path,
+                f"expected 'stationary' or a list of probabilities, got {value!r}",
             )
-        return rows
+        return value
+    return _numbers(value, path, ctx)
 
-    def int_list(self, key, default=_MISSING) -> list:
-        value = self.raw(key, default)
-        if value is default and default is not _MISSING:
-            return default
-        path = self.child_path(key)
-        if not isinstance(value, list) or not value:
-            self.ctx.fail(path, "expected a non-empty list of integers")
-        out = []
-        for i, v in enumerate(value):
-            if isinstance(v, bool) or not isinstance(v, int):
-                self.ctx.fail(f"{path}[{i}]", f"expected an integer, got {v!r}")
-            out.append(v)
-        return out
 
-    def reject_unknown(self, allowed):
-        for key in self.mapping:
-            if key not in allowed:
-                self.ctx.fail(
-                    self.child_path(key),
-                    f"unknown key {key!r} (expected one of: {', '.join(sorted(allowed))})",
-                )
+def _floats(values) -> list:
+    return [float(x) for x in values]
+
+
+# kind -> (parse(value, path, ctx), dump(value))
+_KINDS = {
+    "number": (_number, float),
+    "integer": (_integer, int),
+    "boolean": (_boolean, bool),
+    "string": (_string, str),
+    "numbers": (_numbers, _floats),
+    "integers": (_list_of(_integer, "integers"), lambda v: [int(x) for x in v]),
+    "matrix": (_list_of(_row, "rows"), lambda v: [_floats(row) for row in v]),
+    "mapping": (_mapping, dict),
+    "regimes": (
+        _list_of(_regime, "regime mappings"),
+        lambda v: [_dump(p, _REGIME) for p in v],
+    ),
+    "distribution": (_distribution, _floats),
+    "any": (lambda value, path, ctx: value, None),
+}
+
+_ROOT = {
+    "market": "mapping!",
+    "impact": "mapping!",
+    "env": "mapping!",
+    "algo": "mapping!",
+    "hmm": "mapping?",
+    "run": "mapping?",
+    "baseline": "mapping?",
+    "qsurface": "mapping?",
+}
+_REGIME = {
+    "mu": "numbers!",
+    "sigma": "numbers!",
+    "corr": "matrix!",
+    "cash_rate": "number!",
+    "name": "any",
+}
+_MARKET = {
+    "regimes": "regimes!",
+    "transition": "matrix",
+    "initial_dist": "distribution",
+}
+_IMPACT = {"eta": "number!", "gamma": "number!"}
+_ENV = {
+    "horizon_years": "number!",
+    "periods_per_year": "integer!",
+    "window": "integer!",
+    "initial_wealth": "number!",
+    "discount": "number",
+}
+_ALGO = {
+    "name": "string!",
+    "total_steps": "integer!",
+    "context_policy": "boolean",
+    "learning_rate": "number",
+    "rollout_steps": "integer",
+    "batch_size": "integer",
+    "n_epochs": "integer",
+    "clip_range": "number",
+    "discount": "number",
+    "gae_lambda": "number",
+    "value_coef": "number",
+    "entropy_coef": "number",
+    "max_grad_norm": "number",
+    "clipping_enabled": "boolean",
+    "init_log_std": "number",
+    "advantage_normalization": "boolean",
+}
+_HMM = {
+    "n_states": "integer",
+    "n_init": "integer",
+    "max_iter": "integer",
+    "tol": "number",
+    "mean_prior": "number",
+    "covar_prior": "number",
+    "min_covar": "number",
+}
+_RUN = {
+    "seeds": "integers",
+    "eval_episodes": "integer",
+    "hmm_fit_episodes": "integer",
+    "hmm_eval_episodes": "integer",
+}
+_BASELINE = {
+    "fraction": "number",
+    "adjustment_periods": "integer",
+    "use_true_regime": "boolean",
+    "episodes_per_cell": "integer",
+    "fractions": "numbers?",
+    "adjustment_grid": "integers?",
+}
+_QSURFACE = {"w_min": "number", "w_max": "number", "steps": "integer"}
+_SWEEP = {"key": "string!", "values": "any!"}
+
+
+def _read(node, path: str, ctx: _Ctx, table: dict) -> dict:
+    """Parse one mapping block by its table; absent keys are left out."""
+    _mapping(node, path, ctx)
+    for key in node:
+        if key not in table:
+            ctx.fail(
+                _join(path, key),
+                f"unknown key {key!r} (expected one of: {', '.join(sorted(table))})",
+            )
+    values = {}
+    for key, kind in table.items():
+        if key not in node:
+            if kind.endswith("!"):
+                ctx.fail(path, f"missing required key {key!r}")
+        elif node[key] is not None or not kind.endswith("?"):
+            parse = _KINDS[kind.rstrip("!?")][0]
+            values[key] = parse(node[key], _join(path, key), ctx)
+    return values
+
+
+def _build(make, path: str, ctx: _Ctx, **values):
+    """make(**values), reporting a ValueError at path and a ConfigError at
+    its own path, both with the line."""
+    try:
+        return make(**values)
+    except ConfigError as exc:
+        ctx.fail(exc.path or path, exc.message)
+    except ValueError as exc:
+        ctx.fail(path, str(exc))
+
+
+def _dump(obj, table: dict, **extra) -> dict:
+    """A block's resolved values as plain YAML data, in table order."""
+    values = {**vars(obj), **extra}
+    out = {}
+    for key, kind in table.items():
+        if values.get(key) is not None:
+            out[key] = _KINDS[kind.rstrip("!?")][1](values[key])
+    return out
 
 
 @dataclass
@@ -188,7 +306,6 @@ class RunConfig:
     eval_episodes: int = 400
     hmm_fit_episodes: int = 10
     hmm_eval_episodes: int = 10
-    output_dir: str = None
 
     def __post_init__(self):
         self.seeds = tuple(int(s) for s in self.seeds)
@@ -258,87 +375,19 @@ class ExperimentConfig:
         return self.env.impact
 
     def to_dict(self) -> dict:
-        market = self.env.market
-        d = {
-            "market": {
-                "regimes": [
-                    {
-                        "mu": [float(x) for x in p.mu],
-                        "sigma": [float(x) for x in p.sigma],
-                        "corr": [[float(x) for x in row] for row in p.corr],
-                        "cash_rate": float(p.cash_rate),
-                    }
-                    for p in market.regimes
-                ],
-                "transition": [[float(x) for x in row] for row in market.transition],
-                "initial_dist": [float(x) for x in market.initial_dist],
-            },
-            "impact": {
-                "eta": float(self.env.impact.eta),
-                "gamma": float(self.env.impact.gamma),
-            },
-            "env": {
-                "horizon_years": float(self.env.horizon_years),
-                "periods_per_year": int(self.env.periods_per_year),
-                "window": int(self.env.window),
-                "initial_wealth": float(self.env.initial_wealth),
-                "discount": float(self.env.discount),
-            },
-            "algo": {
-                "name": self.algo.algo,
-                "total_steps": int(self.algo.total_steps),
-                "context_policy": bool(self.context_policy),
-                "learning_rate": float(self.algo.learning_rate),
-                "rollout_steps": int(self.algo.rollout_steps),
-                "batch_size": int(self.algo.batch_size),
-                "n_epochs": int(self.algo.n_epochs),
-                "clip_range": float(self.algo.clip_range),
-                "discount": float(self.algo.discount),
-                "gae_lambda": float(self.algo.gae_lambda),
-                "value_coef": float(self.algo.value_coef),
-                "entropy_coef": float(self.algo.entropy_coef),
-                "max_grad_norm": float(self.algo.max_grad_norm),
-                "clipping_enabled": bool(self.algo.clipping_enabled),
-                "init_log_std": float(self.algo.init_log_std),
-                "advantage_normalization": bool(self.algo.advantage_normalization),
-            },
-            "hmm": {
-                "n_states": int(self.hmm.n_states),
-                "n_init": int(self.hmm.n_init),
-                "max_iter": int(self.hmm.max_iter),
-                "tol": float(self.hmm.tol),
-                "mean_prior": float(self.hmm.mean_prior),
-                "covar_prior": float(self.hmm.covar_prior),
-                "min_covar": float(self.hmm.min_covar),
-            },
-            "run": {
-                "seeds": list(self.run.seeds),
-                "eval_episodes": int(self.run.eval_episodes),
-                "hmm_fit_episodes": int(self.run.hmm_fit_episodes),
-                "hmm_eval_episodes": int(self.run.hmm_eval_episodes),
-            },
-        }
-        if self.run.output_dir is not None:
-            d["run"]["output_dir"] = self.run.output_dir
-        if self.baseline is not None:
-            b = {
-                "fraction": float(self.baseline.fraction),
-                "adjustment_periods": int(self.baseline.adjustment_periods),
-                "use_true_regime": bool(self.baseline.use_true_regime),
-                "episodes_per_cell": int(self.baseline.episodes_per_cell),
-            }
-            if self.baseline.fractions is not None:
-                b["fractions"] = [float(f) for f in self.baseline.fractions]
-            if self.baseline.adjustment_grid is not None:
-                b["adjustment_grid"] = list(self.baseline.adjustment_grid)
-            d["baseline"] = b
-        if self.qsurface is not None:
-            d["qsurface"] = {
-                "w_min": float(self.qsurface.w_min),
-                "w_max": float(self.qsurface.w_max),
-                "steps": int(self.qsurface.steps),
-            }
-        return d
+        return _dump(
+            self,
+            _ROOT,
+            market=_dump(self.market, _MARKET),
+            impact=_dump(self.impact, _IMPACT),
+            env=_dump(self.env, _ENV),
+            algo=_dump(self.algo, _ALGO, name=self.algo.algo,
+                       context_policy=self.context_policy),
+            hmm=_dump(self.hmm, _HMM),
+            run=_dump(self.run, _RUN),
+            baseline=self.baseline and _dump(self.baseline, _BASELINE),
+            qsurface=self.qsurface and _dump(self.qsurface, _QSURFACE),
+        )
 
     def dump(self) -> str:
         return yaml.safe_dump(self.to_dict(), sort_keys=False)
@@ -348,296 +397,75 @@ class ExperimentConfig:
             fh.write(self.dump())
 
 
-def _parse_regime(reader: _Reader) -> MarketParams:
-    reader.reject_unknown({"mu", "sigma", "corr", "cash_rate", "name"})
-    mu = reader.number_list("mu")
-    sigma = reader.number_list("sigma")
-    corr = reader.matrix("corr")
-    cash_rate = reader.number("cash_rate")
-    try:
-        return MarketParams(mu=mu, sigma=sigma, corr=corr, cash_rate=cash_rate)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        reader.ctx.fail(reader.path, str(exc))
+def _parse_market(node: dict, ctx: _Ctx) -> RegimeModel:
+    if "regimes" not in node:
+        # single-regime sugar: the market block is itself a regime table
+        params = _regime(node, "market", ctx)
+        return _build(RegimeModel.single, "market", ctx, params=params)
+    values = _read(node, "market", ctx, _MARKET)
+    k = len(values["regimes"])
+    if k > 1 and "transition" not in values:
+        ctx.fail("market", f"{k} regimes need a transition matrix")
+    transition = values.get("transition", np.ones((1, 1)))
+    initial = values.get("initial_dist", "stationary")
+    if isinstance(initial, str):
+        initial = np.ones(1) if k == 1 else _build(
+            stationary_distribution, "market.transition", ctx, P=transition
+        )
+    return _build(
+        RegimeModel, "market", ctx,
+        regimes=values["regimes"], transition=transition, initial_dist=initial,
+    )
 
 
-def _parse_market(reader: _Reader) -> RegimeModel:
-    if reader.has("regimes"):
-        reader.reject_unknown({"regimes", "transition", "initial_dist"})
-        regimes_raw = reader.raw("regimes")
-        path = reader.child_path("regimes")
-        if not isinstance(regimes_raw, list) or not regimes_raw:
-            reader.ctx.fail(path, "expected a non-empty list of regime mappings")
-        regimes = [
-            _parse_regime(_Reader(r, f"{path}[{i}]", reader.ctx))
-            for i, r in enumerate(regimes_raw)
-        ]
-        k = len(regimes)
-        if k == 1:
-            transition = np.ones((1, 1))
-            if reader.has("transition"):
-                transition = np.asarray(reader.matrix("transition"))
-        else:
-            if not reader.has("transition"):
-                reader.ctx.fail(
-                    reader.path,
-                    f"{k} regimes need a transition matrix",
-                )
-            transition = np.asarray(reader.matrix("transition"))
-        initial_raw = reader.raw("initial_dist", default="stationary")
-        if isinstance(initial_raw, str):
-            if initial_raw != "stationary":
-                reader.ctx.fail(
-                    reader.child_path("initial_dist"),
-                    f"expected 'stationary' or a list of probabilities, "
-                    f"got {initial_raw!r}",
-                )
-            if k == 1:
-                initial = np.ones(1)
-            else:
-                try:
-                    initial = stationary_distribution(transition)
-                except ConfigError:
-                    raise
-                except ValueError as exc:
-                    reader.ctx.fail(reader.child_path("transition"), str(exc))
-        else:
-            initial = np.asarray(reader.number_list("initial_dist"))
-        try:
-            return RegimeModel(regimes, transition, initial)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            reader.ctx.fail(reader.path, str(exc))
-    # single-regime sugar: market block is itself a regime table
-    try:
-        return RegimeModel.single(_parse_regime(reader))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        reader.ctx.fail(reader.path, str(exc))
+def _parse(data, ctx: _Ctx) -> ExperimentConfig:
+    blocks = _read(data, "", ctx, _ROOT)
+
+    def block(key, table, make, **extra):
+        values = _read(blocks.get(key, {}), key, ctx, table)
+        return _build(make, key, ctx, **extra, **values)
+
+    market = _parse_market(blocks["market"], ctx)
+    impact = block("impact", _IMPACT, ImpactParams)
+    env = block("env", _ENV, EnvConfig, market=market, impact=impact)
+
+    algo = _read(blocks["algo"], "algo", ctx, _ALGO)
+    name = algo.pop("name")
+    if name not in ("ppo", "a2c"):
+        ctx.fail("algo.name", f"algo must be 'ppo' or 'a2c', got {name!r}")
+    context_policy = algo.pop("context_policy", False)
+    # the discount lives in the env block; an algo-level value overrides it
+    algo.setdefault("discount", env.discount)
+    builder = TrainConfig.ppo if name == "ppo" else TrainConfig.a2c
+    train = _build(builder, "algo", ctx, **algo)
+
+    if context_policy and "hmm" not in blocks:
+        ctx.fail("algo.context_policy", "a context policy needs an explicit "
+                 "hmm block for its regime detector")
+    hmm = block("hmm", _HMM, HmmFitConfig)
+    if context_policy and market.n_regimes < 2:
+        ctx.fail("algo.context_policy",
+                 "a context policy needs a regime-switching market (>= 2 regimes)")
+    baseline = qsurface = None
+    if "baseline" in blocks:
+        baseline = block("baseline", _BASELINE, BaselineConfig)
+    if "qsurface" in blocks:
+        qsurface = block("qsurface", _QSURFACE, QSurfaceConfig)
+    return ExperimentConfig(
+        env=env, algo=train, context_policy=context_policy, hmm=hmm,
+        run=block("run", _RUN, RunConfig), baseline=baseline, qsurface=qsurface,
+    )
 
 
 def parse_config(text: str, filename=None) -> ExperimentConfig:
-    try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        raise ConfigError(
-            str(exc),
-            line=None if mark is None else mark.line + 1,
-            filename=filename,
-        ) from exc
-    ctx = _Ctx(_line_map(text), filename)
-    root = _Reader(data if data is not None else {}, "", ctx)
-    root.reject_unknown(
-        {"market", "impact", "env", "algo", "hmm", "run", "baseline", "qsurface"}
-    )
+    data, lines = _load_yaml(text, filename)
+    return _parse({} if data is None else data, _Ctx(lines, filename))
 
-    market = _parse_market(root.section("market"))
 
-    impact_r = root.section("impact")
-    impact_r.reject_unknown({"eta", "gamma"})
-    try:
-        impact = ImpactParams(
-            eta=impact_r.number("eta"), gamma=impact_r.number("gamma")
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        ctx.fail("impact", str(exc))
-
-    env_r = root.section("env")
-    env_r.reject_unknown(
-        {"horizon_years", "periods_per_year", "window", "initial_wealth", "discount"}
-    )
-    try:
-        env = EnvConfig(
-            horizon_years=env_r.number("horizon_years"),
-            periods_per_year=env_r.integer("periods_per_year"),
-            window=env_r.integer("window"),
-            initial_wealth=env_r.number("initial_wealth"),
-            market=market,
-            impact=impact,
-            discount=env_r.number("discount", default=0.99),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        ctx.fail("env", str(exc))
-
-    algo_r = root.section("algo")
-    algo_r.reject_unknown(
-        {
-            "name",
-            "total_steps",
-            "context_policy",
-            "learning_rate",
-            "rollout_steps",
-            "batch_size",
-            "n_epochs",
-            "clip_range",
-            "discount",
-            "gae_lambda",
-            "value_coef",
-            "entropy_coef",
-            "max_grad_norm",
-            "clipping_enabled",
-            "init_log_std",
-            "advantage_normalization",
-        }
-    )
-    name = algo_r.string("name")
-    if name not in ("ppo", "a2c"):
-        ctx.fail("algo.name", f"algo must be 'ppo' or 'a2c', got {name!r}")
-    context_policy = algo_r.boolean("context_policy", default=False)
-    overrides = {}
-    for key, getter in (
-        ("learning_rate", algo_r.number),
-        ("rollout_steps", algo_r.integer),
-        ("batch_size", algo_r.integer),
-        ("n_epochs", algo_r.integer),
-        ("clip_range", algo_r.number),
-        ("gae_lambda", algo_r.number),
-        ("value_coef", algo_r.number),
-        ("entropy_coef", algo_r.number),
-        ("max_grad_norm", algo_r.number),
-        ("init_log_std", algo_r.number),
-    ):
-        if algo_r.has(key):
-            overrides[key] = getter(key)
-    for key in ("clipping_enabled", "advantage_normalization"):
-        if algo_r.has(key):
-            overrides[key] = algo_r.boolean(key)
-    # the discount lives in the env block; an algo-level value overrides it
-    overrides["discount"] = algo_r.number("discount", default=env.discount)
-    builder = TrainConfig.ppo if name == "ppo" else TrainConfig.a2c
-    try:
-        algo = builder(algo_r.integer("total_steps"), **overrides)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        ctx.fail("algo", str(exc))
-
-    hmm_r = root.section("hmm", required=False)
-    if hmm_r is None:
-        if context_policy:
-            ctx.fail(
-                "algo.context_policy",
-                "a context policy needs an explicit hmm block for its "
-                "regime detector",
-            )
-        hmm = HmmFitConfig()
-    else:
-        hmm_r.reject_unknown(
-            {
-                "n_states",
-                "n_init",
-                "max_iter",
-                "tol",
-                "mean_prior",
-                "covar_prior",
-                "min_covar",
-            }
-        )
-        try:
-            hmm = HmmFitConfig(
-                n_states=hmm_r.integer("n_states", default=2),
-                n_init=hmm_r.integer("n_init", default=10),
-                max_iter=hmm_r.integer("max_iter", default=100),
-                tol=hmm_r.number("tol", default=1e-7),
-                mean_prior=hmm_r.number("mean_prior", default=1e-4),
-                covar_prior=hmm_r.number("covar_prior", default=1e-4),
-                min_covar=hmm_r.number("min_covar", default=1e-6),
-            )
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            ctx.fail("hmm", str(exc))
-    if context_policy and market.n_regimes < 2:
-        ctx.fail(
-            "algo.context_policy",
-            "a context policy needs a regime-switching market (>= 2 regimes)",
-        )
-
-    run_r = root.section("run", required=False)
-    if run_r is None:
-        run = RunConfig()
-    else:
-        run_r.reject_unknown(
-            {
-                "seeds",
-                "eval_episodes",
-                "hmm_fit_episodes",
-                "hmm_eval_episodes",
-                "output_dir",
-            }
-        )
-        try:
-            run = RunConfig(
-                seeds=tuple(run_r.int_list("seeds", default=[0])),
-                eval_episodes=run_r.integer("eval_episodes", default=400),
-                hmm_fit_episodes=run_r.integer("hmm_fit_episodes", default=10),
-                hmm_eval_episodes=run_r.integer("hmm_eval_episodes", default=10),
-                output_dir=run_r.string("output_dir", default=None),
-            )
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            ctx.fail("run", str(exc))
-
-    baseline_r = root.section("baseline", required=False)
-    baseline = None
-    if baseline_r is not None:
-        baseline_r.reject_unknown(
-            {
-                "fraction",
-                "adjustment_periods",
-                "use_true_regime",
-                "episodes_per_cell",
-                "fractions",
-                "adjustment_grid",
-            }
-        )
-        try:
-            baseline = BaselineConfig(
-                fraction=baseline_r.number("fraction", default=1.0),
-                adjustment_periods=baseline_r.integer("adjustment_periods", default=1),
-                use_true_regime=baseline_r.boolean("use_true_regime", default=True),
-                episodes_per_cell=baseline_r.integer("episodes_per_cell", default=20),
-                fractions=baseline_r.number_list("fractions", default=None),
-                adjustment_grid=baseline_r.int_list("adjustment_grid", default=None),
-            )
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            ctx.fail("baseline", str(exc))
-
-    qsurface_r = root.section("qsurface", required=False)
-    qsurface = None
-    if qsurface_r is not None:
-        qsurface_r.reject_unknown({"w_min", "w_max", "steps"})
-        try:
-            qsurface = QSurfaceConfig(
-                w_min=qsurface_r.number("w_min", default=-1.0),
-                w_max=qsurface_r.number("w_max", default=3.0),
-                steps=qsurface_r.integer("steps", default=41),
-            )
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            ctx.fail("qsurface", str(exc))
-
-    return ExperimentConfig(
-        env=env,
-        algo=algo,
-        context_policy=context_policy,
-        hmm=hmm,
-        run=run,
-        baseline=baseline,
-        qsurface=qsurface,
-    )
+def build_config(data: dict, source=None) -> ExperimentConfig:
+    """The config for an already loaded mapping, such as an override of
+    to_dict(). Errors name `source` in place of a file and carry no line."""
+    return _parse(data, _Ctx({}, source))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -665,26 +493,12 @@ class SweepSpec:
 def load_sweep(path) -> SweepSpec:
     with open(path) as fh:
         text = fh.read()
-    try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        raise ConfigError(
-            str(exc),
-            line=None if mark is None else mark.line + 1,
-            filename=str(path),
-        ) from exc
-    ctx = _Ctx(_line_map(text), str(path))
-    reader = _Reader(data, "", ctx)
-    reader.reject_unknown({"key", "values"})
-    key = reader.string("key")
-    values = reader.raw("values")
-    if not isinstance(values, list) or not values:
+    data, lines = _load_yaml(text, str(path))
+    ctx = _Ctx(lines, str(path))
+    spec = _read(data, "", ctx, _SWEEP)
+    if not isinstance(spec["values"], list) or not spec["values"]:
         ctx.fail("values", "expected a non-empty list")
-    try:
-        return SweepSpec(key=key, values=values)
-    except ValueError as exc:
-        ctx.fail("", str(exc))
+    return _build(SweepSpec, "", ctx, **spec)
 
 
 def apply_override(data: dict, dotted_key: str, value) -> dict:
@@ -693,8 +507,6 @@ def apply_override(data: dict, dotted_key: str, value) -> dict:
     The parent blocks must already exist (typo protection); the leaf itself
     may be new, since omitted keys fall back to defaults.
     """
-    import copy
-
     out = copy.deepcopy(data)
     parts = dotted_key.split(".")
     node = out

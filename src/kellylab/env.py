@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, LifecycleError
-from .impact import ImpactParams, ImpactState, trade_cost
+from .impact import ImpactParams, trade_cost
 from .market import PricePath, RegimeModel, generate_path
 from .rng import episode_stream
 
@@ -95,7 +95,7 @@ class EnvState:
     cash: float
     wealth: float
     regime: int
-    impact_state: ImpactState
+    multipliers: np.ndarray  # permanent-impact factors, one per asset
 
 
 @dataclass
@@ -253,7 +253,7 @@ class PortfolioEnv:
             cash=self._cash,
             wealth=self._wealth,
             regime=self._regimes[self._t],
-            impact_state=ImpactState(self._mult.copy()),
+            multipliers=self._mult.copy(),
         )
 
     def effective_episode_prices(self) -> np.ndarray:

@@ -21,6 +21,7 @@ class ConfigError(KellylabError, ValueError):
     """
 
     def __init__(self, message, path=None, line=None, filename=None):
+        self.message = message
         self.path = path
         self.line = line
         self.filename = filename

@@ -38,22 +38,6 @@ class ImpactParams:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
 
 
-@dataclass
-class ImpactState:
-    """Cumulative permanent-impact factors, one per asset, starting at 1."""
-
-    multipliers: np.ndarray
-
-    def __post_init__(self):
-        self.multipliers = np.asarray(self.multipliers, dtype=np.float64)
-        if np.any(self.multipliers <= 0):
-            raise ValueError("impact multipliers must stay positive")
-
-    @classmethod
-    def initial(cls, n_assets: int) -> "ImpactState":
-        return cls(np.ones(n_assets, dtype=np.float64))
-
-
 def trade_cost(s_start, s_end, shares, dt: float, params: ImpactParams):
     """Excess execution cost of trading `shares` over one period of length dt.
 
@@ -68,15 +52,3 @@ def trade_cost(s_start, s_end, shares, dt: float, params: ImpactParams):
     temp = 0.5 * (1.0 + (params.eta / dt) * y) * (s_end - s_start)
     perm = params.gamma * y * (s_end / 3.0 + s_start / 6.0)
     return y * (temp + perm)
-
-
-def apply_permanent_impact(
-    state: ImpactState, shares, params: ImpactParams
-) -> ImpactState:
-    """Fold one rebalance into the permanent multipliers (new state returned).
-
-    Applied once per period, after the GBM step and before valuation, so the
-    multiplier commutes with the scale-invariant future dynamics.
-    """
-    y = np.asarray(shares, dtype=np.float64)
-    return ImpactState(state.multipliers * np.exp(params.gamma * y))

@@ -79,22 +79,6 @@ def cholesky_factor(corr: np.ndarray) -> np.ndarray:
         raise  # unreachable: full factorization failed so some minor must
 
 
-def step_prices(prices, params: MarketParams, dt: float, draws, chol=None):
-    """Advance prices one period of length dt using standard-normal draws.
-
-    prices and draws have shape (n,) or (batch, n); the same shape comes
-    back. Exact GBM discretization, so no step-size bias. Pass a
-    precomputed Cholesky factor to skip refactorizing in loops.
-    """
-    prices = np.asarray(prices, dtype=np.float64)
-    draws = np.asarray(draws, dtype=np.float64)
-    if chol is None:
-        chol = cholesky_factor(params.corr)
-    drift = (params.mu - 0.5 * params.sigma**2) * dt
-    diffusion = (draws @ chol.T) * (params.sigma * np.sqrt(dt))
-    return prices * np.exp(drift + diffusion)
-
-
 @dataclass
 class RegimeModel:
     """Markov chain over MarketParams; K = 1 recovers a plain GBM market.
@@ -274,8 +258,9 @@ def generate_path(
     distribution applies at the warm-up start), so the episode's opening
     state is already mixed. Draw order: regime path first (see
     sample_regime_path), then one (warmup + n_periods, n) standard-normal
-    block. Matches a step_prices loop over the same draws to machine
-    precision.
+    block. Matches a one-step exact GBM loop over the same draws to machine
+    precision: tests/test_market.py::test_generate_path_matches_step_prices_loop
+    keeps that loop as the oracle.
     """
     if n_periods < 1:
         raise ValueError(f"n_periods must be >= 1, got {n_periods}")

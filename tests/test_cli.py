@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -293,8 +294,9 @@ def test_train_sweep_checks_every_value_before_the_first_run(tmp_path,
     assert main(["train", "--config", str(tiny), "--out", str(out),
                  "--sweep", str(bad)]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:")
-    assert "learning_rate" in captured.err
+    assert captured.err == (f"error: {bad}: algo.learning_rate=-1.0: algo: "
+                            "learning_rate must be positive\n")
+    assert re.search(r":\d+:", captured.err) is None  # no line of hidden text
     assert not out.exists()
 
 

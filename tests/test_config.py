@@ -1,10 +1,13 @@
 """YAML experiment configs: parsing, validation, round trips, overrides."""
 
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kellylab.config import (
     CONFIG_FORMAT,
@@ -304,10 +307,160 @@ def test_apply_override():
     assert reparsed.algo.learning_rate == 1e-4
 
     # a brand-new leaf under an existing block is allowed
-    out = apply_override(data, "run.output_dir", "runs/x")
-    assert out["run"]["output_dir"] == "runs/x"
+    out = apply_override(data, "baseline.fractions", [0.5, 1.0])
+    assert out["baseline"]["fractions"] == [0.5, 1.0]
 
     with pytest.raises(ConfigError, match="no such config block 'nope'"):
         apply_override(data, "nope.key", 1)
     with pytest.raises(ConfigError, match="is not a mapping"):
         apply_override(data, "env.horizon_years.x", 1)
+
+
+@pytest.mark.parametrize("block", ["market", "impact", "env", "algo"])
+def test_empty_required_block_is_reported_at_its_line(block):
+    text = re.sub(rf"^{block}:\n(  .*\n)+", f"{block}:\n", MINIMAL, flags=re.M)
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text, filename="exp.yaml")
+    line = text.splitlines().index(f"{block}:") + 1
+    assert str(excinfo.value) == (
+        f"exp.yaml:{line}: {block}: expected a mapping, got NoneType"
+    )
+
+
+def test_env_errors_carry_file_and_line():
+    text = MINIMAL.replace("  window: 2", "  window: 0")
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text, filename="exp.yaml")
+    assert str(excinfo.value) == "exp.yaml:12: env.window: window must be >= 1"
+
+
+@pytest.mark.parametrize("value, shown", [
+    (".nan", "nan"), (".inf", "inf"), ("-.inf", "-inf"),
+    ("1" + "0" * 400, "1" + "0" * 400),  # an int no float can hold
+], ids=["nan", "inf", "-inf", "huge-int"])
+@pytest.mark.parametrize("old, new, path, line", [
+    ("  cash_rate: 0.04", "  cash_rate: {}", "market.cash_rate", 5),
+    ("  mu: [0.12]", "  mu: [{}]", "market.mu[0]", 2),
+    ("  corr: [[1.0]]", "  corr: [[{}]]", "market.corr[0][0]", 4),
+], ids=["scalar", "mu", "corr"])
+def test_non_finite_numbers_are_rejected(value, shown, old, new, path, line):
+    text = MINIMAL.replace(old, new.format(value))
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text, filename="exp.yaml")
+    assert str(excinfo.value) == (
+        f"exp.yaml:{line}: {path}: expected a finite number, got {shown}"
+    )
+
+
+def test_run_output_dir_is_an_unknown_key():
+    with pytest.raises(ConfigError, match="unknown key 'output_dir'"):
+        parse_config(MINIMAL + "run:\n  output_dir: runs/x\n")
+
+
+def _maybe(draw, block, key, strategy):
+    if draw(st.booleans()):
+        block[key] = draw(strategy)
+
+
+@st.composite
+def valid_configs(draw):
+    """A config mapping: optional blocks and keys present or absent."""
+    finite = st.floats(-1.0, 1.0)
+    positive = st.floats(1e-6, 1.0)
+    counts = st.integers(1, 50)
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+
+    def regime():
+        rho = draw(st.floats(-0.4, 0.9))
+        corr = [[1.0 if i == j else rho for j in range(n)] for i in range(n)]
+        return {"mu": draw(st.lists(finite, min_size=n, max_size=n)),
+                "sigma": draw(st.lists(st.floats(0.0, 1.0), min_size=n,
+                                       max_size=n)),
+                "corr": corr,
+                "cash_rate": draw(finite)}
+
+    if k == 1 and draw(st.booleans()):
+        market = regime()  # single-regime sugar
+    else:
+        market = {"regimes": [regime() for _ in range(k)]}
+        if k > 1 or draw(st.booleans()):
+            rows = [draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k))
+                    for _ in range(k)]
+            market["transition"] = [[x / sum(row) for x in row] for row in rows]
+        dist = draw(st.sampled_from(["absent", "stationary", "explicit"]))
+        if dist == "stationary":
+            market["initial_dist"] = "stationary"
+        elif dist == "explicit":
+            market["initial_dist"] = [1.0 / k] * k
+    env = {"horizon_years": draw(st.sampled_from([0.25, 1.0, 5.0])),
+           "periods_per_year": draw(st.sampled_from([12, 256])),
+           "window": draw(counts),
+           "initial_wealth": draw(st.floats(1.0, 1e6))}
+    _maybe(draw, env, "discount", st.floats(0.5, 1.0))
+    algo = {"name": draw(st.sampled_from(["ppo", "a2c"])),
+            "total_steps": draw(st.integers(1, 10**6))}
+    for key in ("learning_rate", "clip_range"):
+        _maybe(draw, algo, key, positive)
+    for key in ("rollout_steps", "batch_size", "n_epochs"):
+        _maybe(draw, algo, key, counts)
+    for key in ("value_coef", "entropy_coef", "max_grad_norm", "discount",
+                "gae_lambda"):
+        _maybe(draw, algo, key, st.floats(0.5, 1.0))
+    _maybe(draw, algo, "init_log_std", finite)
+    for key in ("clipping_enabled", "advantage_normalization"):
+        _maybe(draw, algo, key, st.booleans())
+    data = {"market": market,
+            "impact": {"eta": draw(st.floats(0.0, 1e-6)),
+                       "gamma": draw(st.floats(0.0, 1e-6))},
+            "env": env,
+            "algo": algo}
+    if draw(st.booleans()):
+        hmm = data["hmm"] = {}
+        for key in ("n_states", "n_init", "max_iter"):
+            _maybe(draw, hmm, key, counts)
+        for key in ("tol", "mean_prior", "covar_prior", "min_covar"):
+            _maybe(draw, hmm, key, positive)
+        if k > 1:
+            _maybe(draw, algo, "context_policy", st.booleans())
+    else:
+        _maybe(draw, algo, "context_policy", st.just(False))
+    if draw(st.booleans()):
+        run = data["run"] = {}
+        _maybe(draw, run, "seeds", st.lists(st.integers(0, 99), min_size=1,
+                                            max_size=4))
+        for key in ("eval_episodes", "hmm_fit_episodes", "hmm_eval_episodes"):
+            _maybe(draw, run, key, counts)
+    if draw(st.booleans()):
+        baseline = data["baseline"] = {}
+        _maybe(draw, baseline, "fraction", st.floats(0.01, 1.0))
+        for key in ("adjustment_periods", "episodes_per_cell"):
+            _maybe(draw, baseline, key, counts)
+        _maybe(draw, baseline, "use_true_regime", st.booleans())
+        _maybe(draw, baseline, "fractions",
+               st.none() | st.lists(st.floats(0.01, 1.0), min_size=1,
+                                    max_size=4))
+        _maybe(draw, baseline, "adjustment_grid",
+               st.none() | st.lists(counts, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        qsurface = data["qsurface"] = {}
+        _maybe(draw, qsurface, "w_min", st.floats(-2.0, 0.0))
+        _maybe(draw, qsurface, "w_max", st.floats(1.0, 4.0))
+        _maybe(draw, qsurface, "steps", st.integers(2, 100))
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_configs())
+def test_dump_parse_round_trip_for_drawn_configs(data):
+    config = parse_config(yaml.safe_dump(data, sort_keys=False))
+    text = config.dump()
+    reparsed = parse_config(text)
+    assert reparsed.dump() == text
+    assert reparsed.to_dict() == config.to_dict()
+    # and the dump keeps every value given outside the market block
+    resolved = config.to_dict()
+    for block, values in data.items():
+        for key, value in values.items():
+            if block != "market" and value is not None:
+                assert resolved[block][key] == value, (block, key)

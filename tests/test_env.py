@@ -212,7 +212,7 @@ def test_two_period_ledger_replication():
         assert state.wealth == pytest.approx(wealth, rel=1e-10)
         assert state.cash == pytest.approx(cash, rel=1e-10)
         assert np.allclose(state.holdings, hold, rtol=1e-10)
-        assert np.allclose(state.impact_state.multipliers, mult, rtol=1e-12)
+        assert np.allclose(state.multipliers, mult, rtol=1e-12)
 
 
 def test_wealth_identity_and_reward_telescoping():

