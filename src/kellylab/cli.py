@@ -289,11 +289,11 @@ def cmd_train(args) -> int:
     seeds = _seeds(args, exp)
 
     # every config is built and checked before the first run
-    sweep = load_sweep(args.sweep) if args.sweep is not None else None
-    if sweep is None:
-        sub_exps = [(None, exp)]
+    if args.sweep is None:
+        sweep, sub_exps = None, [(None, exp)]
     else:
         base = exp.to_dict()
+        sweep = load_sweep(args.sweep, base)
         sub_exps = [
             (value, build_config(apply_override(base, sweep.key, value),
                                  source=f"{args.sweep}: {sweep.key}={value}"))

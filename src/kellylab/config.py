@@ -490,7 +490,9 @@ class SweepSpec:
             raise ValueError("sweep values must be non-empty")
 
 
-def load_sweep(path) -> SweepSpec:
+def load_sweep(path, config: dict) -> SweepSpec:
+    """Parse a sweep over `config` (a to_dict() mapping); a key whose parent
+    blocks are missing there fails at the key's line."""
     with open(path) as fh:
         text = fh.read()
     data, lines = _load_yaml(text, str(path))
@@ -498,7 +500,12 @@ def load_sweep(path) -> SweepSpec:
     spec = _read(data, "", ctx, _SWEEP)
     if not isinstance(spec["values"], list) or not spec["values"]:
         ctx.fail("values", "expected a non-empty list")
-    return _build(SweepSpec, "", ctx, **spec)
+    sweep = _build(SweepSpec, "", ctx, **spec)
+    try:
+        apply_override(config, sweep.key, None)
+    except ConfigError as exc:
+        ctx.fail("key", exc.message)
+    return sweep
 
 
 def apply_override(data: dict, dotted_key: str, value) -> dict:

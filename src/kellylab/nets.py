@@ -75,7 +75,8 @@ class Dense:
             return np.maximum(z, 0.0)
         return z
 
-    def backward(self, d_out):
+    def backward(self, d_out, input_grad=True):
+        """Accumulate W and b gradients; return the input gradient if asked."""
         if self.activation == "tanh":
             dz = d_out * (1.0 - self._out**2)
         elif self.activation == "relu":
@@ -84,7 +85,7 @@ class Dense:
             dz = d_out
         self.W.grad += self._x.T @ dz
         self.b.grad += dz.sum(axis=0)
-        return dz @ self.W.value.T
+        return dz @ self.W.value.T if input_grad else None
 
 
 class _Stack:
@@ -104,10 +105,11 @@ class _Stack:
             x = layer.forward(x)
         return x
 
-    def backward(self, d_out):
-        for layer in reversed(self.layers):
+    def backward(self, d_out, input_grad=False):
+        """Backpropagate; the first layer's input gradient only on request."""
+        for layer in reversed(self.layers[1:]):
             d_out = layer.backward(d_out)
-        return d_out
+        return self.layers[0].backward(d_out, input_grad)
 
 
 class _NetBase:
@@ -117,14 +119,15 @@ class _NetBase:
     order; each Param's value and grad are views into them, made once at
     construction. A view keeps its array's memory order (orthogonal() gives
     an F-ordered W when n_in < n_out), so matmuls and per-parameter sums see
-    the same layouts as separately allocated arrays.
+    the same layouts as separately allocated arrays. `_params` keeps the
+    params() list for the per-minibatch gradient norm.
     """
 
     def params(self):
         raise NotImplementedError
 
     def _flatten(self):
-        params = self.params()
+        params = self._params = self.params()
         self.flat = np.concatenate([p.value.ravel(order="K") for p in params])
         self.flat_grad = np.zeros_like(self.flat)
         offset = 0
@@ -266,7 +269,7 @@ class ContextPolicyNet(_NetBase):
     def backward(self, d_mean, d_value):
         d_shared = self.actor.backward(d_mean)
         d_shared += self.critic.backward(d_value[:, None])
-        d_prod = self.shared.backward(d_shared)
+        d_prod = self.shared.backward(d_shared, input_grad=True)
         self.feature.backward(d_prod * self._regime_out)
         self.regime.backward(d_prod * self._feat_out)
 
@@ -352,7 +355,8 @@ class Adam:
 def global_grad_norm(params) -> float:
     total = 0.0
     for p in params:
-        total += float(np.sum(p.grad**2))
+        g = p.grad
+        total += float((g * g).sum())
     return math.sqrt(total)
 
 
@@ -362,7 +366,7 @@ def clip_grad_norm(net, max_norm: float) -> float:
     The norm sums squares one parameter at a time, in params() order, so it
     is written to the training logs bit for bit. Returns the pre-clip norm.
     """
-    norm = global_grad_norm(net.params())
+    norm = global_grad_norm(net._params)
     if max_norm > 0 and norm > max_norm:
         net.flat_grad *= max_norm / norm
     return norm

@@ -185,101 +185,79 @@ class MiniBatch(NamedTuple):
     contexts: np.ndarray = None
 
 
-def gaussian_log_prob(mean, log_std, actions) -> np.ndarray:
-    """Row-wise log density of a diagonal Gaussian."""
-    diff = (actions - mean) / np.exp(log_std)
-    return (
-        -0.5 * (diff**2).sum(axis=1) - log_std.sum() - 0.5 * mean.shape[1] * _LOG_2PI
-    )
-
-
-def gaussian_entropy(log_std) -> float:
-    return float(np.sum(log_std) + 0.5 * log_std.shape[0] * (_LOG_2PI + 1.0))
-
-
 def _forward(net, batch: MiniBatch):
     if batch.contexts is None:
         return net.forward(batch.observations)
     return net.forward(batch.observations, batch.contexts)
 
 
-def loss_terms(net, batch: MiniBatch, config: TrainConfig) -> dict:
-    """Forward pass and every loss component, no gradients touched."""
+def loss_and_grads(net, batch: MiniBatch, config: TrainConfig) -> dict:
+    """Forward pass, every loss term, and analytic gradients accumulated into
+    the net's params, in one pass.
+
+    Row-wise log density: -0.5 sum(((a - mean) / std)^2) - sum(log_std)
+    - 0.5 d log(2 pi), evaluated left to right; the entropy is sum(log_std)
+    + 0.5 d (log(2 pi) + 1). The per-sample policy gradient through the ratio
+    is zeroed exactly when the clipped branch is active: (A > 0 and
+    rho > 1 + eps) or (A < 0 and rho < 1 - eps); ties at the boundary keep
+    the unclipped branch.
+    """
     mean, value = _forward(net, batch)
     log_std = net.log_std.value
-    log_probs = gaussian_log_prob(mean, log_std, batch.actions)
+    log_std_sum = log_std.sum()
+    std = np.exp(log_std)
+    diff = (batch.actions - mean) / std
+    diff2 = diff**2
+    log_probs = (
+        -0.5 * diff2.sum(axis=1) - log_std_sum - 0.5 * mean.shape[1] * _LOG_2PI
+    )
     ratio = np.exp(log_probs - batch.old_log_probs)
     adv = batch.advantages
+    n = len(adv)
 
     if config.algo == "a2c":
-        policy_loss = -float(np.mean(log_probs * adv))
-    elif config.clipping_enabled:
-        eps = config.clip_range
-        unclipped = ratio * adv
-        clipped = np.clip(ratio, 1.0 - eps, 1.0 + eps) * adv
-        policy_loss = -float(np.mean(np.minimum(unclipped, clipped)))
+        policy_loss = -(float((log_probs * adv).sum()) / n)
+        d_log_probs = -adv / n
     else:
-        policy_loss = -float(np.mean(ratio * adv))
+        surrogate = ratio * adv
+        if config.clipping_enabled:
+            eps = config.clip_range
+            clipped = np.minimum(np.maximum(ratio, 1.0 - eps), 1.0 + eps) * adv
+            policy_loss = -(float(np.minimum(surrogate, clipped).sum()) / n)
+            surrogate = surrogate * (surrogate <= clipped)
+        else:
+            policy_loss = -(float(surrogate.sum()) / n)
+        d_log_probs = -surrogate / n
 
-    value_loss = float(np.mean((value - batch.returns) ** 2))
-    entropy = gaussian_entropy(log_std)
+    value_err = value - batch.returns
+    value_loss = float((value_err**2).sum()) / n
+    entropy = float(log_std_sum + 0.5 * log_std.shape[0] * (_LOG_2PI + 1.0))
     total = (
         policy_loss
         + config.value_coef * value_loss
         - config.entropy_coef * entropy
     )
+    ratio_step = ratio - 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        kl_terms = (ratio - 1.0) - np.log(ratio)
-    return {
-        "mean": mean,
-        "value": value,
-        "log_probs": log_probs,
-        "ratio": ratio,
-        "policy_loss": policy_loss,
-        "value_loss": value_loss,
-        "entropy": entropy,
-        "loss": total,
-        "approx_kl": float(np.mean(kl_terms)),
-        "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > config.clip_range)),
-    }
+        kl_terms = ratio_step - np.log(ratio)
+    clipped_out = int(np.count_nonzero(np.abs(ratio_step) > config.clip_range))
 
-
-def loss_and_grads(net, batch: MiniBatch, config: TrainConfig) -> dict:
-    """Loss terms plus analytic gradients accumulated into net params.
-
-    The per-sample policy gradient through the ratio is zeroed exactly when
-    the clipped branch is active: (A > 0 and rho > 1 + eps) or (A < 0 and
-    rho < 1 - eps); ties at the boundary keep the unclipped branch.
-    """
-    terms = loss_terms(net, batch, config)
-    mean, value = terms["mean"], terms["value"]
-    ratio = terms["ratio"]
-    adv = batch.advantages
-    n = len(adv)
-    log_std = net.log_std.value
-    std = np.exp(log_std)
-
-    if config.algo == "a2c":
-        d_log_probs = -adv / n
-    elif config.clipping_enabled:
-        eps = config.clip_range
-        unclipped = ratio * adv
-        clipped = np.clip(ratio, 1.0 - eps, 1.0 + eps) * adv
-        flows = unclipped <= clipped
-        d_log_probs = -(adv * ratio * flows) / n
-    else:
-        d_log_probs = -(adv * ratio) / n
-
-    diff = (batch.actions - mean) / std
     d_mean = d_log_probs[:, None] * diff / std
-    d_log_std = np.sum(d_log_probs[:, None] * (diff**2 - 1.0), axis=0)
+    d_log_std = np.sum(d_log_probs[:, None] * (diff2 - 1.0), axis=0)
     d_log_std -= config.entropy_coef  # d(-coef * entropy)/d log_std
-    d_value = config.value_coef * 2.0 * (value - batch.returns) / n
+    d_value = config.value_coef * 2.0 * value_err / n
 
     net.zero_grads()
     net.backward(d_mean, d_value)
     net.log_std.grad += d_log_std
-    return terms
+    return {
+        "policy_loss": policy_loss,
+        "value_loss": value_loss,
+        "entropy": entropy,
+        "loss": total,
+        "approx_kl": float(kl_terms.sum()) / n,
+        "clip_fraction": clipped_out / n,
+    }
 
 
 def act_and_value(net, observation, rng=None, deterministic=False, context=None):
@@ -298,7 +276,7 @@ def act_and_value(net, observation, rng=None, deterministic=False, context=None)
         if rng is None:
             raise ValueError("stochastic sampling needs an rng")
         action = mean + std * rng.standard_normal(mean.shape[0])
-    # gaussian_log_prob of the one row, in its order of operations
+    # loss_and_grads' log density of the one row, in its order of operations
     diff = (action - mean) / std
     log_prob = (
         -0.5 * float((diff**2).sum()) - float(log_std.sum())
@@ -308,12 +286,15 @@ def act_and_value(net, observation, rng=None, deterministic=False, context=None)
 
 
 def _normalized(advantages, enabled: bool) -> np.ndarray:
-    if not enabled or advantages.shape[0] < 2:
+    """(a - mean) / std(ddof=1), bit for bit, with the mean computed once."""
+    n = advantages.shape[0]
+    if not enabled or n < 2:
         return advantages
-    std = advantages.std(ddof=1)
+    dev = advantages - advantages.sum() / n
+    std = math.sqrt(float((dev * dev).sum()) / (n - 1))
     if std < 1e-8:
         return advantages
-    return (advantages - advantages.mean()) / std
+    return dev / std
 
 
 def _aggregate(diags: list, aborted: bool) -> dict:

@@ -235,7 +235,9 @@ def train(
         else None
     )
     reward_sum = 0.0
-    weight_rows = []
+    # the episode's weight rows so far (cash first), one row per step
+    weight_rows = np.empty((env.config.n_periods, n_assets + 1))
+    episode_steps = 0
     total = 0
 
     while total < config.total_steps:
@@ -250,11 +252,13 @@ def train(
             )
             total += 1
             reward_sum += result.reward
-            weight_rows.append(np.concatenate([[1.0 - action.sum()], action]))
+            weight_rows[episode_steps, 0] = 1.0 - action.sum()
+            weight_rows[episode_steps, 1:] = action
+            episode_steps += 1
 
             if result.done:
                 bankrupt = result.info["bankrupt"]
-                rows = np.asarray(weight_rows)
+                rows = weight_rows[:episode_steps]
                 mean_w = rows.mean(axis=0)
                 log.append(
                     EpisodeLogRow(
@@ -291,7 +295,7 @@ def train(
                         detector_sequences = []
                 obs = env.reset()
                 reward_sum = 0.0
-                weight_rows = []
+                episode_steps = 0
             else:
                 obs = result.observation
             if is_context:

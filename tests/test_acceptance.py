@@ -49,14 +49,13 @@ from kellylab.rl import (
     MiniBatch,
     TrainConfig,
     gae_advantages,
-    gaussian_log_prob,
     loss_and_grads,
 )
 from kellylab.rng import episode_stream, stream, HMM_STREAM, NET_INIT_STREAM
 from kellylab.training import EVAL_EPISODE_OFFSET, NetPolicy, evaluate, train
 
 from shipped import regime, shipped
-from test_rl import gradient_rel_error, random_case
+from test_rl import gaussian_log_prob, gradient_rel_error, random_case
 
 pytestmark = pytest.mark.acceptance
 

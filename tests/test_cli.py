@@ -445,6 +445,23 @@ def test_train_sweep(tmp_path):
     assert len(summary) == 3
 
 
+@pytest.mark.parametrize("key, message", [
+    ("algo2.gae_lambda", "no such config block 'algo2'"),
+    ("env.horizon_years.x", "'env.horizon_years' is not a mapping"),
+])
+def test_train_sweep_key_outside_the_config_names_the_sweep_line(
+        tmp_path, capsys, key, message):
+    config = write(tmp_path, "tiny.yaml", TINY)
+    sweep = write(tmp_path, "sweep.yaml", f"values: [0.5]\nkey: {key}\n")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config), "--out", str(out),
+                 "--sweep", str(sweep)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {sweep}:2: key: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_bad_configs_exit_with_errors(tmp_path, capsys):
     bad = write(tmp_path, "bad.yaml", TINY.replace("  eta: 0.0", "  eta: -1.0"))
     assert main(["solve", "--config", str(bad),

@@ -279,7 +279,8 @@ def test_baseline_block():
 
 
 def test_load_sweep_file():
-    sweep = load_sweep(CONFIG_DIR / "sweep_lambda.yaml")
+    config = load_config(CONFIG_DIR / "single_asset.yaml").to_dict()
+    sweep = load_sweep(CONFIG_DIR / "sweep_lambda.yaml", config)
     assert sweep.key == "algo.gae_lambda"
     assert sweep.values == [0.0, 0.5, 0.9, 0.95, 1.0]
 
@@ -289,13 +290,14 @@ def test_sweep_spec_validation(tmp_path):
         SweepSpec(key="lambda", values=[1])
     with pytest.raises(ValueError, match="non-empty"):
         SweepSpec(key="algo.gae_lambda", values=[])
+    config = load_config(CONFIG_DIR / "single_asset.yaml").to_dict()
     bad = tmp_path / "sweep.yaml"
     bad.write_text("key: algo.gae_lambda\nvalues: 3\n")
     with pytest.raises(ConfigError, match="non-empty list"):
-        load_sweep(bad)
+        load_sweep(bad, config)
     bad.write_text("key: algo.gae_lambda\nvalues: [1]\nwhy: not\n")
     with pytest.raises(ConfigError, match="unknown key 'why'"):
-        load_sweep(bad)
+        load_sweep(bad, config)
 
 
 def test_apply_override():

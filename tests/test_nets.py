@@ -132,6 +132,83 @@ def test_params_are_views_into_the_flat_vectors(make):
         assert first.grad.flags.f_contiguous
 
 
+def oracle_backward(net, d_mean, d_value):
+    """Backward pass that computes every layer's input gradient, as each
+    Dense did before the first layers of a stack stopped returning one."""
+
+    def dense(layer, d_out):
+        if layer.activation == "tanh":
+            dz = d_out * (1.0 - layer._out**2)
+        elif layer.activation == "relu":
+            dz = d_out * (layer._z > 0.0)
+        else:
+            dz = d_out
+        layer.W.grad += layer._x.T @ dz
+        layer.b.grad += dz.sum(axis=0)
+        return dz @ layer.W.value.T
+
+    def stack(chain, d_out):
+        for layer in reversed(chain.layers):
+            d_out = dense(layer, d_out)
+        return d_out
+
+    d_feat = dense(net.actor, d_mean)
+    d_feat += dense(net.critic, d_value[:, None])
+    if isinstance(net, PolicyNet):
+        return stack(net.trunk, d_feat)
+    d_prod = stack(net.shared, d_feat)
+    return (stack(net.feature, d_prod * net._regime_out),
+            stack(net.regime, d_prod * net._feat_out))
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: PolicyNet(5, 1, rng),
+    lambda rng: PolicyNet(184, 3, rng),
+    lambda rng: ContextPolicyNet(39, 3, 3, rng),
+    lambda rng: ContextPolicyNet(7, 2, 2, rng, feature_sizes=(8, 4),
+                                 regime_sizes=(6, 4), shared_sizes=(4, 4)),
+])
+def test_backward_matches_an_oracle_that_computes_every_input_gradient(make):
+    rng = np.random.default_rng(3)
+    net = make(rng)
+    rows = 64
+    obs = rng.normal(size=(rows, net.obs_dim))
+    inputs = (obs,) if isinstance(net, PolicyNet) else (
+        obs, rng.dirichlet(np.ones(net.context_dim), size=rows))
+    net.forward(*inputs)
+    d_mean = rng.normal(size=(rows, net.action_dim))
+    d_value = rng.normal(size=rows)
+    net.zero_grads()
+    net.backward(d_mean, d_value)
+    got = net.flat_grad.copy()
+    got_norm = clip_grad_norm(net, 0.0)
+    net.zero_grads()
+    oracle_backward(net, d_mean, d_value)
+    assert np.array_equal(got.view(np.int64), net.flat_grad.view(np.int64))
+    # the gradient norm, per parameter in params() order, as it was summed
+    want_norm = 0.0
+    for p in net.params():
+        want_norm += float(np.sum(p.grad**2))
+    assert got_norm == np.sqrt(want_norm)
+    if isinstance(net, ContextPolicyNet) and net.obs_dim == 39:
+        assert net.feature.layers[0].W.value.flags.f_contiguous
+
+
+def test_stack_input_gradient_only_on_request():
+    net = ContextPolicyNet(6, 2, 1, np.random.default_rng(4),
+                           feature_sizes=(8, 4), regime_sizes=(6, 4),
+                           shared_sizes=(4, 3))
+    rng = np.random.default_rng(5)
+    net.forward(rng.normal(size=(3, 6)), rng.dirichlet(np.ones(2), size=3))
+    d_out = rng.normal(size=(3, 3))
+    assert net.shared.backward(d_out) is None
+    d_in = net.shared.backward(d_out, input_grad=True)
+    want = d_out
+    for layer in reversed(net.shared.layers):
+        want = (want * (1.0 - layer._out**2)) @ layer.W.value.T
+    assert np.array_equal(d_in, want)
+
+
 def test_zero_grads():
     net = PolicyNet(3, 1, np.random.default_rng(0), hidden=(4,))
     for p in net.params():

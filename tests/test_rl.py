@@ -10,6 +10,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kellylab.nets import Adam, ContextPolicyNet, PolicyNet, clip_grad_norm
 from kellylab.rl import (
@@ -20,12 +22,21 @@ from kellylab.rl import (
     _normalized,
     act_and_value,
     gae_advantages,
-    gaussian_entropy,
-    gaussian_log_prob,
     loss_and_grads,
-    loss_terms,
     ppo_update,
 )
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and bit patterns, except that any NaN matches any NaN."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        return False
+    nan = np.isnan(a)
+    if not np.array_equal(nan, np.isnan(b)):
+        return False
+    return np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64))
 
 
 # -- GAE -----------------------------------------------------------------------
@@ -81,6 +92,21 @@ def test_gae_shape_mismatch():
 
 
 # -- Gaussian policy math --------------------------------------------------------
+
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+def gaussian_log_prob(mean, log_std, actions) -> np.ndarray:
+    """Row-wise log density of a diagonal Gaussian, in the order of
+    operations that loss_and_grads and act_and_value follow."""
+    diff = (actions - mean) / np.exp(log_std)
+    return (
+        -0.5 * (diff**2).sum(axis=1) - log_std.sum() - 0.5 * mean.shape[1] * _LOG_2PI
+    )
+
+
+def gaussian_entropy(log_std) -> float:
+    return float(np.sum(log_std) + 0.5 * log_std.shape[0] * (_LOG_2PI + 1.0))
 
 
 def test_gaussian_log_prob_matches_scipy():
@@ -140,14 +166,18 @@ def test_sample_action_moments():
 
 
 def fd_gradient(net, batch, config, h=1e-5):
-    """Central-difference gradient of the total loss over the flat params."""
+    """Central-difference gradient of the total loss over the flat params.
+
+    Each loss_and_grads call overwrites net.flat_grad, so callers copy the
+    analytic gradient first.
+    """
     flat0 = net.flat.copy()
     grad = np.empty_like(flat0)
     for i in range(flat0.size):
         net.flat[i] += h
-        up = loss_terms(net, batch, config)["loss"]
+        up = loss_and_grads(net, batch, config)["loss"]
         net.flat[i] -= 2.0 * h
-        down = loss_terms(net, batch, config)["loss"]
+        down = loss_and_grads(net, batch, config)["loss"]
         net.flat[i] = flat0[i]
         grad[i] = (up - down) / (2.0 * h)
     return grad
@@ -307,7 +337,286 @@ def test_a2c_gradient_equals_unclipped_ppo_at_ratio_one():
     assert np.array_equal(a2c_grad, ppo_grad)
 
 
+# -- the fused pass against the two-pass oracle -----------------------------------
+
+
+def loss_terms_oracle(net, batch, config):
+    """The separate loss pass that loss_and_grads absorbed, kept as its
+    oracle: forward pass and every loss component, no gradients touched."""
+    if batch.contexts is None:
+        mean, value = net.forward(batch.observations)
+    else:
+        mean, value = net.forward(batch.observations, batch.contexts)
+    log_std = net.log_std.value
+    log_probs = gaussian_log_prob(mean, log_std, batch.actions)
+    ratio = np.exp(log_probs - batch.old_log_probs)
+    adv = batch.advantages
+
+    if config.algo == "a2c":
+        policy_loss = -float(np.mean(log_probs * adv))
+    elif config.clipping_enabled:
+        eps = config.clip_range
+        unclipped = ratio * adv
+        clipped = np.clip(ratio, 1.0 - eps, 1.0 + eps) * adv
+        policy_loss = -float(np.mean(np.minimum(unclipped, clipped)))
+    else:
+        policy_loss = -float(np.mean(ratio * adv))
+
+    value_loss = float(np.mean((value - batch.returns) ** 2))
+    entropy = gaussian_entropy(log_std)
+    total = (
+        policy_loss
+        + config.value_coef * value_loss
+        - config.entropy_coef * entropy
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kl_terms = (ratio - 1.0) - np.log(ratio)
+    return {
+        "mean": mean,
+        "value": value,
+        "log_probs": log_probs,
+        "ratio": ratio,
+        "policy_loss": policy_loss,
+        "value_loss": value_loss,
+        "entropy": entropy,
+        "loss": total,
+        "approx_kl": float(np.mean(kl_terms)),
+        "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > config.clip_range)),
+    }
+
+
+def loss_and_grads_oracle(net, batch, config):
+    """The two-pass loss_and_grads: loss_terms_oracle, then the gradients
+    from a second evaluation of the ratio, std and clip branch."""
+    terms = loss_terms_oracle(net, batch, config)
+    mean, value = terms["mean"], terms["value"]
+    ratio = terms["ratio"]
+    adv = batch.advantages
+    n = len(adv)
+    log_std = net.log_std.value
+    std = np.exp(log_std)
+
+    if config.algo == "a2c":
+        d_log_probs = -adv / n
+    elif config.clipping_enabled:
+        eps = config.clip_range
+        unclipped = ratio * adv
+        clipped = np.clip(ratio, 1.0 - eps, 1.0 + eps) * adv
+        flows = unclipped <= clipped
+        d_log_probs = -(adv * ratio * flows) / n
+    else:
+        d_log_probs = -(adv * ratio) / n
+
+    diff = (batch.actions - mean) / std
+    d_mean = d_log_probs[:, None] * diff / std
+    d_log_std = np.sum(d_log_probs[:, None] * (diff**2 - 1.0), axis=0)
+    d_log_std -= config.entropy_coef
+    d_value = config.value_coef * 2.0 * (value - batch.returns) / n
+
+    net.zero_grads()
+    net.backward(d_mean, d_value)
+    net.log_std.grad += d_log_std
+    return terms
+
+
+def normalized_oracle(advantages, enabled):
+    """_normalized in its numpy form: two means and a numpy std."""
+    if not enabled or advantages.shape[0] < 2:
+        return advantages
+    std = advantages.std(ddof=1)
+    if std < 1e-8:
+        return advantages
+    return (advantages - advantages.mean()) / std
+
+
+ALGOS = {
+    "ppo": dict(algo="ppo"),
+    "ppo-unclipped": dict(algo="ppo", clipping_enabled=False),
+    "a2c": dict(algo="a2c"),
+}
+
+
+def drawn_case(seed, algo, context, rows, action_dim, entropy_coef,
+               normalize, spread, extreme):
+    """A (net, batch, config) triple from one seed and the drawn shape.
+
+    `spread` scales the log-ratio offsets; `extreme` pushes some ratios to
+    underflow ("underflow", so log(ratio) is -inf) or overflow, or puts a
+    NaN into one batch array ("nan", the abort path).
+    """
+    rng = np.random.default_rng(seed)
+    config = TrainConfig(
+        total_steps=1, learning_rate=1e-3, rollout_steps=rows,
+        batch_size=rows, n_epochs=1, clip_range=float(rng.choice([0.1, 0.2])),
+        value_coef=float(rng.choice([0.5, 1.0])), entropy_coef=entropy_coef,
+        advantage_normalization=normalize, **ALGOS[algo],
+    )
+    obs_dim = int(rng.integers(1, 7))
+    if context:
+        net = ContextPolicyNet(
+            obs_dim, 2, action_dim, rng,
+            init_log_std=float(rng.uniform(-2.0, 1.0)),
+            feature_sizes=(8, 4), regime_sizes=(6, 4), shared_sizes=(5,),
+        )
+        contexts = rng.dirichlet(np.ones(2), size=rows)
+    else:
+        net = PolicyNet(obs_dim, action_dim, rng,
+                        init_log_std=float(rng.uniform(-2.0, 1.0)),
+                        hidden=(8, 6))
+        contexts = None
+    observations = rng.normal(size=(rows, obs_dim))
+    actions = rng.normal(size=(rows, action_dim))
+    log_probs = rng.normal(size=rows)
+    offsets = spread * rng.normal(size=rows)
+    if extreme in ("underflow", "overflow"):
+        hit = rng.random(rows) < 0.5
+        hit[0] = True
+        offsets[hit] = 800.0 if extreme == "underflow" else -800.0
+    advantages = rng.normal(size=rows) * 10.0 ** rng.uniform(-3, 3)
+    arrays = dict(observations=observations, actions=actions,
+                  old_log_probs=log_probs + offsets, advantages=advantages,
+                  returns=rng.normal(size=rows), contexts=contexts)
+    if extreme == "nan":
+        name = str(rng.choice(["observations", "actions", "old_log_probs",
+                               "advantages", "returns"]))
+        arrays[name].flat[int(rng.integers(arrays[name].size))] = np.nan
+    arrays["advantages"] = normalized_oracle(arrays["advantages"], normalize)
+    return net, MiniBatch(**arrays), config
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    algo=st.sampled_from(sorted(ALGOS)),
+    context=st.booleans(),
+    rows=st.integers(1, 12),
+    action_dim=st.integers(1, 3),
+    entropy_coef=st.sampled_from([0.0, 0.01, 0.5]),
+    normalize=st.booleans(),
+    spread=st.sampled_from([0.0, 0.05, 0.5, 5.0]),
+    extreme=st.sampled_from([None, "underflow", "overflow", "nan"]),
+)
+def test_fused_loss_and_grads_matches_the_two_pass_oracle(
+        seed, algo, context, rows, action_dim, entropy_coef, normalize,
+        spread, extreme):
+    net, batch, config = drawn_case(seed, algo, context, rows, action_dim,
+                                    entropy_coef, normalize, spread, extreme)
+    want = loss_and_grads_oracle(net, batch, config)
+    want_grad = net.flat_grad.copy()
+    net.flat_grad.fill(np.pi)  # the fused pass must zero what it accumulates
+    got = loss_and_grads(net, batch, config)
+    # the oracle also returned its forward arrays, which nothing read
+    assert got.keys() == want.keys() - {"mean", "value", "log_probs", "ratio"}
+    for key in got:
+        assert same_bits(got[key], want[key]), key
+        assert type(got[key]) is type(want[key]), key
+    assert same_bits(net.flat_grad, want_grad)
+    if extreme == "underflow":
+        assert got["approx_kl"] == np.inf  # log(0) = -inf, silenced
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", ["ppo", "ppo-unclipped", "a2c", "entropy",
+                                  "unnormalized", "context", "nan"])
+def test_ppo_update_matches_the_two_pass_oracle_loop(case):
+    """Whole updates, diagnostics and parameters, against the pre-fusion
+    update loop built from the oracles above."""
+    algo = case if case in ALGOS else "ppo"
+    context_dim = 2 if case == "context" else None
+
+    def setup():
+        rng = np.random.default_rng(31)
+        if context_dim:
+            net = ContextPolicyNet(5, 2, 2, rng, feature_sizes=(8, 4),
+                                   regime_sizes=(4, 4), shared_sizes=(4,))
+        else:
+            net = PolicyNet(5, 2, rng, hidden=(8, 8))
+        buffer = RolloutBuffer(24, 5, 2, context_dim=context_dim)
+        for i in range(24):
+            buffer.add(rng.normal(size=5), rng.normal(size=2),
+                       float(rng.normal(-2.0, 0.3)), float(rng.normal()),
+                       float(rng.normal()), i % 10 == 9,
+                       context=rng.dirichlet(np.ones(2)) if context_dim else None)
+        buffer.compute_advantages(0.3, 0.99, 0.9)
+        if case == "nan":
+            buffer.returns[17] = np.nan
+        return net, buffer
+
+    config = TrainConfig(
+        total_steps=24, learning_rate=1e-2, rollout_steps=24, batch_size=8,
+        n_epochs=3, entropy_coef=0.05 if case == "entropy" else 0.0,
+        advantage_normalization=case != "unnormalized", **ALGOS[algo],
+    )
+    net, buffer = setup()
+    oracle_net, oracle_buffer = setup()
+    optimizer, oracle_optimizer = Adam(net, 1e-2), Adam(oracle_net, 1e-2)
+    rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
+    a2c = config.algo == "a2c"
+    batch_size = buffer.size if a2c else config.batch_size
+    for _update in range(3):
+        got = ppo_update(net, buffer, config, optimizer, rng)
+        diags, aborted = [], False
+        for _epoch in range(config.effective_epochs):
+            order = (np.arange(buffer.size) if a2c
+                     else oracle_rng.permutation(buffer.size))
+            for start in range(0, buffer.size, batch_size):
+                idx = order[start:start + batch_size]
+                b = oracle_buffer
+                batch = MiniBatch(
+                    b.observations[idx], b.actions[idx], b.log_probs[idx],
+                    normalized_oracle(b.advantages[idx],
+                                      config.advantage_normalization),
+                    b.returns[idx],
+                    None if b.contexts is None else b.contexts[idx])
+                terms = loss_and_grads_oracle(oracle_net, batch, config)
+                terms["grad_norm"] = clip_grad_norm(oracle_net,
+                                                    config.max_grad_norm)
+                if not (math.isfinite(terms["loss"])
+                        and math.isfinite(terms["grad_norm"])):
+                    aborted = True
+                    break
+                oracle_optimizer.step()
+                oracle_net.clamp_log_std()
+                diags.append(terms)
+            if aborted:
+                break
+        want = _aggregate(diags, aborted)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert same_bits(got[key], want[key]), key
+        assert same_bits(net.flat, oracle_net.flat)
+        assert same_bits(net.flat_grad, oracle_net.flat_grad)
+    assert got["aborted"] == (case == "nan")
+
+
 # -- advantage normalization ------------------------------------------------------
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 300),
+    offset=st.floats(-1e6, 1e6),
+    log_scale=st.floats(-6.0, 6.0),
+    constant=st.booleans(),
+)
+@example(seed=0, n=2, offset=0.0, log_scale=0.0, constant=False)
+@example(seed=0, n=2, offset=3.5, log_scale=0.0, constant=True)
+@example(seed=1, n=64, offset=1e6, log_scale=-6.0, constant=False)
+def test_normalized_matches_numpy_mean_and_std_bitwise(seed, n, offset,
+                                                       log_scale, constant):
+    rng = np.random.default_rng(seed)
+    if constant:
+        adv = np.full(n, offset)
+    else:
+        adv = offset + 10.0**log_scale * rng.standard_normal(n)
+    got = _normalized(adv, True)
+    std = adv.std(ddof=1)
+    if std < 1e-8:
+        assert got is adv
+    else:
+        assert same_bits(got, (adv - adv.mean()) / std)
 
 
 def test_normalization_post_conditions():

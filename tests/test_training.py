@@ -186,6 +186,66 @@ def test_train_is_bitwise_reproducible():
         assert da["grad_norm"] == db["grad_norm"]
 
 
+def recording_factory(config, episodes):
+    """Env factory whose env records each step's action, one list per
+    episode, so a test can rebuild the training log from the actions."""
+
+    def make(seed):
+        env = PortfolioEnv(config, seed)
+        step = env.step
+
+        def recording_step(action):
+            if not episodes or episodes[-1][1] is not None:
+                episodes.append(([], None))
+            episodes[-1][0].append(np.array(action, copy=True))
+            result = step(action)
+            if result.done:
+                episodes[-1] = (episodes[-1][0], result.info["bankrupt"])
+            return result
+
+        env.step = recording_step
+        return env
+
+    return make
+
+
+@pytest.mark.parametrize("case", ["split", "bankrupt"])
+def test_training_log_weights_match_the_per_step_concatenate_oracle(case):
+    if case == "split":
+        # 16-step episodes, 12-step rollouts: episodes span two rollouts
+        config = make_config()
+        ppo = small_ppo(60, rollout_steps=12, batch_size=4)
+        init_log_std = -1.0
+    else:
+        # a crashing stock and wide action noise bankrupt episodes early
+        config = make_config(mu=-50.0, sigma=0.5)
+        ppo = small_ppo(64, rollout_steps=16, batch_size=8)
+        init_log_std = 2.0
+    net = PolicyNet(config.observation_dim, 1, np.random.default_rng(5),
+                    init_log_std=init_log_std, hidden=(8,))
+    episodes = []
+    result = train(recording_factory(config, episodes), net, ppo, seed=2)
+    finished = [(actions, bankrupt) for actions, bankrupt in episodes
+                if bankrupt is not None]
+    assert len(result.log) == len(finished) >= 2
+    lengths = [len(actions) for actions, _ in finished]
+    if case == "split":
+        assert lengths[0] == 16 and 16 % ppo.rollout_steps
+    else:
+        assert any(bankrupt for _, bankrupt in finished)
+        assert min(lengths) < config.n_periods
+    for row, (actions, bankrupt) in zip(result.log, finished):
+        rows = np.asarray(
+            [np.concatenate([[1.0 - a.sum()], a]) for a in actions])
+        mean_w = rows.mean(axis=0)
+        mad_w = np.mean(np.abs(rows - mean_w), axis=0)
+        assert row.bankrupt == bankrupt
+        assert np.array_equal(row.mean_weights.view(np.int64),
+                              mean_w.view(np.int64))
+        assert np.array_equal(row.mad_weights.view(np.int64),
+                              mad_w.view(np.int64))
+
+
 def test_train_rejects_mismatched_observation_dim():
     config = make_config()
     net = PolicyNet(config.observation_dim + 1, 1, np.random.default_rng(0),
