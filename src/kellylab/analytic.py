@@ -72,13 +72,6 @@ def expected_growth(w, params: MarketParams) -> float:
     )
 
 
-def fractional_weights(w_star, f: float) -> WeightVector:
-    """Scale the stock legs by f in (0, 1]; cash absorbs the remainder."""
-    if not 0.0 < f <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {f}")
-    return WeightVector(f * _stocks_of(w_star))
-
-
 def stationary_distribution(P) -> np.ndarray:
     """Solve pi P = pi for an irreducible aperiodic chain (direct solve).
 

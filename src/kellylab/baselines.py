@@ -1,84 +1,34 @@
-"""Analytic baseline policies and the regime-baseline grid search.
+"""The analytic baseline policy and its grid search.
 
 Policies here are net-free: act(obs, env) returns target stock weights. The
-regime-switching baseline reads the true regime label from the simulator
-(foresight) by default, which is the upper-bound comparison an agent is
-scored against; an inference-driven variant can be selected instead.
+one analytic policy is the foresight regime-switching baseline, which reads
+the true regime label from the simulator: the upper-bound comparison an
+agent is scored against. A single-regime market is its K = 1 case, where it
+holds fraction f of w* after an optional linear entry ramp.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import hmm as hmm_module
 from .analytic import optimal_weights
 from .env import EnvConfig, PortfolioEnv
 from .training import evaluate
-
-
-class FixedWeightPolicy:
-    """Rebalance to the same stock weights every period."""
-
-    kind = "fixed_weight"
-
-    def __init__(self, weights):
-        self.weights = np.atleast_1d(np.asarray(weights, dtype=np.float64))
-
-    def reset(self, env):
-        pass
-
-    def act(self, obs, env):
-        return self.weights
-
-
-class StaggeredPolicy:
-    """Ramp linearly from all-cash to the target over the first n periods.
-
-    At period k < n the target is (k+1)/n of the final weights; afterwards
-    the full weights. n = 1 recovers the fixed-weight policy.
-    """
-
-    kind = "staggered"
-
-    def __init__(self, weights, adjustment_periods: int):
-        if adjustment_periods < 1:
-            raise ValueError(
-                f"adjustment_periods must be >= 1, got {adjustment_periods}"
-            )
-        self.weights = np.atleast_1d(np.asarray(weights, dtype=np.float64))
-        self.adjustment_periods = int(adjustment_periods)
-        self._k = 0
-
-    def reset(self, env):
-        self._k = 0
-
-    def act(self, obs, env):
-        scale = min((self._k + 1) / self.adjustment_periods, 1.0)
-        self._k += 1
-        return scale * self.weights
 
 
 class RegimeSwitchingPolicy:
     """Hold fraction f of each regime's optimal weights, re-ramping on switches.
 
     targets[k] are the full-Kelly stock weights for regime k; the policy
-    holds f * targets[current regime], ramping over `adjustment_periods`
-    periods from the previous allocation whenever the regime label changes
-    (and at episode start, from all cash). The label comes from the true
-    simulator state when `use_true_regime` (the foresight baseline), else
-    from a fitted detector applied to the observation's return window.
+    holds f * targets[current regime], ramping linearly over
+    `adjustment_periods` periods from all cash whenever the true regime
+    label changes and at episode start: at period j < n of a ramp it holds
+    (j+1)/n of the target. With one regime and one period it rebalances to
+    f * w* every period.
     """
 
-    kind = "regime_switching"
-
-    def __init__(
-        self,
-        targets,
-        adjustment_periods: int = 1,
-        fraction: float = 1.0,
-        use_true_regime: bool = True,
-        detector=None,
-    ):
+    def __init__(self, targets, adjustment_periods: int = 1,
+                 fraction: float = 1.0):
         if adjustment_periods < 1:
             raise ValueError(
                 f"adjustment_periods must be >= 1, got {adjustment_periods}"
@@ -90,10 +40,6 @@ class RegimeSwitchingPolicy:
             raise ValueError("targets must be (n_regimes, n_assets)")
         self.adjustment_periods = int(adjustment_periods)
         self.fraction = float(fraction)
-        self.use_true_regime = use_true_regime
-        self.detector = detector
-        if not use_true_regime and detector is None:
-            raise ValueError("an inference-driven baseline needs a detector")
         self._k = 0
         self._regime = None
 
@@ -101,15 +47,8 @@ class RegimeSwitchingPolicy:
         self._k = 0
         self._regime = None
 
-    def _label(self, obs, env) -> int:
-        if self.use_true_regime:
-            return env.current_regime
-        return hmm_module.label_observation(
-            self.detector, obs, env.config.window, env.config.n_assets
-        )
-
     def act(self, obs, env):
-        label = self._label(obs, env)
+        label = env.current_regime
         if label != self._regime:
             self._regime = label
             self._k = 0

@@ -27,18 +27,12 @@ from . import __version__
 from . import hmm as hmm_module
 from .analytic import (
     expected_growth,
-    fractional_weights,
     optimal_weights,
     q_surface,
     stationary_distribution,
     switching_growth,
 )
-from .baselines import (
-    FixedWeightPolicy,
-    RegimeSwitchingPolicy,
-    StaggeredPolicy,
-    rs_baseline_grid_search,
-)
+from .baselines import RegimeSwitchingPolicy, rs_baseline_grid_search
 from .config import (
     CONFIG_FORMAT,
     BaselineConfig,
@@ -123,19 +117,8 @@ def _env_factory(exp: ExperimentConfig):
 def _baseline_policy(exp: ExperimentConfig):
     """The analytic comparison policy the configuration describes."""
     bcfg = exp.baseline if exp.baseline is not None else BaselineConfig()
-    market = exp.market
-    if market.n_regimes == 1:
-        w = fractional_weights(optimal_weights(market.regimes[0]), bcfg.fraction)
-        if bcfg.adjustment_periods > 1:
-            return StaggeredPolicy(w.stocks, bcfg.adjustment_periods)
-        return FixedWeightPolicy(w.stocks)
-    targets = np.array([optimal_weights(reg).stocks for reg in market.regimes])
-    return RegimeSwitchingPolicy(
-        targets,
-        adjustment_periods=bcfg.adjustment_periods,
-        fraction=bcfg.fraction,
-        use_true_regime=True,
-    )
+    targets = np.array([optimal_weights(reg).stocks for reg in exp.market.regimes])
+    return RegimeSwitchingPolicy(targets, bcfg.adjustment_periods, bcfg.fraction)
 
 
 def _build_net(exp: ExperimentConfig, seed: int):

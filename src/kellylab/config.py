@@ -250,7 +250,6 @@ _RUN = {
 _BASELINE = {
     "fraction": "number",
     "adjustment_periods": "integer",
-    "use_true_regime": "boolean",
     "episodes_per_cell": "integer",
     "fractions": "numbers?",
     "adjustment_grid": "integers?",
@@ -322,7 +321,6 @@ class BaselineConfig:
 
     fraction: float = 1.0
     adjustment_periods: int = 1
-    use_true_regime: bool = True
     episodes_per_cell: int = 20
     fractions: tuple = None
     adjustment_grid: tuple = None

@@ -14,9 +14,7 @@ is decode's last state bit for bit. A model computes its Cholesky factors and
 log probabilities once, and its arrays are read-only so they cannot go stale.
 
 The fit works on raw, unlabelled returns, so its state indices are arbitrary
-(label switching): best_permutation() maps them onto simulator regimes, and
-accuracy() scores against the best label permutation so callers cannot get it
-wrong silently.
+(label switching): best_permutation() maps them onto simulator regimes.
 """
 
 import itertools
@@ -387,19 +385,6 @@ def best_permutation(predicted, true) -> np.ndarray:
             best_score = score
             best_perm = perm
     return np.asarray(best_perm, dtype=np.int64)
-
-
-def accuracy(predicted, true) -> float:
-    """Fraction of matching labels under the best label permutation.
-
-    Label indices from a fit are arbitrary, so the score is taken over all
-    relabelings of the predictions; pre-aligned labels are unaffected
-    (identity is always among the candidates).
-    """
-    predicted = np.asarray(predicted, dtype=np.int64)
-    true = np.asarray(true, dtype=np.int64)
-    perm = best_permutation(predicted, true)
-    return float(np.mean(perm[predicted] == true))
 
 
 def save(model: GaussianHmmModel, path):

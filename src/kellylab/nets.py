@@ -286,6 +286,21 @@ class ContextPolicyNet(_NetBase):
         }
 
 
+def _layer_sizes(config: dict, field: str, default) -> tuple:
+    """A header's hidden-layer widths: a nonempty list of positive integers."""
+    sizes = config.get(field, default)
+    if (
+        not isinstance(sizes, (list, tuple))
+        or not sizes
+        or not all(type(s) is int and s > 0 for s in sizes)
+    ):
+        raise CheckpointError(
+            f"net field {field!r} must be a nonempty list of positive layer "
+            f"widths, got {sizes!r}"
+        )
+    return tuple(sizes)
+
+
 def build_net(config: dict, rng=None):
     """Construct an uninitialized-by-seed net from a config_dict payload."""
     if rng is None:
@@ -297,7 +312,7 @@ def build_net(config: dict, rng=None):
             config["action_dim"],
             rng,
             init_log_std=config.get("init_log_std", 0.0),
-            hidden=tuple(config.get("hidden", (64, 64))),
+            hidden=_layer_sizes(config, "hidden", (64, 64)),
         )
     if kind == "context_policy":
         return ContextPolicyNet(
@@ -306,9 +321,9 @@ def build_net(config: dict, rng=None):
             config["action_dim"],
             rng,
             init_log_std=config.get("init_log_std", 0.0),
-            feature_sizes=tuple(config.get("feature_sizes", (256, 128, 64))),
-            regime_sizes=tuple(config.get("regime_sizes", (64, 64, 64))),
-            shared_sizes=tuple(config.get("shared_sizes", (64, 64))),
+            feature_sizes=_layer_sizes(config, "feature_sizes", (256, 128, 64)),
+            regime_sizes=_layer_sizes(config, "regime_sizes", (64, 64, 64)),
+            shared_sizes=_layer_sizes(config, "shared_sizes", (64, 64)),
         )
     raise CheckpointError(f"unknown net kind {kind!r}")
 
@@ -415,7 +430,5 @@ def load_checkpoint(path):
                     )
                 p.value[...] = stored
     except (KeyError, OSError, ValueError) as exc:
-        if isinstance(exc, CheckpointError):
-            raise
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     return net, meta

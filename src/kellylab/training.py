@@ -25,21 +25,17 @@ from .rng import ACTION_STREAM, HMM_STREAM, UPDATE_STREAM, stream
 
 
 class NetPolicy:
-    """Evaluation wrapper: act with the policy mean (or sampled actions).
+    """Evaluation wrapper: act with the policy mean.
 
     A context net reads its regime context from its frozen detector, which
     it must be given.
     """
 
-    def __init__(self, net, detector=None, deterministic=True, rng=None):
+    def __init__(self, net, detector=None):
         if isinstance(net, ContextPolicyNet) and detector is None:
             raise ValueError("a context policy needs its fitted regime detector")
         self.net = net
         self.detector = detector
-        self.deterministic = deterministic
-        self.rng = rng
-        if not deterministic and rng is None:
-            raise ValueError("stochastic evaluation needs an rng")
 
     def reset(self, env):
         pass
@@ -55,8 +51,7 @@ class NetPolicy:
                 self.net.context_dim,
             )
         action, _, _ = act_and_value(
-            self.net, obs, self.rng, deterministic=self.deterministic,
-            context=context,
+            self.net, obs, deterministic=True, context=context
         )
         return action
 
@@ -317,16 +312,12 @@ def train(
     return TrainResult(net=net, log=log, detector=detector, updates=updates)
 
 
-def write_training_log(log_rows, path, n_weights: int = None):
+def write_training_log(log_rows, path, n_weights: int):
     """CSV export of per-episode training rows (repr-precision floats).
 
-    Pass n_weights (cash + stocks) to write a header-only file for a run
-    that finished no episode.
+    n_weights (cash + stocks) sizes the header, so a run that finished no
+    episode still gets a header-only file.
     """
-    if not log_rows and n_weights is None:
-        raise ValueError("empty training log and no n_weights for the header")
-    if log_rows:
-        n_weights = len(log_rows[0].mean_weights)
     header = (
         ["episode", "steps"]
         + [f"mean_w{i}" for i in range(n_weights)]

@@ -40,7 +40,7 @@ from kellylab.analytic import (
     stationary_distribution,
     switching_growth,
 )
-from kellylab.baselines import FixedWeightPolicy
+from kellylab.baselines import RegimeSwitchingPolicy
 from kellylab.env import EnvConfig, PortfolioEnv
 from kellylab.impact import ImpactParams, trade_cost
 from kellylab.market import RegimeModel, generate_path, rescale_transition
@@ -142,7 +142,7 @@ def test_criterion_04_monte_carlo_baseline():
     exp = shipped("etf3")
     params = exp.env.market.regimes[0]
     w_star = optimal_weights(params)
-    policy = FixedWeightPolicy(w_star.stocks)
+    policy = RegimeSwitchingPolicy(w_star.stocks[None])
     result = evaluate(
         policy,
         lambda seed: PortfolioEnv(exp.env, seed),
@@ -210,7 +210,7 @@ def test_baseline_large_sample_diagnostic():
     w_star = optimal_weights(params)
     target = expected_growth(w_star, params)
     result = evaluate(
-        FixedWeightPolicy(w_star.stocks),
+        RegimeSwitchingPolicy(w_star.stocks[None]),
         lambda seed: PortfolioEnv(exp.env, seed),
         n_episodes=400,
         seed=0,

@@ -6,13 +6,12 @@ import pytest
 from kellylab.analytic import (
     WeightVector,
     expected_growth,
-    fractional_weights,
     optimal_weights,
     q_surface,
     stationary_distribution,
     switching_growth,
 )
-from kellylab.baselines import FixedWeightPolicy
+from kellylab.baselines import RegimeSwitchingPolicy
 from kellylab.env import EnvConfig, PortfolioEnv
 from kellylab.impact import ImpactParams
 from kellylab.market import MarketParams, RegimeModel
@@ -114,20 +113,6 @@ def test_singular_covariance_is_rejected():
         optimal_weights(params)
 
 
-def test_fractional_weights_scale_stocks_only():
-    w = fractional_weights(np.array([2.0]), 0.5)
-    assert w.stocks[0] == 1.0
-    assert w.cash == 0.0
-    assert expected_growth(w, regime("single_asset")) == pytest.approx(
-        0.10, abs=1e-14
-    )
-    same = fractional_weights(WeightVector(np.array([2.0])), 1.0)
-    assert same.stocks[0] == 2.0
-    for bad in (0.0, -0.2, 1.5):
-        with pytest.raises(ValueError, match="fraction"):
-            fractional_weights(np.array([2.0]), bad)
-
-
 def test_fractional_frontier_identity():
     # L(f w) - r = f (L(w) - r) + f (1 - f) w' Sigma w / 2 for every w
     params = regime("etf3")
@@ -150,7 +135,7 @@ def test_portfolio_volatility_scales_linearly_with_fraction():
     w = optimal_weights(params).stocks
     vol = np.sqrt(w @ sigma @ w)
     for f in (0.2, 0.5, 0.8):
-        fw = fractional_weights(w, f).stocks
+        fw = f * w
         assert np.sqrt(fw @ sigma @ fw) == pytest.approx(f * vol, rel=1e-12)
 
 
@@ -275,7 +260,7 @@ def test_simulated_growth_matches_analytic_growth():
         market=RegimeModel.single(params),
         impact=ImpactParams(0.0, 0.0),
     )
-    policy = FixedWeightPolicy(np.array([2.0]))
+    policy = RegimeSwitchingPolicy(np.array([[2.0]]))
     result = evaluate(policy, lambda seed: PortfolioEnv(config, seed),
                       n_episodes=200, seed=0)
     assert result.bankruptcies == 0

@@ -1,18 +1,17 @@
-"""Baseline policies and the regime-baseline grid search."""
+"""The analytic baseline policy and the regime-baseline grid search."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kellylab.analytic import optimal_weights
 from kellylab.baselines import (
-    FixedWeightPolicy,
     GridSearchResult,
     RegimeSwitchingPolicy,
-    StaggeredPolicy,
     rs_baseline_grid_search,
 )
 from kellylab.env import EnvConfig, PortfolioEnv
-from kellylab.hmm import GaussianHmmModel
 from kellylab.impact import ImpactParams
 from kellylab.market import MarketParams, RegimeModel
 from kellylab.training import evaluate
@@ -23,17 +22,34 @@ from shipped import regime, shipped
 class FakeEnv:
     """Just enough of the env surface for policy label/ramp logic."""
 
-    def __init__(self, config=None, regime=0):
-        self.config = config
+    def __init__(self, regime=0):
         self.current_regime = regime
 
 
+class StaggeredPolicy:
+    """Oracle for the one-regime ramp: (k+1)/n of the weights at period k < n.
+
+    The schedule a single-regime RegimeSwitchingPolicy at fraction 1 must
+    reproduce bit for bit.
+    """
+
+    def __init__(self, weights, adjustment_periods: int):
+        self.weights = np.asarray(weights, dtype=np.float64)
+        self.adjustment_periods = adjustment_periods
+        self._k = 0
+
+    def act(self):
+        scale = min((self._k + 1) / self.adjustment_periods, 1.0)
+        self._k += 1
+        return scale * self.weights
+
+
 def small_env_config(market=None, horizon_years=0.25, initial_wealth=1000.0,
-                     impact=None, window=2):
+                     impact=None):
     return EnvConfig(
         horizon_years=horizon_years,
         periods_per_year=256,
-        window=window,
+        window=2,
         initial_wealth=initial_wealth,
         market=market if market is not None else RegimeModel.single(
             regime("single_asset")
@@ -43,31 +59,63 @@ def small_env_config(market=None, horizon_years=0.25, initial_wealth=1000.0,
 
 
 def test_fixed_weight_policy_is_constant():
-    policy = FixedWeightPolicy(np.array([0.5, 0.2]))
+    # one regime and one period: rebalance to the same weights every period
+    policy = RegimeSwitchingPolicy(np.array([[0.5, 0.2]]))
+    env = FakeEnv()
+    policy.reset(env)
     for _ in range(3):
-        assert np.array_equal(policy.act(None, None), np.array([0.5, 0.2]))
+        assert np.array_equal(policy.act(None, env), np.array([0.5, 0.2]))
 
 
 def test_staggered_ramp_schedule():
-    policy = StaggeredPolicy(np.array([2.0]), 4)
-    targets = [float(policy.act(None, None)[0]) for _ in range(6)]
+    policy = RegimeSwitchingPolicy(np.array([[2.0]]), 4)
+    env = FakeEnv()
+    policy.reset(env)
+    targets = [float(policy.act(None, env)[0]) for _ in range(6)]
     assert targets == [0.5, 1.0, 1.5, 2.0, 2.0, 2.0]
     with pytest.raises(ValueError, match="adjustment_periods"):
-        StaggeredPolicy(np.array([1.0]), 0)
+        RegimeSwitchingPolicy(np.array([[1.0]]), 0)
 
 
 def test_staggered_with_one_period_is_fixed():
-    policy = StaggeredPolicy(np.array([1.5, -0.5]), 1)
-    assert np.array_equal(policy.act(None, None), np.array([1.5, -0.5]))
-    assert np.array_equal(policy.act(None, None), np.array([1.5, -0.5]))
+    policy = RegimeSwitchingPolicy(np.array([[1.5, -0.5]]), 1)
+    env = FakeEnv()
+    policy.reset(env)
+    assert np.array_equal(policy.act(None, env), np.array([1.5, -0.5]))
+    assert np.array_equal(policy.act(None, env), np.array([1.5, -0.5]))
 
 
 def test_staggered_reset_restarts_the_ramp():
-    policy = StaggeredPolicy(np.array([1.0]), 2)
-    assert policy.act(None, None)[0] == 0.5
-    assert policy.act(None, None)[0] == 1.0
-    policy.reset(None)
-    assert policy.act(None, None)[0] == 0.5
+    policy = RegimeSwitchingPolicy(np.array([[1.0]]), 2)
+    env = FakeEnv()
+    policy.reset(env)
+    assert policy.act(None, env)[0] == 0.5
+    assert policy.act(None, env)[0] == 1.0
+    policy.reset(env)
+    assert policy.act(None, env)[0] == 0.5
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    w=st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4),
+    fraction=st.floats(0.0, 1.0, exclude_min=True),
+    n=st.integers(1, 64),
+)
+def test_one_regime_actions_are_the_scaled_weights(w, fraction, n):
+    # every action is scale * f * w, in that order; at f = 1 it is the
+    # staggered-entry ramp bit for bit
+    w = np.array(w)
+    policy = RegimeSwitchingPolicy(w[None], n, fraction)
+    oracle = StaggeredPolicy(w, n)
+    env = FakeEnv()
+    policy.reset(env)
+    for k in range(n + 3):
+        scale = min((k + 1) / n, 1.0)
+        action = policy.act(None, env)
+        assert np.array_equal(action, scale * fraction * w)
+        staggered = oracle.act()
+        if fraction == 1.0:
+            assert np.array_equal(action, staggered)
 
 
 def test_regime_switching_ramps_toward_the_active_target():
@@ -103,30 +151,6 @@ def test_regime_switching_validation():
         RegimeSwitchingPolicy(targets, adjustment_periods=0)
     with pytest.raises(ValueError, match="n_regimes"):
         RegimeSwitchingPolicy(np.array([1.0, 0.5]))
-    with pytest.raises(ValueError, match="detector"):
-        RegimeSwitchingPolicy(targets, use_true_regime=False)
-
-
-def test_regime_switching_reads_a_detector():
-    # two sharply separated return states; the crafted window is clearly "up"
-    detector = GaussianHmmModel(
-        means=np.array([[-0.01], [0.01]]),
-        covariances=np.full((2, 1, 1), 1e-6),
-        transition=np.array([[0.9, 0.1], [0.1, 0.9]]),
-        initial=np.array([0.5, 0.5]),
-    )
-    targets = np.array([[0.0], [1.0]])
-    policy = RegimeSwitchingPolicy(
-        targets, use_true_regime=False, detector=detector
-    )
-    config = small_env_config(window=4)
-    env = FakeEnv(config=config, regime=0)
-    policy.reset(env)
-    obs = np.concatenate([np.exp(0.01 * np.arange(4)), [0.0, 1.0]])
-    assert policy.act(obs, env)[0] == 1.0
-    obs_down = np.concatenate([np.exp(-0.01 * np.arange(4)), [0.0, 1.0]])
-    policy.reset(env)
-    assert policy.act(obs_down, env)[0] == 0.0
 
 
 # -- grid search ---------------------------------------------------------------
@@ -209,6 +233,6 @@ def test_staggered_entry_beats_immediate_jump_at_high_wealth():
         impact=shipped("etf3").impact,
     )
     factory = lambda seed: PortfolioEnv(config, seed)
-    jump = evaluate(FixedWeightPolicy(w_star), factory, 10, 0)
-    staggered = evaluate(StaggeredPolicy(w_star, 64), factory, 10, 0)
+    jump = evaluate(RegimeSwitchingPolicy(w_star[None]), factory, 10, 0)
+    staggered = evaluate(RegimeSwitchingPolicy(w_star[None], 64), factory, 10, 0)
     assert staggered.mean_growth >= jump.mean_growth

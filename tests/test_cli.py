@@ -325,6 +325,29 @@ def test_evaluate_missing_checkpoint_creates_no_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_evaluate_checkpoint_with_empty_hidden_layers_fails_cleanly(
+        tmp_path, capsys):
+    config = write(tmp_path, "tiny.yaml", TINY)
+    train_out = tmp_path / "train"
+    assert main(["train", "--config", str(config), "--out", str(train_out)]) == 0
+    checkpoint = train_out / "seed0" / "checkpoint.npz"
+    arrays = dict(np.load(checkpoint))
+    meta = json.loads(arrays["meta_json"].tobytes())
+    meta["net"]["hidden"] = []
+    arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
+                                        dtype=np.uint8)
+    np.savez(checkpoint, **arrays)
+    capsys.readouterr()
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--config", str(config), "--out", str(out),
+                 "--checkpoint", str(checkpoint)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot read checkpoint {checkpoint}: ")
+    assert "net field 'hidden'" in err
+    assert not out.exists()
+
+
 def test_unexpected_errors_are_one_line(tmp_path, capsys, monkeypatch):
     def fail(args):
         raise RuntimeError("first line\nsecond line")

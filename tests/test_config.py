@@ -359,6 +359,16 @@ def test_run_output_dir_is_an_unknown_key():
         parse_config(MINIMAL + "run:\n  output_dir: runs/x\n")
 
 
+def test_baseline_use_true_regime_is_an_unknown_key():
+    # the baseline always reads the true regime; the key is no longer a knob
+    text = MINIMAL + "baseline:\n  fraction: 0.5\n  use_true_regime: true\n"
+    with pytest.raises(ConfigError, match="unknown key 'use_true_regime'") as info:
+        parse_config(text)
+    err = info.value
+    assert err.path == "baseline.use_true_regime"
+    assert err.line == text.splitlines().index("  use_true_regime: true") + 1
+
+
 def _maybe(draw, block, key, strategy):
     if draw(st.booleans()):
         block[key] = draw(strategy)
@@ -438,7 +448,6 @@ def valid_configs(draw):
         _maybe(draw, baseline, "fraction", st.floats(0.01, 1.0))
         for key in ("adjustment_periods", "episodes_per_cell"):
             _maybe(draw, baseline, key, counts)
-        _maybe(draw, baseline, "use_true_regime", st.booleans())
         _maybe(draw, baseline, "fractions",
                st.none() | st.lists(st.floats(0.01, 1.0), min_size=1,
                                     max_size=4))

@@ -15,7 +15,6 @@ from kellylab.errors import FitError
 from kellylab.hmm import (
     GaussianHmmModel,
     HmmFitConfig,
-    accuracy,
     best_permutation,
     decode,
     fit,
@@ -23,6 +22,19 @@ from kellylab.hmm import (
     predict_current,
     save,
 )
+
+
+def accuracy(predicted, true) -> float:
+    """Fraction of matching labels under the best label permutation.
+
+    Label indices from a fit are arbitrary, so the score is taken over all
+    relabelings of the predictions; pre-aligned labels are unaffected
+    (identity is always among the candidates).
+    """
+    predicted = np.asarray(predicted, dtype=np.int64)
+    true = np.asarray(true, dtype=np.int64)
+    perm = best_permutation(predicted, true)
+    return float(np.mean(perm[predicted] == true))
 
 
 def sample_chain(rng, t_len, means, stds, transition):

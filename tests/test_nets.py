@@ -348,3 +348,28 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
 def test_build_net_rejects_unknown_kind():
     with pytest.raises(CheckpointError, match="unknown net kind 'mystery'"):
         build_net({"kind": "mystery"})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("hidden", []), ("hidden", None), ("hidden", [4, 0]),
+     ("shared_sizes", []), ("feature_sizes", None)],
+    ids=["hidden-empty", "hidden-null", "hidden-zero-width", "shared-empty",
+         "feature-null"],
+)
+def test_checkpoint_rejects_bad_layer_lists(tmp_path, field, value):
+    if field == "hidden":
+        net = PolicyNet(3, 1, np.random.default_rng(0), hidden=(4,))
+    else:
+        net = ContextPolicyNet(3, 2, 1, np.random.default_rng(0),
+                               feature_sizes=(4,), regime_sizes=(4,),
+                               shared_sizes=(4,))
+    path = tmp_path / "layers.npz"
+    save_checkpoint(net, path)
+    meta = {"format_version": 1, "net": dict(net.config_dict(), **{field: value})}
+    rewrite_meta(path, meta)
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(path)
+    message = str(info.value)
+    assert message.startswith(f"cannot read checkpoint {path}: ")
+    assert f"net field {field!r}" in message

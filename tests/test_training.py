@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from kellylab.baselines import FixedWeightPolicy
+from kellylab.baselines import RegimeSwitchingPolicy
 from kellylab.env import EnvConfig, PortfolioEnv
 from kellylab.errors import FitError
 from kellylab.hmm import GaussianHmmModel, HmmFitConfig
@@ -48,7 +48,7 @@ def small_ppo(total_steps, **overrides):
 def test_evaluate_is_deterministic_and_offsets_are_disjoint():
     assert EVAL_EPISODE_OFFSET == 1_000_000
     config = make_config()
-    policy = FixedWeightPolicy(np.array([0.5]))
+    policy = RegimeSwitchingPolicy(np.array([[0.5]]))
     first = evaluate(policy, factory_for(config), 4, seed=3)
     second = evaluate(policy, factory_for(config), 4, seed=3)
     assert first.growths == second.growths
@@ -70,7 +70,7 @@ def test_evaluate_is_deterministic_and_offsets_are_disjoint():
 
 def test_evaluate_matches_a_manual_rollout():
     config = make_config()
-    policy = FixedWeightPolicy(np.array([0.5]))
+    policy = RegimeSwitchingPolicy(np.array([[0.5]]))
     result = evaluate(policy, factory_for(config), 1, seed=9,
                       episode_offset=7)
     env = PortfolioEnv(config, 9)
@@ -86,7 +86,7 @@ def test_evaluate_matches_a_manual_rollout():
 
 def test_evaluate_all_bankrupt_is_nan():
     config = make_config(mu=-50.0, sigma=0.0)
-    policy = FixedWeightPolicy(np.array([1e6]))
+    policy = RegimeSwitchingPolicy(np.array([[1e6]]))
     result = evaluate(policy, factory_for(config), 3, seed=0)
     assert result.bankruptcies == 3
     assert result.growths == []
@@ -95,9 +95,6 @@ def test_evaluate_all_bankrupt_is_nan():
 
 
 def test_policy_wrappers_validate_their_inputs():
-    net = PolicyNet(4, 1, np.random.default_rng(0), hidden=(4,))
-    with pytest.raises(ValueError, match="needs an rng"):
-        NetPolicy(net, deterministic=False)
     context_net = ContextPolicyNet(
         4, 2, 1, np.random.default_rng(0),
         feature_sizes=(8, 4), regime_sizes=(4, 4), shared_sizes=(4,),
@@ -308,7 +305,7 @@ def test_write_training_log(tmp_path):
                     init_log_std=-2.0, hidden=(8,))
     result = train(factory_for(config), net, small_ppo(32), seed=0)
     path = tmp_path / "log.csv"
-    write_training_log(result.log, path)
+    write_training_log(result.log, path, n_weights=2)
     lines = path.read_text().splitlines()
     assert lines[0] == ("episode,steps,mean_w0,mean_w1,mad_w0,mad_w1,"
                         "growth,bankrupt,clip_fraction,approx_kl")
@@ -326,5 +323,3 @@ def test_write_training_log_header_only(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("episode,steps,mean_w0,mean_w1,mean_w2,mad_w0")
-    with pytest.raises(ValueError, match="n_weights"):
-        write_training_log([], tmp_path / "nope.csv")
