@@ -173,23 +173,34 @@ class PortfolioEnv:
         if a.shape != (self._n,):
             raise ValueError(f"action must have shape ({self._n},), got {a.shape}")
 
-        unaffected = self._unaffected
-        s0_eff = unaffected[t] * self._mult
+        mult = self._mult
+        s0_eff = self._unaffected[t] * mult
+        s1 = self._unaffected[t + 1]
         wealth = self._wealth
+        impact = self._impact
 
         # (1) trade to target weights at current effective prices
         target_holdings = a * wealth / s0_eff
         traded = target_holdings - self._holdings
-        # (2) cost against the pre-permanent-impact end price, then debit
-        s1_pre = unaffected[t + 1] * self._mult
-        costs = trade_cost(s0_eff, s1_pre, traded, self._dt, self._impact)
-        cost_paid = float(costs.sum())
+        # (2) cost against the pre-permanent-impact end price, then debit.
+        # Calling trade_cost once per asset on Python floats and summing left
+        # to right from 0.0 avoids ufunc overhead on n-element arrays, and
+        # gives the bits of the array call and costs.sum() for up to 7
+        # assets (from 8, numpy's unrolled sum groups differently). The dots
+        # and the exp stay in numpy: OpenBLAS ddot accumulates with FMA and
+        # np.exp rounds differently from math.exp.
+        dt = self._dt
+        cost_paid = 0.0
+        for y, s_start, s_end in zip(
+            traded.tolist(), s0_eff.tolist(), (s1 * mult).tolist()
+        ):
+            cost_paid += trade_cost(s_start, s_end, y, dt, impact)
         cash = self._cash - float(traded @ s0_eff) - cost_paid
         # (3) interest at the regime in effect this period
         cash *= self._interest[self._regimes[t]]
         # (4) market already advanced on the precomputed path; (5) impact
-        self._mult = self._mult * np.exp(self._impact.gamma * traded)
-        s1_eff = unaffected[t + 1] * self._mult
+        mult = self._mult = mult * np.exp(impact.gamma * traded)
+        s1_eff = s1 * mult
         # (6) mark to market
         self._holdings = target_holdings
         new_wealth = cash + float(target_holdings @ s1_eff)
@@ -198,7 +209,14 @@ class PortfolioEnv:
         self._t = t = t + 1
         self._eff_hist[self._window - 1 + t] = s1_eff
 
-        bankrupt = not new_wealth > 0.0  # catches <= 0 and NaN
+        # bankrupt when wealth leaves (0, inf), NaN included, or a
+        # multiplier reaches 0 or inf: the next step would price at 0 or inf
+        multipliers = mult.tolist()
+        bankrupt = not (
+            0.0 < new_wealth < math.inf
+            and 0.0 < min(multipliers)
+            and max(multipliers) < math.inf
+        )
         if bankrupt:
             reward = BANKRUPTCY_REWARD
             self._done = True
@@ -208,7 +226,7 @@ class PortfolioEnv:
         self._wealth = new_wealth
 
         return StepResult(
-            observation=self._observation(s1_eff),
+            observation=self._observation(s1_eff, bankrupt),
             reward=reward,
             done=self._done,
             info={
@@ -263,16 +281,16 @@ class PortfolioEnv:
         w1 = self._window - 1
         return self._eff_hist[w1 : w1 + self._t + 1].copy()
 
-    def _observation(self, s_eff) -> np.ndarray:
+    def _observation(self, s_eff, bankrupt=False) -> np.ndarray:
         """Price window, stock weights at marks s_eff (zeros if bankrupt),
         and W/W_0."""
         n, window = self._n, self._window
         nw = n * window
         obs = np.empty(self._obs_dim)
         obs[:nw] = self._eff_hist[self._t : self._t + window].ravel()
-        if self._wealth > 0:
-            obs[nw:-1] = self._holdings * s_eff / self._wealth
-        else:
+        if bankrupt:
             obs[nw:-1] = 0.0
+        else:
+            obs[nw:-1] = self._holdings * s_eff / self._wealth
         obs[-1] = self._wealth / self._initial_wealth
         return obs

@@ -20,8 +20,6 @@ applied to the unaffected price.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass
 class ImpactParams:
@@ -41,14 +39,15 @@ class ImpactParams:
 def trade_cost(s_start, s_end, shares, dt: float, params: ImpactParams):
     """Excess execution cost of trading `shares` over one period of length dt.
 
-    Elementwise over arrays (one cost per asset). Signed: selling (Y < 0)
-    mirrors buying in the no-impact limit, C(-Y) = -C(Y).
+    Takes Python floats (one asset) or float64 arrays (elementwise, one cost
+    per asset) and returns the same kind. Every operation rounds once in
+    either form, so a float call gives the bits of the matching element of
+    an array call. `PortfolioEnv.step` calls it once per asset, on floats.
+    Signed: selling (Y < 0) mirrors buying in the no-impact limit,
+    C(-Y) = -C(Y).
     """
-    s_start = np.asarray(s_start, dtype=np.float64)
-    s_end = np.asarray(s_end, dtype=np.float64)
-    y = np.asarray(shares, dtype=np.float64)
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    temp = 0.5 * (1.0 + (params.eta / dt) * y) * (s_end - s_start)
-    perm = params.gamma * y * (s_end / 3.0 + s_start / 6.0)
-    return y * (temp + perm)
+    temp = 0.5 * (1.0 + (params.eta / dt) * shares) * (s_end - s_start)
+    perm = params.gamma * shares * (s_end / 3.0 + s_start / 6.0)
+    return shares * (temp + perm)

@@ -301,6 +301,26 @@ def _layer_sizes(config: dict, field: str, default) -> tuple:
     return tuple(sizes)
 
 
+def _width(config: dict, field: str) -> int:
+    """A header's input, context or action width: a positive integer."""
+    width = config[field]
+    if type(width) is not int or width < 1:
+        raise CheckpointError(
+            f"net field {field!r} must be a positive integer, got {width!r}"
+        )
+    return width
+
+
+def _init_log_std(config: dict) -> float:
+    """A header's initial log standard deviation: a finite number."""
+    value = config.get("init_log_std", 0.0)
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise CheckpointError(
+            f"net field 'init_log_std' must be a finite number, got {value!r}"
+        )
+    return float(value)
+
+
 def build_net(config: dict, rng=None):
     """Construct an uninitialized-by-seed net from a config_dict payload."""
     if rng is None:
@@ -308,19 +328,19 @@ def build_net(config: dict, rng=None):
     kind = config.get("kind")
     if kind == "policy":
         return PolicyNet(
-            config["obs_dim"],
-            config["action_dim"],
+            _width(config, "obs_dim"),
+            _width(config, "action_dim"),
             rng,
-            init_log_std=config.get("init_log_std", 0.0),
+            init_log_std=_init_log_std(config),
             hidden=_layer_sizes(config, "hidden", (64, 64)),
         )
     if kind == "context_policy":
         return ContextPolicyNet(
-            config["obs_dim"],
-            config["context_dim"],
-            config["action_dim"],
+            _width(config, "obs_dim"),
+            _width(config, "context_dim"),
+            _width(config, "action_dim"),
             rng,
-            init_log_std=config.get("init_log_std", 0.0),
+            init_log_std=_init_log_std(config),
             feature_sizes=_layer_sizes(config, "feature_sizes", (256, 128, 64)),
             regime_sizes=_layer_sizes(config, "regime_sizes", (64, 64, 64)),
             shared_sizes=_layer_sizes(config, "shared_sizes", (64, 64)),

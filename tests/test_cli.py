@@ -325,15 +325,17 @@ def test_evaluate_missing_checkpoint_creates_no_output(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_evaluate_checkpoint_with_empty_hidden_layers_fails_cleanly(
-        tmp_path, capsys):
+def evaluate_with_header_field(tmp_path, capsys, field, value):
+    """Train TINY, set one net header field of its checkpoint, evaluate it;
+    assert one `error:` line naming the file and the field, exit 1, and no
+    output directory."""
     config = write(tmp_path, "tiny.yaml", TINY)
     train_out = tmp_path / "train"
     assert main(["train", "--config", str(config), "--out", str(train_out)]) == 0
     checkpoint = train_out / "seed0" / "checkpoint.npz"
     arrays = dict(np.load(checkpoint))
     meta = json.loads(arrays["meta_json"].tobytes())
-    meta["net"]["hidden"] = []
+    meta["net"][field] = value
     arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode("utf-8"),
                                         dtype=np.uint8)
     np.savez(checkpoint, **arrays)
@@ -344,8 +346,19 @@ def test_evaluate_checkpoint_with_empty_hidden_layers_fails_cleanly(
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: cannot read checkpoint {checkpoint}: ")
-    assert "net field 'hidden'" in err
+    assert f"net field {field!r}" in err
     assert not out.exists()
+
+
+def test_evaluate_checkpoint_with_empty_hidden_layers_fails_cleanly(
+        tmp_path, capsys):
+    evaluate_with_header_field(tmp_path, capsys, "hidden", [])
+
+
+@pytest.mark.parametrize("field", ["obs_dim", "action_dim", "init_log_std"])
+def test_evaluate_checkpoint_with_null_scalar_fails_cleanly(
+        tmp_path, capsys, field):
+    evaluate_with_header_field(tmp_path, capsys, field, None)
 
 
 def test_unexpected_errors_are_one_line(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,12 @@
 """Portfolio environment: accounting identities and lifecycle."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kellylab.env import BANKRUPTCY_REWARD, EnvConfig, PortfolioEnv
 from kellylab.errors import ConfigError, LifecycleError
@@ -371,3 +374,177 @@ def test_bankruptcy_pays_the_penalty_and_terminates():
     # drifted weights are reported as zeros once wealth is gone
     n, w = 1, 4
     assert result.observation[n * w] == 0.0
+
+
+@pytest.mark.parametrize(
+    "master_seed, episode, last_t",
+    [(3, 1, 9), (1, 0, 7)],
+    ids=["multiplier-underflow", "wealth-overflow"],
+)
+def test_non_finite_step_ends_the_episode_as_bankrupt(master_seed, episode,
+                                                      last_t):
+    # compounding 60x leverage on regimes3: at seed 3 a multiplier underflows
+    # to 0 while wealth is 1e91; at seed 1 wealth overflows to inf. Either
+    # step must end the episode with the penalty, not carry on.
+    cfg = make_config(market=shipped("regimes3").market,
+                      impact=shipped("regimes3").env.impact, window=5,
+                      horizon_years=1.0)
+    env = PortfolioEnv(cfg, master_seed=master_seed)
+    env.reset(episode=episode)
+    signs = np.array([1.0, -0.5, 0.8])
+    rewards = []
+    with np.errstate(all="ignore"):
+        while not env.done:
+            result = env.step(60.0 * signs * (1.0 + 0.1 * np.sin(env.t)))
+            rewards.append(result.reward)
+    assert env.t == last_t
+    assert result.info["bankrupt"]
+    assert rewards[-1] == BANKRUPTCY_REWARD
+    assert all(math.isfinite(r) for r in rewards)
+    state = env.state
+    assert not (0.0 < state.wealth < math.inf
+                and np.all((state.multipliers > 0.0)
+                           & (state.multipliers < math.inf)))
+    assert np.array_equal(result.observation[15:18], np.zeros(3))
+
+
+def test_wealth_overflow_without_impact_is_bankrupt():
+    # no impact keeps every multiplier at 1, so only the wealth bound can
+    # catch the step whose stock leg overflows to inf
+    market = single_market(mu=50.0, sigma=0.0, cash_rate=0.0)
+    env = PortfolioEnv(make_config(market=market, horizon_years=15.0,
+                                   window=1), master_seed=0)
+    with np.errstate(all="ignore"):  # the path's last prices overflow too
+        env.reset(episode=0)
+        while not env.done:
+            result = env.step(np.array([1.0]))
+    assert env.t == 3600 < env.config.n_periods
+    assert result.info["wealth"] == math.inf
+    assert result.info["bankrupt"]
+    assert result.reward == BANKRUPTCY_REWARD
+    assert np.array_equal(env.state.multipliers, np.ones(1))
+
+
+# -- the per-asset float cost against the array step --------------------------
+
+
+def array_step(env, action):
+    """The step as it was before it priced each asset on Python floats, kept
+    as the oracle: one trade_cost call on (n,) arrays summed by np.sum, with
+    the same bankruptcy rule. Steps `env` in place."""
+    t = env._t
+    a = np.asarray(action, dtype=np.float64)
+    unaffected = env._unaffected
+    s0_eff = unaffected[t] * env._mult
+    wealth = env._wealth
+    target_holdings = a * wealth / s0_eff
+    traded = target_holdings - env._holdings
+    s1_pre = unaffected[t + 1] * env._mult
+    costs = trade_cost(s0_eff, s1_pre, traded, env._dt, env._impact)
+    cost_paid = float(np.sum(costs))
+    cash = env._cash - float(traded @ s0_eff) - cost_paid
+    cash *= env._interest[env._regimes[t]]
+    env._mult = env._mult * np.exp(env._impact.gamma * traded)
+    s1_eff = unaffected[t + 1] * env._mult
+    env._holdings = target_holdings
+    new_wealth = cash + float(target_holdings @ s1_eff)
+    env._cash = cash
+    env._t = t = t + 1
+    env._eff_hist[env._window - 1 + t] = s1_eff
+    bankrupt = not (0.0 < new_wealth < math.inf
+                    and np.all((env._mult > 0.0) & (env._mult < math.inf)))
+    if bankrupt:
+        reward = BANKRUPTCY_REWARD
+        env._done = True
+    else:
+        reward = math.log(new_wealth / wealth)
+        env._done = t == env._n_periods
+    env._wealth = new_wealth
+    return (env._observation(s1_eff, bankrupt), reward, env._done,
+            {"bankrupt": bankrupt, "regime": env._regimes[t],
+             "cost_paid": cost_paid, "wealth": new_wealth})
+
+
+def same_bits(new, old):
+    """Bitwise equal float arrays, any NaN matching any NaN."""
+    new = np.asarray(new, dtype=np.float64)
+    old = np.asarray(old, dtype=np.float64)
+    nan = np.isnan(new) & np.isnan(old)
+    return np.array_equal(np.where(nan, 0.0, new).view(np.int64),
+                          np.where(nan, 0.0, old).view(np.int64))
+
+
+def rel_close(new, old):
+    """Equal to 1e-12 relative, any NaN matching any NaN."""
+    return np.allclose(new, old, rtol=1e-12, atol=0.0, equal_nan=True)
+
+
+def random_env(n, seed, master_seed, eta, gamma):
+    """A one-regime market over n assets with random drifts, vols and a
+    random positive definite correlation, 32 periods, window 3."""
+    rng = np.random.default_rng(seed)
+    factors = rng.normal(size=(n, n))
+    cov = factors @ factors.T + n * np.eye(n)
+    scale = np.sqrt(np.diag(cov))
+    corr = cov / np.outer(scale, scale)
+    corr = 0.5 * (corr + corr.T)
+    np.fill_diagonal(corr, 1.0)
+    market = RegimeModel.single(MarketParams(
+        rng.uniform(-0.5, 0.5, n), rng.uniform(0.0, 0.8, n), corr,
+        rng.uniform(0.0, 0.1)))
+    cfg = make_config(market=market, impact=ImpactParams(eta, gamma),
+                      horizon_years=32 / 256, window=3)
+    return PortfolioEnv(cfg, master_seed=master_seed), rng
+
+
+def check_steps_against_oracle(n, seed, master_seed, leverage, eta, gamma,
+                               agree):
+    """Step from each state twice, by env.step and by array_step on a deep
+    copy, and check every output and the state after the step."""
+    env, rng = random_env(n, seed, master_seed, eta, gamma)
+    env.reset(episode=seed % 7)
+    with np.errstate(all="ignore"):
+        while not env.done:
+            action = leverage * rng.uniform(-1.0, 1.0, n)
+            twin = copy.deepcopy(env)
+            obs, reward, done, info = array_step(twin, action)
+            result = env.step(action)
+            assert agree(result.observation, obs)
+            assert agree(result.reward, reward)
+            assert result.done == done
+            assert result.info["bankrupt"] == info["bankrupt"]
+            assert result.info["regime"] == info["regime"]
+            assert agree(result.info["cost_paid"], info["cost_paid"])
+            assert agree(result.info["wealth"], info["wealth"])
+            state, expected = env.state, twin.state
+            for name in ("prices", "history", "holdings", "cash", "wealth",
+                         "multipliers"):
+                assert agree(getattr(state, name), getattr(expected, name))
+
+
+impact_params = dict(
+    eta=st.floats(0.0, 1e-7),
+    gamma=st.floats(0.0, 1e-5),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
+       master_seed=st.integers(0, 1000), leverage=st.floats(0.0, 80.0),
+       **impact_params)
+def test_step_equals_the_array_step_bitwise_up_to_7_assets(
+        n, seed, master_seed, leverage, eta, gamma):
+    check_steps_against_oracle(n, seed, master_seed, leverage, eta, gamma,
+                               same_bits)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(8, 12), seed=st.integers(0, 2**32 - 1),
+       master_seed=st.integers(0, 1000), leverage=st.floats(0.0, 80.0),
+       **impact_params)
+def test_step_agrees_with_the_array_step_from_8_assets(
+        n, seed, master_seed, leverage, eta, gamma):
+    # numpy's unrolled sum groups 8 or more costs differently from the
+    # left fold, so the total can differ in its last bits
+    check_steps_against_oracle(n, seed, master_seed, leverage, eta, gamma,
+                               rel_close)

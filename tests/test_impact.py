@@ -4,6 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from kellylab.impact import ImpactParams, trade_cost
@@ -147,6 +149,27 @@ def test_elementwise_over_assets():
         single = trade_cost(s0[i], s1[i], y[i], 1.0 / 256, params)
         assert float(c[i]) == float(single)
     assert c[2] == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       eta=st.floats(0.0, 1e-5), gamma=st.floats(0.0, 1e-3),
+       dt=st.floats(1e-4, 1.0), size=st.floats(0.0, 1e8))
+def test_float_calls_give_the_bits_of_the_array_call(n, seed, eta, gamma, dt,
+                                                     size):
+    # the env prices each asset with a float call; each must carry the bits
+    # of its element of the array call
+    rng = np.random.default_rng(seed)
+    s0 = rng.uniform(1e-3, 1e3, n)
+    s1 = s0 * np.exp(rng.normal(0.0, 0.5, n))
+    y = size * rng.uniform(-1.0, 1.0, n)
+    params = ImpactParams(eta, gamma)
+    expected = trade_cost(s0, s1, y, dt, params)
+    floats = [trade_cost(a, b, c, dt, params)
+              for a, b, c in zip(s0.tolist(), s1.tolist(), y.tolist())]
+    assert all(type(c) is float for c in floats)
+    assert np.array_equal(np.array(floats).view(np.int64),
+                          expected.view(np.int64))
 
 
 def test_permanent_impact_accumulates_multiplicatively():

@@ -373,3 +373,30 @@ def test_checkpoint_rejects_bad_layer_lists(tmp_path, field, value):
     message = str(info.value)
     assert message.startswith(f"cannot read checkpoint {path}: ")
     assert f"net field {field!r}" in message
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("obs_dim", None), ("obs_dim", 0), ("action_dim", None),
+     ("action_dim", True), ("context_dim", None), ("context_dim", 2.0),
+     ("init_log_std", None), ("init_log_std", "0.5"),
+     ("init_log_std", float("nan"))],
+    ids=["obs-null", "obs-zero", "action-null", "action-bool", "context-null",
+         "context-float", "log-std-null", "log-std-string", "log-std-nan"],
+)
+def test_checkpoint_rejects_bad_scalars(tmp_path, field, value):
+    if field == "context_dim":
+        net = ContextPolicyNet(3, 2, 1, np.random.default_rng(0),
+                               feature_sizes=(4,), regime_sizes=(4,),
+                               shared_sizes=(4,))
+    else:
+        net = PolicyNet(3, 1, np.random.default_rng(0), hidden=(4,))
+    path = tmp_path / "scalars.npz"
+    save_checkpoint(net, path)
+    meta = {"format_version": 1, "net": dict(net.config_dict(), **{field: value})}
+    rewrite_meta(path, meta)
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(path)
+    message = str(info.value)
+    assert message.startswith(f"cannot read checkpoint {path}: ")
+    assert f"net field {field!r}" in message
