@@ -1,10 +1,11 @@
 """The analytic baseline policy and its grid search.
 
-Policies here are net-free: act(obs, env) returns target stock weights. The
-one analytic policy is the foresight regime-switching baseline, which reads
-the true regime label from the simulator: the upper-bound comparison an
-agent is scored against. A single-regime market is its K = 1 case, where it
-holds fraction f of w* after an optional linear entry ramp.
+Policies here are net-free: act(live, observations, envs) returns target
+stock weights, one row per live evaluation lane. The one analytic policy is
+the foresight regime-switching baseline, which reads the true regime label
+from the simulator: the upper-bound comparison an agent is scored against.
+A single-regime market is its K = 1 case, where it holds fraction f of w*
+after an optional linear entry ramp.
 """
 
 from dataclasses import dataclass, field
@@ -24,8 +25,12 @@ class RegimeSwitchingPolicy:
     `adjustment_periods` periods from all cash whenever the true regime
     label changes and at episode start: at period j < n of a ramp it holds
     (j+1)/n of the target. With one regime and one period it rebalances to
-    f * w* every period.
+    f * w* every period. Each lane keeps its own ramp counter and regime.
     """
+
+    # a lane's action is a few Python float operations: side-by-side lanes
+    # have nothing to batch
+    lanes = 1
 
     def __init__(self, targets, adjustment_periods: int = 1,
                  fraction: float = 1.0):
@@ -40,21 +45,33 @@ class RegimeSwitchingPolicy:
             raise ValueError("targets must be (n_regimes, n_assets)")
         self.adjustment_periods = int(adjustment_periods)
         self.fraction = float(fraction)
-        self._k = 0
-        self._regime = None
+        # a finished ramp's scale is exactly 1.0 and 1.0 * f == f, so these
+        # rows are its actions bit for bit; read-only because every step
+        # returns the same array
+        self._held = self.fraction * self.targets
+        self._held.flags.writeable = False
+        self._k = []
+        self._regime = []
 
-    def reset(self, env):
-        self._k = 0
-        self._regime = None
+    def reset(self, envs):
+        self._k = [0] * len(envs)
+        self._regime = [None] * len(envs)
 
-    def act(self, obs, env):
-        label = env.current_regime
-        if label != self._regime:
-            self._regime = label
-            self._k = 0
-        scale = min((self._k + 1) / self.adjustment_periods, 1.0)
-        self._k += 1
-        return scale * self.fraction * self.targets[label]
+    def act(self, live, observations, envs):
+        n = self.adjustment_periods
+        k_of, regime_of = self._k, self._regime
+        actions = []
+        for i, env in zip(live, envs):
+            label = env.current_regime
+            if label != regime_of[i]:
+                regime_of[i] = label
+                k_of[i] = 0
+            k = k_of[i] = k_of[i] + 1
+            if k >= n:
+                actions.append(self._held[label])
+            else:
+                actions.append(k / n * self.fraction * self.targets[label])
+        return actions
 
 
 @dataclass

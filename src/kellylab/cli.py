@@ -308,6 +308,22 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_checkpoint_fits(path, net, detector, exp: ExperimentConfig):
+    """Reject a checkpoint whose net or detector does not fit the config."""
+    n = exp.env.n_assets
+    fields = [("obs_dim", net.obs_dim, exp.env.observation_dim),
+              ("action_dim", net.action_dim, n)]
+    if detector is not None:
+        fields += [("detector n_states", detector.n_states, net.context_dim),
+                   ("detector n_features", detector.n_features, n)]
+    for field, got, want in fields:
+        if got != want:
+            raise KellylabError(
+                f"checkpoint {path} does not fit the config: {field} is "
+                f"{got}, the config needs {want}"
+            )
+
+
 def cmd_evaluate(args) -> int:
     started = time.time()
     exp = load_config(args.config)
@@ -325,6 +341,7 @@ def cmd_evaluate(args) -> int:
                     "detector file"
                 )
             detector = hmm_module.load(Path(args.checkpoint).parent / detector_file)
+        _check_checkpoint_fits(args.checkpoint, net, detector, exp)
         policy = NetPolicy(net, detector)
     else:
         policy = _baseline_policy(exp)
@@ -408,11 +425,13 @@ def cmd_hmm_fit(args) -> int:
     # one global relabeling across all held-out episodes: regimes separate
     # mostly by covariance, so mean-based alignment is unreliable here
     eval_paths = episode_paths(n_fit, n_fit + n_eval)
-    decodes = [hmm_module.decode(model, p.log_returns()) for p in eval_paths]
-    truths = [p.regimes[:-1] for p in eval_paths]  # regimes[t] made return t
-    perm = hmm_module.best_permutation(
-        np.concatenate(decodes), np.concatenate(truths)
+    # equal-length paths decode as one stack; Viterbi runs row by row
+    decodes = hmm_module.decode(
+        model, np.stack([p.log_returns() for p in eval_paths])
     )
+    # regimes[t] made return t
+    truths = np.stack([p.regimes[:-1] for p in eval_paths])
+    perm = hmm_module.best_permutation(decodes.ravel(), truths.ravel())
     rows = []
     scores = []
     for ep, predicted, truth in zip(range(n_fit, n_fit + n_eval), decodes, truths):

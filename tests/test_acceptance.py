@@ -164,10 +164,10 @@ def test_criterion_04_monte_carlo_baseline():
     adjusted = []
     for episode in range(20):
         obs = env.reset(episode=episode)
-        policy.reset(env)
+        policy.reset([env])
         reward_sum = 0.0
         while True:
-            step = env.step(policy.act(obs, env))
+            step = env.step(policy.act([0], [obs], [env])[0])
             obs = step.observation
             reward_sum += step.reward
             if step.done:

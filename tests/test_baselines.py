@@ -44,6 +44,11 @@ class StaggeredPolicy:
         return scale * self.weights
 
 
+def act(policy, env):
+    """One lane's action through the lane API."""
+    return policy.act([0], [None], [env])[0]
+
+
 def small_env_config(market=None, horizon_years=0.25, initial_wealth=1000.0,
                      impact=None):
     return EnvConfig(
@@ -62,16 +67,16 @@ def test_fixed_weight_policy_is_constant():
     # one regime and one period: rebalance to the same weights every period
     policy = RegimeSwitchingPolicy(np.array([[0.5, 0.2]]))
     env = FakeEnv()
-    policy.reset(env)
+    policy.reset([env])
     for _ in range(3):
-        assert np.array_equal(policy.act(None, env), np.array([0.5, 0.2]))
+        assert np.array_equal(act(policy, env), np.array([0.5, 0.2]))
 
 
 def test_staggered_ramp_schedule():
     policy = RegimeSwitchingPolicy(np.array([[2.0]]), 4)
     env = FakeEnv()
-    policy.reset(env)
-    targets = [float(policy.act(None, env)[0]) for _ in range(6)]
+    policy.reset([env])
+    targets = [float(act(policy, env)[0]) for _ in range(6)]
     assert targets == [0.5, 1.0, 1.5, 2.0, 2.0, 2.0]
     with pytest.raises(ValueError, match="adjustment_periods"):
         RegimeSwitchingPolicy(np.array([[1.0]]), 0)
@@ -80,19 +85,19 @@ def test_staggered_ramp_schedule():
 def test_staggered_with_one_period_is_fixed():
     policy = RegimeSwitchingPolicy(np.array([[1.5, -0.5]]), 1)
     env = FakeEnv()
-    policy.reset(env)
-    assert np.array_equal(policy.act(None, env), np.array([1.5, -0.5]))
-    assert np.array_equal(policy.act(None, env), np.array([1.5, -0.5]))
+    policy.reset([env])
+    assert np.array_equal(act(policy, env), np.array([1.5, -0.5]))
+    assert np.array_equal(act(policy, env), np.array([1.5, -0.5]))
 
 
 def test_staggered_reset_restarts_the_ramp():
     policy = RegimeSwitchingPolicy(np.array([[1.0]]), 2)
     env = FakeEnv()
-    policy.reset(env)
-    assert policy.act(None, env)[0] == 0.5
-    assert policy.act(None, env)[0] == 1.0
-    policy.reset(env)
-    assert policy.act(None, env)[0] == 0.5
+    policy.reset([env])
+    assert act(policy, env)[0] == 0.5
+    assert act(policy, env)[0] == 1.0
+    policy.reset([env])
+    assert act(policy, env)[0] == 0.5
 
 
 @settings(max_examples=200, deadline=None)
@@ -108,10 +113,10 @@ def test_one_regime_actions_are_the_scaled_weights(w, fraction, n):
     policy = RegimeSwitchingPolicy(w[None], n, fraction)
     oracle = StaggeredPolicy(w, n)
     env = FakeEnv()
-    policy.reset(env)
+    policy.reset([env])
     for k in range(n + 3):
         scale = min((k + 1) / n, 1.0)
-        action = policy.act(None, env)
+        action = act(policy, env)
         assert np.array_equal(action, scale * fraction * w)
         staggered = oracle.act()
         if fraction == 1.0:
@@ -122,23 +127,43 @@ def test_regime_switching_ramps_toward_the_active_target():
     targets = np.array([[2.0, 0.0], [-1.0, 1.0]])
     policy = RegimeSwitchingPolicy(targets, adjustment_periods=2, fraction=0.5)
     env = FakeEnv(regime=0)
-    policy.reset(env)
-    assert np.array_equal(policy.act(None, env), 0.5 * 0.5 * targets[0])
-    assert np.array_equal(policy.act(None, env), 0.5 * targets[1 - 1])
+    policy.reset([env])
+    assert np.array_equal(act(policy, env), 0.5 * 0.5 * targets[0])
+    assert np.array_equal(act(policy, env), 0.5 * targets[1 - 1])
     # a regime flip restarts the ramp toward the new target
     env.current_regime = 1
-    assert np.array_equal(policy.act(None, env), 0.5 * 0.5 * targets[1])
-    assert np.array_equal(policy.act(None, env), 0.5 * targets[1])
+    assert np.array_equal(act(policy, env), 0.5 * 0.5 * targets[1])
+    assert np.array_equal(act(policy, env), 0.5 * targets[1])
 
 
 def test_regime_switching_full_fraction_single_period():
     targets = np.array([[1.0], [0.25]])
     policy = RegimeSwitchingPolicy(targets)
     env = FakeEnv(regime=1)
-    policy.reset(env)
-    assert policy.act(None, env)[0] == 0.25
+    policy.reset([env])
+    assert act(policy, env)[0] == 0.25
     env.current_regime = 0
-    assert policy.act(None, env)[0] == 1.0
+    assert act(policy, env)[0] == 1.0
+
+
+def test_lanes_keep_their_own_ramp_and_regime():
+    targets = np.array([[2.0], [-1.0]])
+    policy = RegimeSwitchingPolicy(targets, adjustment_periods=2, fraction=0.5)
+    envs = [FakeEnv(0), FakeEnv(1), FakeEnv(0)]
+    policy.reset(envs)
+    first = policy.act([0, 1, 2], [None] * 3, envs)
+    assert [a[0] for a in first] == [0.5, -0.25, 0.5]
+    # lane 1 has left the wave; lane 2's regime flips and restarts its ramp
+    envs[2].current_regime = 1
+    second = policy.act([0, 2], [None] * 2, [envs[0], envs[2]])
+    assert [a[0] for a in second] == [1.0, -0.25]
+    third = policy.act([0, 2], [None] * 2, [envs[0], envs[2]])
+    assert [a[0] for a in third] == [1.0, -0.5]
+    # a finished ramp returns its regime's one shared row, read-only
+    assert third[0] is not second[0]
+    assert np.shares_memory(third[0], second[0])
+    with pytest.raises(ValueError, match="read-only"):
+        third[1][0] = 0.0
 
 
 def test_regime_switching_validation():

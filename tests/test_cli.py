@@ -10,10 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kellylab import cli
+from kellylab import cli, hmm
 from kellylab.analytic import optimal_weights, q_surface
 from kellylab.cli import main
 from kellylab.config import load_config
+from kellylab.market import generate_path
+from kellylab.rng import episode_stream
 
 TINY = """\
 market:
@@ -350,6 +352,53 @@ def evaluate_with_header_field(tmp_path, capsys, field, value):
     assert not out.exists()
 
 
+def train_tiny(tmp_path, text):
+    config = write(tmp_path, "train.yaml", text)
+    train_out = tmp_path / "train"
+    assert main(["train", "--config", str(config), "--out", str(train_out)]) == 0
+    return train_out / "seed0"
+
+
+@pytest.mark.parametrize("field", ["obs_dim", "action_dim",
+                                   "detector n_states", "detector n_features"])
+def test_evaluate_checkpoint_that_does_not_fit_the_config_fails_cleanly(
+        tmp_path, capsys, field):
+    if field == "obs_dim":
+        # 1 asset, window 2: 4 inputs; the two-asset config makes 7
+        seed_dir = train_tiny(tmp_path, TINY)
+        config = write(tmp_path, "eval.yaml", TWO_ASSET)
+        expected = "obs_dim is 4, the config needs 7"
+    elif field == "action_dim":
+        # 1 asset, window 5: 7 inputs like two assets at window 2
+        seed_dir = train_tiny(tmp_path,
+                              TINY.replace("window: 2", "window: 5"))
+        config = write(tmp_path, "eval.yaml", TWO_ASSET)
+        expected = "action_dim is 1, the config needs 2"
+    else:
+        seed_dir = train_tiny(tmp_path, REGIME)
+        config = write(tmp_path, "eval.yaml", REGIME)
+        n_states, n_features = (3, 1) if field == "detector n_states" else (2, 2)
+        hmm.save(hmm.GaussianHmmModel(
+            means=np.zeros((n_states, n_features)),
+            covariances=np.tile(np.eye(n_features), (n_states, 1, 1)),
+            transition=np.full((n_states, n_states), 1.0 / n_states),
+            initial=np.full(n_states, 1.0 / n_states),
+        ), seed_dir / "detector.json")
+        expected = (f"detector n_states is 3, the config needs 2"
+                    if n_states == 3 else
+                    "detector n_features is 2, the config needs 1")
+    capsys.readouterr()
+    checkpoint = seed_dir / "checkpoint.npz"
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--config", str(config), "--out", str(out),
+                 "--checkpoint", str(checkpoint), "--episodes", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: checkpoint {checkpoint} does not fit the "
+                            f"config: {expected}\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_evaluate_checkpoint_with_empty_hidden_layers_fails_cleanly(
         tmp_path, capsys):
     evaluate_with_header_field(tmp_path, capsys, "hidden", [])
@@ -453,6 +502,32 @@ def test_hmm_fit_outputs(tmp_path, capsys):
     assert len(lines) == 1 + 3
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "hmm-fit"
+
+
+def test_hmm_fit_scores_equal_per_path_decodes(tmp_path):
+    # hmm-fit decodes its held-out paths as one stack; decoding each path on
+    # its own must give the same paths and so the same accuracy bytes
+    config = write(tmp_path, "regime.yaml", REGIME)
+    out = tmp_path / "out"
+    assert main(["hmm-fit", "--config", str(config), "--out", str(out)]) == 0
+    exp = load_config(config)
+    model = hmm.load(out / "hmm.json")
+    cfg = exp.env
+    paths = [
+        generate_path(cfg.market, cfg.n_periods, cfg.dt, episode_stream(0, ep),
+                      warmup=cfg.window - 1)
+        for ep in range(10, 13)
+    ]
+    stacked = hmm.decode(model, np.stack([p.log_returns() for p in paths]))
+    decodes = [hmm.decode(model, p.log_returns()) for p in paths]
+    assert np.array_equal(stacked, np.stack(decodes))
+    truths = [p.regimes[:-1] for p in paths]
+    perm = hmm.best_permutation(np.concatenate(decodes),
+                                np.concatenate(truths))
+    rows = [f"{ep},{float(np.mean(perm[d] == t))!r}"
+            for ep, d, t in zip(range(10, 13), decodes, truths)]
+    lines = (out / "hmm_eval.csv").read_text().splitlines()
+    assert lines == ["episode,accuracy"] + rows
 
 
 def test_gridsearch_outputs(tmp_path, capsys):

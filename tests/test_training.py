@@ -15,6 +15,7 @@ from kellylab.nets import ContextPolicyNet, PolicyNet
 from kellylab.rl import TrainConfig
 from kellylab.training import (
     EVAL_EPISODE_OFFSET,
+    EvalResult,
     NetPolicy,
     evaluate,
     train,
@@ -43,6 +44,145 @@ def small_ppo(total_steps, **overrides):
     base = dict(rollout_steps=16, batch_size=8, n_epochs=2)
     base.update(overrides)
     return TrainConfig.ppo(total_steps, **base)
+
+
+def sequential_evaluate(policy, env_factory, n_episodes, seed,
+                        episode_offset=0):
+    """Oracle: evaluate's one-episode-at-a-time loop from before lanes.
+
+    One environment plays the episodes in order, and the policy sees one
+    lane. Returns the EvalResult and each episode's step count.
+    """
+    env = env_factory(seed)
+    growths = []
+    lengths = []
+    bankruptcies = 0
+    for episode in range(episode_offset, episode_offset + n_episodes):
+        obs = env.reset(episode=episode)
+        policy.reset([env])
+        reward_sum = 0.0
+        while True:
+            result = env.step(policy.act([0], [obs], [env])[0])
+            obs = result.observation
+            reward_sum += result.reward
+            if result.done:
+                bankrupt = result.info["bankrupt"]
+                break
+        lengths.append(env.t)
+        if bankrupt:
+            bankruptcies += 1
+        else:
+            growths.append(reward_sum / env.config.horizon_years)
+    if growths:
+        arr = np.asarray(growths)
+        mean = float(arr.mean())
+        mad = float(np.mean(np.abs(arr - mean)))
+    else:
+        mean = float("nan")
+        mad = float("nan")
+    return EvalResult(mean, mad, bankruptcies, n_episodes, growths), lengths
+
+
+def two_regime_config(sigma=0.3, window=2, impact=None):
+    """Two assets, two regimes switching every ~5 periods, 32 periods."""
+    corr = np.array([[1.0, 0.3], [0.3, 1.0]])
+    bull = MarketParams(np.array([0.4, 0.2]), np.array([sigma, 0.2]), corr,
+                        0.04)
+    bear = MarketParams(np.array([-0.3, 0.0]), np.array([2 * sigma, 0.3]),
+                        corr, 0.01)
+    market = RegimeModel([bull, bear], np.array([[0.8, 0.2], [0.2, 0.8]]),
+                         np.array([0.5, 0.5]))
+    return EnvConfig(
+        horizon_years=0.125,
+        periods_per_year=256,
+        window=window,
+        initial_wealth=1000.0,
+        market=market,
+        impact=impact if impact is not None else ImpactParams(1e-4, 1e-5),
+    )
+
+
+def assert_bitwise_equal(got, expected):
+    assert got.growths == expected.growths
+    assert got.bankruptcies == expected.bankruptcies
+    assert got.n_episodes == expected.n_episodes
+    assert np.array_equal([got.mean_growth, got.mad],
+                          [expected.mean_growth, expected.mad],
+                          equal_nan=True)
+
+
+@pytest.mark.parametrize("adjustment_periods", [1, 4])
+@pytest.mark.parametrize("lanes", [1, 3, 4, 16])
+def test_lockstep_analytic_evaluation_equals_the_sequential_loop(
+        lanes, adjustment_periods):
+    # 7 episodes from offset 5: 3 and 4 lanes leave a partial last wave
+    config = two_regime_config()
+    env = PortfolioEnv(config, 4)
+    env.reset(episode=5)
+    assert len(set(env.path.regimes.tolist())) == 2  # regimes switch
+    policy = RegimeSwitchingPolicy(np.array([[1.5, 0.5], [-0.5, 0.2]]),
+                                   adjustment_periods, fraction=0.7)
+    expected, _ = sequential_evaluate(policy, factory_for(config), 7, seed=4,
+                                      episode_offset=5)
+    policy.lanes = lanes
+    got = evaluate(policy, factory_for(config), 7, seed=4, episode_offset=5)
+    assert_bitwise_equal(got, expected)
+
+
+def test_lockstep_lanes_run_on_past_a_bankrupt_lane():
+    # levered bets on a volatile asset: some episodes go bankrupt early
+    config = two_regime_config(sigma=1.0, impact=ImpactParams(0.0, 0.0))
+    policy = RegimeSwitchingPolicy(np.array([[6.0, 0.0], [6.0, 0.0]]), 2)
+    expected, lengths = sequential_evaluate(policy, factory_for(config), 6,
+                                            seed=0)
+    # a wave of 3 lanes in which one lane ends early and another survives
+    waves = [lengths[:3], lengths[3:]]
+    assert any(min(w) < config.n_periods == max(w) for w in waves)
+    policy.lanes = 3
+    got = evaluate(policy, factory_for(config), 6, seed=0)
+    assert 0 < got.bankruptcies < 6
+    assert_bitwise_equal(got, expected)
+
+
+def scaled_net(net):
+    """Blow up the actor so the policy's weights differ across states and
+    episode growths are O(1): a batched forward moves a growth by ~1e-14
+    absolute, more than 1e-12 relative for a growth near 0."""
+    net.actor.W.value *= 100.0
+    return net
+
+
+@pytest.mark.parametrize("context", [False, True])
+def test_lockstep_net_evaluation_is_within_1e12_of_the_sequential_loop(
+        context):
+    config = two_regime_config(window=3)
+    rng = np.random.default_rng(3)
+    if context:
+        detector = GaussianHmmModel(
+            means=np.array([[0.002, 0.001], [-0.002, 0.0]]),
+            covariances=np.array([np.eye(2) * 4e-4, np.eye(2) * 1.6e-3]),
+            transition=np.array([[0.8, 0.2], [0.2, 0.8]]),
+            initial=np.array([0.5, 0.5]),
+        )
+        net = ContextPolicyNet(config.observation_dim, 2, 2, rng,
+                               feature_sizes=(16, 8), regime_sizes=(8, 8),
+                               shared_sizes=(8,))
+    else:
+        detector = None
+        net = PolicyNet(config.observation_dim, 2, rng, hidden=(16, 16))
+    policy = NetPolicy(scaled_net(net), detector)
+    assert policy.lanes == 64
+    # 70 episodes: a full 64-lane wave and a partial one
+    expected, _ = sequential_evaluate(policy, factory_for(config), 70, seed=1,
+                                      episode_offset=3)
+    got = evaluate(policy, factory_for(config), 70, seed=1, episode_offset=3)
+    assert got.bankruptcies == expected.bankruptcies
+    assert len(set(np.round(got.growths, 6))) > 1
+    np.testing.assert_allclose(got.growths, expected.growths, rtol=1e-12,
+                               atol=0.0)
+    np.testing.assert_allclose([got.mean_growth, got.mad],
+                               [expected.mean_growth, expected.mad],
+                               rtol=1e-12, atol=0.0)
 
 
 def test_evaluate_is_deterministic_and_offsets_are_disjoint():
@@ -117,11 +257,12 @@ def test_context_net_policy_acts_from_detected_regime():
         feature_sizes=(8, 4), regime_sizes=(4, 4), shared_sizes=(4,),
     )
     policy = NetPolicy(net, detector)
-    env = PortfolioEnv(config, 0)
-    obs = env.reset()
-    action = policy.act(obs, env)
-    assert action.shape == (1,)
-    assert np.isfinite(action[0])
+    envs = [PortfolioEnv(config, 0), PortfolioEnv(config, 1)]
+    obs = [env.reset() for env in envs]
+    policy.reset(envs)
+    actions = policy.act([0, 1], obs, envs)
+    assert actions.shape == (2, 1)
+    assert np.isfinite(actions).all()
 
 
 def test_train_runs_one_update_per_rollout():
