@@ -6,6 +6,16 @@ on-policy RL agents (A2C, clipped PPO, optionally regime-context-conditioned)
 against that ground truth.
 """
 
+import os
+
+# Every matrix here is small, and one BLAS thread runs them faster than a
+# pool whose idle workers spin between calls: on a 2-vCPU Xeon, evaluating
+# 100 half-year regimes3 episodes of a context net took 11.4 s at the
+# default thread count and 3.9 s at one. This must run before numpy loads;
+# a value already in the environment wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 __version__ = "0.1.0"
 
 from . import (

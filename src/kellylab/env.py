@@ -183,24 +183,18 @@ class PortfolioEnv:
         target_holdings = a * wealth / s0_eff
         traded = target_holdings - self._holdings
         # (2) cost against the pre-permanent-impact end price, then debit.
-        # Up to 7 assets, calling trade_cost once per asset on Python floats
-        # and summing left to right from 0.0 avoids ufunc overhead on
-        # n-element arrays and gives the bits of the array call and
-        # costs.sum(). From 8, numpy's unrolled sum groups differently, so
-        # the step makes the array call itself. The dots and the exp stay in
-        # numpy: OpenBLAS ddot accumulates with FMA and np.exp rounds
-        # differently from math.exp.
+        # Calling trade_cost once per asset on Python floats and summing left
+        # to right from 0.0 avoids ufunc overhead on n-element arrays, and
+        # gives the bits of the array call and costs.sum() for up to 7
+        # assets (from 8, numpy's unrolled sum groups differently). The dots
+        # and the exp stay in numpy: OpenBLAS ddot accumulates with FMA and
+        # np.exp rounds differently from math.exp.
         dt = self._dt
-        s1_pre = s1 * mult
-        if self._n < 8:
-            cost_paid = 0.0
-            for y, s_start, s_end in zip(
-                traded.tolist(), s0_eff.tolist(), s1_pre.tolist()
-            ):
-                cost_paid += trade_cost(s_start, s_end, y, dt, impact)
-        else:
-            cost_paid = float(trade_cost(s0_eff, s1_pre, traded, dt,
-                                         impact).sum())
+        cost_paid = 0.0
+        for y, s_start, s_end in zip(
+            traded.tolist(), s0_eff.tolist(), (s1 * mult).tolist()
+        ):
+            cost_paid += trade_cost(s_start, s_end, y, dt, impact)
         cash = self._cash - float(traded @ s0_eff) - cost_paid
         # (3) interest at the regime in effect this period
         cash *= self._interest[self._regimes[t]]

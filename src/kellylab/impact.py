@@ -42,8 +42,7 @@ def trade_cost(s_start, s_end, shares, dt: float, params: ImpactParams):
     Takes Python floats (one asset) or float64 arrays (elementwise, one cost
     per asset) and returns the same kind. Every operation rounds once in
     either form, so a float call gives the bits of the matching element of
-    an array call. `PortfolioEnv.step` calls it once per asset, on floats,
-    for up to 7 assets, and once on arrays from 8.
+    an array call. `PortfolioEnv.step` calls it once per asset, on floats.
     Signed: selling (Y < 0) mirrors buying in the no-impact limit,
     C(-Y) = -C(Y).
     """

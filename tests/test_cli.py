@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -455,6 +456,36 @@ def test_cli_import_defers_scipy_linalg():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "ok"
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+BLAS_CHECK = f"""\
+import os
+import sys
+sys.path.insert(0, sys.argv[1])
+import kellylab.cli
+tasks = "/proc/self/task"
+print(len(os.listdir(tasks)) if os.path.isdir(tasks) else 1,
+      *(os.environ[v] for v in {BLAS_VARS!r}))
+"""
+
+
+def test_cli_loads_numpy_with_one_blas_thread_unless_told_otherwise():
+    def run(**preset):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+        result = subprocess.run(
+            [sys.executable, "-c", BLAS_CHECK,
+             str(Path(__file__).resolve().parent.parent / "src")],
+            capture_output=True, text=True, timeout=120,
+            env={**env, **preset},
+        )
+        assert result.returncode == 0, result.stderr
+        return result.stdout.split()
+
+    # OpenBLAS starts its worker threads when numpy loads, so one thread in
+    # the process means the variables were set first
+    assert run() == ["1", "1", "1", "1"]
+    assert run(OPENBLAS_NUM_THREADS="2")[1:] == ["2", "1", "1"]
 
 
 def test_qsurface_matches_the_library(tmp_path, capsys):

@@ -144,17 +144,14 @@ def test_lockstep_lanes_run_on_past_a_bankrupt_lane():
     assert_bitwise_equal(got, expected)
 
 
-def scaled_net(net):
-    """Blow up the actor so the policy's weights differ across states and
-    episode growths are O(1): a batched forward moves a growth by ~1e-14
-    absolute, more than 1e-12 relative for a growth near 0."""
-    net.actor.W.value *= 100.0
-    return net
-
-
 @pytest.mark.parametrize("context", [False, True])
-def test_lockstep_net_evaluation_is_within_1e12_of_the_sequential_loop(
+def test_lockstep_net_evaluation_is_within_1e13_absolute_of_the_sequential_loop(
         context):
+    # A many-row forward rounds differently from a one-row one, so a growth
+    # moves by a few 1e-15 absolute: on this market, 12 freshly initialised
+    # nets moved none by more than 4.4e-15. That is more than 1e-12 relative
+    # for a growth near 0 (2.5e-12 at a growth of 3.5e-4), so the
+    # per-episode bound is absolute.
     config = two_regime_config(window=3)
     rng = np.random.default_rng(3)
     if context:
@@ -170,7 +167,7 @@ def test_lockstep_net_evaluation_is_within_1e12_of_the_sequential_loop(
     else:
         detector = None
         net = PolicyNet(config.observation_dim, 2, rng, hidden=(16, 16))
-    policy = NetPolicy(scaled_net(net), detector)
+    policy = NetPolicy(net, detector)
     assert policy.lanes == 64
     # 70 episodes: a full 64-lane wave and a partial one
     expected, _ = sequential_evaluate(policy, factory_for(config), 70, seed=1,
@@ -178,8 +175,8 @@ def test_lockstep_net_evaluation_is_within_1e12_of_the_sequential_loop(
     got = evaluate(policy, factory_for(config), 70, seed=1, episode_offset=3)
     assert got.bankruptcies == expected.bankruptcies
     assert len(set(np.round(got.growths, 6))) > 1
-    np.testing.assert_allclose(got.growths, expected.growths, rtol=1e-12,
-                               atol=0.0)
+    np.testing.assert_allclose(got.growths, expected.growths, rtol=0.0,
+                               atol=1e-13)
     np.testing.assert_allclose([got.mean_growth, got.mad],
                                [expected.mean_growth, expected.mad],
                                rtol=1e-12, atol=0.0)
