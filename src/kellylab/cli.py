@@ -46,7 +46,7 @@ from .env import PortfolioEnv
 from .errors import KellylabError
 from .market import generate_path
 from .nets import ContextPolicyNet, PolicyNet, load_checkpoint, save_checkpoint
-from .rng import HMM_STREAM, NET_INIT_STREAM, episode_stream, stream
+from .rng import HMM_STREAM, NET_INIT_STREAM, check_seed, episode_stream, stream
 from .training import (
     EVAL_EPISODE_OFFSET,
     NetPolicy,
@@ -84,6 +84,12 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(float(value))  # plain float: numpy scalars repr verbosely
     return str(value)
+
+
+def _eval_row(seed: int, ev) -> list:
+    """One EVAL_HEADER row of an evaluation result."""
+    return [seed, _fmt(ev.mean_growth), _fmt(ev.mad), ev.bankruptcies,
+            ev.n_episodes]
 
 
 def _write_manifest(out: Path, command: str, exp: ExperimentConfig, seeds,
@@ -138,30 +144,6 @@ def _episodes(args, default: int) -> int:
     if episodes < 1:
         raise KellylabError(f"--episodes must be >= 1, got {episodes}")
     return episodes
-
-
-def _eval_seeds(policy, exp, seeds, episodes):
-    rows = []
-    for seed in seeds:
-        result = evaluate(
-            policy, _env_factory(exp), episodes, seed,
-            episode_offset=EVAL_EPISODE_OFFSET,
-        )
-        rows.append(
-            [
-                seed,
-                _fmt(result.mean_growth),
-                _fmt(result.mad),
-                result.bankruptcies,
-                result.n_episodes,
-            ]
-        )
-        print(
-            f"seed {seed}: mean growth {result.mean_growth:.6f}, "
-            f"MAD {result.mad:.6f}, bankruptcies {result.bankruptcies}"
-            f"/{result.n_episodes}"
-        )
-    return rows
 
 
 # -- subcommands -------------------------------------------------------------
@@ -257,12 +239,7 @@ def _train_one(exp: ExperimentConfig, seed: int, out: Path):
         NetPolicy(net, result.detector), _env_factory(exp),
         exp.run.eval_episodes, seed, episode_offset=EVAL_EPISODE_OFFSET,
     )
-    _write_csv(
-        out / "eval.csv",
-        EVAL_HEADER,
-        [[seed, _fmt(ev.mean_growth), _fmt(ev.mad), ev.bankruptcies,
-          ev.n_episodes]],
-    )
+    _write_csv(out / "eval.csv", EVAL_HEADER, [_eval_row(seed, ev)])
     return ev
 
 
@@ -293,8 +270,7 @@ def cmd_train(args) -> int:
         for seed in seeds:
             print(f"training {label + ' ' if label else ''}seed {seed}")
             ev = _train_one(sub_exp, seed, out / label / f"seed{seed}")
-            row = [seed, _fmt(ev.mean_growth), _fmt(ev.mad), ev.bankruptcies,
-                   ev.n_episodes]
+            row = _eval_row(seed, ev)
             summary.append(row if sweep is None else [value] + row)
             print(
                 f"  eval: mean growth {ev.mean_growth:.6f}, MAD {ev.mad:.6f}, "
@@ -325,13 +301,16 @@ def _check_checkpoint_fits(path, net, detector, exp: ExperimentConfig):
 
 
 def cmd_evaluate(args) -> int:
+    """evaluate and baseline: a checkpoint, or without one the analytic
+    baseline, across seeds. baseline has no --checkpoint flag."""
     started = time.time()
     exp = load_config(args.config)
     episodes = _episodes(args, exp.run.eval_episodes)
     seeds = _seeds(args, exp)
 
-    if args.checkpoint is not None:
-        net, meta = load_checkpoint(args.checkpoint)
+    checkpoint = getattr(args, "checkpoint", None)
+    if checkpoint is not None:
+        net, meta = load_checkpoint(checkpoint)
         detector = None
         if isinstance(net, ContextPolicyNet):
             detector_file = meta.get("extra", {}).get("detector_file")
@@ -340,29 +319,28 @@ def cmd_evaluate(args) -> int:
                     "checkpoint holds a context policy but records no "
                     "detector file"
                 )
-            detector = hmm_module.load(Path(args.checkpoint).parent / detector_file)
-        _check_checkpoint_fits(args.checkpoint, net, detector, exp)
+            detector = hmm_module.load(Path(checkpoint).parent / detector_file)
+        _check_checkpoint_fits(checkpoint, net, detector, exp)
         policy = NetPolicy(net, detector)
     else:
         policy = _baseline_policy(exp)
 
-    out = _out_dir(args, "evaluate")
-    rows = _eval_seeds(policy, exp, seeds, episodes)
-    _write_csv(out / "eval.csv", EVAL_HEADER, rows)
-    _write_manifest(out, "evaluate", exp, seeds, started)
-    return 0
-
-
-def cmd_baseline(args) -> int:
-    started = time.time()
-    exp = load_config(args.config)
-    episodes = _episodes(args, exp.run.eval_episodes)
-    out = _out_dir(args, "baseline")
-    seeds = _seeds(args, exp)
-    policy = _baseline_policy(exp)
-    rows = _eval_seeds(policy, exp, seeds, episodes)
-    _write_csv(out / "baseline.csv", EVAL_HEADER, rows)
-    _write_manifest(out, "baseline", exp, seeds, started)
+    out = _out_dir(args, args.command)
+    rows = []
+    for seed in seeds:
+        result = evaluate(
+            policy, _env_factory(exp), episodes, seed,
+            episode_offset=EVAL_EPISODE_OFFSET,
+        )
+        rows.append(_eval_row(seed, result))
+        print(
+            f"seed {seed}: mean growth {result.mean_growth:.6f}, "
+            f"MAD {result.mad:.6f}, bankruptcies {result.bankruptcies}"
+            f"/{result.n_episodes}"
+        )
+    name = "eval.csv" if args.command == "evaluate" else "baseline.csv"
+    _write_csv(out / name, EVAL_HEADER, rows)
+    _write_manifest(out, args.command, exp, seeds, started)
     return 0
 
 
@@ -520,8 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
     add("evaluate", cmd_evaluate,
         "evaluate a checkpoint (or the analytic baseline) across seeds",
         episodes=True, checkpoint=True)
-    add("baseline", cmd_baseline, "evaluate the analytic baseline policy",
-        episodes=True)
+    add("baseline", cmd_evaluate,
+        "evaluate the analytic baseline policy (evaluate without "
+        "--checkpoint, writing baseline.csv)", episodes=True)
     add("qsurface", cmd_qsurface, "tabulate the 2-asset growth surface")
     add("hmm-fit", cmd_hmm_fit,
         "fit the regime detector on simulated episodes and score it")
@@ -533,6 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None:  # before any output directory exists
+            check_seed(args.seed, "--seed")
         return args.func(args)
     except Exception as exc:  # KeyboardInterrupt is no Exception: it propagates
         message = str(exc)

@@ -32,6 +32,7 @@ from .hmm import HmmFitConfig
 from .impact import ImpactParams
 from .market import MarketParams, RegimeModel
 from .rl import TrainConfig
+from .rng import check_seed
 
 CONFIG_FORMAT = "yaml/1"
 
@@ -310,6 +311,8 @@ class RunConfig:
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        for i, seed in enumerate(self.seeds):
+            check_seed(seed, f"run.seeds[{i}]")
         for name in ("eval_episodes", "hmm_fit_episodes", "hmm_eval_episodes"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

@@ -18,13 +18,13 @@ impact multipliers and costs.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, LifecycleError
 from .impact import ImpactParams, trade_cost
-from .market import PricePath, RegimeModel, generate_path
+from .market import RegimeModel, generate_path
 from .rng import episode_stream
 
 BANKRUPTCY_REWARD = -10.0
@@ -85,25 +85,11 @@ class EnvConfig:
 
 
 @dataclass
-class EnvState:
-    """Snapshot of the environment between steps (copies, safe to keep)."""
-
-    t: int
-    prices: np.ndarray
-    history: np.ndarray
-    holdings: np.ndarray
-    cash: float
-    wealth: float
-    regime: int
-    multipliers: np.ndarray  # permanent-impact factors, one per asset
-
-
-@dataclass
 class StepResult:
     observation: np.ndarray
     reward: float
     done: bool
-    info: dict = field(default_factory=dict)
+    bankrupt: bool
 
 
 class PortfolioEnv:
@@ -119,7 +105,6 @@ class PortfolioEnv:
         self._next_episode = 0
         self._t = -1  # reset() not called yet
         self._done = True
-        self._path: PricePath | None = None
         # config scalars read on every step, looked up once
         n = self._n = config.n_assets
         self._window = config.window
@@ -147,11 +132,11 @@ class PortfolioEnv:
 
         rng = episode_stream(self.master_seed, self.episode)
         w1 = self._window - 1
-        self._path = generate_path(
+        path = generate_path(
             self.config.market, self._n_periods, self._dt, rng, warmup=w1
         )
-        self._unaffected = self._path.prices
-        self._regimes = self._path.regimes.tolist()
+        self._unaffected = path.prices
+        self._regimes = path.regimes.tolist()
 
         self._t = 0
         self._done = False
@@ -161,7 +146,7 @@ class PortfolioEnv:
         self._wealth = self._initial_wealth
         # warm-up rows carry no trading, so effective = unaffected there
         if w1:
-            self._eff_hist[:w1] = self._path.warmup_prices
+            self._eff_hist[:w1] = path.warmup_prices
         self._eff_hist[w1] = self._unaffected[0]
         return self._observation(self._unaffected[0] * self._mult)
 
@@ -229,12 +214,7 @@ class PortfolioEnv:
             observation=self._observation(s1_eff, bankrupt),
             reward=reward,
             done=self._done,
-            info={
-                "bankrupt": bankrupt,
-                "regime": self._regimes[t],
-                "cost_paid": cost_paid,
-                "wealth": new_wealth,
-            },
+            bankrupt=bankrupt,
         )
 
     # -- views -------------------------------------------------------------
@@ -253,26 +233,6 @@ class PortfolioEnv:
         if self._t < 0:
             raise LifecycleError("regime requested before reset()")
         return self._regimes[self._t]
-
-    @property
-    def path(self) -> PricePath:
-        return self._path
-
-    @property
-    def state(self) -> EnvState:
-        if self._t < 0:
-            raise LifecycleError("state requested before reset()")
-        return EnvState(
-            t=self._t,
-            prices=self._unaffected[self._t] * self._mult,
-            # rows t .. t+window-1 of the shifted buffer end at time t
-            history=self._eff_hist[self._t : self._t + self._window].copy(),
-            holdings=self._holdings.copy(),
-            cash=self._cash,
-            wealth=self._wealth,
-            regime=self._regimes[self._t],
-            multipliers=self._mult.copy(),
-        )
 
     def effective_episode_prices(self) -> np.ndarray:
         """Effective prices observed this episode, rows 0..t (copies)."""

@@ -10,7 +10,7 @@ governs the period (t, t+1].
 
 import csv
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -208,23 +208,13 @@ class PricePath:
 
     prices has shape (n_periods + 1, n_assets) with prices[0] == 1 exactly;
     regimes[t] is the chain state at time t (so the return into row t + 1 was
-    generated under regimes[t]). The warm-up arrays hold the pre-episode
-    history used to fill observation windows, normalized on the same scale.
+    generated under regimes[t]). warmup_prices holds the pre-episode history
+    used to fill observation windows, normalized on the same scale.
     """
 
     prices: np.ndarray
     regimes: np.ndarray
-    dt: float
-    warmup_prices: np.ndarray = field(
-        default_factory=lambda: np.zeros((0, 0), dtype=np.float64)
-    )
-    warmup_regimes: np.ndarray = field(
-        default_factory=lambda: np.zeros(0, dtype=np.int64)
-    )
-
-    @property
-    def n_periods(self) -> int:
-        return self.prices.shape[0] - 1
+    warmup_prices: np.ndarray
 
     @property
     def n_assets(self) -> int:
@@ -288,7 +278,5 @@ def generate_path(
     return PricePath(
         prices=prices[warmup:],
         regimes=z[warmup:],
-        dt=dt,
         warmup_prices=prices[:warmup],
-        warmup_regimes=z[:warmup],
     )

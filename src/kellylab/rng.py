@@ -9,11 +9,20 @@ byte-identical reruns possible.
 
 import numpy as np
 
+from .errors import ConfigError
+
 # reserved stream indices for non-episode consumers; episode indices start at 0
 NET_INIT_STREAM = -1
 ACTION_STREAM = -2
 UPDATE_STREAM = -3
 HMM_STREAM = -4
+
+
+def check_seed(seed: int, path: str):
+    """Reject a master seed outside [0, 2**32): stream() keys on its low 32
+    bits, so seed 2**32 would replay seed 0 under another label."""
+    if not 0 <= seed < 2**32:
+        raise ConfigError(f"seed {seed} is outside [0, 2**32)", path=path)
 
 
 def stream(master_seed: int, index: int) -> np.random.Generator:

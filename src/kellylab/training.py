@@ -130,7 +130,7 @@ def evaluate(policy, env_factory, n_episodes: int, seed: int,
                 obs.append(result.observation)
                 if result.done:
                     ended = True
-                    bankrupt[i] = result.info["bankrupt"]
+                    bankrupt[i] = result.bankrupt
             if ended:
                 keep = [j for j, env in enumerate(live_envs) if not env.done]
                 live = [live[j] for j in keep]
@@ -278,7 +278,7 @@ def train(
             episode_steps += 1
 
             if result.done:
-                bankrupt = result.info["bankrupt"]
+                bankrupt = result.bankrupt
                 rows = weight_rows[:episode_steps]
                 mean_w = rows.mean(axis=0)
                 log.append(

@@ -54,6 +54,7 @@ from kellylab.rl import (
 from kellylab.rng import episode_stream, stream, HMM_STREAM, NET_INIT_STREAM
 from kellylab.training import EVAL_EPISODE_OFFSET, NetPolicy, evaluate, train
 
+from envstate import env_state
 from shipped import regime, shipped
 from test_rl import gaussian_log_prob, gradient_rel_error, random_case
 
@@ -172,10 +173,10 @@ def test_criterion_04_monte_carlo_baseline():
             reward_sum += step.reward
             if step.done:
                 break
-        if step.info["bankrupt"]:
+        if step.bankrupt:
             continue
         raw.append(reward_sum / horizon)
-        prices = env.path.prices
+        prices = env_state(env).unaffected
         noise = np.log(prices[-1] / prices[0]) - drift
         adjusted.append(raw[-1] - float(w_star.stocks @ noise) / horizon)
     adjusted = np.asarray(adjusted)
@@ -449,13 +450,13 @@ def _accounting_group(market, impact, n_episodes, master_seed,
     worst_financing = 0.0
     for episode in range(n_episodes):
         env.reset(episode=episode)
-        S = env.path.prices
+        S = env_state(env).unaffected
         rewards = []
-        prev = env.state
+        prev = env_state(env)
         for t in range(cfg.n_periods):
             result = env.step(rng.uniform(-0.3, 0.8, size=n))
             rewards.append(result.reward)
-            state = env.state
+            state = env_state(env)
             marked = state.cash + float(state.holdings @ state.prices)
             worst_mark = max(
                 worst_mark, abs(marked - state.wealth) / abs(state.wealth)
@@ -474,8 +475,8 @@ def _accounting_group(market, impact, n_episodes, master_seed,
                     worst_financing, gap / max(abs(state.wealth - prev.wealth), 1.0)
                 )
             prev = state
-        assert not result.info["bankrupt"]
-        total = math.log(env.state.wealth / cfg.initial_wealth)
+        assert not result.bankrupt
+        total = math.log(state.wealth / cfg.initial_wealth)
         gap = abs(sum(rewards) - total) / max(abs(total), 1.0)
         worst_telescope = max(worst_telescope, gap)
     return worst_mark, worst_telescope, worst_financing

@@ -200,17 +200,25 @@ def test_train_outputs_and_determinism(tmp_path):
     assert len(log) == 2  # one finished episode
 
 
-def test_evaluate_without_checkpoint_equals_baseline(tmp_path):
+def test_evaluate_without_checkpoint_equals_baseline(tmp_path, monkeypatch):
+    # one command under two names: each writes its own CSV and records its
+    # own name under the default runs/<command>/<config-stem>/
     config = write(tmp_path, "tiny.yaml", TINY)
-    eval_out = tmp_path / "eval"
-    base_out = tmp_path / "base"
-    assert main(["evaluate", "--config", str(config), "--out", str(eval_out),
-                 "--episodes", "2"]) == 0
-    assert main(["baseline", "--config", str(config), "--out", str(base_out),
-                 "--episodes", "2"]) == 0
-    assert (eval_out / "eval.csv").read_bytes() == (
-        base_out / "baseline.csv"
-    ).read_bytes()
+    monkeypatch.setenv("KELLYLAB_OUT_ROOT", str(tmp_path / "root"))
+    rows = {}
+    for command, name, other in [("evaluate", "eval.csv", "baseline.csv"),
+                                 ("baseline", "baseline.csv", "eval.csv")]:
+        assert main([command, "--config", str(config), "--episodes", "2"]) == 0
+        out = tmp_path / "root" / "runs" / command / "tiny"
+        assert not (out / other).exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        rows[command] = (out / name).read_bytes()
+    assert rows["evaluate"] == rows["baseline"]
+    # baseline takes no checkpoint: argparse rejects the flag
+    with pytest.raises(SystemExit) as excinfo:
+        main(["baseline", "--config", str(config), "--checkpoint", "x"])
+    assert excinfo.value.code == 2
 
 
 def test_evaluate_checkpoint_and_episode_override(tmp_path):
@@ -239,6 +247,32 @@ def test_seed_override(tmp_path):
     lines = (out / "baseline.csv").read_text().splitlines()
     assert len(lines) == 2
     assert lines[1].split(",")[0] == "7"
+
+
+@pytest.mark.parametrize("seed", [2**32, -1])
+@pytest.mark.parametrize("source", ["run.seeds", "--seed"])
+@pytest.mark.parametrize("command", ["baseline", "simulate"])
+def test_seeds_outside_32_bits_are_rejected(tmp_path, capsys, command,
+                                            source, seed):
+    # the random streams key on a seed's low 32 bits: 2**32 would replay
+    # seed 0, and -1 seed 2**32 - 1, under another label
+    out = tmp_path / "out"
+    if source == "run.seeds":
+        config = write(tmp_path, "tiny.yaml",
+                       TINY.replace("seeds: [0]", f"seeds: [0, {seed}]"))
+        line = TINY.splitlines().index("  seeds: [0]") + 1
+        argv = [command, "--config", str(config)]
+        where = f"{config}:{line}: run.seeds[1]"
+    else:
+        config = write(tmp_path, "tiny.yaml", TINY)
+        argv = [command, "--config", str(config), "--seed", str(seed)]
+        where = "--seed"
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {where}: seed {seed} is outside [0, 2**32)\n")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_context_train_and_checkpoint_evaluate(tmp_path):

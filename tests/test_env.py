@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from kellylab.env import BANKRUPTCY_REWARD, EnvConfig, PortfolioEnv
 from kellylab.errors import ConfigError, LifecycleError
 from kellylab.impact import ImpactParams, trade_cost
-from kellylab.market import MarketParams, RegimeModel
+from kellylab.market import MarketParams, RegimeModel, generate_path
+from kellylab.rng import episode_stream
 
+from envstate import env_state
 from shipped import regime, shipped
 
 
@@ -72,7 +74,9 @@ def test_initial_observation_layout():
     history = obs[: 3 * 4].reshape(4, 3)
     # the newest history row is the episode open, normalized to 1
     assert np.array_equal(history[-1], np.ones(3))
-    assert np.array_equal(history[:-1], env.path.warmup_prices)
+    path = generate_path(cfg.market, cfg.n_periods, cfg.dt,
+                         episode_stream(0, 0), warmup=3)
+    assert np.array_equal(history[:-1], path.warmup_prices)
     # no stock holdings yet and full initial wealth
     assert np.array_equal(obs[12:15], np.zeros(3))
     assert obs[15] == 1.0
@@ -95,10 +99,10 @@ def test_reset_auto_increments_episodes():
 def test_same_episode_is_reproducible():
     env = PortfolioEnv(make_config(), master_seed=3)
     first = env.reset(episode=5)
-    prices = env.path.prices.copy()
+    prices = env_state(env).unaffected
     second = env.reset(episode=5)
     assert np.array_equal(first, second)
-    assert np.array_equal(env.path.prices, prices)
+    assert np.array_equal(env_state(env).unaffected, prices)
     other = env.reset(episode=6)
     assert not np.array_equal(first, other)
 
@@ -112,7 +116,7 @@ def test_unaffected_path_ignores_actions():
     for _ in range(8):
         a.step(np.array([0.0]))
         b.step(np.array([1.5]))
-    assert np.array_equal(a.path.prices, b.path.prices)
+    assert np.array_equal(env_state(a).unaffected, env_state(b).unaffected)
     # trading leaves a mark on effective prices when impact is on
     assert not np.array_equal(
         a.effective_episode_prices(), b.effective_episode_prices()
@@ -133,7 +137,7 @@ def test_all_cash_earns_the_cash_rate():
         assert result.reward == pytest.approx(r_dt, abs=1e-15)
         wealth *= math.exp(r_dt)
     assert result.done
-    assert env.state.wealth == pytest.approx(wealth, rel=1e-12)
+    assert env_state(env).wealth == pytest.approx(wealth, rel=1e-12)
 
 
 def test_interest_accrues_at_the_current_regime_rate():
@@ -155,7 +159,7 @@ def test_static_market_full_investment_is_flat():
     for _ in range(4):
         result = env.step(np.array([1.0]))
         assert result.reward == 0.0
-    assert env.state.wealth == 1000.0
+    assert env_state(env).wealth == 1000.0
 
 
 def test_deterministic_drift_full_investment():
@@ -188,7 +192,7 @@ def test_two_period_ledger_replication():
     cfg = make_config(market=market, impact=impact, window=2)
     env = PortfolioEnv(cfg, master_seed=11)
     env.reset(episode=2)
-    S = env.path.prices
+    S = env_state(env).unaffected
     dt = cfg.dt
     R = math.exp(0.03 * dt)
 
@@ -210,8 +214,7 @@ def test_two_period_ledger_replication():
 
         result = env.step(action)
         assert result.reward == pytest.approx(expected_reward, rel=1e-10)
-        assert result.info["cost_paid"] == pytest.approx(cost, rel=1e-10)
-        state = env.state
+        state = env_state(env)
         assert state.wealth == pytest.approx(wealth, rel=1e-10)
         assert state.cash == pytest.approx(cash, rel=1e-10)
         assert np.allclose(state.holdings, hold, rtol=1e-10)
@@ -230,11 +233,11 @@ def test_wealth_identity_and_reward_telescoping():
     while not env.done:
         result = env.step(rng.uniform(-0.3, 0.8, size=3))
         rewards.append(result.reward)
-        state = env.state
+        state = env_state(env)
         marked = state.cash + float(state.holdings @ state.prices)
         assert marked == pytest.approx(state.wealth, rel=1e-9)
-    assert not result.info["bankrupt"]
-    total = math.log(env.state.wealth / cfg.initial_wealth)
+    assert not result.bankrupt
+    total = math.log(env_state(env).wealth / cfg.initial_wealth)
     assert sum(rewards) == pytest.approx(total, rel=1e-9, abs=1e-9)
 
 
@@ -245,14 +248,14 @@ def test_zero_impact_self_financing():
     cfg = make_config(market=RegimeModel.single(regime("etf3")))
     env = PortfolioEnv(cfg, master_seed=2)
     env.reset(episode=0)
-    S = env.path.prices
+    S = env_state(env).unaffected
     dt = cfg.dt
     R = math.exp(0.04 * dt)
     rng = np.random.default_rng(23)
-    prev = env.state
+    prev = env_state(env)
     for t in range(cfg.n_periods):
         env.step(rng.uniform(-0.5, 1.0, size=3))
-        state = env.state
+        state = env_state(env)
         traded = state.holdings - prev.holdings
         price_pnl = float((prev.holdings + 0.5 * traded) @ (S[t + 1] - S[t]))
         interest = state.cash * (1.0 - 1.0 / R)
@@ -267,7 +270,7 @@ def test_observation_tracks_drifted_weights():
     env = PortfolioEnv(cfg, master_seed=4)
     env.reset(episode=0)
     result = env.step(np.array([0.5]))
-    state = env.state
+    state = env_state(env)
     expected_weight = float(state.holdings[0] * state.prices[0] / state.wealth)
     n, w = 1, 2
     assert result.observation[n * w] == pytest.approx(expected_weight, rel=1e-12)
@@ -279,7 +282,7 @@ def test_observation_tracks_drifted_weights():
 def weight_row_observation(env):
     """The observation formula before step reused its own marks, kept as the
     oracle: (cash, stock) weights recomputed from the state, cash dropped."""
-    state = env.state
+    state = env_state(env)
     cfg = env.config
     n, w = cfg.n_assets, cfg.window
     row = np.zeros(n + 1)
@@ -307,7 +310,7 @@ def test_step_observation_equals_the_weight_row_formula(leverage, bankrupt):
     while result is None or not result.done:
         result = env.step(leverage * signs * (1.0 + 0.1 * np.sin(env.t)))
         assert np.array_equal(result.observation, weight_row_observation(env))
-    assert result.info["bankrupt"] == bankrupt
+    assert result.bankrupt == bankrupt
     assert (env.t < cfg.n_periods) == bankrupt
 
 
@@ -319,7 +322,7 @@ def test_effective_prices_equal_unaffected_without_impact():
         env.step(np.array([0.2, 0.2, 0.2]))
     eff = env.effective_episode_prices()
     assert eff.shape == (7, 3)
-    assert np.array_equal(eff, env.path.prices[:7])
+    assert np.array_equal(eff, env_state(env).unaffected[:7])
 
 
 # -- lifecycle and termination -----------------------------------------------------
@@ -329,8 +332,6 @@ def test_lifecycle_errors():
     env = PortfolioEnv(make_config(), master_seed=0)
     with pytest.raises(LifecycleError):
         env.step(np.array([0.0]))
-    with pytest.raises(LifecycleError):
-        env.state
     with pytest.raises(LifecycleError):
         env.current_regime
     with pytest.raises(LifecycleError):
@@ -358,7 +359,7 @@ def test_episode_terminates_at_horizon():
     assert not first.done
     second = env.step(np.array([0.0]))
     assert second.done
-    assert not second.info["bankrupt"]
+    assert not second.bankrupt
     assert env.t == 2
 
 
@@ -369,8 +370,8 @@ def test_bankruptcy_pays_the_penalty_and_terminates():
     result = env.step(np.array([1e6]))
     assert result.reward == BANKRUPTCY_REWARD
     assert result.done
-    assert result.info["bankrupt"]
-    assert env.state.wealth <= 0.0
+    assert result.bankrupt
+    assert env_state(env).wealth <= 0.0
     # drifted weights are reported as zeros once wealth is gone
     n, w = 1, 4
     assert result.observation[n * w] == 0.0
@@ -398,10 +399,10 @@ def test_non_finite_step_ends_the_episode_as_bankrupt(master_seed, episode,
             result = env.step(60.0 * signs * (1.0 + 0.1 * np.sin(env.t)))
             rewards.append(result.reward)
     assert env.t == last_t
-    assert result.info["bankrupt"]
+    assert result.bankrupt
     assert rewards[-1] == BANKRUPTCY_REWARD
     assert all(math.isfinite(r) for r in rewards)
-    state = env.state
+    state = env_state(env)
     assert not (0.0 < state.wealth < math.inf
                 and np.all((state.multipliers > 0.0)
                            & (state.multipliers < math.inf)))
@@ -419,10 +420,11 @@ def test_wealth_overflow_without_impact_is_bankrupt():
         while not env.done:
             result = env.step(np.array([1.0]))
     assert env.t == 3600 < env.config.n_periods
-    assert result.info["wealth"] == math.inf
-    assert result.info["bankrupt"]
+    state = env_state(env)
+    assert state.wealth == math.inf
+    assert result.bankrupt
     assert result.reward == BANKRUPTCY_REWARD
-    assert np.array_equal(env.state.multipliers, np.ones(1))
+    assert np.array_equal(state.multipliers, np.ones(1))
 
 
 # -- the per-asset float cost against the array step --------------------------
@@ -461,9 +463,7 @@ def array_step(env, action, total=np.sum):
         reward = math.log(new_wealth / wealth)
         env._done = t == env._n_periods
     env._wealth = new_wealth
-    return (env._observation(s1_eff, bankrupt), reward, env._done,
-            {"bankrupt": bankrupt, "regime": env._regimes[t],
-             "cost_paid": cost_paid, "wealth": new_wealth})
+    return env._observation(s1_eff, bankrupt), reward, env._done, bankrupt
 
 
 def same_bits(new, old):
@@ -512,16 +512,14 @@ def check_steps_against_oracle(n, seed, master_seed, leverage, eta, gamma,
         while not env.done:
             action = leverage * rng.uniform(-1.0, 1.0, n)
             twin = copy.deepcopy(env)
-            obs, reward, done, info = array_step(twin, action, total)
+            obs, reward, done, bankrupt = array_step(twin, action, total)
             result = env.step(action)
             assert same_bits(result.observation, obs)
             assert same_bits(result.reward, reward)
             assert result.done == done
-            assert result.info["bankrupt"] == info["bankrupt"]
-            assert result.info["regime"] == info["regime"]
-            assert same_bits(result.info["cost_paid"], info["cost_paid"])
-            assert same_bits(result.info["wealth"], info["wealth"])
-            state, expected = env.state, twin.state
+            assert result.bankrupt == bankrupt
+            state, expected = env_state(env), env_state(twin)
+            assert state.regime == expected.regime
             for name in ("prices", "history", "holdings", "cash", "wealth",
                          "multipliers"):
                 assert same_bits(getattr(state, name), getattr(expected, name))

@@ -281,7 +281,6 @@ def test_chain_stays_in_its_state_space_when_a_row_sums_below_one():
     assert z.tolist() == [0, 1, 1, 1, 1, 1]
     path = generate_path(model, 5, 1.0 / 256, StubUniforms(0.9999999999),
                          warmup=2)
-    assert path.warmup_regimes.tolist() == [0, 1]
     assert path.regimes.tolist() == [1] * 6
     # an initial distribution summing below one stays in range too
     model.initial_dist = np.array([0.5, 0.5 - 5e-10])
@@ -398,7 +397,6 @@ def test_generate_path_warmup_shares_normalization():
     model = shipped("regimes3").market
     path = generate_path(model, 8, 1.0 / 256, episode_stream(2, 2), warmup=6)
     assert path.warmup_prices.shape == (6, 3)
-    assert path.warmup_regimes.shape == (6,)
     assert np.array_equal(path.prices[0], np.ones(3))
     full = np.vstack([path.warmup_prices, path.prices])
     assert full.shape == (15, 3)

@@ -22,6 +22,8 @@ from kellylab.training import (
     write_training_log,
 )
 
+from envstate import env_state
+
 
 def make_config(mu=0.12, sigma=0.2, horizon_years=0.0625, window=2,
                 initial_wealth=1000.0):
@@ -66,7 +68,7 @@ def sequential_evaluate(policy, env_factory, n_episodes, seed,
             obs = result.observation
             reward_sum += result.reward
             if result.done:
-                bankrupt = result.info["bankrupt"]
+                bankrupt = result.bankrupt
                 break
         lengths.append(env.t)
         if bankrupt:
@@ -119,7 +121,7 @@ def test_lockstep_analytic_evaluation_equals_the_sequential_loop(
     config = two_regime_config()
     env = PortfolioEnv(config, 4)
     env.reset(episode=5)
-    assert len(set(env.path.regimes.tolist())) == 2  # regimes switch
+    assert len(set(env_state(env).regimes)) == 2  # regimes switch
     policy = RegimeSwitchingPolicy(np.array([[1.5, 0.5], [-0.5, 0.2]]),
                                    adjustment_periods, fraction=0.7)
     expected, _ = sequential_evaluate(policy, factory_for(config), 7, seed=4,
@@ -335,7 +337,7 @@ def recording_factory(config, episodes):
             episodes[-1][0].append(np.array(action, copy=True))
             result = step(action)
             if result.done:
-                episodes[-1] = (episodes[-1][0], result.info["bankrupt"])
+                episodes[-1] = (episodes[-1][0], result.bankrupt)
             return result
 
         env.step = recording_step
