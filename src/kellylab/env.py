@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigError, LifecycleError
 from .impact import ImpactParams, trade_cost
 from .market import RegimeModel, generate_path
-from .rng import episode_stream
+from .rng import check_seed, episode_stream
 
 BANKRUPTCY_REWARD = -10.0
 
@@ -102,6 +102,7 @@ class PortfolioEnv:
     def __init__(self, config: EnvConfig, master_seed: int = 0):
         self.config = config
         self.master_seed = int(master_seed)
+        check_seed(self.master_seed, "master_seed")
         self._next_episode = 0
         self._t = -1  # reset() not called yet
         self._done = True

@@ -10,8 +10,12 @@ The Viterbi recursion (Rabiner 1989) runs over a stack of equal-length
 sequences, one loop over time for the whole stack; one sequence is a stack of
 one, and the fit decodes its sequences grouped by length. predict_current
 runs only the forward max pass (no backpointers); max is exact, so its label
-is decode's last state bit for bit. A model computes its Cholesky factors and
-log probabilities once, and its arrays are read-only so they cannot go stale.
+is decode's last state bit for bit. One call labels one window or a stack of
+equal-length windows; a stack's emissions come from one triangular solve per
+state over all its rows, except that one-row windows (T == 1) are solved one
+by one, because a one-row solve rounds differently. A model computes its
+Cholesky factors and log probabilities once, and its arrays are read-only so
+they cannot go stale.
 
 The fit works on raw, unlabelled returns, so its state indices are arbitrary
 (label switching): best_permutation() maps them onto simulator regimes.
@@ -111,9 +115,9 @@ _LOG_2PI = np.log(2.0 * np.pi)
 def _emission_logprobs(model: GaussianHmmModel, x: np.ndarray) -> np.ndarray:
     """log N(x_t | mean_k, cov_k) for every (t, k), shape (T, K).
 
-    One triangular solve per state over the whole (T, n) block: the solve's
-    result depends on its column count, so a caller that wants the same bits
-    must pass the same block.
+    One triangular solve per state over the whole (T, n) block. A row's
+    result is the same in any block of at least 2 rows, but differs in a
+    one-row block (tests/test_hmm.py checks this of the running BLAS).
     """
     # deferred: scipy.linalg costs ~0.3 s to import, and only detector
     # commands reach this line
@@ -169,36 +173,87 @@ def decode(model: GaussianHmmModel, sequence) -> np.ndarray:
     return paths if stacked else paths[0]
 
 
-def predict_current(model: GaussianHmmModel, window) -> int:
+def predict_current(model: GaussianHmmModel, window):
     """Regime label now: final state of the decode over a recent window.
 
-    Runs the forward max-product pass on plain floats and keeps no
-    backpointers; every step takes the same max of the same sums as decode,
-    so the label is decode(model, window)[-1] exactly.
+    window is one (T, n) window of return rows, giving an int, or a stack of
+    equal-length windows (L, T, n), giving (L,) labels. Each label is
+    decode(model, w)[-1] of its own window bit for bit: the forward
+    max-product pass keeps no backpointers, but every step takes the same max
+    of the same sums as decode.
+
+    A stack of L windows makes one emission solve per state over its L * T
+    rows, whose rows have the bits of each window's own solve when T >= 2.
+    When T == 1 the windows are solved one by one, because a one-row solve
+    rounds differently from a row of a larger block.
     """
-    window = np.atleast_2d(np.asarray(window, dtype=np.float64))
-    if window.shape[0] < 1:
+    x = np.asarray(window, dtype=np.float64)
+    stacked = x.ndim == 3
+    if not stacked:
+        x = np.atleast_2d(x)[None]
+    l_len, t_len, n = x.shape
+    if t_len < 1:
         raise ValueError("window must contain at least one return row")
     if model.n_states == 1:
-        return 0
-    emis = _emission_logprobs(model, window).tolist()
+        return np.zeros(l_len, dtype=np.int64) if stacked else 0
+    if l_len == 1:
+        label = _label_one(model, _emission_logprobs(model, x[0]).tolist())
+        return np.array([label]) if stacked else label
+    if t_len == 1:
+        emis = np.stack([_emission_logprobs(model, w) for w in x])
+    else:
+        emis = _emission_logprobs(model, x.reshape(-1, n))
+    return _label_stack(model, emis.reshape(l_len, t_len, -1))
+
+
+def _label_one(model: GaussianHmmModel, emis: list) -> int:
+    """Forward max-product pass over one window's emission rows, on plain
+    floats; a tie goes to the lower state, as argmax does."""
+    if model.n_states == 2:
+        # the list pass below unrolled: the same adds and maxes
+        (a00, a10), (a01, a11) = model._log_into
+        s0, s1 = map(add, model._log_init_list, emis[0])
+        for e0, e1 in itertools.islice(emis, 1, None):
+            s0, s1 = max(s0 + a00, s1 + a10) + e0, max(s0 + a01, s1 + a11) + e1
+        return 0 if s0 >= s1 else 1
     score = list(map(add, model._log_init_list, emis[0]))
-    for row in emis[1:]:
+    for row in itertools.islice(emis, 1, None):
         score = [
             max(map(add, score, into)) + e for into, e in zip(model._log_into, row)
         ]
     return max(range(len(score)), key=score.__getitem__)
 
 
-def label_observation(model: GaussianHmmModel, obs, window: int,
-                      n_assets: int) -> int:
-    """Regime label from an observation that starts with its price window.
+def _label_stack(model: GaussianHmmModel, emis: np.ndarray) -> np.ndarray:
+    """The same pass over stacked emissions (L, T, K), as numpy on an (L, K)
+    score updated in place."""
+    l_len, _, k = emis.shape
+    steps = emis.transpose(1, 0, 2)  # one (L, K) emission row per step
+    score = model._log_init + steps[0]
+    into = score[:, :, None]
+    cand = np.empty((l_len, k, k))  # (lane, from, to)
+    from_state = [cand[:, i] for i in range(k)]
+    for e in steps[1:]:
+        np.add(into, model._log_trans, out=cand)
+        # a fold of maximum over the from-states: cand.max(axis=1) gives the
+        # same values, but its reduce made the pass 15-35% slower
+        np.maximum(from_state[0], from_state[1], out=score)
+        for rest in from_state[2:]:
+            np.maximum(score, rest, out=score)
+        np.add(score, e, out=score)
+    return score.argmax(axis=1)
 
-    The first window * n_assets entries of obs are the (window, n_assets)
-    prices, oldest row first; the detector sees their log returns.
+
+def label_observation(model: GaussianHmmModel, obs, window: int,
+                      n_assets: int) -> np.ndarray:
+    """Regime labels (L,) from stacked observations (L, D) that each start
+    with their price window.
+
+    The first window * n_assets entries of each row are the (window,
+    n_assets) prices, oldest row first; the detector sees their log returns.
     """
-    prices = obs[: n_assets * window].reshape(window, n_assets)
-    return predict_current(model, np.diff(np.log(prices), axis=0))
+    prices = obs[:, : n_assets * window].reshape(len(obs), window, n_assets)
+    return predict_current(model, np.diff(np.log(prices), axis=1))
 
 
 def _path_log_likelihood(model, emissions, paths) -> float:

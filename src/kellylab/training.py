@@ -28,7 +28,7 @@ class NetPolicy:
     """Evaluation wrapper: act with the policy mean, one forward for all lanes.
 
     A context net reads its regime context from its frozen detector, which
-    it must be given; each lane's label is its own predict_current call.
+    it must be given; one predict_current call labels every live lane.
     """
 
     # Per-row forward cost is flat past 64 rows, and every lane holds one
@@ -49,27 +49,25 @@ class NetPolicy:
         if self.detector is None:
             mean, _ = self.net.forward(obs)
         else:
-            contexts = np.stack([
-                _context_from_obs(o, env.config.window, env.config.n_assets,
-                                  self.detector, self.net.context_dim)
-                for o, env in zip(observations, envs)
-            ])
+            config = envs[0].config
+            contexts = _context_from_obs(obs, config.window, config.n_assets,
+                                         self.detector, self.net.context_dim)
             mean, _ = self.net.forward(obs, contexts)
         return mean
 
 
 def _context_from_obs(obs, window, n_assets, detector, n_states) -> np.ndarray:
-    """One-hot detector label from the observation's price window.
+    """One-hot detector labels (L, K) from stacked observations (L, D).
 
     Before the detector exists the context is uniform over regimes, keeping
     the elementwise-product trunk live without asserting a label.
     """
     if detector is None:
-        return np.full(n_states, 1.0 / n_states)
-    label = hmm_module.label_observation(detector, obs, window, n_assets)
-    context = np.zeros(n_states)
-    context[label] = 1.0
-    return context
+        return np.full((len(obs), n_states), 1.0 / n_states)
+    labels = hmm_module.label_observation(detector, obs, window, n_assets)
+    contexts = np.zeros((len(obs), n_states))
+    contexts[np.arange(len(obs)), labels] = 1.0
+    return contexts
 
 
 @dataclass
@@ -251,7 +249,8 @@ def train(
 
     obs = env.reset()
     context = (
-        _context_from_obs(obs, env.config.window, n_assets, None, net.context_dim)
+        _context_from_obs(obs[None], env.config.window, n_assets, None,
+                          net.context_dim)[0]
         if is_context
         else None
     )
@@ -321,8 +320,9 @@ def train(
                 obs = result.observation
             if is_context:
                 context = _context_from_obs(
-                    obs, env.config.window, n_assets, detector, net.context_dim
-                )
+                    obs[None], env.config.window, n_assets, detector,
+                    net.context_dim,
+                )[0]
 
         if buffer.dones[-1]:
             bootstrap = 0.0

@@ -12,6 +12,7 @@ from kellylab.baselines import (
     rs_baseline_grid_search,
 )
 from kellylab.env import EnvConfig, PortfolioEnv
+from kellylab.errors import ConfigError
 from kellylab.impact import ImpactParams
 from kellylab.market import MarketParams, RegimeModel
 from kellylab.training import evaluate
@@ -222,6 +223,13 @@ def test_grid_search_rejects_empty_grids():
     config = small_env_config()
     with pytest.raises(ValueError, match="nonempty"):
         rs_baseline_grid_search(config, fractions=[], adjustment_grid=[1])
+
+
+def test_grid_search_rejects_a_seed_outside_32_bits():
+    config = small_env_config(horizon_years=0.0625)
+    with pytest.raises(ConfigError, match="outside"):
+        rs_baseline_grid_search(config, fractions=[0.5], adjustment_grid=[1],
+                                episodes_per_cell=1, master_seed=-1)
 
 
 @pytest.mark.slow

@@ -63,6 +63,15 @@ def test_config_validation():
         EnvConfig(0.25, 256, 4, 1000.0, cfg.market, cfg.impact, discount=0.0)
 
 
+@pytest.mark.parametrize("seed", [2**32, -1])
+def test_master_seed_outside_32_bits_is_rejected(seed):
+    # episode streams key on the seed's low 32 bits: 2**32 would replay seed
+    # 0, and -1 would replay 2**32 - 1
+    with pytest.raises(ConfigError, match=r"master_seed: seed .* outside"):
+        PortfolioEnv(make_config(), seed)
+    PortfolioEnv(make_config(), 2**32 - 1).reset(episode=0)
+
+
 # -- reset and observation layout ------------------------------------------------
 
 

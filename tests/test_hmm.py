@@ -232,6 +232,8 @@ def test_decode_single_state_shortcut():
     )
     assert np.array_equal(decode(model, np.zeros((5, 1))),
                           np.zeros(5, dtype=np.int64))
+    assert predict_current(model, np.zeros((5, 1))) == 0
+    assert predict_current(model, np.zeros((3, 5, 1))).tolist() == [0, 0, 0]
 
 
 def test_predict_current_returns_the_final_state():
@@ -242,8 +244,15 @@ def test_predict_current_returns_the_final_state():
     window = np.array([[-0.02], [-0.02], [0.02], [0.02], [0.02]])
     assert predict_current(model, window) == 1
     assert predict_current(model, [0.019]) == 1
+    # a stack of equal-length windows gets one label per window
+    stack = np.stack([np.full((5, 1), 0.019), np.full((5, 1), -0.019), window])
+    assert predict_current(model, stack).tolist() == [1, 0, 1]
+    assert predict_current(model, stack[1:2]).tolist() == [0]
+    assert predict_current(model, [[[0.019]], [[-0.019]]]).tolist() == [1, 0]
     with pytest.raises(ValueError, match="at least one return row"):
         predict_current(model, np.empty((0, 1)))
+    with pytest.raises(ValueError, match="at least one return row"):
+        predict_current(model, np.empty((2, 0, 1)))
 
 
 def test_best_permutation_and_accuracy():
@@ -399,15 +408,16 @@ def oracle_fit(sequences, config, rng):
 
 
 @st.composite
-def hmm_models(draw):
-    """Random K in {1, 2, 3} models over 1-3 features.
+def hmm_models(draw, states=(1, 3), features=(1, 3)):
+    """Random models with K in the states range over a features range
+    (default K 1-3, 1-3 features).
 
     Transitions and initial distributions may carry exact zeros (forbidden
     moves, impossible starts), and a model may repeat one state's emission
     parameters so that scores tie exactly.
     """
-    k = draw(st.integers(1, 3))
-    n = draw(st.integers(1, 3))
+    k = draw(st.integers(*states))
+    n = draw(st.integers(*features))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     means = rng.normal(0.0, 0.02, size=(k, n))
     covariances = np.empty((k, n, n))
@@ -462,6 +472,109 @@ def test_non_finite_windows_still_raise(model, seed, bad):
         predict_current(model, window)
     with pytest.raises(ValueError):
         decode(model, window)
+    # one bad entry in any one lane of a stack fails the whole call
+    lanes = int(rng.integers(2, 8))
+    stack = rng.normal(0.0, 0.02, size=(lanes, t_len, model.n_features))
+    stack[rng.integers(0, lanes)] = window
+    with pytest.raises(ValueError):
+        predict_current(model, stack)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(model=hmm_models(states=(2, 4), features=(1, 4)),
+       t_len=st.one_of(st.just(1), st.integers(1, 60)),
+       lanes=st.integers(1, 70), seed=st.integers(0, 2**32 - 1))
+def test_stacked_predict_current_equals_each_window_on_its_own(
+        model, t_len, lanes, seed):
+    # t_len == 1 is drawn often: a stack of one-row windows is solved window
+    # by window, because a one-column solve rounds differently
+    rng = np.random.default_rng(seed)
+    states = rng.integers(0, model.n_states, size=(lanes, t_len))
+    scale = rng.choice([0.5, 1.0, 3.0], size=(lanes, 1, 1))
+    stack = model.means[states] + scale * rng.normal(
+        0.0, 0.03, size=(lanes, t_len, model.n_features)
+    )
+    want = [predict_current(model, window) for window in stack]
+    assert want == [decode(model, window)[-1] for window in stack]
+    # lanes leave mid-wave as their episodes end, so later calls label a
+    # shrinking subset of the stack, in lane order
+    live = np.arange(lanes)
+    while live.size:
+        got = predict_current(model, stack[live])
+        assert got.shape == (live.size,)
+        assert got.tolist() == [want[i] for i in live]
+        live = live[rng.uniform(size=live.size) < 0.7]
+
+
+@pytest.mark.parametrize("t_len", [1, 2, 5])
+def test_stacked_labels_match_at_the_decision_boundary(t_len):
+    # Random windows rarely land within rounding of a tie, where a last-bit
+    # change in an emission flips the label. Here the last row moves along
+    # the line between the two means to where the label flips, and a stack
+    # holds the windows 30 ulps either side of that point.
+    rng = np.random.default_rng(t_len)
+    boundaries = 0
+    for _ in range(30):
+        n = int(rng.integers(1, 4))
+        a = rng.normal(0.0, 0.01, size=(2, n, n))
+        model = GaussianHmmModel(
+            means=rng.normal(0.0, 0.02, size=(2, n)),
+            covariances=a @ a.transpose(0, 2, 1)
+            + rng.uniform(1e-5, 1e-3, size=(2, 1, 1)) * np.eye(n),
+            transition=rng.dirichlet([1.0, 1.0], size=2),
+            initial=rng.dirichlet([1.0, 1.0]),
+        )
+        head = model.means[rng.integers(0, 2, size=t_len - 1)]
+        head = head + rng.normal(0.0, 0.01, size=head.shape)
+        step = model.means[1] - model.means[0]
+
+        def window(a):
+            return np.vstack([head, model.means[0] + a * step])
+
+        lo, hi = -3.0, 4.0
+        if predict_current(model, window(lo)) == predict_current(model, window(hi)):
+            continue
+        while lo < np.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if predict_current(model, window(mid)) == predict_current(model, window(lo)):
+                lo = mid
+            else:
+                hi = mid
+        boundaries += 1
+        shifts = [lo, hi]
+        for _ in range(30):
+            shifts = [np.nextafter(shifts[0], -np.inf)] + shifts
+            shifts.append(np.nextafter(shifts[-1], np.inf))
+        stack = np.stack([window(a) for a in shifts])
+        want = [predict_current(model, w) for w in stack]
+        assert predict_current(model, stack).tolist() == want
+    assert boundaries >= 10
+
+
+def test_blas_solves_a_column_the_same_in_any_block_of_two_or_more():
+    # A stacked predict_current solves every lane's rows in one block and
+    # relies on each row getting the bits of its own window's solve. That
+    # holds for the BLAS this package is tested on; a BLAS for which it
+    # does not must fail here rather than let labels drift.
+    from scipy.linalg.lapack import dtrtrs
+
+    def solve(chol, rows):
+        z, info = dtrtrs(chol.T, rows.T, lower=0, trans=1)
+        assert info == 0
+        return z
+
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 3, 4, 8):
+        a = rng.normal(0.0, 0.01, size=(n, n))
+        chol = np.linalg.cholesky(a @ a.T + 1e-4 * np.eye(n))
+        windows = rng.normal(0.0, 0.02, size=(8, 59, n))
+        stacked = solve(chol, windows.reshape(-1, n))
+        for w, window in enumerate(windows):
+            full = solve(chol, window)
+            for i in range(59):
+                pair = solve(chol, window[[i, (i + 1) % 59]])
+                assert pair[:, 0].tobytes() == full[:, i].tobytes(), (n, i)
+                assert stacked[:, w * 59 + i].tobytes() == full[:, i].tobytes()
 
 
 def test_decode_of_a_stack_is_each_sequence_decoded():

@@ -8,7 +8,7 @@ import pytest
 from kellylab.baselines import RegimeSwitchingPolicy
 from kellylab.env import EnvConfig, PortfolioEnv
 from kellylab.errors import FitError
-from kellylab.hmm import GaussianHmmModel, HmmFitConfig
+from kellylab.hmm import GaussianHmmModel, HmmFitConfig, predict_current
 from kellylab.impact import ImpactParams
 from kellylab.market import MarketParams, RegimeModel
 from kellylab.nets import ContextPolicyNet, PolicyNet
@@ -231,6 +231,52 @@ def test_evaluate_all_bankrupt_is_nan():
     assert result.growths == []
     assert math.isnan(result.mean_growth)
     assert math.isnan(result.mad)
+
+
+class PerLaneLabelPolicy(NetPolicy):
+    """Oracle: a context NetPolicy that labels each lane with its own
+    one-window predict_current call, as it did before stacked labels."""
+
+    def __init__(self, net, detector):
+        super().__init__(net, detector)
+        self.labels_seen = set()
+
+    def act(self, live, observations, envs):
+        obs = np.stack(observations)
+        window, n_assets = envs[0].config.window, envs[0].config.n_assets
+        contexts = np.zeros((len(obs), self.net.context_dim))
+        for context, o in zip(contexts, obs):
+            prices = o[: window * n_assets].reshape(window, n_assets)
+            label = predict_current(self.detector,
+                                    np.diff(np.log(prices), axis=0))
+            self.labels_seen.add(label)
+            context[label] = 1.0
+        mean, _ = self.net.forward(obs, contexts)
+        return mean
+
+
+@pytest.mark.parametrize("window", [2, 9])
+def test_stacked_detector_labels_give_the_per_lane_growths_bit_for_bit(window):
+    # window 2 gives one-row return windows, which are labelled lane by lane
+    config = two_regime_config(window=window)
+    detector = GaussianHmmModel(
+        means=np.array([[0.002, 0.001], [-0.002, 0.0]]),
+        covariances=np.array([np.eye(2) * 4e-4, np.eye(2) * 1.6e-3]),
+        transition=np.array([[0.8, 0.2], [0.2, 0.8]]),
+        initial=np.array([0.5, 0.5]),
+    )
+    net = ContextPolicyNet(config.observation_dim, 2, 2,
+                           np.random.default_rng(5), feature_sizes=(16, 8),
+                           regime_sizes=(8, 8), shared_sizes=(8,))
+    oracle = PerLaneLabelPolicy(net, detector)
+    # 70 episodes: a 64-lane wave, then a 6-lane one
+    expected = evaluate(oracle, factory_for(config), 70, seed=2,
+                        episode_offset=1)
+    assert oracle.labels_seen == {0, 1}
+    got = evaluate(NetPolicy(net, detector), factory_for(config), 70, seed=2,
+                   episode_offset=1)
+    assert_bitwise_equal(got, expected)
+    assert len(set(got.growths)) > 1
 
 
 def test_policy_wrappers_validate_their_inputs():
