@@ -140,17 +140,35 @@ def _emission_logprobs(model: GaussianHmmModel, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _viterbi(model: GaussianHmmModel, emis: np.ndarray) -> np.ndarray:
-    """Most-likely state paths (S, T) from stacked emissions (S, T, K)."""
+def _viterbi(model: GaussianHmmModel, emis: np.ndarray, last_only=False):
+    """Most-likely state paths (S, T) from stacked emissions (S, T, K).
+
+    With last_only, only each path's last state (S,): the forward pass alone,
+    keeping no backpointers. The max over the from-states is a fold of
+    np.maximum into a preallocated score (max is exact, so it equals
+    cand.max(axis=1), whose reduce made the pass 15-35% slower).
+    """
     s_len, t_len, k = emis.shape
-    score = model._log_init + emis[:, 0]
-    backptr = np.empty((t_len, s_len, k), dtype=np.int64)
+    steps = emis.transpose(1, 0, 2)  # one (S, K) emission row per step
+    score = model._log_init + steps[0]
+    into = score[:, :, None]
+    cand = np.empty((s_len, k, k))  # (sequence, from, to)
+    from_state = [cand[:, i] for i in range(k)]
+    backptr = None if last_only else np.empty((t_len, s_len, k), dtype=np.int64)
     for t in range(1, t_len):
-        cand = score[:, :, None] + model._log_trans  # (S, from, to)
-        backptr[t] = cand.argmax(axis=1)
-        score = cand.max(axis=1) + emis[:, t]
+        np.add(into, model._log_trans, out=cand)
+        if backptr is not None:
+            cand.argmax(axis=1, out=backptr[t])
+        # at K = 1 (only a fit has it) this is the one column with itself
+        np.maximum(from_state[0], from_state[-1], out=score)
+        for rest in from_state[1:-1]:
+            np.maximum(score, rest, out=score)
+        np.add(score, steps[t], out=score)
+    last = score.argmax(axis=1)
+    if last_only:
+        return last
     path = np.empty((s_len, t_len), dtype=np.int64)
-    path[:, -1] = np.argmax(score, axis=1)
+    path[:, -1] = last
     rows = np.arange(s_len)
     for t in range(t_len - 1, 0, -1):
         path[:, t - 1] = backptr[t, rows, path[:, t]]
@@ -203,45 +221,18 @@ def predict_current(model: GaussianHmmModel, window):
         emis = np.stack([_emission_logprobs(model, w) for w in x])
     else:
         emis = _emission_logprobs(model, x.reshape(-1, n))
-    return _label_stack(model, emis.reshape(l_len, t_len, -1))
+    return _viterbi(model, emis.reshape(l_len, t_len, -1), last_only=True)
 
 
 def _label_one(model: GaussianHmmModel, emis: list) -> int:
-    """Forward max-product pass over one window's emission rows, on plain
+    """_viterbi's forward pass over one window's emission rows, on plain
     floats; a tie goes to the lower state, as argmax does."""
-    if model.n_states == 2:
-        # the list pass below unrolled: the same adds and maxes
-        (a00, a10), (a01, a11) = model._log_into
-        s0, s1 = map(add, model._log_init_list, emis[0])
-        for e0, e1 in itertools.islice(emis, 1, None):
-            s0, s1 = max(s0 + a00, s1 + a10) + e0, max(s0 + a01, s1 + a11) + e1
-        return 0 if s0 >= s1 else 1
     score = list(map(add, model._log_init_list, emis[0]))
     for row in itertools.islice(emis, 1, None):
         score = [
             max(map(add, score, into)) + e for into, e in zip(model._log_into, row)
         ]
     return max(range(len(score)), key=score.__getitem__)
-
-
-def _label_stack(model: GaussianHmmModel, emis: np.ndarray) -> np.ndarray:
-    """The same pass over stacked emissions (L, T, K), as numpy on an (L, K)
-    score updated in place."""
-    l_len, _, k = emis.shape
-    steps = emis.transpose(1, 0, 2)  # one (L, K) emission row per step
-    score = model._log_init + steps[0]
-    into = score[:, :, None]
-    cand = np.empty((l_len, k, k))  # (lane, from, to)
-    from_state = [cand[:, i] for i in range(k)]
-    for e in steps[1:]:
-        np.add(into, model._log_trans, out=cand)
-        # a fold of maximum over the from-states: cand.max(axis=1) gives the
-        # same values, but its reduce made the pass 15-35% slower
-        np.maximum(from_state[0], from_state[1], out=score)
-        for rest in from_state[2:]:
-            np.maximum(score, rest, out=score)
-        np.add(score, e, out=score)
-    return score.argmax(axis=1)
 
 
 def label_observation(model: GaussianHmmModel, obs, window: int,
