@@ -1,9 +1,10 @@
 """The analytic baseline policy and its grid search.
 
 Policies here are net-free: act(live, observations, envs) returns target
-stock weights, one row per live evaluation lane. The one analytic policy is
-the foresight regime-switching baseline, which reads the true regime label
-from the simulator: the upper-bound comparison an agent is scored against.
+stock weights (L, n), one row per live evaluation lane. The one analytic
+policy is the foresight regime-switching baseline, which reads the true
+regime label from the simulator: the upper-bound comparison an agent is
+scored against.
 A single-regime market is its K = 1 case, where it holds fraction f of w*
 after an optional linear entry ramp.
 """
@@ -25,53 +26,69 @@ class RegimeSwitchingPolicy:
     `adjustment_periods` periods from all cash whenever the true regime
     label changes and at episode start: at period j < n of a ramp it holds
     (j+1)/n of the target. With one regime and one period it rebalances to
-    f * w* every period. Each lane keeps its own ramp counter and regime.
+    f * w* every period.
+
+    fraction and adjustment_periods are one value for every lane, or one
+    value per lane of the evaluation, in lane order. Each lane keeps its own
+    ramp counter and regime, and act computes every live lane's action at
+    once: ((k / n) * f) * targets[label] during a ramp, f * targets[label]
+    after it.
     """
 
-    # a lane's action is a few Python float operations: side-by-side lanes
-    # have nothing to batch
-    lanes = 1
+    # A lane holds its path and effective-price history (~75 KB on a
+    # 5-year, 3-asset episode at window 60). The grid search, whose lanes
+    # share paths, sets its own.
+    lanes = 64
 
-    def __init__(self, targets, adjustment_periods: int = 1,
-                 fraction: float = 1.0):
-        if adjustment_periods < 1:
-            raise ValueError(
-                f"adjustment_periods must be >= 1, got {adjustment_periods}"
-            )
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    def __init__(self, targets, adjustment_periods=1, fraction=1.0):
+        self.adjustment_periods = np.asarray(adjustment_periods, dtype=np.int64)
+        self.fraction = np.asarray(fraction, dtype=np.float64)
+        if self.adjustment_periods.ndim > 1 or self.fraction.ndim > 1:
+            raise ValueError("adjustment_periods and fraction must be one "
+                             "value or one per lane")
+        bad = self.adjustment_periods[self.adjustment_periods < 1]
+        if bad.size:
+            raise ValueError(f"adjustment_periods must be >= 1, got {bad[0]}")
+        bad = self.fraction[~((0.0 < self.fraction) & (self.fraction <= 1.0))]
+        if bad.size:
+            raise ValueError(f"fraction must be in (0, 1], got {bad[0]}")
         self.targets = np.asarray(targets, dtype=np.float64)
         if self.targets.ndim != 2:
             raise ValueError("targets must be (n_regimes, n_assets)")
-        self.adjustment_periods = int(adjustment_periods)
-        self.fraction = float(fraction)
-        # a finished ramp's scale is exactly 1.0 and 1.0 * f == f, so these
-        # rows are its actions bit for bit; read-only because every step
-        # returns the same array
-        self._held = self.fraction * self.targets
-        self._held.flags.writeable = False
-        self._k = []
-        self._regime = []
 
-    def reset(self, envs):
-        self._k = [0] * len(envs)
-        self._regime = [None] * len(envs)
+    def reset(self, envs, first=0):
+        count = len(envs)
+        self._n = _lane_values(self.adjustment_periods, first, count)
+        self._f = _lane_values(self.fraction, first, count)
+        self._k = np.zeros(count, dtype=np.int64)
+        self._regime = np.full(count, -1, dtype=np.int64)
 
     def act(self, live, observations, envs):
-        n = self.adjustment_periods
-        k_of, regime_of = self._k, self._regime
-        actions = []
-        for i, env in zip(live, envs):
-            label = env.current_regime
-            if label != regime_of[i]:
-                regime_of[i] = label
-                k_of[i] = 0
-            k = k_of[i] = k_of[i] + 1
-            if k >= n:
-                actions.append(self._held[label])
-            else:
-                actions.append(k / n * self.fraction * self.targets[label])
-        return actions
+        labels = np.array([env.current_regime for env in envs])
+        k = self._k[live]
+        k[labels != self._regime[live]] = 0
+        k += 1
+        self._k[live] = k
+        self._regime[live] = labels
+        n, f = self._n[live], self._f[live]
+        scale = np.where(k < n, (k / n) * f, f)
+        return scale[:, None] * self.targets[labels]
+
+
+def _lane_values(values, first, count):
+    """Per-lane values for lanes first..first+count-1 of an evaluation."""
+    if values.ndim == 0:
+        return np.full(count, values)
+    if first + count > len(values):
+        raise ValueError(
+            f"{len(values)} per-lane values cannot cover lanes {first}.."
+            f"{first + count - 1}"
+        )
+    return values[first : first + count]
+
+
+# the grid search's waves hold at most this much effective-price history
+GRID_WAVE_BYTES = 16 * 2**20
 
 
 @dataclass
@@ -92,10 +109,14 @@ def rs_baseline_grid_search(
     """Grid-search the regime baseline's fraction and ramp length.
 
     Every cell replays the same seeded episodes (common random numbers), so
-    cells differ only through the policy. Cells run in a fixed order and ties
-    break toward larger fraction, then smaller ramp, so the argmax is
-    deterministic. Bankrupt episodes are excluded from a cell's mean; a cell
-    with no surviving episodes is skipped.
+    cells differ only through the policy. The whole grid is one evaluation:
+    lane j plays episode j // cells in cell j % cells, in waves of as many
+    lanes as GRID_WAVE_BYTES of price history allows, so each episode's
+    path is generated once per wave and shared by its cells. Cells are
+    ranked in a fixed order and ties break toward larger fraction, then
+    smaller ramp, so the argmax is deterministic. Bankrupt episodes are
+    excluded from a cell's mean; a cell with no surviving episodes is
+    skipped.
     """
     if fractions is None:
         fractions = [round(0.1 * i, 1) for i in range(1, 11)]
@@ -109,34 +130,47 @@ def rs_baseline_grid_search(
     targets = np.array(
         [optimal_weights(reg).stocks for reg in config.market.regimes]
     )
+    cells = [(f, n) for f in fractions for n in adjustment_grid]
+    policy = RegimeSwitchingPolicy(
+        targets,
+        adjustment_periods=[n for _, n in cells] * episodes_per_cell,
+        fraction=[f for f, _ in cells] * episodes_per_cell,
+    )
+    policy.lanes = max(1, GRID_WAVE_BYTES // (
+        8 * config.n_assets * (config.window + config.n_periods)))
+    result = evaluate(
+        policy, lambda seed: PortfolioEnv(config, seed),
+        [e for e in range(episodes_per_cell) for _ in cells], master_seed,
+    )
+    growths = iter(result.growths)
+    cell_growths = [[] for _ in cells]
+    bankruptcies = [0] * len(cells)
+    for lane, went_bankrupt in enumerate(result.bankrupt):
+        if went_bankrupt:
+            bankruptcies[lane % len(cells)] += 1
+        else:
+            cell_growths[lane % len(cells)].append(next(growths))
+
     best = None
     table = []
-    for f in fractions:
-        for n in adjustment_grid:
-            policy = RegimeSwitchingPolicy(
-                targets, adjustment_periods=n, fraction=f
-            )
-            result = evaluate(
-                policy, lambda seed: PortfolioEnv(config, seed),
-                episodes_per_cell, master_seed,
-            )
-            table.append(
-                {
-                    "fraction": f,
-                    "adjustment_periods": n,
-                    "mean_growth": result.mean_growth,
-                    "bankruptcies": result.bankruptcies,
-                }
-            )
-            g = result.mean_growth
-            if np.isnan(g):
-                continue
-            if (
-                best is None
-                or g > best[0]
-                or (g == best[0] and (f, -n) > (best[1], -best[2]))
-            ):
-                best = (g, f, n)
+    for (f, n), survivors, b in zip(cells, cell_growths, bankruptcies):
+        g = float(np.asarray(survivors).mean()) if survivors else float("nan")
+        table.append(
+            {
+                "fraction": f,
+                "adjustment_periods": n,
+                "mean_growth": g,
+                "bankruptcies": b,
+            }
+        )
+        if np.isnan(g):
+            continue
+        if (
+            best is None
+            or g > best[0]
+            or (g == best[0] and (f, -n) > (best[1], -best[2]))
+        ):
+            best = (g, f, n)
     if best is None:
         raise ValueError("every grid cell went bankrupt on every episode")
     return GridSearchResult(

@@ -15,6 +15,10 @@ The unaffected GBM path and regime path for an episode are drawn in full at
 reset from the (master_seed, episode) stream, so the noise an agent
 experiences is independent of its actions; trading feeds back only through
 impact multipliers and costs.
+
+An env is one lane, stepped on Python floats, or a lockstep wave built by
+PortfolioEnv.lockstep over many one-lane envs, stepped as (L, n) arrays. A
+wave gives every lane the bits its own one-lane steps would give.
 """
 
 import math
@@ -86,6 +90,9 @@ class EnvConfig:
 
 @dataclass
 class StepResult:
+    """One step's outputs; a wave's have one row or entry per lane that
+    stepped, in wave order."""
+
     observation: np.ndarray
     reward: float
     done: bool
@@ -93,7 +100,7 @@ class StepResult:
 
 
 class PortfolioEnv:
-    """Single-agent portfolio environment; one instance per worker.
+    """Single-agent portfolio environment: one lane, or a lockstep wave.
 
     Episodes are seeded by (master_seed, episode index); reset() without an
     explicit episode number advances to the next index.
@@ -114,8 +121,10 @@ class PortfolioEnv:
         self._impact = config.impact
         self._initial_wealth = float(config.initial_wealth)
         self._obs_dim = config.observation_dim
-        # effective price rows: (window-1) warm-up rows then N+1 episode rows
-        self._eff_hist = np.empty((self._window - 1 + self._n_periods + 1, n))
+        # effective price rows: (window-1) warm-up rows then N+1 episode rows,
+        # allocated at the first reset unless a wave provides them
+        self._eff_hist = None
+        self._lanes = None  # a wave's live lanes
         self._holdings = np.zeros(n)
         self._mult = np.ones(n)
         # per-regime interest factor over one period
@@ -125,19 +134,41 @@ class PortfolioEnv:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def reset(self, episode: int | None = None) -> np.ndarray:
+    def reset(self, episode: int | None = None, like=None) -> np.ndarray:
+        """Start an episode and return its first observation.
+
+        like: an env of the same config and master seed, already reset to
+        this episode, whose path this env shares instead of generating it.
+        """
+        if self._lanes is not None:
+            raise LifecycleError("a wave is reset by PortfolioEnv.lockstep")
         if episode is None:
             episode = self._next_episode
         self.episode = int(episode)
         self._next_episode = self.episode + 1
 
-        rng = episode_stream(self.master_seed, self.episode)
         w1 = self._window - 1
-        path = generate_path(
-            self.config.market, self._n_periods, self._dt, rng, warmup=w1
-        )
-        self._unaffected = path.prices
-        self._regimes = path.regimes.tolist()
+        if like is None:
+            rng = episode_stream(self.master_seed, self.episode)
+            path = generate_path(
+                self.config.market, self._n_periods, self._dt, rng, warmup=w1
+            )
+            self._unaffected = path.prices
+            self._regimes = path.regimes.tolist()
+            self._warmup = path.warmup_prices
+        elif (like.config is not self.config
+              or like.master_seed != self.master_seed
+              or like.episode != self.episode):
+            raise ValueError(
+                "like must be an env of the same config and master seed, "
+                "reset to the same episode"
+            )
+        else:
+            self._unaffected = like._unaffected
+            self._regimes = like._regimes
+            self._warmup = like._warmup
+        if self._eff_hist is None:
+            self._eff_hist = np.empty((w1 + self._n_periods + 1, self._n))
 
         self._t = 0
         self._done = False
@@ -147,13 +178,70 @@ class PortfolioEnv:
         self._wealth = self._initial_wealth
         # warm-up rows carry no trading, so effective = unaffected there
         if w1:
-            self._eff_hist[:w1] = path.warmup_prices
+            self._eff_hist[:w1] = self._warmup
         self._eff_hist[w1] = self._unaffected[0]
         return self._observation(self._unaffected[0] * self._mult)
+
+    @classmethod
+    def lockstep(cls, lanes, episodes):
+        """Reset lanes[i] to episodes[i] through its own reset(), and return
+        a wave stepping them side by side, with their first observations
+        (B, D).
+
+        The lanes are one-lane envs of one config. Lanes that replay one
+        (master seed, episode) share its path, generated once. The wave
+        holds each path once and each lane's effective-price history as a
+        row of one (B, rows, n) block, and the lanes keep views of both.
+        Every wave step moves each live lane's t, and current_regime with
+        it; a lane leaves when its episode ends, with done set and its
+        holdings, cash, wealth and multipliers written back.
+        """
+        config = lanes[0].config
+        if any(lane.config is not config for lane in lanes):
+            raise ValueError("lockstep lanes must share one config")
+        if len(episodes) != len(lanes):
+            raise ValueError(
+                f"{len(lanes)} lanes need {len(lanes)} episodes, got "
+                f"{len(episodes)}"
+            )
+        wave = cls(config, lanes[0].master_seed)
+        n, w1 = wave._n, wave._window - 1
+        block = np.empty((len(lanes), w1 + wave._n_periods + 1, n))
+        observations = np.empty((len(lanes), wave._obs_dim))
+        owners = {}  # (master seed, episode) -> (path index, its lane)
+        path_of = []
+        for lane, row, episode, obs in zip(lanes, block, episodes,
+                                           observations):
+            key = (lane.master_seed, int(episode))
+            p, like = owners.get(key, (len(owners), None))
+            lane._eff_hist = row
+            obs[:] = lane.reset(key[1], like=like)
+            owners.setdefault(key, (p, lane))
+            path_of.append(p)
+        owners = [lane for _, lane in owners.values()]
+        wave._prices = np.stack([lane._unaffected for lane in owners])
+        # each path's interest factor per period, from its regime labels
+        wave._interest_rows = np.array(wave._interest)[
+            [lane._regimes for lane in owners]]
+        wave._path_of = np.array(path_of)
+        for lane, p in zip(lanes, path_of):
+            lane._unaffected = wave._prices[p]
+        wave._eff_hist = block
+        wave._lanes = list(lanes)
+        wave._live = np.arange(len(lanes))
+        wave._holdings = np.zeros((len(lanes), n))
+        wave._mult = np.ones((len(lanes), n))
+        wave._cash = np.full(len(lanes), wave._initial_wealth)
+        wave._wealth = wave._cash.copy()
+        wave._t = 0
+        wave._done = False
+        return wave, observations
 
     def step(self, action) -> StepResult:
         if self._done:
             raise LifecycleError("step() called on a finished episode; reset() first")
+        if self._lanes is not None:
+            return self._step_wave(action)
         t = self._t
         a = np.asarray(action, dtype=np.float64)
         if a.shape != (self._n,):
@@ -218,7 +306,99 @@ class PortfolioEnv:
             bankrupt=bankrupt,
         )
 
+    def _step_wave(self, actions) -> StepResult:
+        """step() of a wave: the float step's operations in the same order
+        on (L, n) arrays, one row per live lane. Dots are stacked matmuls
+        and the exp is one call, which give each row the bits of the float
+        step's ddot and exp; each lane's costs fold left to right from 0.0
+        and its reward is math.log of its wealth ratio, as there."""
+        lanes, live = self._lanes, self._live
+        a = np.asarray(actions, dtype=np.float64)
+        if a.shape != (len(lanes), self._n):
+            raise ValueError(
+                f"actions must have shape ({len(lanes)}, {self._n}), got "
+                f"{a.shape}"
+            )
+        t = self._t
+        paths = self._path_of
+        mult = self._mult
+        s0_eff = self._prices[:, t][paths] * mult
+        s1 = self._prices[:, t + 1][paths]
+        wealth = self._wealth
+        impact = self._impact
+
+        target_holdings = a * wealth[:, None] / s0_eff
+        traded = target_holdings - self._holdings
+        costs = trade_cost(s0_eff, s1 * mult, traded, self._dt, impact)
+        cost_paid = np.zeros(len(lanes))
+        for column in costs.T:
+            cost_paid += column
+        cash = self._cash - _row_dots(traded, s0_eff) - cost_paid
+        cash *= self._interest_rows[:, t][paths]
+        mult = self._mult = mult * np.exp(impact.gamma * traded)
+        s1_eff = s1 * mult
+        self._holdings = target_holdings
+        new_wealth = cash + _row_dots(target_holdings, s1_eff)
+
+        self._cash = cash
+        self._t = t = t + 1
+        for lane in lanes:
+            lane._t = t
+        window = self._window
+        self._eff_hist[:, window - 1 + t][live] = s1_eff
+
+        solvent = (0.0 < new_wealth) & (new_wealth < math.inf)
+        bad_mult = ~((0.0 < mult) & (mult < math.inf))
+        if bad_mult.any():
+            solvent &= ~bad_mult.any(axis=1)
+        bankrupt = ~solvent
+        ratio = np.where(solvent, new_wealth / wealth, 1.0)
+        rewards = np.fromiter(map(math.log, ratio.tolist()), np.float64,
+                              len(lanes))
+        rewards[bankrupt] = BANKRUPTCY_REWARD
+        done = bankrupt | (t == self._n_periods)
+        self._wealth = new_wealth
+
+        nw = self._n * window
+        history = self._eff_hist[:, t : t + window]
+        if len(lanes) < len(history):
+            history = history[live]
+        obs = np.empty((len(lanes), self._obs_dim))
+        obs[:, :nw] = history.reshape(-1, nw)
+        obs[:, nw:-1] = target_holdings * s1_eff / new_wealth[:, None]
+        obs[bankrupt, nw:-1] = 0.0
+        obs[:, -1] = new_wealth / self._initial_wealth
+        if done.any():
+            self._leave(done)
+        return StepResult(obs, rewards, done, bankrupt)
+
+    def _leave(self, done):
+        """Drop the wave's finished lanes, writing their state back."""
+        for i in np.flatnonzero(done).tolist():
+            lane = self._lanes[i]
+            lane._done = True
+            lane._holdings = self._holdings[i]
+            lane._mult = self._mult[i]
+            lane._cash = float(self._cash[i])
+            lane._wealth = float(self._wealth[i])
+        keep = ~done
+        self._lanes = [lane for lane, k in zip(self._lanes, keep.tolist()) if k]
+        for name in ("_live", "_path_of", "_holdings", "_mult", "_cash",
+                     "_wealth"):
+            setattr(self, name, getattr(self, name)[keep])
+        self._done = not self._lanes
+
     # -- views -------------------------------------------------------------
+
+    @property
+    def lanes(self) -> list:
+        """A wave's live lanes, in wave order."""
+        return self._lanes
+
+    @property
+    def live(self) -> np.ndarray:
+        """The live lanes' positions in the wave."""
+        return self._live
 
     @property
     def t(self) -> int:
@@ -239,6 +419,8 @@ class PortfolioEnv:
         """Effective prices observed this episode, rows 0..t (copies)."""
         if self._t < 0:
             raise LifecycleError("no episode yet; reset() first")
+        if self._lanes is not None:
+            raise LifecycleError("a wave's prices are read from its lanes")
         w1 = self._window - 1
         return self._eff_hist[w1 : w1 + self._t + 1].copy()
 
@@ -255,3 +437,10 @@ class PortfolioEnv:
             obs[nw:-1] = self._holdings * s_eff / self._wealth
         obs[-1] = self._wealth / self._initial_wealth
         return obs
+
+
+def _row_dots(a, b):
+    """Row-wise dots of (L, n) arrays as a stacked matmul, which gives each
+    row the bits of a 1-D `a_i @ b_i` (einsum and (a * b).sum(1) round
+    differently)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]

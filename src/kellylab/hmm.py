@@ -210,6 +210,8 @@ def predict_current(model: GaussianHmmModel, window):
     if not stacked:
         x = np.atleast_2d(x)[None]
     l_len, t_len, n = x.shape
+    if l_len == 0:
+        raise ValueError("predict_current was given an empty stack of windows")
     if t_len < 1:
         raise ValueError("window must contain at least one return row")
     if model.n_states == 1:

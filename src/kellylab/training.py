@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import hmm as hmm_module
+from .env import PortfolioEnv
 from .errors import FitError
 from .nets import Adam, ContextPolicyNet
 from .rl import TrainConfig, RolloutBuffer, act_and_value, ppo_update
@@ -41,11 +42,11 @@ class NetPolicy:
         self.net = net
         self.detector = detector
 
-    def reset(self, envs):
+    def reset(self, envs, first=0):
         pass
 
     def act(self, live, observations, envs):
-        obs = np.stack(observations)
+        obs = np.asarray(observations)
         if self.detector is None:
             mean, _ = self.net.forward(obs)
         else:
@@ -77,6 +78,7 @@ class EvalResult:
     bankruptcies: int
     n_episodes: int
     growths: list = field(default_factory=list, repr=False)
+    bankrupt: list = field(default_factory=list, repr=False)  # per lane
 
 
 # a context net's regime detector is fit once on this many first episodes
@@ -87,60 +89,53 @@ DETECTOR_FIT_EPISODES = 10
 EVAL_EPISODE_OFFSET = 1_000_000
 
 
-def evaluate(policy, env_factory, n_episodes: int, seed: int,
+def evaluate(policy, env_factory, n_episodes, seed: int,
              episode_offset: int = 0) -> EvalResult:
     """Deterministic rollouts on episodes offset..offset+n-1 of the seeded
-    stream.
+    stream, or on a sequence of episodes, one lane each (an episode may
+    repeat), counted from the offset.
 
     Episodes run side by side in waves of up to policy.lanes lanes. Each lane
-    is its own env_factory(seed) environment, reused from wave to wave. Every
-    period the policy gets the live lanes' indices, observations and
-    environments, and returns one action per live lane. A lane leaves the
-    wave when its episode ends. An episode's path depends only on (seed,
+    is its own env_factory(seed) environment, reused from wave to wave, and
+    PortfolioEnv.lockstep steps a wave's live lanes as one array step. At
+    the start of a wave the policy gets reset(lanes, first), where first is
+    the wave's first lane in the evaluation. Every period it gets the live
+    lanes' positions in the wave, their observations (L, D) and their
+    environments, and returns their actions (L, n). A lane leaves the wave
+    when its episode ends. An episode's path depends only on (seed,
     episode), so the wave layout changes no analytic policy's result.
 
     Bankrupt episodes are counted but excluded from the growth statistics
     (their growth is undefined); if nothing survives, the statistics are NaN.
-    Growths are listed in episode order. MAD is the mean absolute deviation
-    about the mean.
+    Growths are listed in episode order, and `bankrupt` flags every lane.
+    MAD is the mean absolute deviation about the mean.
     """
-    envs = [env_factory(seed)
-            for _ in range(max(1, min(policy.lanes, n_episodes)))]
-    horizon = envs[0].config.horizon_years
-    growths = []
-    bankruptcies = 0
-    stop = episode_offset + n_episodes
-    for first in range(episode_offset, stop, len(envs)):
-        wave = envs[: stop - first]
-        obs = [env.reset(episode=first + i) for i, env in enumerate(wave)]
-        policy.reset(wave)
-        live = list(range(len(wave)))
-        live_envs = wave
-        reward_sums = [0.0] * len(wave)
-        bankrupt = [False] * len(wave)
-        while live:
-            actions = policy.act(live, obs, live_envs)
-            obs = []
-            ended = False
-            for i, env, action in zip(live, live_envs, actions):
-                result = env.step(action)
-                reward_sums[i] += result.reward
-                obs.append(result.observation)
-                if result.done:
-                    ended = True
-                    bankrupt[i] = result.bankrupt
-            if ended:
-                keep = [j for j, env in enumerate(live_envs) if not env.done]
-                live = [live[j] for j in keep]
-                live_envs = [live_envs[j] for j in keep]
-                obs = [obs[j] for j in keep]
-        for reward_sum, went_bankrupt in zip(reward_sums, bankrupt):
-            if went_bankrupt:
-                bankruptcies += 1
-            else:
-                growths.append(reward_sum / horizon)
-    if growths:
-        arr = np.asarray(growths)
+    if np.ndim(n_episodes) == 0:
+        episodes = range(episode_offset, episode_offset + int(n_episodes))
+    else:
+        episodes = [episode_offset + int(e) for e in n_episodes]
+    lanes = [env_factory(seed)
+             for _ in range(max(1, min(policy.lanes, len(episodes))))]
+    horizon = lanes[0].config.horizon_years
+    reward_sums = np.zeros(len(episodes))
+    bankrupt = np.zeros(len(episodes), dtype=bool)
+    for first in range(0, len(episodes), len(lanes)):
+        wave_episodes = episodes[first : first + len(lanes)]
+        wave = lanes[: len(wave_episodes)]
+        env, obs = PortfolioEnv.lockstep(wave, wave_episodes)
+        policy.reset(wave, first)
+        sums = reward_sums[first : first + len(wave)]
+        flags = bankrupt[first : first + len(wave)]
+        while not env.done:
+            live = env.live
+            result = env.step(policy.act(live, obs, env.lanes))
+            sums[live] += result.reward
+            flags[live] = result.bankrupt
+            obs = result.observation
+            if result.done.any():
+                obs = obs[~result.done]
+    arr = reward_sums[~bankrupt] / horizon
+    if arr.size:
         mean = float(arr.mean())
         mad = float(np.mean(np.abs(arr - mean)))
     else:
@@ -149,9 +144,10 @@ def evaluate(policy, env_factory, n_episodes: int, seed: int,
     return EvalResult(
         mean_growth=mean,
         mad=mad,
-        bankruptcies=bankruptcies,
-        n_episodes=n_episodes,
-        growths=growths,
+        bankruptcies=int(bankrupt.sum()),
+        n_episodes=len(episodes),
+        growths=arr.tolist(),
+        bankrupt=bankrupt.tolist(),
     )
 
 

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kellylab.baselines as baselines_module
+import kellylab.env as env_module
 from kellylab.analytic import optimal_weights
 from kellylab.baselines import (
     GridSearchResult,
@@ -14,7 +16,7 @@ from kellylab.baselines import (
 from kellylab.env import EnvConfig, PortfolioEnv
 from kellylab.errors import ConfigError
 from kellylab.impact import ImpactParams
-from kellylab.market import MarketParams, RegimeModel
+from kellylab.market import MarketParams, RegimeModel, generate_path
 from kellylab.training import evaluate
 
 from shipped import regime, shipped
@@ -160,11 +162,9 @@ def test_lanes_keep_their_own_ramp_and_regime():
     assert [a[0] for a in second] == [1.0, -0.25]
     third = policy.act([0, 2], [None] * 2, [envs[0], envs[2]])
     assert [a[0] for a in third] == [1.0, -0.5]
-    # a finished ramp returns its regime's one shared row, read-only
-    assert third[0] is not second[0]
-    assert np.shares_memory(third[0], second[0])
-    with pytest.raises(ValueError, match="read-only"):
-        third[1][0] = 0.0
+    # every call returns one fresh (L, n) array of the live lanes' actions
+    assert third.shape == (2, 1) and third.dtype == np.float64
+    assert not np.shares_memory(third, second)
 
 
 def test_regime_switching_validation():
@@ -230,6 +230,153 @@ def test_grid_search_rejects_a_seed_outside_32_bits():
     with pytest.raises(ConfigError, match="outside"):
         rs_baseline_grid_search(config, fractions=[0.5], adjustment_grid=[1],
                                 episodes_per_cell=1, master_seed=-1)
+
+
+@pytest.fixture
+def path_calls(monkeypatch):
+    """The arguments of every path an env generates from here on."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return generate_path(*args, **kwargs)
+
+    monkeypatch.setattr(env_module, "generate_path", counting)
+    return calls
+
+
+def per_cell_grid_search(config, fractions, adjustment_grid,
+                         episodes_per_cell, master_seed):
+    """Oracle: the grid search as it ran before it became one evaluation.
+
+    Every cell gets its own policy and one one-lane env, which plays the
+    cell's episodes one after another with the float step. Returns the
+    table and the best (growth, fraction, ramp) by the same tie rule.
+    """
+    targets = np.array(
+        [optimal_weights(reg).stocks for reg in config.market.regimes])
+    best = None
+    table = []
+    for f in fractions:
+        for n in adjustment_grid:
+            policy = RegimeSwitchingPolicy(targets, adjustment_periods=n,
+                                           fraction=f)
+            env = PortfolioEnv(config, master_seed)
+            growths = []
+            bankruptcies = 0
+            for episode in range(episodes_per_cell):
+                obs = env.reset(episode=episode)
+                policy.reset([env])
+                reward_sum = 0.0
+                while True:
+                    result = env.step(policy.act([0], [obs], [env])[0])
+                    obs = result.observation
+                    reward_sum += result.reward
+                    if result.done:
+                        break
+                if result.bankrupt:
+                    bankruptcies += 1
+                else:
+                    growths.append(reward_sum / config.horizon_years)
+            g = float(np.asarray(growths).mean()) if growths else float("nan")
+            table.append({"fraction": f, "adjustment_periods": n,
+                          "mean_growth": g, "bankruptcies": bankruptcies})
+            if np.isnan(g):
+                continue
+            if (best is None or g > best[0]
+                    or (g == best[0] and (f, -n) > (best[1], -best[2]))):
+                best = (g, f, n)
+    return table, best
+
+
+def levered_single_asset_config():
+    """w* = 64 at a 2% daily volatility: high-fraction cells go bankrupt on
+    some or all episodes."""
+    market = RegimeModel.single(
+        MarketParams(np.array([4.0]), np.array([0.25]), np.eye(1), 0.0))
+    return small_env_config(market=market, horizon_years=0.25)
+
+
+def short_shipped_config(name):
+    env = shipped(name).env
+    return EnvConfig(horizon_years=0.125, periods_per_year=256, window=5,
+                     initial_wealth=env.initial_wealth, market=env.market,
+                     impact=env.impact)
+
+
+@pytest.mark.parametrize("name", ["regimes3", "two_asset", "single_asset",
+                                  "levered", "tie"])
+def test_one_pass_grid_equals_the_per_cell_loop(name, path_calls):
+    if name == "levered":
+        config = levered_single_asset_config()
+    elif name == "tie":
+        market = RegimeModel.single(
+            MarketParams(np.array([0.05]), np.array([0.2]), np.eye(1), 0.05))
+        config = small_env_config(market=market, horizon_years=0.0625)
+    else:
+        config = short_shipped_config(name)
+    fractions = [round(0.1 * i, 1) for i in range(1, 11)]
+    adjustment_grid = [1, 2, 4, 8, 16, 32, 64]
+    table, best = per_cell_grid_search(config, fractions, adjustment_grid, 3,
+                                       master_seed=0)
+    del path_calls[:]
+    result = rs_baseline_grid_search(config, fractions, adjustment_grid,
+                                     episodes_per_cell=3, master_seed=0)
+    # 70 cells x 3 episodes in one wave: each episode's path made once
+    assert len(path_calls) == 3
+    assert len(result.table) == len(table) == 70
+    for got, want in zip(result.table, table):
+        assert got.keys() == want.keys()
+        assert got["fraction"] == want["fraction"]
+        assert got["adjustment_periods"] == want["adjustment_periods"]
+        assert got["bankruptcies"] == want["bankruptcies"]
+        assert (np.float64(got["mean_growth"]).tobytes()
+                == np.float64(want["mean_growth"]).tobytes())
+    assert (result.mean_growth, result.fraction,
+            result.adjustment_periods) == best
+    bankruptcies = [row["bankruptcies"] for row in table]
+    if name == "levered":
+        # cells that lose some episodes, and cells that lose all three and
+        # are skipped
+        assert {0, 1, 2, 3} <= set(bankruptcies)
+    if name == "tie":
+        assert len({row["mean_growth"] for row in table}) == 1
+
+
+def test_grid_search_splits_a_large_grid_into_waves(monkeypatch, path_calls):
+    # 2 cells x 150 episodes in waves of 101 lanes: each wave regenerates
+    # only the episode the wave before it split
+    config = levered_single_asset_config()
+    table, best = per_cell_grid_search(config, [0.1, 1.0], [4], 150, 1)
+    del path_calls[:]
+    # one lane's price history: (window + periods) rows of 1 asset
+    lane_bytes = 8 * (config.window + config.n_periods)
+    monkeypatch.setattr(baselines_module, "GRID_WAVE_BYTES",
+                        101 * lane_bytes + 7)
+    result = rs_baseline_grid_search(config, [0.1, 1.0], [4], 150, 1)
+    assert len(path_calls) == 151
+    assert result.table == table
+    assert (result.mean_growth, result.fraction,
+            result.adjustment_periods) == best
+
+
+def test_per_lane_fractions_and_ramps():
+    targets = np.array([[2.0], [-1.0]])
+    policy = RegimeSwitchingPolicy(targets, adjustment_periods=[1, 2, 4, 2],
+                                   fraction=[0.5, 1.0, 0.25, 0.5])
+    envs = [FakeEnv(0), FakeEnv(1)]
+    # lanes 2 and 3 of the evaluation: ramps of 4 and 2
+    policy.reset(envs, first=2)
+    steps = [policy.act([0, 1], [None] * 2, envs)[:, 0].tolist()
+             for _ in range(5)]
+    assert steps == [[0.125, -0.25], [0.25, -0.5], [0.375, -0.5],
+                     [0.5, -0.5], [0.5, -0.5]]
+    with pytest.raises(ValueError, match="per-lane values"):
+        policy.reset(envs, first=3)
+    with pytest.raises(ValueError, match="fraction"):
+        RegimeSwitchingPolicy(targets, fraction=[0.5, 0.0])
+    with pytest.raises(ValueError, match="adjustment_periods"):
+        RegimeSwitchingPolicy(targets, adjustment_periods=[[1]])
 
 
 @pytest.mark.slow

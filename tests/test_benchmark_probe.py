@@ -5,7 +5,8 @@ perfbench/probe.py wraps kellylab functions by name. A rename that leaves a
 name behind would silently zero that layer's metrics, so the probe is
 installed here in a child process (it patches modules globally) and must
 report nothing missing. It counts evaluation steps through the environments
-evaluate's factory builds, which lockstep evaluation reuses across waves.
+evaluate's factory builds: one per lane, reset through its own reset() and
+reused across waves, with the wave's step moving each lane's clock.
 """
 
 import json
@@ -58,34 +59,75 @@ config = EnvConfig(
         np.array([0.1]), np.array([1.0]), np.eye(1), 0.04)),
     impact=ImpactParams(0.0, 0.0),
 )
-steps = [0]
-
-class CountingEnv(PortfolioEnv):
-    def step(self, action):
-        steps[0] += 1
-        return super().step(action)
-
 net = PolicyNet(config.observation_dim, 1, np.random.default_rng(0),
                 hidden=(8,))
 net.actor.b.value[:] = 5.0  # leverage: some episodes end bankrupt early
+policy = kellylab.training.NetPolicy(net)
 result = kellylab.training.evaluate(
-    kellylab.training.NetPolicy(net), lambda seed: CountingEnv(config, seed),
-    70, 0)
-print(json.dumps({"true": steps[0], "counted": probes.stats()["eval_steps"],
+    policy, lambda seed: PortfolioEnv(config, seed), 70, 0)
+counted = probes.stats()["eval_steps"]
+
+# the true count, independently: each episode replayed alone on a one-lane
+# env with the float step, its length read off its clock
+true = 0
+env = PortfolioEnv(config, 0)
+for episode in range(70):
+    obs = env.reset(episode=episode)
+    while not env.done:
+        obs = env.step(policy.act([0], obs[None], [env])[0]).observation
+    true += env.t
+print(json.dumps({"true": true, "counted": counted,
                   "bankruptcies": result.bankruptcies,
                   "full": 70 * config.n_periods}))
 """
 
 
-def test_probe_counts_every_lockstep_evaluation_step():
-    # 70 episodes run as a 64-lane wave and a 6-lane wave
+def run_probe_script(script):
     result = subprocess.run(
-        [sys.executable, "-c", COUNT_EVAL_STEPS, str(ROOT / "perfbench"),
+        [sys.executable, "-c", script, str(ROOT / "perfbench"),
          str(ROOT / "src")],
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    counts = json.loads(result.stdout.splitlines()[-1])
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_probe_counts_every_lockstep_evaluation_step():
+    # 70 episodes run as a 64-lane wave and a 6-lane wave
+    counts = run_probe_script(COUNT_EVAL_STEPS)
     assert 0 < counts["bankruptcies"] < 70
     assert counts["true"] < counts["full"]
     assert counts["counted"] == counts["true"]
+
+
+COUNT_GRID_STEPS = """\
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import kellylab.cli
+from kellylab.baselines import rs_baseline_grid_search
+from kellylab.config import apply_override, build_config, load_config
+from probe import Probes
+
+probes = Probes()
+probes.install_boundaries()
+exp = load_config(sys.argv[3])
+exp = build_config(apply_override(exp.to_dict(), "env.horizon_years", 0.125),
+                   source="test")
+result = rs_baseline_grid_search(exp.env, episodes_per_cell=3,
+                                 master_seed=4)
+print(json.dumps({
+    "counted": probes.stats()["eval_steps"],
+    "cells": len(result.table),
+    "periods": exp.env.n_periods,
+    "bankruptcies": sum(row["bankruptcies"] for row in result.table),
+}))
+"""
+
+
+def test_probe_counts_every_grid_search_step():
+    # the grid search plays every (cell, episode) as one lane of one wave
+    counts = run_probe_script(COUNT_GRID_STEPS.replace(
+        "sys.argv[3]", repr(str(ROOT / "configs" / "regimes3.yaml"))))
+    assert counts["bankruptcies"] == 0
+    assert counts["cells"] == 70
+    assert counts["counted"] == 70 * 3 * counts["periods"]

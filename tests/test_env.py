@@ -564,3 +564,178 @@ def test_step_agrees_with_the_array_step_from_8_assets(
     # absolute is more than 1e-12 relative
     check_steps_against_oracle(n, seed, master_seed, leverage, eta, gamma,
                                left_fold)
+
+
+# -- lockstep waves against the float step ------------------------------------
+
+
+def random_regime_config(n, rng, n_regimes, eta, gamma, horizon_periods=32,
+                         window=3):
+    """A market of n assets and n_regimes regimes switching every ~4
+    periods, with random drifts, vols, correlations and cash rates."""
+    regimes = []
+    for _ in range(n_regimes):
+        factors = rng.normal(size=(n, n))
+        cov = factors @ factors.T + n * np.eye(n)
+        scale = np.sqrt(np.diag(cov))
+        corr = cov / np.outer(scale, scale)
+        corr = 0.5 * (corr + corr.T)
+        np.fill_diagonal(corr, 1.0)
+        regimes.append(MarketParams(rng.uniform(-0.5, 0.5, n),
+                                    rng.uniform(0.0, 0.8, n), corr,
+                                    rng.uniform(0.0, 0.1)))
+    stay = 0.75 if n_regimes > 1 else 1.0
+    transition = np.full((n_regimes, n_regimes),
+                         (1.0 - stay) / max(n_regimes - 1, 1))
+    np.fill_diagonal(transition, stay)
+    market = RegimeModel(regimes, transition,
+                         np.full(n_regimes, 1.0 / n_regimes))
+    return make_config(market=market, impact=ImpactParams(eta, gamma),
+                       horizon_years=horizon_periods / 256, window=window)
+
+
+def check_wave_against_float_steps(cfg, master_seed, episodes, action):
+    """Step a lockstep wave over `episodes` and, beside it, one one-lane env
+    per lane with the float step, giving both action(lane, t). Every output
+    and every lane's clock, regime and prices must have the same bits.
+    Returns each lane's episode length."""
+    lanes = [PortfolioEnv(cfg, master_seed) for _ in episodes]
+    twins = [PortfolioEnv(cfg, master_seed) for _ in episodes]
+    wave, first = PortfolioEnv.lockstep(lanes, episodes)
+    for i, (twin, episode) in enumerate(zip(twins, episodes)):
+        assert same_bits(first[i], twin.reset(episode=episode))
+    with np.errstate(all="ignore"):
+        while not wave.done:
+            live = wave.live.copy()
+            assert [lanes[i] for i in live] == wave.lanes
+            actions = np.array([action(i, wave.t) for i in live])
+            result = wave.step(actions)
+            for row, i in enumerate(live):
+                lane, twin = lanes[i], twins[i]
+                expected = twin.step(actions[row])
+                assert same_bits(result.observation[row], expected.observation)
+                assert same_bits(result.reward[row], expected.reward)
+                assert result.done[row] == expected.done
+                assert result.bankrupt[row] == expected.bankrupt
+                assert lane.t == twin.t and lane.done == twin.done
+                assert lane.current_regime == twin.current_regime
+                assert same_bits(lane.effective_episode_prices(),
+                                 twin.effective_episode_prices())
+    # a lane that left the wave holds the state its float twin holds
+    for lane, twin in zip(lanes, twins):
+        state, expected = env_state(lane), env_state(twin)
+        assert state.t == expected.t and state.regimes == expected.regimes
+        for name in ("prices", "history", "holdings", "cash", "wealth",
+                     "multipliers", "unaffected"):
+            assert same_bits(getattr(state, name), getattr(expected, name))
+    return [lane.t for lane in lanes]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       master_seed=st.integers(0, 1000),
+       n_regimes=st.integers(1, 2),
+       eta=st.floats(1e-9, 1e-6),
+       gamma=st.one_of(st.floats(1e-9, 1e-5), st.floats(1e-3, 0.1)),
+       episodes=st.lists(st.integers(0, 3), min_size=1, max_size=7),
+       leverage=st.lists(st.floats(-80.0, 80.0), min_size=7, max_size=7))
+def test_a_wave_steps_each_lane_as_the_float_step_does(
+        n, seed, master_seed, n_regimes, eta, gamma, episodes, leverage):
+    # leveraged and short lanes, lanes that replay one episode, and (at
+    # large gamma or leverage) lanes whose multipliers reach 0 or inf and
+    # leave the wave before the others
+    rng = np.random.default_rng(seed)
+    cfg = random_regime_config(n, rng, n_regimes, eta, gamma)
+    signs = rng.choice([-1.0, 1.0], size=(7, n))
+
+    def action(lane, t):
+        return leverage[lane] * signs[lane] * (1.0 + 0.1 * np.sin(t + lane))
+
+    check_wave_against_float_steps(cfg, master_seed, episodes, action)
+
+
+def test_a_wave_ends_bankrupt_lanes_as_the_float_step_does():
+    # regimes3 at 60x leverage: at seed 3 episode 1 a multiplier underflows
+    # to 0 at t = 9, at seed 1 episode 0 wealth overflows to inf at t = 7;
+    # tame lanes on the same episodes run to the horizon
+    cfg = make_config(market=shipped("regimes3").market,
+                      impact=shipped("regimes3").env.impact, window=5,
+                      horizon_years=1.0)
+    signs = np.array([1.0, -0.5, 0.8])
+    leverage = [60.0, 0.5, 60.0, -0.3, 60.0]
+
+    def action(lane, t):
+        return leverage[lane] * signs * (1.0 + 0.1 * np.sin(t))
+
+    assert check_wave_against_float_steps(cfg, 3, [1, 1, 1, 1, 0],
+                                          action)[:2] == [9, cfg.n_periods]
+    lengths = check_wave_against_float_steps(cfg, 1, [0, 0, 0, 2, 0], action)
+    assert lengths[:2] == [7, cfg.n_periods]
+    assert lengths[3] == cfg.n_periods
+
+
+def test_lanes_of_one_episode_share_one_generated_path(monkeypatch):
+    import kellylab.env as env_module
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return generate_path(*args, **kwargs)
+
+    monkeypatch.setattr(env_module, "generate_path", counting)
+    cfg = make_config(market=shipped("regimes3").market, window=5)
+    lanes = [PortfolioEnv(cfg, 2) for _ in range(5)]
+    wave, _ = PortfolioEnv.lockstep(lanes, [4, 1, 4, 4, 1])
+    assert len(calls) == 2
+    # each path is stored once: lanes hold views of the wave's copy
+    assert np.shares_memory(lanes[0]._unaffected, lanes[2]._unaffected)
+    assert not np.shares_memory(lanes[0]._unaffected, lanes[1]._unaffected)
+    assert np.array_equal(lanes[0]._unaffected,
+                          generate_path(cfg.market, cfg.n_periods, cfg.dt,
+                                        episode_stream(2, 4),
+                                        warmup=4).prices)
+    # and every lane's effective-price history is a row of one block
+    assert all(np.shares_memory(lane._eff_hist, lanes[0]._eff_hist.base)
+               for lane in lanes)
+
+
+def test_reset_like_and_lockstep_reject_mismatched_lanes():
+    cfg = make_config()
+    first = PortfolioEnv(cfg, 0)
+    first.reset(episode=3)
+    for other, episode in [(PortfolioEnv(cfg, 1), 3), (PortfolioEnv(cfg, 0), 4),
+                           (PortfolioEnv(make_config(), 0), 3)]:
+        with pytest.raises(ValueError, match="like"):
+            other.reset(episode=episode, like=first)
+    with pytest.raises(ValueError, match="one config"):
+        PortfolioEnv.lockstep([first, PortfolioEnv(make_config(), 0)], [0, 1])
+    with pytest.raises(ValueError, match="episodes"):
+        PortfolioEnv.lockstep([first], [0, 1])
+    wave, _ = PortfolioEnv.lockstep([first, PortfolioEnv(cfg, 0)], [0, 1])
+    with pytest.raises(ValueError, match="shape"):
+        wave.step(np.zeros((1, 1)))
+    # a wave's block of price rows is no one-lane history
+    with pytest.raises(LifecycleError, match="lockstep"):
+        wave.reset(episode=0)
+    with pytest.raises(LifecycleError, match="lanes"):
+        wave.effective_episode_prices()
+
+
+def test_stacked_matmul_dots_and_batched_exp_keep_the_one_lane_bits():
+    # A wave's dots are (B,1,n) @ (B,n,1) matmuls and its exp is one call,
+    # relied on to give each row the bits of the float step's 1-D `@` and
+    # np.exp. That holds for the BLAS and numpy this package is tested on;
+    # a build for which it does not must fail here rather than let a
+    # wave drift from the one-lane step.
+    rng = np.random.default_rng(13)
+    for n in range(1, 9):
+        for lanes in (1, 2, 7, 64, 140, 200):
+            a = rng.normal(0.0, 1e3, size=(lanes, n))
+            b = rng.uniform(0.5, 2.0, size=(lanes, n))
+            dots = (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+            x = rng.normal(0.0, 2.0, size=(lanes, n))
+            exps = np.exp(x)
+            for i in range(lanes):
+                assert dots[i].tobytes() == (a[i] @ b[i]).tobytes(), (n, i)
+                assert exps[i].tobytes() == np.exp(x[i]).tobytes(), (n, i)

@@ -255,6 +255,15 @@ def test_predict_current_returns_the_final_state():
         predict_current(model, np.empty((2, 0, 1)))
 
 
+@pytest.mark.parametrize("t_len", [1, 5])
+def test_predict_current_rejects_an_empty_stack(t_len):
+    # one-row windows are solved lane by lane and longer ones as one block:
+    # either way no lanes is the caller's error, named as such
+    model = two_state_model()
+    with pytest.raises(ValueError, match="predict_current.*empty stack"):
+        predict_current(model, np.zeros((0, t_len, 1)))
+
+
 def test_best_permutation_and_accuracy():
     assert best_permutation([0, 1, 0, 1], [1, 0, 1, 0]).tolist() == [1, 0]
     assert accuracy([0, 1, 0, 1], [1, 0, 1, 0]) == 1.0

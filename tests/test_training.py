@@ -184,6 +184,23 @@ def test_lockstep_net_evaluation_is_within_1e13_absolute_of_the_sequential_loop(
                                rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("lanes", [2, 256])
+def test_evaluate_plays_a_sequence_of_episodes_one_lane_each(lanes):
+    # repeated episodes, counted from the offset, some of them bankrupt
+    config = two_regime_config(sigma=1.0, impact=ImpactParams(0.0, 0.0))
+    policy = RegimeSwitchingPolicy(np.array([[6.0, 0.0], [6.0, 0.0]]), 2)
+    episodes = [3, 0, 3, 4, 0, 3, 1]
+    alone = [sequential_evaluate(policy, factory_for(config), 1, seed=0,
+                                 episode_offset=1 + e)[0] for e in episodes]
+    policy.lanes = lanes
+    got = evaluate(policy, factory_for(config), episodes, seed=0,
+                   episode_offset=1)
+    assert got.n_episodes == 7
+    assert got.bankrupt == [r.bankruptcies == 1 for r in alone]
+    assert 0 < got.bankruptcies < 7
+    assert got.growths == [g for r in alone for g in r.growths]
+
+
 def test_evaluate_is_deterministic_and_offsets_are_disjoint():
     assert EVAL_EPISODE_OFFSET == 1_000_000
     config = make_config()
