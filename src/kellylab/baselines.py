@@ -1,7 +1,7 @@
 """The analytic baseline policy and its grid search.
 
-Policies here are net-free: act(live, observations, envs) returns target
-stock weights (L, n), one row per live evaluation lane. The one analytic
+Policies here are net-free: act(env) returns target stock weights (L, n),
+one row per live lane of a lockstep wave or one-lane env. The one analytic
 policy is the foresight regime-switching baseline, which reads the true
 regime label from the simulator: the upper-bound comparison an agent is
 scored against.
@@ -56,15 +56,16 @@ class RegimeSwitchingPolicy:
         if self.targets.ndim != 2:
             raise ValueError("targets must be (n_regimes, n_assets)")
 
-    def reset(self, envs, first=0):
-        count = len(envs)
+    def reset(self, env, first=0):
+        count = len(env.lanes)
         self._n = _lane_values(self.adjustment_periods, first, count)
         self._f = _lane_values(self.fraction, first, count)
         self._k = np.zeros(count, dtype=np.int64)
         self._regime = np.full(count, -1, dtype=np.int64)
 
-    def act(self, live, observations, envs):
-        labels = np.array([env.current_regime for env in envs])
+    def act(self, env):
+        live = env.live
+        labels = env.regimes()
         k = self._k[live]
         k[labels != self._regime[live]] = 0
         k += 1

@@ -18,7 +18,12 @@ impact multipliers and costs.
 
 An env is one lane, stepped on Python floats, or a lockstep wave built by
 PortfolioEnv.lockstep over many one-lane envs, stepped as (L, n) arrays. A
-wave gives every lane the bits its own one-lane steps would give.
+wave gives every lane the bits its own one-lane steps would give. Both read
+as a batch to an evaluation policy: `live` and `lanes` name the live lanes,
+`regimes()` gives their true labels and `observations()` their (L, D)
+observations, built only when asked for. A wave's step returns no
+observation; a one-lane step returns its own, and a one-lane env is a batch
+of one until its episode ends.
 """
 
 import math
@@ -90,8 +95,8 @@ class EnvConfig:
 
 @dataclass
 class StepResult:
-    """One step's outputs; a wave's have one row or entry per lane that
-    stepped, in wave order."""
+    """One step's outputs; a wave's have one entry per lane that stepped,
+    in wave order, and no observation (see PortfolioEnv.observations)."""
 
     observation: np.ndarray
     reward: float
@@ -185,16 +190,16 @@ class PortfolioEnv:
     @classmethod
     def lockstep(cls, lanes, episodes):
         """Reset lanes[i] to episodes[i] through its own reset(), and return
-        a wave stepping them side by side, with their first observations
-        (B, D).
+        a wave stepping them side by side.
 
         The lanes are one-lane envs of one config. Lanes that replay one
         (master seed, episode) share its path, generated once. The wave
-        holds each path once and each lane's effective-price history as a
-        row of one (B, rows, n) block, and the lanes keep views of both.
-        Every wave step moves each live lane's t, and current_regime with
-        it; a lane leaves when its episode ends, with done set and its
-        holdings, cash, wealth and multipliers written back.
+        holds each path and its regime labels once and each lane's
+        effective-price history as a row of one (B, rows, n) block, and the
+        lanes keep views of the paths and histories. Every wave step moves
+        each live lane's t, and current_regime with it; a lane leaves when
+        its episode ends, with done set and its holdings, cash, wealth and
+        multipliers written back.
         """
         config = lanes[0].config
         if any(lane.config is not config for lane in lanes):
@@ -207,22 +212,20 @@ class PortfolioEnv:
         wave = cls(config, lanes[0].master_seed)
         n, w1 = wave._n, wave._window - 1
         block = np.empty((len(lanes), w1 + wave._n_periods + 1, n))
-        observations = np.empty((len(lanes), wave._obs_dim))
         owners = {}  # (master seed, episode) -> (path index, its lane)
         path_of = []
-        for lane, row, episode, obs in zip(lanes, block, episodes,
-                                           observations):
+        for lane, row, episode in zip(lanes, block, episodes):
             key = (lane.master_seed, int(episode))
             p, like = owners.get(key, (len(owners), None))
             lane._eff_hist = row
-            obs[:] = lane.reset(key[1], like=like)
+            lane.reset(key[1], like=like)
             owners.setdefault(key, (p, lane))
             path_of.append(p)
         owners = [lane for _, lane in owners.values()]
         wave._prices = np.stack([lane._unaffected for lane in owners])
-        # each path's interest factor per period, from its regime labels
-        wave._interest_rows = np.array(wave._interest)[
-            [lane._regimes for lane in owners]]
+        # each path's regime label and interest factor per period
+        wave._regime_rows = np.array([lane._regimes for lane in owners])
+        wave._interest_rows = np.array(wave._interest)[wave._regime_rows]
         wave._path_of = np.array(path_of)
         for lane, p in zip(lanes, path_of):
             lane._unaffected = wave._prices[p]
@@ -235,7 +238,7 @@ class PortfolioEnv:
         wave._wealth = wave._cash.copy()
         wave._t = 0
         wave._done = False
-        return wave, observations
+        return wave
 
     def step(self, action) -> StepResult:
         if self._done:
@@ -311,7 +314,8 @@ class PortfolioEnv:
         on (L, n) arrays, one row per live lane. Dots are stacked matmuls
         and the exp is one call, which give each row the bits of the float
         step's ddot and exp; each lane's costs fold left to right from 0.0
-        and its reward is math.log of its wealth ratio, as there."""
+        and its reward is math.log of its wealth ratio, as there. It builds
+        no observations: observations() does, for the lanes still live."""
         lanes, live = self._lanes, self._live
         a = np.asarray(actions, dtype=np.float64)
         if a.shape != (len(lanes), self._n):
@@ -344,8 +348,7 @@ class PortfolioEnv:
         self._t = t = t + 1
         for lane in lanes:
             lane._t = t
-        window = self._window
-        self._eff_hist[:, window - 1 + t][live] = s1_eff
+        self._eff_hist[:, self._window - 1 + t][live] = s1_eff
 
         solvent = (0.0 < new_wealth) & (new_wealth < math.inf)
         bad_mult = ~((0.0 < mult) & (mult < math.inf))
@@ -358,19 +361,9 @@ class PortfolioEnv:
         rewards[bankrupt] = BANKRUPTCY_REWARD
         done = bankrupt | (t == self._n_periods)
         self._wealth = new_wealth
-
-        nw = self._n * window
-        history = self._eff_hist[:, t : t + window]
-        if len(lanes) < len(history):
-            history = history[live]
-        obs = np.empty((len(lanes), self._obs_dim))
-        obs[:, :nw] = history.reshape(-1, nw)
-        obs[:, nw:-1] = target_holdings * s1_eff / new_wealth[:, None]
-        obs[bankrupt, nw:-1] = 0.0
-        obs[:, -1] = new_wealth / self._initial_wealth
         if done.any():
             self._leave(done)
-        return StepResult(obs, rewards, done, bankrupt)
+        return StepResult(None, rewards, done, bankrupt)
 
     def _leave(self, done):
         """Drop the wave's finished lanes, writing their state back."""
@@ -392,12 +385,17 @@ class PortfolioEnv:
 
     @property
     def lanes(self) -> list:
-        """A wave's live lanes, in wave order."""
+        """The live lanes, in wave order; a one-lane env is its own lane
+        until its episode ends."""
+        if self._lanes is None:
+            return [] if self._done else [self]
         return self._lanes
 
     @property
     def live(self) -> np.ndarray:
         """The live lanes' positions in the wave."""
+        if self._lanes is None:
+            return np.arange(0 if self._done else 1)
         return self._live
 
     @property
@@ -414,6 +412,35 @@ class PortfolioEnv:
         if self._t < 0:
             raise LifecycleError("regime requested before reset()")
         return self._regimes[self._t]
+
+    def regimes(self) -> np.ndarray:
+        """The live lanes' true regime labels (L,) at the current clock
+        (foresight consumers only)."""
+        if self._lanes is None:
+            return np.array([] if self._done else [self._regimes[self._t]],
+                            dtype=np.int64)
+        return self._regime_rows[:, self._t][self._path_of]
+
+    def observations(self) -> np.ndarray:
+        """The live lanes' observations (L, D), with the bits of the ones
+        their one-lane steps return."""
+        if self._lanes is None:
+            if self._done:
+                return np.empty((0, self._obs_dim))
+            return self._observation(
+                self._eff_hist[self._window - 1 + self._t])[None]
+        # live lanes are solvent, so their weights are marked at the
+        # newest history row
+        t, window = self._t, self._window
+        history = self._eff_hist[:, t : t + window]
+        if len(self._lanes) < len(history):
+            history = history[self._live]
+        nw = self._n * window
+        obs = np.empty((len(history), self._obs_dim))
+        obs[:, :nw] = history.reshape(-1, nw)
+        obs[:, nw:-1] = self._holdings * history[:, -1] / self._wealth[:, None]
+        obs[:, -1] = self._wealth / self._initial_wealth
+        return obs
 
     def effective_episode_prices(self) -> np.ndarray:
         """Effective prices observed this episode, rows 0..t (copies)."""

@@ -13,9 +13,14 @@ runs only the forward max pass (no backpointers); max is exact, so its label
 is decode's last state bit for bit. One call labels one window or a stack of
 equal-length windows; a stack's emissions come from one triangular solve per
 state over all its rows, except that one-row windows (T == 1) are solved one
-by one, because a one-row solve rounds differently. A model computes its
-Cholesky factors and log probabilities once, and its arrays are read-only so
-they cannot go stale.
+by one, because a one-row solve rounds differently. SlidingLabels gives
+predict_current's labels for windows that slide by one row a period (an
+evaluation wave's lanes): it keeps each window's emissions and solves only
+the newest rows, all lanes' in one block (a lone lane's last two rows),
+shifting the block and rerunning the forward pass; on any other clock, and
+for one-row windows, it recomputes the full windows as predict_current does.
+A model computes its Cholesky factors and log probabilities once, and its
+arrays are read-only so they cannot go stale.
 
 The fit works on raw, unlabelled returns, so its state indices are arbitrary
 (label switching): best_permutation() maps them onto simulator regimes.
@@ -219,11 +224,17 @@ def predict_current(model: GaussianHmmModel, window):
     if l_len == 1:
         label = _label_one(model, _emission_logprobs(model, x[0]).tolist())
         return np.array([label]) if stacked else label
+    return _viterbi(model, _window_emissions(model, x), last_only=True)
+
+
+def _window_emissions(model: GaussianHmmModel, x: np.ndarray) -> np.ndarray:
+    """Emissions (L, T, K) of a stack of windows (L, T, n): one solve per
+    state over all L * T rows, or, when T == 1, one solve per window."""
+    l_len, t_len, n = x.shape
     if t_len == 1:
-        emis = np.stack([_emission_logprobs(model, w) for w in x])
-    else:
-        emis = _emission_logprobs(model, x.reshape(-1, n))
-    return _viterbi(model, emis.reshape(l_len, t_len, -1), last_only=True)
+        return np.stack([_emission_logprobs(model, w) for w in x])
+    emis = _emission_logprobs(model, x.reshape(-1, n))
+    return emis.reshape(l_len, t_len, -1)
 
 
 def _label_one(model: GaussianHmmModel, emis: list) -> int:
@@ -247,6 +258,49 @@ def label_observation(model: GaussianHmmModel, obs, window: int,
     """
     prices = obs[:, : n_assets * window].reshape(len(obs), window, n_assets)
     return predict_current(model, np.diff(np.log(prices), axis=1))
+
+
+class SlidingLabels:
+    """predict_current's labels for lanes whose windows slide by one row a
+    period, solving only each window's newest emission row.
+
+    labels(t, live, prices) labels the live lanes at clock t from their
+    price windows (L, T + 1, n), whose log returns are the detector's
+    windows. It keeps each live lane's (T, K) window emissions. When t is
+    one past the previous call's clock and the live lanes are among the
+    previous call's, it solves only their newest return rows, one solve per
+    state over all of them (a lone live lane solves its last two rows and
+    keeps the last, because a one-row solve rounds differently), shifts the
+    windows by one row and runs the forward pass. On any other clock, and
+    for one-row windows (T == 1), it recomputes the full windows as
+    predict_current does. Log returns of a window's last rows have the bits
+    of those rows of the full window (tests/test_hmm.py checks this of the
+    running numpy).
+    """
+
+    def __init__(self, model: GaussianHmmModel):
+        self.model = model
+        # the previous call's clock, live lanes and their window emissions
+        # (L, T, K); no emissions before the first call
+        self._t, self._live, self._emis = 0, None, None
+
+    def labels(self, t: int, live, prices) -> np.ndarray:
+        model = self.model
+        if model.n_states == 1:
+            return np.zeros(len(live), dtype=np.int64)
+        emis = self._emis if t == self._t + 1 else None
+        if emis is not None and not np.array_equal(live, self._live):
+            keep = np.isin(self._live, live)  # lanes only leave a wave
+            emis = emis[keep] if keep.sum() == len(live) else None
+        if emis is None or emis.shape[1] == 1:
+            emis = _window_emissions(model, np.diff(np.log(prices), axis=1))
+        else:
+            recent = np.diff(np.log(prices[:, -3:]), axis=1)
+            rows = recent[0] if len(live) == 1 else recent[:, 1]
+            newest = _emission_logprobs(model, rows)[-len(live):]
+            emis = np.concatenate((emis[:, 1:], newest[:, None]), axis=1)
+        self._emis, self._t, self._live = emis, t, live
+        return _viterbi(model, emis, last_only=True)
 
 
 def _path_log_likelihood(model, emissions, paths) -> float:

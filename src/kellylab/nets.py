@@ -66,9 +66,10 @@ class Dense:
 
     def forward(self, x):
         self._x = x
-        z = x @ self.W.value + self.b.value
+        z = x @ self.W.value
+        z += self.b.value
         if self.activation == "tanh":
-            self._out = np.tanh(z)
+            self._out = np.tanh(z, out=z)
             return self._out
         if self.activation == "relu":
             self._z = z
@@ -380,10 +381,13 @@ class Adam:
         m += np.multiply(g, 1.0 - b1, out=step)
         v *= b2
         v += np.multiply(np.square(g, out=step), 1.0 - b2, out=step)
-        # value -= lr (m / bias1) / (sqrt(v / bias2) + eps)
-        np.add(np.sqrt(np.divide(v, bias2, out=denom), out=denom), self.eps,
-               out=denom)
-        np.multiply(np.divide(m, bias1, out=step), self.learning_rate, out=step)
+        # value -= lr (m / bias1) / (sqrt(v / bias2) + eps); a bias that
+        # has rounded to exactly 1.0 divides nothing (x / 1.0 == x), so its
+        # division is skipped
+        v_hat = np.divide(v, bias2, out=denom) if bias2 != 1.0 else v
+        np.add(np.sqrt(v_hat, out=denom), self.eps, out=denom)
+        m_hat = np.divide(m, bias1, out=step) if bias1 != 1.0 else m
+        np.multiply(m_hat, self.learning_rate, out=step)
         self.value -= np.divide(step, denom, out=step)
 
 

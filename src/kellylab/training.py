@@ -29,7 +29,8 @@ class NetPolicy:
     """Evaluation wrapper: act with the policy mean, one forward for all lanes.
 
     A context net reads its regime context from its frozen detector, which
-    it must be given; one predict_current call labels every live lane.
+    it must be given; a SlidingLabels per wave labels every live lane,
+    solving only each window's newest emission row from period to period.
     """
 
     # Per-row forward cost is flat past 64 rows, and every lane holds one
@@ -41,19 +42,21 @@ class NetPolicy:
             raise ValueError("a context policy needs its fitted regime detector")
         self.net = net
         self.detector = detector
+        self._labels = None
 
-    def reset(self, envs, first=0):
-        pass
+    def reset(self, env, first=0):
+        if self.detector is not None:
+            self._labels = hmm_module.SlidingLabels(self.detector)
 
-    def act(self, live, observations, envs):
-        obs = np.asarray(observations)
+    def act(self, env):
+        obs = env.observations()
         if self.detector is None:
             mean, _ = self.net.forward(obs)
-        else:
-            config = envs[0].config
-            contexts = _context_from_obs(obs, config.window, config.n_assets,
-                                         self.detector, self.net.context_dim)
-            mean, _ = self.net.forward(obs, contexts)
+            return mean
+        window, n = env.config.window, env.config.n_assets
+        prices = obs[:, : window * n].reshape(len(obs), window, n)
+        labels = self._labels.labels(env.t, env.live, prices)
+        mean, _ = self.net.forward(obs, _one_hot(labels, self.net.context_dim))
         return mean
 
 
@@ -65,9 +68,13 @@ def _context_from_obs(obs, window, n_assets, detector, n_states) -> np.ndarray:
     """
     if detector is None:
         return np.full((len(obs), n_states), 1.0 / n_states)
-    labels = hmm_module.label_observation(detector, obs, window, n_assets)
-    contexts = np.zeros((len(obs), n_states))
-    contexts[np.arange(len(obs)), labels] = 1.0
+    return _one_hot(hmm_module.label_observation(detector, obs, window,
+                                                 n_assets), n_states)
+
+
+def _one_hot(labels, n_states) -> np.ndarray:
+    contexts = np.zeros((len(labels), n_states))
+    contexts[np.arange(len(labels)), labels] = 1.0
     return contexts
 
 
@@ -98,12 +105,12 @@ def evaluate(policy, env_factory, n_episodes, seed: int,
     Episodes run side by side in waves of up to policy.lanes lanes. Each lane
     is its own env_factory(seed) environment, reused from wave to wave, and
     PortfolioEnv.lockstep steps a wave's live lanes as one array step. At
-    the start of a wave the policy gets reset(lanes, first), where first is
-    the wave's first lane in the evaluation. Every period it gets the live
-    lanes' positions in the wave, their observations (L, D) and their
-    environments, and returns their actions (L, n). A lane leaves the wave
-    when its episode ends. An episode's path depends only on (seed,
-    episode), so the wave layout changes no analytic policy's result.
+    the start of a wave the policy gets reset(wave, first), where first is
+    the wave's first lane in the evaluation. Every period it gets act(wave)
+    and returns the live lanes' actions (L, n), reading what it needs from
+    the wave: live, lanes, config, t, regimes() and observations(). A lane
+    leaves the wave when its episode ends. An episode's path depends only on
+    (seed, episode), so the wave layout changes no analytic policy's result.
 
     Bankrupt episodes are counted but excluded from the growth statistics
     (their growth is undefined); if nothing survives, the statistics are NaN.
@@ -121,19 +128,16 @@ def evaluate(policy, env_factory, n_episodes, seed: int,
     bankrupt = np.zeros(len(episodes), dtype=bool)
     for first in range(0, len(episodes), len(lanes)):
         wave_episodes = episodes[first : first + len(lanes)]
-        wave = lanes[: len(wave_episodes)]
-        env, obs = PortfolioEnv.lockstep(wave, wave_episodes)
+        wave = PortfolioEnv.lockstep(lanes[: len(wave_episodes)],
+                                     wave_episodes)
         policy.reset(wave, first)
-        sums = reward_sums[first : first + len(wave)]
-        flags = bankrupt[first : first + len(wave)]
-        while not env.done:
-            live = env.live
-            result = env.step(policy.act(live, obs, env.lanes))
+        sums = reward_sums[first : first + len(wave_episodes)]
+        flags = bankrupt[first : first + len(wave_episodes)]
+        while not wave.done:
+            live = wave.live
+            result = wave.step(policy.act(wave))
             sums[live] += result.reward
             flags[live] = result.bankrupt
-            obs = result.observation
-            if result.done.any():
-                obs = obs[~result.done]
     arr = reward_sums[~bankrupt] / horizon
     if arr.size:
         mean = float(arr.mean())

@@ -164,12 +164,11 @@ def test_criterion_04_monte_carlo_baseline():
     raw = []
     adjusted = []
     for episode in range(20):
-        obs = env.reset(episode=episode)
-        policy.reset([env])
+        env.reset(episode=episode)
+        policy.reset(env)
         reward_sum = 0.0
         while True:
-            step = env.step(policy.act([0], [obs], [env])[0])
-            obs = step.observation
+            step = env.step(policy.act(env)[0])
             reward_sum += step.reward
             if step.done:
                 break

@@ -23,10 +23,28 @@ from shipped import regime, shipped
 
 
 class FakeEnv:
-    """Just enough of the env surface for policy label/ramp logic."""
+    """Just enough of a one-lane env's surface for policy label/ramp
+    logic: one live lane and its regime label."""
 
     def __init__(self, regime=0):
         self.current_regime = regime
+        self.lanes = [self]
+        self.live = np.arange(1)
+
+    def regimes(self):
+        return np.array([self.current_regime])
+
+
+class FakeWave:
+    """Just enough of a wave's surface: the live lanes, their positions in
+    the wave and their regime labels."""
+
+    def __init__(self, lanes, live=None):
+        self.lanes = lanes
+        self.live = np.arange(len(lanes)) if live is None else np.array(live)
+
+    def regimes(self):
+        return np.array([lane.current_regime for lane in self.lanes])
 
 
 class StaggeredPolicy:
@@ -49,7 +67,7 @@ class StaggeredPolicy:
 
 def act(policy, env):
     """One lane's action through the lane API."""
-    return policy.act([0], [None], [env])[0]
+    return policy.act(env)[0]
 
 
 def small_env_config(market=None, horizon_years=0.25, initial_wealth=1000.0,
@@ -70,7 +88,7 @@ def test_fixed_weight_policy_is_constant():
     # one regime and one period: rebalance to the same weights every period
     policy = RegimeSwitchingPolicy(np.array([[0.5, 0.2]]))
     env = FakeEnv()
-    policy.reset([env])
+    policy.reset(env)
     for _ in range(3):
         assert np.array_equal(act(policy, env), np.array([0.5, 0.2]))
 
@@ -78,7 +96,7 @@ def test_fixed_weight_policy_is_constant():
 def test_staggered_ramp_schedule():
     policy = RegimeSwitchingPolicy(np.array([[2.0]]), 4)
     env = FakeEnv()
-    policy.reset([env])
+    policy.reset(env)
     targets = [float(act(policy, env)[0]) for _ in range(6)]
     assert targets == [0.5, 1.0, 1.5, 2.0, 2.0, 2.0]
     with pytest.raises(ValueError, match="adjustment_periods"):
@@ -88,7 +106,7 @@ def test_staggered_ramp_schedule():
 def test_staggered_with_one_period_is_fixed():
     policy = RegimeSwitchingPolicy(np.array([[1.5, -0.5]]), 1)
     env = FakeEnv()
-    policy.reset([env])
+    policy.reset(env)
     assert np.array_equal(act(policy, env), np.array([1.5, -0.5]))
     assert np.array_equal(act(policy, env), np.array([1.5, -0.5]))
 
@@ -96,10 +114,10 @@ def test_staggered_with_one_period_is_fixed():
 def test_staggered_reset_restarts_the_ramp():
     policy = RegimeSwitchingPolicy(np.array([[1.0]]), 2)
     env = FakeEnv()
-    policy.reset([env])
+    policy.reset(env)
     assert act(policy, env)[0] == 0.5
     assert act(policy, env)[0] == 1.0
-    policy.reset([env])
+    policy.reset(env)
     assert act(policy, env)[0] == 0.5
 
 
@@ -116,7 +134,7 @@ def test_one_regime_actions_are_the_scaled_weights(w, fraction, n):
     policy = RegimeSwitchingPolicy(w[None], n, fraction)
     oracle = StaggeredPolicy(w, n)
     env = FakeEnv()
-    policy.reset([env])
+    policy.reset(env)
     for k in range(n + 3):
         scale = min((k + 1) / n, 1.0)
         action = act(policy, env)
@@ -130,7 +148,7 @@ def test_regime_switching_ramps_toward_the_active_target():
     targets = np.array([[2.0, 0.0], [-1.0, 1.0]])
     policy = RegimeSwitchingPolicy(targets, adjustment_periods=2, fraction=0.5)
     env = FakeEnv(regime=0)
-    policy.reset([env])
+    policy.reset(env)
     assert np.array_equal(act(policy, env), 0.5 * 0.5 * targets[0])
     assert np.array_equal(act(policy, env), 0.5 * targets[1 - 1])
     # a regime flip restarts the ramp toward the new target
@@ -143,7 +161,7 @@ def test_regime_switching_full_fraction_single_period():
     targets = np.array([[1.0], [0.25]])
     policy = RegimeSwitchingPolicy(targets)
     env = FakeEnv(regime=1)
-    policy.reset([env])
+    policy.reset(env)
     assert act(policy, env)[0] == 0.25
     env.current_regime = 0
     assert act(policy, env)[0] == 1.0
@@ -153,14 +171,14 @@ def test_lanes_keep_their_own_ramp_and_regime():
     targets = np.array([[2.0], [-1.0]])
     policy = RegimeSwitchingPolicy(targets, adjustment_periods=2, fraction=0.5)
     envs = [FakeEnv(0), FakeEnv(1), FakeEnv(0)]
-    policy.reset(envs)
-    first = policy.act([0, 1, 2], [None] * 3, envs)
+    policy.reset(FakeWave(envs))
+    first = policy.act(FakeWave(envs))
     assert [a[0] for a in first] == [0.5, -0.25, 0.5]
     # lane 1 has left the wave; lane 2's regime flips and restarts its ramp
     envs[2].current_regime = 1
-    second = policy.act([0, 2], [None] * 2, [envs[0], envs[2]])
+    second = policy.act(FakeWave([envs[0], envs[2]], [0, 2]))
     assert [a[0] for a in second] == [1.0, -0.25]
-    third = policy.act([0, 2], [None] * 2, [envs[0], envs[2]])
+    third = policy.act(FakeWave([envs[0], envs[2]], [0, 2]))
     assert [a[0] for a in third] == [1.0, -0.5]
     # every call returns one fresh (L, n) array of the live lanes' actions
     assert third.shape == (2, 1) and third.dtype == np.float64
@@ -265,12 +283,11 @@ def per_cell_grid_search(config, fractions, adjustment_grid,
             growths = []
             bankruptcies = 0
             for episode in range(episodes_per_cell):
-                obs = env.reset(episode=episode)
-                policy.reset([env])
+                env.reset(episode=episode)
+                policy.reset(env)
                 reward_sum = 0.0
                 while True:
-                    result = env.step(policy.act([0], [obs], [env])[0])
-                    obs = result.observation
+                    result = env.step(policy.act(env)[0])
                     reward_sum += result.reward
                     if result.done:
                         break
@@ -366,13 +383,13 @@ def test_per_lane_fractions_and_ramps():
                                    fraction=[0.5, 1.0, 0.25, 0.5])
     envs = [FakeEnv(0), FakeEnv(1)]
     # lanes 2 and 3 of the evaluation: ramps of 4 and 2
-    policy.reset(envs, first=2)
-    steps = [policy.act([0, 1], [None] * 2, envs)[:, 0].tolist()
+    policy.reset(FakeWave(envs), first=2)
+    steps = [policy.act(FakeWave(envs))[:, 0].tolist()
              for _ in range(5)]
     assert steps == [[0.125, -0.25], [0.25, -0.5], [0.375, -0.5],
                      [0.5, -0.5], [0.5, -0.5]]
     with pytest.raises(ValueError, match="per-lane values"):
-        policy.reset(envs, first=3)
+        policy.reset(FakeWave(envs), first=3)
     with pytest.raises(ValueError, match="fraction"):
         RegimeSwitchingPolicy(targets, fraction=[0.5, 0.0])
     with pytest.raises(ValueError, match="adjustment_periods"):

@@ -72,9 +72,10 @@ counted = probes.stats()["eval_steps"]
 true = 0
 env = PortfolioEnv(config, 0)
 for episode in range(70):
-    obs = env.reset(episode=episode)
+    env.reset(episode=episode)
+    policy.reset(env)
     while not env.done:
-        obs = env.step(policy.act([0], obs[None], [env])[0]).observation
+        env.step(policy.act(env)[0])
     true += env.t
 print(json.dumps({"true": true, "counted": counted,
                   "bankruptcies": result.bankruptcies,

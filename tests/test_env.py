@@ -597,23 +597,35 @@ def random_regime_config(n, rng, n_regimes, eta, gamma, horizon_periods=32,
 def check_wave_against_float_steps(cfg, master_seed, episodes, action):
     """Step a lockstep wave over `episodes` and, beside it, one one-lane env
     per lane with the float step, giving both action(lane, t). Every output
-    and every lane's clock, regime and prices must have the same bits.
+    and every lane's clock, regime and prices must have the same bits, and
+    before every wave step the wave's regimes() and observations() must
+    give each live lane's label and the bits of its twin's observation.
     Returns each lane's episode length."""
     lanes = [PortfolioEnv(cfg, master_seed) for _ in episodes]
     twins = [PortfolioEnv(cfg, master_seed) for _ in episodes]
-    wave, first = PortfolioEnv.lockstep(lanes, episodes)
-    for i, (twin, episode) in enumerate(zip(twins, episodes)):
-        assert same_bits(first[i], twin.reset(episode=episode))
+    wave = PortfolioEnv.lockstep(lanes, episodes)
+    observations = [twin.reset(episode=episode)
+                    for twin, episode in zip(twins, episodes)]
     with np.errstate(all="ignore"):
-        while not wave.done:
+        while True:
             live = wave.live.copy()
             assert [lanes[i] for i in live] == wave.lanes
+            regimes, block = wave.regimes(), wave.observations()
+            assert block.shape == (len(live), cfg.observation_dim)
+            assert regimes.shape == (len(live),)
+            for row, i in enumerate(live):
+                assert regimes[row] == lanes[i].current_regime
+                assert regimes[row] == twins[i].current_regime
+                assert same_bits(block[row], observations[i])
+            if wave.done:
+                break
             actions = np.array([action(i, wave.t) for i in live])
             result = wave.step(actions)
+            assert result.observation is None
             for row, i in enumerate(live):
                 lane, twin = lanes[i], twins[i]
                 expected = twin.step(actions[row])
-                assert same_bits(result.observation[row], expected.observation)
+                observations[i] = expected.observation
                 assert same_bits(result.reward[row], expected.reward)
                 assert result.done[row] == expected.done
                 assert result.bankrupt[row] == expected.bankrupt
@@ -674,6 +686,21 @@ def test_a_wave_ends_bankrupt_lanes_as_the_float_step_does():
     assert lengths[3] == cfg.n_periods
 
 
+def test_a_one_lane_env_reads_as_a_batch_of_one_until_its_episode_ends():
+    cfg = make_config(market=shipped("regimes3").market, window=5)
+    env = PortfolioEnv(cfg, 2)
+    assert env.lanes == [] and env.live.size == 0
+    obs = env.reset(episode=1)
+    while not env.done:
+        assert env.lanes == [env] and env.live.tolist() == [0]
+        assert env.regimes().tolist() == [env.current_regime]
+        assert same_bits(env.observations()[0], obs)
+        obs = env.step(np.array([0.5, 0.2, -0.1])).observation
+    assert env.lanes == [] and env.live.size == 0
+    assert env.regimes().shape == (0,)
+    assert env.observations().shape == (0, cfg.observation_dim)
+
+
 def test_lanes_of_one_episode_share_one_generated_path(monkeypatch):
     import kellylab.env as env_module
 
@@ -686,7 +713,7 @@ def test_lanes_of_one_episode_share_one_generated_path(monkeypatch):
     monkeypatch.setattr(env_module, "generate_path", counting)
     cfg = make_config(market=shipped("regimes3").market, window=5)
     lanes = [PortfolioEnv(cfg, 2) for _ in range(5)]
-    wave, _ = PortfolioEnv.lockstep(lanes, [4, 1, 4, 4, 1])
+    PortfolioEnv.lockstep(lanes, [4, 1, 4, 4, 1])
     assert len(calls) == 2
     # each path is stored once: lanes hold views of the wave's copy
     assert np.shares_memory(lanes[0]._unaffected, lanes[2]._unaffected)
@@ -712,7 +739,7 @@ def test_reset_like_and_lockstep_reject_mismatched_lanes():
         PortfolioEnv.lockstep([first, PortfolioEnv(make_config(), 0)], [0, 1])
     with pytest.raises(ValueError, match="episodes"):
         PortfolioEnv.lockstep([first], [0, 1])
-    wave, _ = PortfolioEnv.lockstep([first, PortfolioEnv(cfg, 0)], [0, 1])
+    wave = PortfolioEnv.lockstep([first, PortfolioEnv(cfg, 0)], [0, 1])
     with pytest.raises(ValueError, match="shape"):
         wave.step(np.zeros((1, 1)))
     # a wave's block of price rows is no one-lane history

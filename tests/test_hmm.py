@@ -586,6 +586,25 @@ def test_blas_solves_a_column_the_same_in_any_block_of_two_or_more():
                 assert stacked[:, w * 59 + i].tobytes() == full[:, i].tobytes()
 
 
+def test_log_returns_of_a_windows_last_rows_keep_the_full_windows_bits():
+    # SlidingLabels takes each lane's newest return rows from the log of its
+    # observation's last three price rows, and relies on them having the
+    # bits of those rows of the full window's log returns. That holds for
+    # the numpy this package is tested on; a build for which it does not
+    # must fail here rather than let labels drift.
+    rng = np.random.default_rng(14)
+    for n in (1, 2, 3, 4):
+        for window in (3, 4, 9, 60, 61):
+            obs = rng.lognormal(4.0, 0.5, size=(64, window * n + n + 1))
+            prices = obs[:, : window * n].reshape(64, window, n)
+            full = np.diff(np.log(prices), axis=1)
+            last = np.diff(np.log(prices[:, -3:]), axis=1)
+            assert last.tobytes() == full[:, -2:].tobytes(), (n, window)
+            for lane in range(64):
+                alone = np.diff(np.log(prices[lane : lane + 1, -3:]), axis=1)
+                assert alone.tobytes() == full[lane, -2:].tobytes()
+
+
 def test_decode_of_a_stack_is_each_sequence_decoded():
     model = two_state_model()
     rng = np.random.default_rng(4)

@@ -235,6 +235,41 @@ def test_adam_single_step_closed_form():
     assert p.value[0] == pytest.approx(expected2, rel=1e-14)
 
 
+def dividing_adam_step(value, grad, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Oracle: Adam's step with both bias corrections always divided."""
+    bias1 = 1.0 - b1**t
+    bias2 = 1.0 - b2**t
+    m *= b1
+    m += np.multiply(grad, 1.0 - b1)
+    v *= b2
+    v += np.multiply(np.square(grad), 1.0 - b2)
+    denom = np.add(np.sqrt(np.divide(v, bias2)), eps)
+    step = np.multiply(np.divide(m, bias1), lr)
+    value -= np.divide(step, denom)
+
+
+@pytest.mark.parametrize("t", [1, 354, 355, 356, 357, 1000, 37410, 37411,
+                               37412, 37413, 312_400])
+def test_adam_skips_only_exact_no_op_bias_divisions(t):
+    # 1 - 0.9**t is exactly 1.0 from t = 356, 1 - 0.999**t from t = 37,412;
+    # each step on either side of both must keep the dividing step's bits
+    rng = np.random.default_rng(t)
+    value = rng.normal(size=50)
+    grad = rng.normal(size=50) * rng.choice([1e-6, 1.0, 1e3], size=50)
+    opt = Adam(SimpleNamespace(flat=value.copy(), flat_grad=grad.copy()),
+               learning_rate=3e-4)
+    opt._m[:] = rng.normal(size=50) * 0.01
+    opt._v[:] = rng.uniform(size=50) * 1e-4
+    m, v, expected = opt._m.copy(), opt._v.copy(), value.copy()
+    opt.t = t - 1
+    for step in range(t, t + 3):
+        opt.step()
+        dividing_adam_step(expected, grad, m, v, step, 3e-4)
+        assert opt.value.tobytes() == expected.tobytes(), step
+        assert opt._m.tobytes() == m.tobytes()
+        assert opt._v.tobytes() == v.tobytes()
+
+
 def test_grad_norm_and_clipping():
     net = PolicyNet(3, 1, np.random.default_rng(0), hidden=(4,))
     a, b = net.params()[0], net.params()[-1]

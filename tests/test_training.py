@@ -1,10 +1,14 @@
 """Evaluation harness and the rollout/update training loop."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kellylab import hmm as hmm_module
 from kellylab.baselines import RegimeSwitchingPolicy
 from kellylab.env import EnvConfig, PortfolioEnv
 from kellylab.errors import FitError
@@ -60,12 +64,11 @@ def sequential_evaluate(policy, env_factory, n_episodes, seed,
     lengths = []
     bankruptcies = 0
     for episode in range(episode_offset, episode_offset + n_episodes):
-        obs = env.reset(episode=episode)
-        policy.reset([env])
+        env.reset(episode=episode)
+        policy.reset(env)
         reward_sum = 0.0
         while True:
-            result = env.step(policy.act([0], [obs], [env])[0])
-            obs = result.observation
+            result = env.step(policy.act(env)[0])
             reward_sum += result.reward
             if result.done:
                 bankrupt = result.bankrupt
@@ -258,9 +261,9 @@ class PerLaneLabelPolicy(NetPolicy):
         super().__init__(net, detector)
         self.labels_seen = set()
 
-    def act(self, live, observations, envs):
-        obs = np.stack(observations)
-        window, n_assets = envs[0].config.window, envs[0].config.n_assets
+    def act(self, env):
+        obs = env.observations()
+        window, n_assets = env.config.window, env.config.n_assets
         contexts = np.zeros((len(obs), self.net.context_dim))
         for context, o in zip(contexts, obs):
             prices = o[: window * n_assets].reshape(window, n_assets)
@@ -296,6 +299,90 @@ def test_stacked_detector_labels_give_the_per_lane_growths_bit_for_bit(window):
     assert len(set(got.growths)) > 1
 
 
+class PriceWave:
+    """Just enough of a wave's surface for a context NetPolicy, over given
+    price paths (B, rows, n): at clock t each live lane's observation
+    starts with its price rows t..t+window-1."""
+
+    def __init__(self, prices, window, rng):
+        lanes, _, n = prices.shape
+        self.config = SimpleNamespace(window=window, n_assets=n)
+        self.prices = prices
+        self.rest = rng.normal(size=(lanes, n + 1))
+        self.t = 0
+        self.live = np.arange(lanes)
+
+    @property
+    def lanes(self):
+        return self.live.tolist()
+
+    def observations(self):
+        window = self.config.window
+        rows = self.prices[self.live, self.t : self.t + window]
+        return np.hstack([rows.reshape(len(self.live), -1),
+                          self.rest[self.live]])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(k=st.integers(2, 4), n=st.integers(1, 4), window=st.integers(2, 61),
+       lanes=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_sliding_context_labels_equal_each_windows_predict_current(
+        k, n, window, lanes, seed):
+    # the live set shrinks down to one lane, and clock jumps (forward, back
+    # or none) force full recomputes between one-row slides
+    rng = np.random.default_rng(seed)
+    a = rng.normal(0.0, 0.01, size=(k, n, n))
+    detector = GaussianHmmModel(
+        means=rng.normal(0.0, 0.02, size=(k, n)),
+        covariances=a @ a.transpose(0, 2, 1)
+        + rng.uniform(1e-5, 1e-3, size=(k, 1, 1)) * np.eye(n),
+        transition=rng.dirichlet(np.ones(k), size=k),
+        initial=rng.dirichlet(np.ones(k)),
+    )
+    periods = 40
+    states = rng.integers(0, k, size=(lanes, window + periods))
+    returns = detector.means[states] + rng.normal(
+        0.0, 0.02, size=(lanes, window + periods, n))
+    prices = 100.0 * np.exp(np.cumsum(returns, axis=1))
+    net = ContextPolicyNet(n * window + n + 1, k, n, rng,
+                           feature_sizes=(8, 4), regime_sizes=(4, 4),
+                           shared_sizes=(4,))
+    seen = []
+    forward = net.forward
+
+    def recording_forward(obs, contexts):
+        seen.append(contexts)
+        return forward(obs, contexts)
+
+    net.forward = recording_forward
+    policy = NetPolicy(net, detector)
+    env = PriceWave(prices, window, rng)
+    policy.reset(env)
+    while env.t < periods and env.live.size:
+        policy.act(env)
+        windows = np.diff(np.log(prices[env.live, env.t : env.t + window]),
+                          axis=1)
+        want = [predict_current(detector, w) for w in windows]
+        contexts = seen[-1]
+        assert contexts.shape == (env.live.size, k)
+        assert (contexts.sum(axis=1) == 1.0).all()
+        assert contexts.argmax(axis=1).tolist() == want
+        # the kept emissions have the bits of each window's own solve
+        kept = policy._labels._emis
+        for lane, w in zip(kept, windows):
+            assert lane.tobytes() == hmm_module._emission_logprobs(
+                detector, w).tobytes()
+        move = rng.uniform()
+        if move < 0.1:
+            env.t = int(rng.integers(0, periods))
+        else:
+            env.t += 1
+        if move > 0.8 and env.live.size > 1:
+            env.live = env.live[rng.uniform(size=env.live.size) < 0.6]
+            if not env.live.size:
+                env.live = np.array([int(rng.integers(0, lanes))])
+
+
 def test_policy_wrappers_validate_their_inputs():
     context_net = ContextPolicyNet(
         4, 2, 1, np.random.default_rng(0),
@@ -319,10 +406,10 @@ def test_context_net_policy_acts_from_detected_regime():
         feature_sizes=(8, 4), regime_sizes=(4, 4), shared_sizes=(4,),
     )
     policy = NetPolicy(net, detector)
-    envs = [PortfolioEnv(config, 0), PortfolioEnv(config, 1)]
-    obs = [env.reset() for env in envs]
-    policy.reset(envs)
-    actions = policy.act([0, 1], obs, envs)
+    wave = PortfolioEnv.lockstep(
+        [PortfolioEnv(config, 0), PortfolioEnv(config, 1)], [0, 0])
+    policy.reset(wave)
+    actions = policy.act(wave)
     assert actions.shape == (2, 1)
     assert np.isfinite(actions).all()
 
