@@ -47,4 +47,5 @@ class FitError(KellylabError, RuntimeError):
 
 
 class CheckpointError(KellylabError, ValueError):
-    """Checkpoint file is missing, corrupt, or from an incompatible layout."""
+    """Checkpoint file, or the detector file beside it, is missing, corrupt,
+    or from an incompatible layout."""

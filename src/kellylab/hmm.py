@@ -19,6 +19,9 @@ evaluation wave's lanes): it keeps each window's emissions and solves only
 the newest rows, all lanes' in one block (a lone lane's last two rows),
 shifting the block and rerunning the forward pass; on any other clock, and
 for one-row windows, it recomputes the full windows as predict_current does.
+Both label a stack by one of two forward passes with the same sums and
+maxes: a two-state model's windows, up to _FLOAT_PASS_LANES of them, one by
+one on Python floats, and any other stack as numpy over the whole stack.
 A model computes its Cholesky factors and log probabilities once, and its
 arrays are read-only so they cannot go stale.
 
@@ -29,11 +32,10 @@ The fit works on raw, unlabelled returns, so its state indices are arbitrary
 import itertools
 import json
 from dataclasses import dataclass, field
-from operator import add
 
 import numpy as np
 
-from .errors import FitError
+from .errors import CheckpointError, FitError
 
 _MAX_REINIT_ATTEMPTS = 10
 
@@ -87,7 +89,12 @@ class GaussianHmmModel:
         for i in range(k):
             if not np.allclose(self.covariances[i], self.covariances[i].T, atol=1e-12):
                 raise ValueError(f"covariance {i} is not symmetric")
-            chol = np.linalg.cholesky(self.covariances[i])  # PD check
+            try:
+                chol = np.linalg.cholesky(self.covariances[i])
+            except np.linalg.LinAlgError as exc:
+                raise np.linalg.LinAlgError(
+                    f"covariance {i} is not positive definite"
+                ) from exc
             self._chol.append(chol)
             self._logdet.append(2.0 * np.sum(np.log(np.diag(chol))))
         if self.transition.shape != (k, k) or np.any(self.transition < 0):
@@ -101,7 +108,8 @@ class GaussianHmmModel:
         with np.errstate(divide="ignore"):
             self._log_trans = np.log(self.transition)
             self._log_init = np.log(self.initial)
-        # plain-float copies for predict_current; _log_into[j][i] = log P(i -> j)
+        # plain-float copies for the two-state label pass;
+        # _log_into[j][i] = log P(i -> j)
         self._log_into = self._log_trans.T.tolist()
         self._log_init_list = self._log_init.tolist()
 
@@ -221,10 +229,8 @@ def predict_current(model: GaussianHmmModel, window):
         raise ValueError("window must contain at least one return row")
     if model.n_states == 1:
         return np.zeros(l_len, dtype=np.int64) if stacked else 0
-    if l_len == 1:
-        label = _label_one(model, _emission_logprobs(model, x[0]).tolist())
-        return np.array([label]) if stacked else label
-    return _viterbi(model, _window_emissions(model, x), last_only=True)
+    labels = _labels(model, _window_emissions(model, x))
+    return labels if stacked else int(labels[0])
 
 
 def _window_emissions(model: GaussianHmmModel, x: np.ndarray) -> np.ndarray:
@@ -237,15 +243,44 @@ def _window_emissions(model: GaussianHmmModel, x: np.ndarray) -> np.ndarray:
     return emis.reshape(l_len, t_len, -1)
 
 
+# Up to this many two-state windows are labelled one by one on Python
+# floats, more as one numpy pass. On (L, 59, 2) emissions (timeit, 2-vCPU
+# Xeon, three runs) the float pass cost 10-17 us a window, tolist included,
+# and the numpy pass, nearly flat in L, 140-165 us at L = 1, 205-405 us at
+# L = 10 and 435-620 us at L = 64: they broke even at 20-30 windows.
+_FLOAT_PASS_LANES = 16
+
+
+def _labels(model: GaussianHmmModel, emis: np.ndarray) -> np.ndarray:
+    """Last states (L,) of the forward max-product pass over emissions
+    (L, T, K): the float pass for up to _FLOAT_PASS_LANES two-state windows,
+    else _viterbi's."""
+    if model.n_states == 2 and len(emis) <= _FLOAT_PASS_LANES:
+        return np.array([_label_one(model, e) for e in emis.tolist()],
+                        dtype=np.int64)
+    return _viterbi(model, emis, last_only=True)
+
+
 def _label_one(model: GaussianHmmModel, emis: list) -> int:
-    """_viterbi's forward pass over one window's emission rows, on plain
-    floats; a tie goes to the lower state, as argmax does."""
-    score = list(map(add, model._log_init_list, emis[0]))
-    for row in itertools.islice(emis, 1, None):
-        score = [
-            max(map(add, score, into)) + e for into, e in zip(model._log_into, row)
-        ]
-    return max(range(len(score)), key=score.__getitem__)
+    """_viterbi's forward pass over one window's two-state emission rows,
+    unrolled on plain floats: the same adds in the same order, and the label
+    argmax gives (the lower state on a tie, the first NaN if any).
+
+    np.maximum passes on a NaN from either side (a solve that overflows can
+    give a NaN emission), and then every later score is NaN and the label 0.
+    Here a NaN in s1 reaches s0 through q, and one in s0 stays there through
+    the p != p test; s0 then stays NaN and the label is 0, whatever s1 holds.
+    """
+    (a00, a10), (a01, a11) = model._log_into
+    rows = iter(emis)
+    e0, e1 = next(rows)
+    s0, s1 = model._log_init_list[0] + e0, model._log_init_list[1] + e1
+    for e0, e1 in rows:
+        p, q = s0 + a00, s1 + a10
+        r, u = s0 + a01, s1 + a11
+        s0 = (p if p >= q or p != p else q) + e0
+        s1 = (r if r >= u else u) + e1
+    return 0 if s0 >= s1 or s0 != s0 else 1
 
 
 def label_observation(model: GaussianHmmModel, obs, window: int,
@@ -300,7 +335,7 @@ class SlidingLabels:
             newest = _emission_logprobs(model, rows)[-len(live):]
             emis = np.concatenate((emis[:, 1:], newest[:, None]), axis=1)
         self._emis, self._t, self._live = emis, t, live
-        return _viterbi(model, emis, last_only=True)
+        return _labels(model, emis)
 
 
 def _path_log_likelihood(model, emissions, paths) -> float:
@@ -510,17 +545,55 @@ def save(model: GaussianHmmModel, path):
         f.write("\n")
 
 
+# each array field of a model file and its number of dimensions
+_FILE_ARRAYS = {"means": 2, "covariances": 3, "transition": 2, "initial": 1}
+
+
 def load(path) -> GaussianHmmModel:
-    with open(path) as f:
-        payload = json.load(f)
-    if payload.get("format_version") != 1:
+    """The model save wrote to path. A file that cannot be read, or a field
+    that is missing or invalid, raises one CheckpointError naming the file
+    and the field."""
+    try:
+        with open(path) as f:
+            payload = json.load(f)
+        return _model_from_payload(payload)
+    except (OSError, ValueError) as exc:
+        raise CheckpointError(f"cannot read detector file {path}: {exc}") from exc
+
+
+def _model_from_payload(payload) -> GaussianHmmModel:
+    if not isinstance(payload, dict):
+        raise ValueError("the file must hold a JSON object")
+    version = payload.get("format_version")
+    if version != 1:
         raise ValueError(
-            f"unsupported model file version {payload.get('format_version')!r}"
+            f"unsupported model file version {version!r} in field "
+            "'format_version'"
+        )
+    arrays = {}
+    for name, ndim in _FILE_ARRAYS.items():
+        if name not in payload:
+            raise ValueError(f"field {name!r} is missing")
+        try:
+            value = np.array(payload[name])
+            valid = (value.dtype.kind in "iuf" and value.ndim == ndim
+                     and np.isfinite(value).all())
+        except ValueError:  # a ragged list
+            valid = False
+        if not valid:
+            raise ValueError(
+                f"field {name!r} must be a {ndim}-D array of finite numbers, "
+                f"got {json.dumps(payload[name])[:80]}"
+            )
+        arrays[name] = value
+    history = payload.get("fit_history", [])
+    if not isinstance(history, list) or not all(
+        type(ll) in (int, float) for ll in history
+    ):
+        raise ValueError(
+            "field 'fit_history' must be a list of numbers, got "
+            f"{json.dumps(history)[:80]}"
         )
     return GaussianHmmModel(
-        means=payload["means"],
-        covariances=payload["covariances"],
-        transition=payload["transition"],
-        initial=payload["initial"],
-        fit_history=[float(ll) for ll in payload.get("fit_history", [])],
+        fit_history=[float(ll) for ll in history], **arrays
     )

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -443,6 +444,61 @@ def test_evaluate_checkpoint_with_empty_hidden_layers_fails_cleanly(
 def test_evaluate_checkpoint_with_null_scalar_fails_cleanly(
         tmp_path, capsys, field):
     evaluate_with_header_field(tmp_path, capsys, field, None)
+
+
+@pytest.fixture(scope="module")
+def context_run(tmp_path_factory):
+    """One trained REGIME seed directory: a context checkpoint and its
+    detector.json."""
+    root = tmp_path_factory.mktemp("context")
+    config = write(root, "regime.yaml", REGIME)
+    assert main(["train", "--config", str(config), "--out",
+                 str(root / "train")]) == 0
+    return root / "train" / "seed0"
+
+
+def drop_means(payload):
+    del payload["means"]
+
+
+def null_means(payload):
+    payload["means"] = None
+
+
+def version_2(payload):
+    payload["format_version"] = 2
+
+
+@pytest.mark.parametrize("corrupt, expected", [
+    (drop_means, "field 'means' is missing"),
+    (null_means, "field 'means' must be a 2-D array of finite numbers, got null"),
+    (version_2, "unsupported model file version 2 in field 'format_version'"),
+    (None, ""),  # the file cut off mid-way: the JSON decoder's message
+], ids=["missing-means", "null-means", "version-2", "cut-off"])
+def test_evaluate_checkpoint_with_corrupt_detector_fails_cleanly(
+        tmp_path, capsys, context_run, corrupt, expected):
+    seed_dir = tmp_path / "seed0"
+    shutil.copytree(context_run, seed_dir)
+    detector = seed_dir / "detector.json"
+    text = detector.read_text()
+    if corrupt is None:
+        detector.write_text(text[: len(text) // 2])
+    else:
+        payload = json.loads(text)
+        corrupt(payload)
+        detector.write_text(json.dumps(payload))
+    config = write(tmp_path, "regime.yaml", REGIME)
+    capsys.readouterr()
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--config", str(config), "--out", str(out),
+                 "--checkpoint", str(seed_dir / "checkpoint.npz"),
+                 "--episodes", "2"]) == 1
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(
+        f"error: cannot read detector file {detector}: {expected}")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_unexpected_errors_are_one_line(tmp_path, capsys, monkeypatch):

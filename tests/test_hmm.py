@@ -489,10 +489,16 @@ def test_non_finite_windows_still_raise(model, seed, bad):
         predict_current(model, stack)
 
 
+# a stack of up to CUT two-state windows is labelled on Python floats, a
+# larger one by numpy; stacks of CUT and CUT + 1 windows straddle the cut-over
+CUT = hmm_module._FLOAT_PASS_LANES
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(model=hmm_models(states=(2, 4), features=(1, 4)),
        t_len=st.one_of(st.just(1), st.integers(1, 60)),
-       lanes=st.integers(1, 70), seed=st.integers(0, 2**32 - 1))
+       lanes=st.one_of(st.sampled_from([CUT, CUT + 1]), st.integers(1, 70)),
+       seed=st.integers(0, 2**32 - 1))
 def test_stacked_predict_current_equals_each_window_on_its_own(
         model, t_len, lanes, seed):
     # t_len == 1 is drawn often: a stack of one-row windows is solved window
@@ -556,8 +562,94 @@ def test_stacked_labels_match_at_the_decision_boundary(t_len):
             shifts.append(np.nextafter(shifts[-1], np.inf))
         stack = np.stack([window(a) for a in shifts])
         want = [predict_current(model, w) for w in stack]
-        assert predict_current(model, stack).tolist() == want
+        assert want == [decode(model, w)[-1] for w in stack]
+        # stacks centred on the flip, on either side of the cut-over
+        for size in (CUT, CUT + 1, len(stack)):
+            first = (len(stack) - size) // 2
+            got = predict_current(model, stack[first : first + size])
+            assert got.tolist() == want[first : first + size]
     assert boundaries >= 10
+
+
+@st.composite
+def symmetric_models(draw):
+    """Two-state models whose states share their emission parameters, with
+    a symmetric chain and a uniform start: the two states' scores tie
+    exactly at every step. A chain that always stays forbids switching."""
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(0.0, 0.01, size=(n, n))
+    stay = draw(st.sampled_from([0.5, 0.9, 1.0]))
+    return GaussianHmmModel(
+        means=np.repeat(rng.normal(0.0, 0.02, size=(1, n)), 2, axis=0),
+        covariances=np.repeat((a @ a.T + 1e-4 * np.eye(n))[None], 2, axis=0),
+        transition=np.array([[stay, 1.0 - stay], [1.0 - stay, stay]]),
+        initial=np.array([0.5, 0.5]),
+    )
+
+
+TWO_STATE_MODELS = st.one_of(hmm_models(states=(2, 2)), symmetric_models())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(model=TWO_STATE_MODELS, lanes=st.sampled_from([1, 2, CUT, CUT + 1]),
+       t_len=st.integers(1, 30), tied=st.sampled_from([0.0, 0.5, 1.0]),
+       odd=st.sampled_from([0.0, 0.05, 0.3]), seed=st.integers(0, 2**32 - 1))
+def test_float_label_pass_equals_the_numpy_pass(model, lanes, t_len, tied,
+                                                odd, seed):
+    # Emission rows whose two entries are equal tie exactly under a
+    # symmetric model. -inf is a quadratic form that overflows, and NaN a
+    # solve that does; np.maximum and argmax pass a NaN on.
+    rng = np.random.default_rng(seed)
+    emis = rng.normal(3.0, 2.0, size=(lanes, t_len, 2))
+    same = rng.uniform(size=(lanes, t_len)) < tied
+    emis[same, 1] = emis[same, 0]
+    special = rng.uniform(size=emis.shape) < odd
+    emis[special] = rng.choice([-np.inf, np.nan], size=special.sum())
+    want = hmm_module._viterbi(model, emis, last_only=True).tolist()
+    assert [hmm_module._label_one(model, w) for w in emis.tolist()] == want
+    assert hmm_module._labels(model, emis).tolist() == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(model=TWO_STATE_MODELS, lanes=st.sampled_from([1, CUT, CUT + 1]),
+       far=st.sampled_from([0.0, 0.1]), seed=st.integers(0, 2**32 - 1))
+def test_two_state_labels_equal_the_oracle(model, lanes, far, seed):
+    # Rows scaled by 1e160 overflow the quadratic form: both emissions of
+    # such a row are -inf.
+    rng = np.random.default_rng(seed)
+    t_len = int(rng.integers(1, 60))
+    states = rng.integers(0, 2, size=(lanes, t_len))
+    stack = model.means[states] + rng.normal(
+        0.0, 0.03, size=(lanes, t_len, model.n_features))
+    stack[rng.uniform(size=(lanes, t_len)) < far] *= 1e160
+    with np.errstate(over="ignore"):
+        want = [oracle_decode(model, w)[-1] for w in stack]
+        assert predict_current(model, stack).tolist() == want
+        assert [predict_current(model, w) for w in stack] == want
+
+
+def test_nan_emissions_label_as_the_decode_does():
+    # With a diagonal covariance of 1e-300, a row 1e200 out overflows the
+    # solve, whose 0 * inf gives state 0 a NaN emission (state 1's is
+    # -inf). The label is decode's wherever the NaN falls.
+    model = GaussianHmmModel(
+        means=np.zeros((2, 2)),
+        covariances=np.array([1e-300 * np.eye(2), 1e-4 * np.eye(2)]),
+        transition=np.array([[0.9, 0.1], [0.2, 0.8]]),
+        initial=np.array([0.3, 0.7]),
+    )
+    rng = np.random.default_rng(5)
+    stack = rng.normal(0.0, 0.01, size=(4, 5, 2))
+    for lane, row in enumerate([0, 2, 4]):  # lane 3 has no NaN
+        stack[lane, row] = 1e200
+    with np.errstate(over="ignore", invalid="ignore"):
+        emis = hmm_module._window_emissions(model, stack)
+        assert np.isnan(emis).sum(axis=(1, 2)).tolist() == [1, 1, 1, 0]
+        want = [decode(model, w)[-1] for w in stack]
+        assert want == [oracle_decode(model, w)[-1] for w in stack]
+        assert predict_current(model, stack).tolist() == want
+        assert [predict_current(model, w) for w in stack] == want
 
 
 def test_blas_solves_a_column_the_same_in_any_block_of_two_or_more():

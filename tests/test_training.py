@@ -323,13 +323,19 @@ class PriceWave:
                           self.rest[self.live]])
 
 
+# a two-state wave of up to this many lanes is labelled on Python floats
+CUT = hmm_module._FLOAT_PASS_LANES
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(k=st.integers(2, 4), n=st.integers(1, 4), window=st.integers(2, 61),
-       lanes=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+       lanes=st.one_of(st.integers(1, 6), st.sampled_from([CUT, CUT + 1])),
+       seed=st.integers(0, 2**32 - 1))
 def test_sliding_context_labels_equal_each_windows_predict_current(
         k, n, window, lanes, seed):
     # the live set shrinks down to one lane, and clock jumps (forward, back
-    # or none) force full recomputes between one-row slides
+    # or none) force full recomputes between one-row slides; waves of CUT
+    # and CUT + 1 lanes start on either side of the two label passes' cut-over
     rng = np.random.default_rng(seed)
     a = rng.normal(0.0, 0.01, size=(k, n, n))
     detector = GaussianHmmModel(
