@@ -57,7 +57,7 @@ class RegimeSwitchingPolicy:
             raise ValueError("targets must be (n_regimes, n_assets)")
 
     def reset(self, env, first=0):
-        count = len(env.lanes)
+        count = len(env.live)
         self._n = _lane_values(self.adjustment_periods, first, count)
         self._f = _lane_values(self.fraction, first, count)
         self._k = np.zeros(count, dtype=np.int64)
@@ -127,6 +127,8 @@ def rs_baseline_grid_search(
     adjustment_grid = list(adjustment_grid)
     if not fractions or not adjustment_grid:
         raise ValueError("grids must be nonempty")
+    if episodes_per_cell < 1:
+        raise ValueError("episodes_per_cell must be >= 1")
 
     targets = np.array(
         [optimal_weights(reg).stocks for reg in config.market.regimes]

@@ -18,8 +18,9 @@ impact multipliers and costs.
 
 An env is one lane, stepped on Python floats, or a lockstep wave built by
 PortfolioEnv.lockstep over many one-lane envs, stepped as (L, n) arrays. A
-wave gives every lane the bits its own one-lane steps would give. Both read
-as a batch to an evaluation policy: `live` and `lanes` name the live lanes,
+wave gives every lane the bits its own one-lane steps would give; it keeps
+their state, and sets a lane's clock to its final t when the lane leaves.
+Both read as a batch to an evaluation policy: `live` names the live lanes,
 `regimes()` gives their true labels and `observations()` their (L, D)
 observations, built only when asked for. A wave's step returns no
 observation; a one-lane step returns its own, and a one-lane env is a batch
@@ -196,10 +197,10 @@ class PortfolioEnv:
         (master seed, episode) share its path, generated once. The wave
         holds each path and its regime labels once and each lane's
         effective-price history as a row of one (B, rows, n) block, and the
-        lanes keep views of the paths and histories. Every wave step moves
-        each live lane's t, and current_regime with it; a lane leaves when
-        its episode ends, with done set and its holdings, cash, wealth and
-        multipliers written back.
+        lanes keep views of the paths and histories. The wave alone holds
+        the clock, holdings, cash, wealth and multipliers while it steps; a
+        lane leaves when its episode ends, and only its clock is set then,
+        to its final t.
         """
         config = lanes[0].config
         if any(lane.config is not config for lane in lanes):
@@ -346,8 +347,6 @@ class PortfolioEnv:
 
         self._cash = cash
         self._t = t = t + 1
-        for lane in lanes:
-            lane._t = t
         self._eff_hist[:, self._window - 1 + t][live] = s1_eff
 
         solvent = (0.0 < new_wealth) & (new_wealth < math.inf)
@@ -366,14 +365,11 @@ class PortfolioEnv:
         return StepResult(None, rewards, done, bankrupt)
 
     def _leave(self, done):
-        """Drop the wave's finished lanes, writing their state back."""
+        """Drop the wave's finished lanes, setting each one's final clock."""
+        # the one write back: a lane's steps are counted from its clock when
+        # it is next reset, and at the end of a run (perfbench's step count)
         for i in np.flatnonzero(done).tolist():
-            lane = self._lanes[i]
-            lane._done = True
-            lane._holdings = self._holdings[i]
-            lane._mult = self._mult[i]
-            lane._cash = float(self._cash[i])
-            lane._wealth = float(self._wealth[i])
+            self._lanes[i]._t = self._t
         keep = ~done
         self._lanes = [lane for lane, k in zip(self._lanes, keep.tolist()) if k]
         for name in ("_live", "_path_of", "_holdings", "_mult", "_cash",
@@ -382,14 +378,6 @@ class PortfolioEnv:
         self._done = not self._lanes
 
     # -- views -------------------------------------------------------------
-
-    @property
-    def lanes(self) -> list:
-        """The live lanes, in wave order; a one-lane env is its own lane
-        until its episode ends."""
-        if self._lanes is None:
-            return [] if self._done else [self]
-        return self._lanes
 
     @property
     def live(self) -> np.ndarray:
@@ -405,13 +393,6 @@ class PortfolioEnv:
     @property
     def done(self) -> bool:
         return self._done
-
-    @property
-    def current_regime(self) -> int:
-        """True regime label at the current clock (foresight consumers only)."""
-        if self._t < 0:
-            raise LifecycleError("regime requested before reset()")
-        return self._regimes[self._t]
 
     def regimes(self) -> np.ndarray:
         """The live lanes' true regime labels (L,) at the current clock

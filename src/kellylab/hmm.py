@@ -10,18 +10,17 @@ The Viterbi recursion (Rabiner 1989) runs over a stack of equal-length
 sequences, one loop over time for the whole stack; one sequence is a stack of
 one, and the fit decodes its sequences grouped by length. predict_current
 runs only the forward max pass (no backpointers); max is exact, so its label
-is decode's last state bit for bit. One call labels one window or a stack of
-equal-length windows; a stack's emissions come from one triangular solve per
-state over all its rows, except that one-row windows (T == 1) are solved one
-by one, because a one-row solve rounds differently. SlidingLabels gives
-predict_current's labels for windows that slide by one row a period (an
-evaluation wave's lanes): it keeps each window's emissions and solves only
-the newest rows, all lanes' in one block (a lone lane's last two rows),
-shifting the block and rerunning the forward pass; on any other clock, and
-for one-row windows, it recomputes the full windows as predict_current does.
-Both label a stack by one of two forward passes with the same sums and
-maxes: a two-state model's windows, up to _FLOAT_PASS_LANES of them, one by
-one on Python floats, and any other stack as numpy over the whole stack.
+is decode's last state bit for bit. It labels one window (a training
+step's). SlidingLabels labels a stack of windows that slide by one row a
+period (an evaluation wave's lanes) with predict_current's labels: it keeps
+each window's emissions and solves only the newest rows, all lanes' in one
+block (a lone lane's last two rows), shifting the block and rerunning the
+forward pass; on any other clock it recomputes the full windows, with one
+triangular solve per state over all their rows, except that one-row windows
+(T == 1) are solved one by one, because a one-row solve rounds differently.
+Both label by one of two forward passes with the same sums and maxes: a
+two-state model's windows, up to _FLOAT_PASS_LANES of them, one by one on
+Python floats, and any other stack as numpy over the whole stack.
 A model computes its Cholesky factors and log probabilities once, and its
 arrays are read-only so they cannot go stale.
 
@@ -204,33 +203,20 @@ def decode(model: GaussianHmmModel, sequence) -> np.ndarray:
     return paths if stacked else paths[0]
 
 
-def predict_current(model: GaussianHmmModel, window):
+def predict_current(model: GaussianHmmModel, window) -> int:
     """Regime label now: final state of the decode over a recent window.
 
-    window is one (T, n) window of return rows, giving an int, or a stack of
-    equal-length windows (L, T, n), giving (L,) labels. Each label is
-    decode(model, w)[-1] of its own window bit for bit: the forward
-    max-product pass keeps no backpointers, but every step takes the same max
-    of the same sums as decode.
-
-    A stack of L windows makes one emission solve per state over its L * T
-    rows, whose rows have the bits of each window's own solve when T >= 2.
-    When T == 1 the windows are solved one by one, because a one-row solve
-    rounds differently from a row of a larger block.
+    window is one (T, n) window of return rows. The label is
+    decode(model, window)[-1] bit for bit: the forward max-product pass
+    keeps no backpointers, but every step takes the same max of the same
+    sums as decode.
     """
-    x = np.asarray(window, dtype=np.float64)
-    stacked = x.ndim == 3
-    if not stacked:
-        x = np.atleast_2d(x)[None]
-    l_len, t_len, n = x.shape
-    if l_len == 0:
-        raise ValueError("predict_current was given an empty stack of windows")
-    if t_len < 1:
+    x = np.atleast_2d(np.asarray(window, dtype=np.float64))
+    if len(x) < 1:
         raise ValueError("window must contain at least one return row")
     if model.n_states == 1:
-        return np.zeros(l_len, dtype=np.int64) if stacked else 0
-    labels = _labels(model, _window_emissions(model, x))
-    return labels if stacked else int(labels[0])
+        return 0
+    return int(_labels(model, _emission_logprobs(model, x)[None])[0])
 
 
 def _window_emissions(model: GaussianHmmModel, x: np.ndarray) -> np.ndarray:
@@ -283,18 +269,6 @@ def _label_one(model: GaussianHmmModel, emis: list) -> int:
     return 0 if s0 >= s1 or s0 != s0 else 1
 
 
-def label_observation(model: GaussianHmmModel, obs, window: int,
-                      n_assets: int) -> np.ndarray:
-    """Regime labels (L,) from stacked observations (L, D) that each start
-    with their price window.
-
-    The first window * n_assets entries of each row are the (window,
-    n_assets) prices, oldest row first; the detector sees their log returns.
-    """
-    prices = obs[:, : n_assets * window].reshape(len(obs), window, n_assets)
-    return predict_current(model, np.diff(np.log(prices), axis=1))
-
-
 class SlidingLabels:
     """predict_current's labels for lanes whose windows slide by one row a
     period, solving only each window's newest emission row.
@@ -307,10 +281,10 @@ class SlidingLabels:
     state over all of them (a lone live lane solves its last two rows and
     keeps the last, because a one-row solve rounds differently), shifts the
     windows by one row and runs the forward pass. On any other clock, and
-    for one-row windows (T == 1), it recomputes the full windows as
-    predict_current does. Log returns of a window's last rows have the bits
-    of those rows of the full window (tests/test_hmm.py checks this of the
-    running numpy).
+    for one-row windows (T == 1), it recomputes the full windows'
+    emissions (_window_emissions). Log returns of a window's last rows have
+    the bits of those rows of the full window (tests/test_hmm.py checks this
+    of the running numpy).
     """
 
     def __init__(self, model: GaussianHmmModel):

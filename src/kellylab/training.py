@@ -61,15 +61,17 @@ class NetPolicy:
 
 
 def _context_from_obs(obs, window, n_assets, detector, n_states) -> np.ndarray:
-    """One-hot detector labels (L, K) from stacked observations (L, D).
+    """One-hot detector label (K,) of one observation (D,): the detector
+    sees the log returns of its leading (window, n_assets) price rows.
 
     Before the detector exists the context is uniform over regimes, keeping
     the elementwise-product trunk live without asserting a label.
     """
     if detector is None:
-        return np.full((len(obs), n_states), 1.0 / n_states)
-    return _one_hot(hmm_module.label_observation(detector, obs, window,
-                                                 n_assets), n_states)
+        return np.full(n_states, 1.0 / n_states)
+    prices = obs[: n_assets * window].reshape(window, n_assets)
+    return np.eye(n_states)[
+        hmm_module.predict_current(detector, np.diff(np.log(prices), axis=0))]
 
 
 def _one_hot(labels, n_states) -> np.ndarray:
@@ -108,7 +110,7 @@ def evaluate(policy, env_factory, n_episodes, seed: int,
     the start of a wave the policy gets reset(wave, first), where first is
     the wave's first lane in the evaluation. Every period it gets act(wave)
     and returns the live lanes' actions (L, n), reading what it needs from
-    the wave: live, lanes, config, t, regimes() and observations(). A lane
+    the wave: live, config, t, regimes() and observations(). A lane
     leaves the wave when its episode ends. An episode's path depends only on
     (seed, episode), so the wave layout changes no analytic policy's result.
 
@@ -248,12 +250,8 @@ def train(
     episodes_completed = 0
 
     obs = env.reset()
-    context = (
-        _context_from_obs(obs[None], env.config.window, n_assets, None,
-                          net.context_dim)[0]
-        if is_context
-        else None
-    )
+    context = (_context_from_obs(obs, env.config.window, n_assets, None,
+                                 net.context_dim) if is_context else None)
     reward_sum = 0.0
     # the episode's weight rows so far (cash first), one row per step
     weight_rows = np.empty((env.config.n_periods, n_assets + 1))
@@ -319,10 +317,8 @@ def train(
             else:
                 obs = result.observation
             if is_context:
-                context = _context_from_obs(
-                    obs[None], env.config.window, n_assets, detector,
-                    net.context_dim,
-                )[0]
+                context = _context_from_obs(obs, env.config.window, n_assets,
+                                            detector, net.context_dim)
 
         if buffer.dones[-1]:
             bootstrap = 0.0

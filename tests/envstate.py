@@ -1,7 +1,7 @@
 """The state of a PortfolioEnv between steps, read from its private fields.
 
 The env exposes only what the commands read: the observation, reward, done
-and bankrupt flags of a step, the clock, the current regime and the
+and bankrupt flags of a step, the clock, the live lanes' regimes and the
 effective prices. Tests that check its accounting read the rest here.
 """
 

@@ -28,7 +28,6 @@ class FakeEnv:
 
     def __init__(self, regime=0):
         self.current_regime = regime
-        self.lanes = [self]
         self.live = np.arange(1)
 
     def regimes(self):
@@ -241,6 +240,15 @@ def test_grid_search_rejects_empty_grids():
     config = small_env_config()
     with pytest.raises(ValueError, match="nonempty"):
         rs_baseline_grid_search(config, fractions=[], adjustment_grid=[1])
+
+
+@pytest.mark.parametrize("episodes_per_cell", [0, -2])
+def test_grid_search_rejects_fewer_than_one_episode_per_cell(
+        episodes_per_cell):
+    config = small_env_config()
+    with pytest.raises(ValueError, match="episodes_per_cell must be >= 1"):
+        rs_baseline_grid_search(config, fractions=[0.5], adjustment_grid=[1],
+                                episodes_per_cell=episodes_per_cell)
 
 
 def test_grid_search_rejects_a_seed_outside_32_bits():

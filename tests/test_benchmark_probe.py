@@ -6,7 +6,8 @@ name behind would silently zero that layer's metrics, so the probe is
 installed here in a child process (it patches modules globally) and must
 report nothing missing. It counts evaluation steps through the environments
 evaluate's factory builds: one per lane, reset through its own reset() and
-reused across waves, with the wave's step moving each lane's clock.
+reused across waves. The wave sets each lane's clock to its final value when
+the lane leaves, and the probe reads it at the lane's next reset and at exit.
 """
 
 import json

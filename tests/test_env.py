@@ -342,8 +342,6 @@ def test_lifecycle_errors():
     with pytest.raises(LifecycleError):
         env.step(np.array([0.0]))
     with pytest.raises(LifecycleError):
-        env.current_regime
-    with pytest.raises(LifecycleError):
         env.effective_episode_prices()
     env.reset(episode=0)
     while not env.done:
@@ -596,26 +594,27 @@ def random_regime_config(n, rng, n_regimes, eta, gamma, horizon_periods=32,
 
 def check_wave_against_float_steps(cfg, master_seed, episodes, action):
     """Step a lockstep wave over `episodes` and, beside it, one one-lane env
-    per lane with the float step, giving both action(lane, t). Every output
-    and every lane's clock, regime and prices must have the same bits, and
-    before every wave step the wave's regimes() and observations() must
-    give each live lane's label and the bits of its twin's observation.
-    Returns each lane's episode length."""
+    per lane with the float step, giving both action(lane, t). Every output,
+    the wave's clock and each live lane's prices (its row of the wave's
+    block) must have the same bits as the twin's, and before every wave
+    step the wave's regimes() and observations() must give each live lane's
+    label and the bits of its twin's observation. A lane that left holds
+    its twin's final clock and history. Returns each lane's episode
+    length."""
     lanes = [PortfolioEnv(cfg, master_seed) for _ in episodes]
     twins = [PortfolioEnv(cfg, master_seed) for _ in episodes]
     wave = PortfolioEnv.lockstep(lanes, episodes)
     observations = [twin.reset(episode=episode)
                     for twin, episode in zip(twins, episodes)]
+    w1 = cfg.window - 1
     with np.errstate(all="ignore"):
         while True:
             live = wave.live.copy()
-            assert [lanes[i] for i in live] == wave.lanes
             regimes, block = wave.regimes(), wave.observations()
             assert block.shape == (len(live), cfg.observation_dim)
             assert regimes.shape == (len(live),)
             for row, i in enumerate(live):
-                assert regimes[row] == lanes[i].current_regime
-                assert regimes[row] == twins[i].current_regime
+                assert regimes[row] == env_state(twins[i]).regime
                 assert same_bits(block[row], observations[i])
             if wave.done:
                 break
@@ -623,22 +622,20 @@ def check_wave_against_float_steps(cfg, master_seed, episodes, action):
             result = wave.step(actions)
             assert result.observation is None
             for row, i in enumerate(live):
-                lane, twin = lanes[i], twins[i]
+                twin = twins[i]
                 expected = twin.step(actions[row])
                 observations[i] = expected.observation
                 assert same_bits(result.reward[row], expected.reward)
                 assert result.done[row] == expected.done
                 assert result.bankrupt[row] == expected.bankrupt
-                assert lane.t == twin.t and lane.done == twin.done
-                assert lane.current_regime == twin.current_regime
-                assert same_bits(lane.effective_episode_prices(),
+                assert wave.t == twin.t
+                assert same_bits(wave._eff_hist[i, w1 : w1 + wave.t + 1],
                                  twin.effective_episode_prices())
-    # a lane that left the wave holds the state its float twin holds
+    # a lane that left the wave holds its float twin's clock and history
     for lane, twin in zip(lanes, twins):
         state, expected = env_state(lane), env_state(twin)
         assert state.t == expected.t and state.regimes == expected.regimes
-        for name in ("prices", "history", "holdings", "cash", "wealth",
-                     "multipliers", "unaffected"):
+        for name in ("history", "unaffected"):
             assert same_bits(getattr(state, name), getattr(expected, name))
     return [lane.t for lane in lanes]
 
@@ -689,14 +686,14 @@ def test_a_wave_ends_bankrupt_lanes_as_the_float_step_does():
 def test_a_one_lane_env_reads_as_a_batch_of_one_until_its_episode_ends():
     cfg = make_config(market=shipped("regimes3").market, window=5)
     env = PortfolioEnv(cfg, 2)
-    assert env.lanes == [] and env.live.size == 0
+    assert env.live.size == 0
     obs = env.reset(episode=1)
     while not env.done:
-        assert env.lanes == [env] and env.live.tolist() == [0]
-        assert env.regimes().tolist() == [env.current_regime]
+        assert env.live.tolist() == [0]
+        assert env.regimes().tolist() == [env_state(env).regime]
         assert same_bits(env.observations()[0], obs)
         obs = env.step(np.array([0.5, 0.2, -0.1])).observation
-    assert env.lanes == [] and env.live.size == 0
+    assert env.live.size == 0
     assert env.regimes().shape == (0,)
     assert env.observations().shape == (0, cfg.observation_dim)
 

@@ -57,6 +57,14 @@ def two_state_model():
     )
 
 
+def stack_labels(model, stack):
+    """Labels (L,) of a stack of equal-length windows (L, T, n), as
+    SlidingLabels labels windows it recomputes in full: one emission solve
+    per state over the whole stack, then one forward pass."""
+    stack = np.asarray(stack, dtype=np.float64)
+    return hmm_module._labels(model, hmm_module._window_emissions(model, stack))
+
+
 def path_joint_ll(model, x, path):
     """Hand-rolled joint log-likelihood of one state path."""
     ll = np.log(model.initial[path[0]])
@@ -233,7 +241,10 @@ def test_decode_single_state_shortcut():
     assert np.array_equal(decode(model, np.zeros((5, 1))),
                           np.zeros(5, dtype=np.int64))
     assert predict_current(model, np.zeros((5, 1))) == 0
-    assert predict_current(model, np.zeros((3, 5, 1))).tolist() == [0, 0, 0]
+    assert stack_labels(model, np.zeros((3, 5, 1))).tolist() == [0, 0, 0]
+    sliding = hmm_module.SlidingLabels(model)
+    assert sliding.labels(0, np.arange(3), np.ones((3, 6, 1))).tolist() == [
+        0, 0, 0]
 
 
 def test_predict_current_returns_the_final_state():
@@ -244,24 +255,16 @@ def test_predict_current_returns_the_final_state():
     window = np.array([[-0.02], [-0.02], [0.02], [0.02], [0.02]])
     assert predict_current(model, window) == 1
     assert predict_current(model, [0.019]) == 1
-    # a stack of equal-length windows gets one label per window
+    # a stack of equal-length windows gets each window's own label
     stack = np.stack([np.full((5, 1), 0.019), np.full((5, 1), -0.019), window])
-    assert predict_current(model, stack).tolist() == [1, 0, 1]
-    assert predict_current(model, stack[1:2]).tolist() == [0]
-    assert predict_current(model, [[[0.019]], [[-0.019]]]).tolist() == [1, 0]
+    assert [predict_current(model, w) for w in stack] == [1, 0, 1]
+    assert stack_labels(model, stack).tolist() == [1, 0, 1]
+    assert stack_labels(model, stack[1:2]).tolist() == [0]
+    assert stack_labels(model, [[[0.019]], [[-0.019]]]).tolist() == [1, 0]
+    assert [predict_current(model, w) for w in [[[0.019]], [[-0.019]]]] == [
+        1, 0]
     with pytest.raises(ValueError, match="at least one return row"):
         predict_current(model, np.empty((0, 1)))
-    with pytest.raises(ValueError, match="at least one return row"):
-        predict_current(model, np.empty((2, 0, 1)))
-
-
-@pytest.mark.parametrize("t_len", [1, 5])
-def test_predict_current_rejects_an_empty_stack(t_len):
-    # one-row windows are solved lane by lane and longer ones as one block:
-    # either way no lanes is the caller's error, named as such
-    model = two_state_model()
-    with pytest.raises(ValueError, match="predict_current.*empty stack"):
-        predict_current(model, np.zeros((0, t_len, 1)))
 
 
 def test_best_permutation_and_accuracy():
@@ -481,12 +484,12 @@ def test_non_finite_windows_still_raise(model, seed, bad):
         predict_current(model, window)
     with pytest.raises(ValueError):
         decode(model, window)
-    # one bad entry in any one lane of a stack fails the whole call
+    # one bad entry in any one lane of a stack fails the whole solve
     lanes = int(rng.integers(2, 8))
     stack = rng.normal(0.0, 0.02, size=(lanes, t_len, model.n_features))
     stack[rng.integers(0, lanes)] = window
     with pytest.raises(ValueError):
-        predict_current(model, stack)
+        stack_labels(model, stack)
 
 
 # a stack of up to CUT two-state windows is labelled on Python floats, a
@@ -515,7 +518,7 @@ def test_stacked_predict_current_equals_each_window_on_its_own(
     # shrinking subset of the stack, in lane order
     live = np.arange(lanes)
     while live.size:
-        got = predict_current(model, stack[live])
+        got = stack_labels(model, stack[live])
         assert got.shape == (live.size,)
         assert got.tolist() == [want[i] for i in live]
         live = live[rng.uniform(size=live.size) < 0.7]
@@ -566,7 +569,7 @@ def test_stacked_labels_match_at_the_decision_boundary(t_len):
         # stacks centred on the flip, on either side of the cut-over
         for size in (CUT, CUT + 1, len(stack)):
             first = (len(stack) - size) // 2
-            got = predict_current(model, stack[first : first + size])
+            got = stack_labels(model, stack[first : first + size])
             assert got.tolist() == want[first : first + size]
     assert boundaries >= 10
 
@@ -625,7 +628,7 @@ def test_two_state_labels_equal_the_oracle(model, lanes, far, seed):
     stack[rng.uniform(size=(lanes, t_len)) < far] *= 1e160
     with np.errstate(over="ignore"):
         want = [oracle_decode(model, w)[-1] for w in stack]
-        assert predict_current(model, stack).tolist() == want
+        assert stack_labels(model, stack).tolist() == want
         assert [predict_current(model, w) for w in stack] == want
 
 
@@ -648,12 +651,12 @@ def test_nan_emissions_label_as_the_decode_does():
         assert np.isnan(emis).sum(axis=(1, 2)).tolist() == [1, 1, 1, 0]
         want = [decode(model, w)[-1] for w in stack]
         assert want == [oracle_decode(model, w)[-1] for w in stack]
-        assert predict_current(model, stack).tolist() == want
+        assert stack_labels(model, stack).tolist() == want
         assert [predict_current(model, w) for w in stack] == want
 
 
 def test_blas_solves_a_column_the_same_in_any_block_of_two_or_more():
-    # A stacked predict_current solves every lane's rows in one block and
+    # SlidingLabels' full recompute solves every lane's rows in one block and
     # relies on each row getting the bits of its own window's solve. That
     # holds for the BLAS this package is tested on; a BLAS for which it
     # does not must fail here rather than let labels drift.

@@ -312,10 +312,6 @@ class PriceWave:
         self.t = 0
         self.live = np.arange(lanes)
 
-    @property
-    def lanes(self):
-        return self.live.tolist()
-
     def observations(self):
         window = self.config.window
         rows = self.prices[self.live, self.t : self.t + window]
