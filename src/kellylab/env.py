@@ -19,7 +19,8 @@ impact multipliers and costs.
 An env is one lane, stepped on Python floats, or a lockstep wave built by
 PortfolioEnv.lockstep over many one-lane envs, stepped as (L, n) arrays. A
 wave gives every lane the bits its own one-lane steps would give; it keeps
-their state, and sets a lane's clock to its final t when the lane leaves.
+their state, and when a lane leaves it sets the lane's clock to its final
+t and marks it done, so the lane steps again only after a reset.
 Both read as a batch to an evaluation policy: `live` names the live lanes,
 `regimes()` gives their true labels and `observations()` their (L, D)
 observations, built only when asked for. A wave's step returns no
@@ -199,8 +200,8 @@ class PortfolioEnv:
         effective-price history as a row of one (B, rows, n) block, and the
         lanes keep views of the paths and histories. The wave alone holds
         the clock, holdings, cash, wealth and multipliers while it steps; a
-        lane leaves when its episode ends, and only its clock is set then,
-        to its final t.
+        lane leaves when its episode ends, and only its clock (to its final
+        t) and done flag are set then.
         """
         config = lanes[0].config
         if any(lane.config is not config for lane in lanes):
@@ -365,11 +366,14 @@ class PortfolioEnv:
         return StepResult(None, rewards, done, bankrupt)
 
     def _leave(self, done):
-        """Drop the wave's finished lanes, setting each one's final clock."""
-        # the one write back: a lane's steps are counted from its clock when
-        # it is next reset, and at the end of a run (perfbench's step count)
+        """Drop the wave's finished lanes, setting each one's final clock and
+        marking it done."""
+        # a lane's steps are counted from its clock when it is next reset,
+        # and at the end of a run (perfbench's step count); done makes a
+        # departed lane's step() raise until it is reset
         for i in np.flatnonzero(done).tolist():
-            self._lanes[i]._t = self._t
+            lane = self._lanes[i]
+            lane._t, lane._done = self._t, True
         keep = ~done
         self._lanes = [lane for lane, k in zip(self._lanes, keep.tolist()) if k]
         for name in ("_live", "_path_of", "_holdings", "_mult", "_cash",

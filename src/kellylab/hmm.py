@@ -8,9 +8,12 @@ arithmetic keeps million-step sequences from underflowing.
 
 The Viterbi recursion (Rabiner 1989) runs over a stack of equal-length
 sequences, one loop over time for the whole stack; one sequence is a stack of
-one, and the fit decodes its sequences grouped by length. predict_current
-runs only the forward max pass (no backpointers); max is exact, so its label
-is decode's last state bit for bit. It labels one window (a training
+one. The fit trains its restarts in lockstep, decoding all of them in one
+call per sequence length, with the bits of training them one after another
+(see fit). Emission solves call LAPACK dtrtrs, loaded from scipy's extension
+file without the scipy.linalg import (_dtrtrs). predict_current runs only
+the forward max pass (no backpointers); max is exact, so its label is
+decode's last state bit for bit. It labels one window (a training
 step's). SlidingLabels labels a stack of windows that slide by one row a
 period (an evaluation wave's lanes) with predict_current's labels: it keeps
 each window's emissions and solves only the newest rows, all lanes' in one
@@ -28,8 +31,12 @@ The fit works on raw, unlabelled returns, so its state indices are arbitrary
 (label switching): best_permutation() maps them onto simulator regimes.
 """
 
+import functools
+import importlib.machinery
+import importlib.util
 import itertools
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,6 +131,36 @@ class GaussianHmmModel:
 _LOG_2PI = np.log(2.0 * np.pi)
 
 
+def _flapack_path():
+    """scipy's compiled LAPACK wrappers (linalg/_flapack*.so), or None when
+    the file is not found."""
+    spec = importlib.util.find_spec("scipy")
+    roots = spec.submodule_search_locations if spec else None
+    for root in roots or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+@functools.cache
+def _dtrtrs():
+    """LAPACK dtrtrs, loaded once from the extension file that
+    scipy.linalg.lapack wraps. Loading the file alone skips the import of
+    scipy.linalg, which costs ~0.2 s and ~17 MB; the function is the same
+    (one process that takes both routes gets one function object)."""
+    path = _flapack_path()
+    if path is None:
+        from scipy.linalg.lapack import dtrtrs
+
+        return dtrtrs
+    spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack.dtrtrs
+
+
 def _emission_logprobs(model: GaussianHmmModel, x: np.ndarray) -> np.ndarray:
     """log N(x_t | mean_k, cov_k) for every (t, k), shape (T, K).
 
@@ -131,10 +168,7 @@ def _emission_logprobs(model: GaussianHmmModel, x: np.ndarray) -> np.ndarray:
     result is the same in any block of at least 2 rows, but differs in a
     one-row block (tests/test_hmm.py checks this of the running BLAS).
     """
-    # deferred: scipy.linalg costs ~0.3 s to import, and only detector
-    # commands reach this line
-    from scipy.linalg.lapack import dtrtrs
-
+    dtrtrs = _dtrtrs()
     t, n = x.shape
     out = np.empty((t, model.n_states))
     for k in range(model.n_states):
@@ -152,23 +186,27 @@ def _emission_logprobs(model: GaussianHmmModel, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _viterbi(model: GaussianHmmModel, emis: np.ndarray, last_only=False):
+def _viterbi(log_init, log_trans, emis: np.ndarray, last_only=False):
     """Most-likely state paths (S, T) from stacked emissions (S, T, K).
 
-    With last_only, only each path's last state (S,): the forward pass alone,
-    keeping no backpointers. The max over the from-states is a fold of
-    np.maximum into a preallocated score (max is exact, so it equals
-    cand.max(axis=1), whose reduce made the pass 15-35% slower).
+    log_init (K,) and log_trans (K, K) are one model's, or (S, K) and
+    (S, K, K) give each sequence its own model (the fit decodes all its
+    restarts in one call); every op is elementwise, so a sequence's path is
+    the same either way. With last_only, only each path's last state (S,):
+    the forward pass alone, keeping no backpointers. The max over the
+    from-states is a fold of np.maximum into a preallocated score (max is
+    exact, so it equals cand.max(axis=1), whose reduce made the pass 15-35%
+    slower).
     """
     s_len, t_len, k = emis.shape
     steps = emis.transpose(1, 0, 2)  # one (S, K) emission row per step
-    score = model._log_init + steps[0]
+    score = log_init + steps[0]
     into = score[:, :, None]
     cand = np.empty((s_len, k, k))  # (sequence, from, to)
     from_state = [cand[:, i] for i in range(k)]
     backptr = None if last_only else np.empty((t_len, s_len, k), dtype=np.int64)
     for t in range(1, t_len):
-        np.add(into, model._log_trans, out=cand)
+        np.add(into, log_trans, out=cand)
         if backptr is not None:
             cand.argmax(axis=1, out=backptr[t])
         # at K = 1 (only a fit has it) this is the one column with itself
@@ -199,7 +237,8 @@ def decode(model: GaussianHmmModel, sequence) -> np.ndarray:
     if model.n_states == 1:
         paths = np.zeros(xs.shape[:2], dtype=np.int64)
     else:
-        paths = _viterbi(model, np.stack([_emission_logprobs(model, s) for s in xs]))
+        emis = np.stack([_emission_logprobs(model, s) for s in xs])
+        paths = _viterbi(model._log_init, model._log_trans, emis)
     return paths if stacked else paths[0]
 
 
@@ -244,7 +283,7 @@ def _labels(model: GaussianHmmModel, emis: np.ndarray) -> np.ndarray:
     if model.n_states == 2 and len(emis) <= _FLOAT_PASS_LANES:
         return np.array([_label_one(model, e) for e in emis.tolist()],
                         dtype=np.int64)
-    return _viterbi(model, emis, last_only=True)
+    return _viterbi(model._log_init, model._log_trans, emis, last_only=True)
 
 
 def _label_one(model: GaussianHmmModel, emis: list) -> int:
@@ -393,13 +432,35 @@ def _random_init(x_all, config: HmmFitConfig, rng) -> GaussianHmmModel:
     return GaussianHmmModel(means, covariances, transition, initial)
 
 
+@dataclass
+class _Restart:
+    """A restart training in the lockstep fit: its index and attempt, its
+    current model and log-likelihoods, and the bit generator's state just
+    after its init was drawn."""
+
+    index: int
+    attempt: int
+    model: GaussianHmmModel
+    rng_state: dict
+    history: list = field(default_factory=list)
+
+
 def fit(sequences, config: HmmFitConfig = None, rng=None) -> GaussianHmmModel:
     """Hard-EM fit over a list of (T_i, n) log-return matrices.
 
     Runs n_init random restarts (re-drawing a restart whose assignment
     degenerates, up to a retry cap) and keeps the best final joint
     log-likelihood. The winning restart's per-iteration log-likelihoods are
-    left on the model as fit_history.
+    left on the model as fit_history. rng is a numpy Generator.
+
+    The restarts train in lockstep, and the result and the rng's final state
+    are those of training them one after another. Inits are drawn in restart
+    order; each iteration decodes every training restart at once
+    (_decode_restarts), and a restart leaves when it converges or reaches
+    max_iter. When restarts degenerate, the lowest-index one, d, decides:
+    the restarts after it drew their inits too early, so they are dropped,
+    the rng rewinds to its state just after d's draw, and the draws resume
+    with d's next attempt.
     """
     if config is None:
         config = HmmFitConfig()
@@ -418,54 +479,86 @@ def fit(sequences, config: HmmFitConfig = None, rng=None) -> GaussianHmmModel:
                 f"{config.n_states * 10} for {config.n_states} states"
             )
     x_all = np.vstack(sequences)
+    bounds = np.cumsum([len(s) for s in sequences])[:-1]
+    groups = {}  # sequence length -> its sequences' indices
+    for i, x in enumerate(sequences):
+        groups.setdefault(x.shape[0], []).append(i)
 
-    best_model = None
-    best_ll = -np.inf
-    any_success = False
-    for _restart in range(config.n_init):
-        for _attempt in range(_MAX_REINIT_ATTEMPTS):
+    trained = [None] * config.n_init  # (model, history) per restart
+    live = []  # training restarts, in restart order
+    index, attempt = 0, 0  # the next init to draw
+    while True:
+        while index < config.n_init:
             model = _random_init(x_all, config, rng)
-            trained = _train_restart(sequences, model, config)
-            if trained is not None:
-                break
-        else:
-            continue
-        any_success = True
-        model, history = trained
-        if history[-1] > best_ll:
-            best_ll = history[-1]
-            best_model = model
-            best_model.fit_history = history
-    if not any_success:
+            live.append(_Restart(index, attempt, model, rng.bit_generator.state))
+            index, attempt = index + 1, 0
+        if not live:
+            break
+        emissions, paths = _decode_restarts(
+            [run.model for run in live], x_all, bounds, groups
+        )
+        still = []
+        for run, emis, run_paths in zip(live, emissions, paths):
+            ll = _path_log_likelihood(run.model, emis, run_paths)
+            converged = bool(run.history) and ll - run.history[-1] < config.tol
+            run.history.append(ll)
+            if not converged:
+                run.model = _m_step(sequences, run_paths, config)
+                if run.model is None:
+                    # the restarts after this one drew too early: take back
+                    # what they trained and redraw from here
+                    trained[run.index:] = [None] * (config.n_init - run.index)
+                    rng.bit_generator.state = run.rng_state
+                    index, attempt = run.index, run.attempt + 1
+                    if attempt == _MAX_REINIT_ATTEMPTS:
+                        index, attempt = index + 1, 0
+                    break
+            # a converged model produced history[-1]
+            if converged or len(run.history) == config.max_iter:
+                trained[run.index] = (run.model, run.history)
+            else:
+                still.append(run)
+        live = still
+
+    if all(result is None for result in trained):
         raise FitError(
             "every restart degenerated (a state kept losing all observations); "
             "data may not support this many states"
         )
+    best_model = None
+    best_ll = -np.inf
+    for result in trained:
+        if result is not None and result[1][-1] > best_ll:
+            best_model, history = result
+            best_ll = history[-1]
+            best_model.fit_history = history
     return best_model
 
 
-def _train_restart(sequences, model, config):
-    groups = {}
-    for i, x in enumerate(sequences):
-        groups.setdefault(x.shape[0], []).append(i)
-    history = []
-    for _iteration in range(config.max_iter):
-        emissions = [_emission_logprobs(model, x) for x in sequences]
-        paths = [None] * len(sequences)
-        for members in groups.values():
-            group_paths = _viterbi(model, np.stack([emissions[i] for i in members]))
-            for i, path in zip(members, group_paths):
-                paths[i] = path
-        ll = _path_log_likelihood(model, emissions, paths)
-        if history and ll - history[-1] < config.tol:
-            history.append(ll)
-            return model, history  # converged; model produced history[-1]
-        history.append(ll)
-        new_model = _m_step(sequences, paths, config)
-        if new_model is None:
-            return None
-        model = new_model
-    return model, history
+def _decode_restarts(models, x_all, bounds, groups):
+    """Each model's emissions and Viterbi paths over the fit's sequences:
+    per model, a list of each sequence's (T_i, K) emissions and one of its
+    (T_i,) paths.
+
+    A model's emissions are one solve per state over all the rows, x_all
+    (every sequence has at least 10 rows, and a row's bits are the same in
+    any block of two or more rows). The sequences of one length are decoded
+    for all the models in one _viterbi call, each row with its own model's
+    log probabilities.
+    """
+    emissions = [np.split(_emission_logprobs(m, x_all), bounds) for m in models]
+    paths = [[None] * (len(bounds) + 1) for _ in models]
+    log_init = np.stack([m._log_init for m in models])
+    log_trans = np.stack([m._log_trans for m in models])
+    for members in groups.values():
+        per = len(members)
+        stack = np.stack([emis[i] for emis in emissions for i in members])
+        decoded = _viterbi(np.repeat(log_init, per, axis=0),
+                           np.repeat(log_trans, per, axis=0), stack)
+        for model_paths, rows in zip(paths, decoded.reshape(len(models), per, -1)):
+            for i, path in zip(members, rows):
+                model_paths[i] = path
+    return emissions, paths
 
 
 def best_permutation(predicted, true) -> np.ndarray:

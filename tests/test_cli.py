@@ -525,20 +525,28 @@ import kellylab.cli
 assert "scipy.linalg" not in sys.modules
 import numpy as np
 from kellylab import hmm
-from kellylab.market import rescale_transition
-P = np.array([[0.9, 0.1], [0.2, 0.8]])
-assert np.allclose(rescale_transition(P, 1.0, 2.0), P @ P, atol=1e-12)
 rng = np.random.default_rng(0)
 x = np.concatenate([rng.normal(0.01, 0.01, (60, 2)), rng.normal(-0.01, 0.03, (60, 2))])
 model = hmm.fit([x], hmm.HmmFitConfig(n_init=2), rng)
 assert hmm.decode(model, x).shape == (120,)
+assert hmm.predict_current(model, x[-59:]) in (0, 1)
+prices = np.exp(np.cumsum(x, axis=0))
+windows = np.stack([prices[:60], prices[1:61]])
+assert hmm.SlidingLabels(model).labels(0, np.arange(2), windows).shape == (2,)
+assert "scipy.linalg" not in sys.modules
+from kellylab.market import rescale_transition
+P = np.array([[0.9, 0.1], [0.2, 0.8]])
+assert np.allclose(rescale_transition(P, 1.0, 2.0), P @ P, atol=1e-12)
+assert "scipy.linalg" in sys.modules
 print("ok")
 """
 
 
 def test_cli_import_defers_scipy_linalg():
-    # scipy.linalg takes ~0.3 s to import; only the detector and
-    # rescale_transition use it, and they import it on first use
+    # scipy.linalg takes ~0.2 s and ~17 MB to import. The detector loads
+    # only the LAPACK extension file that holds dtrtrs, so fitting, decoding
+    # and labelling leave it unimported; rescale_transition, its one user,
+    # imports it on first use
     result = subprocess.run(
         [sys.executable, "-c", IMPORT_CHECK,
          str(Path(__file__).resolve().parent.parent / "src")],

@@ -683,6 +683,31 @@ def test_a_wave_ends_bankrupt_lanes_as_the_float_step_does():
     assert lengths[3] == cfg.n_periods
 
 
+def test_a_lane_that_left_its_wave_steps_again_only_after_a_reset():
+    # regimes3 at 60x leverage, seed 3 episode 1: the first lane goes
+    # bankrupt at t = 9, and the tame second lane leaves at the horizon
+    cfg = make_config(market=shipped("regimes3").market,
+                      impact=shipped("regimes3").env.impact, window=5,
+                      horizon_years=1.0)
+    signs = np.array([1.0, -0.5, 0.8])
+    leverage = np.array([[60.0], [0.5]])
+    lanes = [PortfolioEnv(cfg, 3) for _ in range(2)]
+    wave = PortfolioEnv.lockstep(lanes, [1, 1])
+    while not wave.done:
+        wave.step(leverage[wave.live] * signs * (1.0 + 0.1 * np.sin(wave.t)))
+        if wave.t == 9:
+            assert lanes[0].done and lanes[0].t == 9
+            with pytest.raises(LifecycleError, match="finished episode"):
+                lanes[0].step(signs)
+    assert [lane.t for lane in lanes] == [9, cfg.n_periods]
+    for lane in lanes:
+        assert lane.done
+        with pytest.raises(LifecycleError, match="finished episode"):
+            lane.step(signs)
+    lanes[1].reset(episode=1)
+    assert lanes[1].t == 0 and not lanes[1].step(0.5 * signs).done
+
+
 def test_a_one_lane_env_reads_as_a_batch_of_one_until_its_episode_ends():
     cfg = make_config(market=shipped("regimes3").market, window=5)
     env = PortfolioEnv(cfg, 2)
