@@ -37,16 +37,16 @@ from .config import (
     CONFIG_FORMAT,
     BaselineConfig,
     ExperimentConfig,
+    QSurfaceConfig,
     apply_override,
     build_config,
     load_config,
     load_sweep,
 )
-from .env import PortfolioEnv
+from .env import PortfolioEnv, episode_path
 from .errors import KellylabError
-from .market import generate_path
 from .nets import ContextPolicyNet, PolicyNet, load_checkpoint, save_checkpoint
-from .rng import HMM_STREAM, NET_INIT_STREAM, check_seed, episode_stream, stream
+from .rng import HMM_STREAM, NET_INIT_STREAM, check_seed, stream
 from .training import (
     EVAL_EPISODE_OFFSET,
     NetPolicy,
@@ -61,12 +61,15 @@ OUT_ROOT_VAR = "KELLYLAB_OUT_ROOT"
 EVAL_HEADER = ["seed", "mean_growth", "mad", "bankruptcies", "n_episodes"]
 
 
-def _out_dir(args, command: str) -> Path:
+def _out_dir(args) -> Path:
+    """The command's output directory, created. A command asks for it only
+    after its checks and (all but train, which writes seed by seed) its
+    computation, so that a failed run leaves no directory."""
     if args.out is not None:
         out = Path(args.out)
     else:
         root = Path(os.environ.get(OUT_ROOT_VAR, "."))
-        out = root / "runs" / command / Path(args.config).stem
+        out = root / "runs" / args.command / Path(args.config).stem
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -122,7 +125,7 @@ def _env_factory(exp: ExperimentConfig):
 
 def _baseline_policy(exp: ExperimentConfig):
     """The analytic comparison policy the configuration describes."""
-    bcfg = exp.baseline if exp.baseline is not None else BaselineConfig()
+    bcfg = exp.baseline or BaselineConfig()
     targets = np.array([optimal_weights(reg).stocks for reg in exp.market.regimes])
     return RegimeSwitchingPolicy(targets, bcfg.adjustment_periods, bcfg.fraction)
 
@@ -147,33 +150,20 @@ def _episodes(args, default: int) -> int:
 
 
 # -- subcommands -------------------------------------------------------------
+# Each takes (args, exp) and returns (out, seeds) for main's manifest.
 
 
-def cmd_simulate(args) -> int:
-    started = time.time()
-    exp = load_config(args.config)
+def cmd_simulate(args, exp: ExperimentConfig):
     episodes = _episodes(args, 1)
-    out = _out_dir(args, "simulate")
-    seed = args.seed if args.seed is not None else exp.run.seeds[0]
-    cfg = exp.env
+    seed = _seeds(args, exp)[0]
+    out = _out_dir(args)
     for ep in range(episodes):
-        path = generate_path(
-            cfg.market,
-            cfg.n_periods,
-            cfg.dt,
-            episode_stream(seed, ep),
-            warmup=cfg.window - 1,
-        )
-        path.write_csv(out / f"path_{ep:03d}.csv")
+        episode_path(exp.env, seed, ep).write_csv(out / f"path_{ep:03d}.csv")
     print(f"wrote {episodes} path file(s) to {out}")
-    _write_manifest(out, "simulate", exp, [seed], started)
-    return 0
+    return out, [seed]
 
 
-def cmd_solve(args) -> int:
-    started = time.time()
-    exp = load_config(args.config)
-    out = _out_dir(args, "solve")
+def cmd_solve(args, exp: ExperimentConfig):
     market = exp.market
     n = market.n_assets
     rows = []
@@ -188,19 +178,21 @@ def cmd_solve(args) -> int:
         print(f"regime {k}: cash {w.cash:.6f}, stocks [{weights}], "
               f"growth {g:.6f}")
     header = ["regime", "cash"] + [f"w_{i}" for i in range(n)] + ["growth"]
-    _write_csv(out / "solve.csv", header, rows)
+    tables = [("solve.csv", header, rows)]
     if market.n_regimes > 1:
         pi = stationary_distribution(market.transition)
         g_switch = switching_growth(growths, pi)
         print(f"stationary distribution {np.array2string(pi, precision=6)}, "
               f"switching growth {g_switch:.6f}")
-        _write_csv(
-            out / "switching.csv",
+        tables.append((
+            "switching.csv",
             [f"pi_{k}" for k in range(market.n_regimes)] + ["switching_growth"],
             [[_fmt(float(p)) for p in pi] + [_fmt(float(g_switch))]],
-        )
-    _write_manifest(out, "solve", exp, [], started)
-    return 0
+        ))
+    out = _out_dir(args)
+    for name, header, table in tables:
+        _write_csv(out / name, header, table)
+    return out, []
 
 
 def _train_one(exp: ExperimentConfig, seed: int, out: Path):
@@ -243,9 +235,7 @@ def _train_one(exp: ExperimentConfig, seed: int, out: Path):
     return ev
 
 
-def cmd_train(args) -> int:
-    started = time.time()
-    exp = load_config(args.config)
+def cmd_train(args, exp: ExperimentConfig):
     seeds = _seeds(args, exp)
 
     # every config is built and checked before the first run
@@ -262,7 +252,7 @@ def cmd_train(args) -> int:
     for _, sub_exp in sub_exps:
         if sub_exp.context_policy:
             check_detector_budget(sub_exp.env, sub_exp.algo)
-    out = _out_dir(args, "train")
+    out = _out_dir(args)
 
     summary = []
     for value, sub_exp in sub_exps:
@@ -280,8 +270,7 @@ def cmd_train(args) -> int:
         _write_csv(out / "train_summary.csv", EVAL_HEADER, summary)
     else:
         _write_csv(out / "sweep_summary.csv", [sweep.key] + EVAL_HEADER, summary)
-    _write_manifest(out, "train", exp, seeds, started)
-    return 0
+    return out, seeds
 
 
 def _check_checkpoint_fits(path, net, detector, exp: ExperimentConfig):
@@ -300,11 +289,9 @@ def _check_checkpoint_fits(path, net, detector, exp: ExperimentConfig):
             )
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args, exp: ExperimentConfig):
     """evaluate and baseline: a checkpoint, or without one the analytic
     baseline, across seeds. baseline has no --checkpoint flag."""
-    started = time.time()
-    exp = load_config(args.config)
     episodes = _episodes(args, exp.run.eval_episodes)
     seeds = _seeds(args, exp)
 
@@ -325,7 +312,6 @@ def cmd_evaluate(args) -> int:
     else:
         policy = _baseline_policy(exp)
 
-    out = _out_dir(args, args.command)
     rows = []
     for seed in seeds:
         result = evaluate(
@@ -338,71 +324,49 @@ def cmd_evaluate(args) -> int:
             f"MAD {result.mad:.6f}, bankruptcies {result.bankruptcies}"
             f"/{result.n_episodes}"
         )
+    out = _out_dir(args)
     name = "eval.csv" if args.command == "evaluate" else "baseline.csv"
     _write_csv(out / name, EVAL_HEADER, rows)
-    _write_manifest(out, args.command, exp, seeds, started)
-    return 0
+    return out, seeds
 
 
-def cmd_qsurface(args) -> int:
-    started = time.time()
-    exp = load_config(args.config)
-    out = _out_dir(args, "qsurface")
+def cmd_qsurface(args, exp: ExperimentConfig):
     market = exp.market
     if market.n_regimes != 1 or market.n_assets != 2:
         raise KellylabError(
             "the growth surface needs a single-regime market with exactly "
             "2 assets"
         )
-    qcfg = exp.qsurface
-    if qcfg is None:
-        from .config import QSurfaceConfig
-
-        qcfg = QSurfaceConfig()
-    grid = qcfg.grid()
+    grid = (exp.qsurface or QSurfaceConfig()).grid()
     surface = q_surface(market.regimes[0], grid, grid)
     rows = [
         [_fmt(float(grid[i])), _fmt(float(grid[j])), _fmt(float(surface[i, j]))]
         for i in range(grid.size)
         for j in range(grid.size)
     ]
+    out = _out_dir(args)
     _write_csv(out / "qsurface.csv", ["w_1", "w_2", "growth"], rows)
     i, j = np.unravel_index(int(np.argmax(surface)), surface.shape)
     print(
         f"grid argmax at w = ({grid[i]:.6f}, {grid[j]:.6f}), growth "
         f"{surface[i, j]:.6f}"
     )
-    _write_manifest(out, "qsurface", exp, [], started)
-    return 0
+    return out, []
 
 
-def cmd_hmm_fit(args) -> int:
-    started = time.time()
-    exp = load_config(args.config)
-    out = _out_dir(args, "hmm-fit")
-    seed = args.seed if args.seed is not None else exp.run.seeds[0]
-    cfg = exp.env
+def cmd_hmm_fit(args, exp: ExperimentConfig):
+    seed = _seeds(args, exp)[0]
     n_fit = exp.run.hmm_fit_episodes
     n_eval = exp.run.hmm_eval_episodes
-
-    def episode_paths(lo, hi):
-        return [
-            generate_path(
-                cfg.market, cfg.n_periods, cfg.dt, episode_stream(seed, ep),
-                warmup=cfg.window - 1,
-            )
-            for ep in range(lo, hi)
-        ]
-
-    fit_paths = episode_paths(0, n_fit)
+    fit_paths = [episode_path(exp.env, seed, ep) for ep in range(n_fit)]
     model = hmm_module.fit(
         [p.log_returns() for p in fit_paths], exp.hmm, stream(seed, HMM_STREAM)
     )
-    hmm_module.save(model, out / "hmm.json")
 
     # one global relabeling across all held-out episodes: regimes separate
     # mostly by covariance, so mean-based alignment is unreliable here
-    eval_paths = episode_paths(n_fit, n_fit + n_eval)
+    eval_paths = [episode_path(exp.env, seed, ep)
+                  for ep in range(n_fit, n_fit + n_eval)]
     # equal-length paths decode as one stack; Viterbi runs row by row
     decodes = hmm_module.decode(
         model, np.stack([p.log_returns() for p in eval_paths])
@@ -416,22 +380,20 @@ def cmd_hmm_fit(args) -> int:
         score = float(np.mean(perm[predicted] == truth))
         scores.append(score)
         rows.append([ep, _fmt(score)])
+    out = _out_dir(args)
+    hmm_module.save(model, out / "hmm.json")
     _write_csv(out / "hmm_eval.csv", ["episode", "accuracy"], rows)
     mean_acc = float(np.mean(scores))
     print(
         f"fitted {model.n_states}-state detector on {n_fit} episodes; mean "
         f"accuracy {mean_acc:.6f} over {n_eval} held-out episodes"
     )
-    _write_manifest(out, "hmm-fit", exp, [seed], started)
-    return 0
+    return out, [seed]
 
 
-def cmd_gridsearch(args) -> int:
-    started = time.time()
-    exp = load_config(args.config)
-    out = _out_dir(args, "gridsearch")
-    seed = args.seed if args.seed is not None else exp.run.seeds[0]
-    bcfg = exp.baseline if exp.baseline is not None else BaselineConfig()
+def cmd_gridsearch(args, exp: ExperimentConfig):
+    seed = _seeds(args, exp)[0]
+    bcfg = exp.baseline or BaselineConfig()
     result = rs_baseline_grid_search(
         exp.env,
         fractions=bcfg.fractions,
@@ -444,6 +406,7 @@ def cmd_gridsearch(args) -> int:
          c["bankruptcies"]]
         for c in result.table
     ]
+    out = _out_dir(args)
     _write_csv(
         out / "gridsearch.csv",
         ["fraction", "adjustment_periods", "mean_growth", "bankruptcies"],
@@ -453,8 +416,7 @@ def cmd_gridsearch(args) -> int:
         f"best cell: fraction {result.fraction}, adjustment periods "
         f"{result.adjustment_periods}, mean growth {result.mean_growth:.6f}"
     )
-    _write_manifest(out, "gridsearch", exp, [seed], started)
-    return 0
+    return out, [seed]
 
 
 # -- entry point -------------------------------------------------------------
@@ -514,7 +476,11 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None:  # before any output directory exists
             check_seed(args.seed, "--seed")
-        return args.func(args)
+        started = time.time()
+        exp = load_config(args.config)
+        out, seeds = args.func(args, exp)
+        _write_manifest(out, args.command, exp, seeds, started)
+        return 0
     except Exception as exc:  # KeyboardInterrupt is no Exception: it propagates
         message = str(exc)
         if not isinstance(exc, (KellylabError, OSError, ValueError)):

@@ -95,6 +95,15 @@ class EnvConfig:
             raise ConfigError("discount must be in (0, 1]", path="env.discount")
 
 
+def episode_path(config: EnvConfig, master_seed: int, episode: int):
+    """The unaffected market path of one episode: config.n_periods periods
+    after window - 1 warm-up rows, drawn from the (master_seed, episode)
+    stream."""
+    return generate_path(config.market, config.n_periods, config.dt,
+                         episode_stream(master_seed, episode),
+                         warmup=config.window - 1)
+
+
 @dataclass
 class StepResult:
     """One step's outputs; a wave's have one entry per lane that stepped,
@@ -156,10 +165,7 @@ class PortfolioEnv:
 
         w1 = self._window - 1
         if like is None:
-            rng = episode_stream(self.master_seed, self.episode)
-            path = generate_path(
-                self.config.market, self._n_periods, self._dt, rng, warmup=w1
-            )
+            path = episode_path(self.config, self.master_seed, self.episode)
             self._unaffected = path.prices
             self._regimes = path.regimes.tolist()
             self._warmup = path.warmup_prices

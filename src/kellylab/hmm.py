@@ -17,10 +17,11 @@ decode's last state bit for bit. It labels one window (a training
 step's). SlidingLabels labels a stack of windows that slide by one row a
 period (an evaluation wave's lanes) with predict_current's labels: it keeps
 each window's emissions and solves only the newest rows, all lanes' in one
-block (a lone lane's last two rows), shifting the block and rerunning the
-forward pass; on any other clock it recomputes the full windows, with one
-triangular solve per state over all their rows, except that one-row windows
-(T == 1) are solved one by one, because a one-row solve rounds differently.
+block, shifting the block and rerunning the forward pass; on any other clock
+it recomputes the full windows, with one triangular solve per state over all
+their rows. A one-row solve rounds differently from the same row in a larger
+block, so a one-row block is solved as that row twice over; a row then has
+the same bits in every block.
 Both label by one of two forward passes with the same sums and maxes: a
 two-state model's windows, up to _FLOAT_PASS_LANES of them, one by one on
 Python floats, and any other stack as numpy over the whole stack.
@@ -166,10 +167,13 @@ def _emission_logprobs(model: GaussianHmmModel, x: np.ndarray) -> np.ndarray:
 
     One triangular solve per state over the whole (T, n) block. A row's
     result is the same in any block of at least 2 rows, but differs in a
-    one-row block (tests/test_hmm.py checks this of the running BLAS).
+    one-row block (tests/test_hmm.py checks this of the running BLAS), so
+    one row is solved as a block of itself twice over.
     """
-    dtrtrs = _dtrtrs()
     t, n = x.shape
+    if t == 1:
+        return _emission_logprobs(model, np.vstack((x, x)))[:1]
+    dtrtrs = _dtrtrs()
     out = np.empty((t, model.n_states))
     for k in range(model.n_states):
         diff = x - model.means[k]
@@ -237,8 +241,8 @@ def decode(model: GaussianHmmModel, sequence) -> np.ndarray:
     if model.n_states == 1:
         paths = np.zeros(xs.shape[:2], dtype=np.int64)
     else:
-        emis = np.stack([_emission_logprobs(model, s) for s in xs])
-        paths = _viterbi(model._log_init, model._log_trans, emis)
+        paths = _viterbi(model._log_init, model._log_trans,
+                         _window_emissions(model, xs))
     return paths if stacked else paths[0]
 
 
@@ -260,10 +264,8 @@ def predict_current(model: GaussianHmmModel, window) -> int:
 
 def _window_emissions(model: GaussianHmmModel, x: np.ndarray) -> np.ndarray:
     """Emissions (L, T, K) of a stack of windows (L, T, n): one solve per
-    state over all L * T rows, or, when T == 1, one solve per window."""
+    state over all L * T rows."""
     l_len, t_len, n = x.shape
-    if t_len == 1:
-        return np.stack([_emission_logprobs(model, w) for w in x])
     emis = _emission_logprobs(model, x.reshape(-1, n))
     return emis.reshape(l_len, t_len, -1)
 
@@ -317,10 +319,8 @@ class SlidingLabels:
     windows. It keeps each live lane's (T, K) window emissions. When t is
     one past the previous call's clock and the live lanes are among the
     previous call's, it solves only their newest return rows, one solve per
-    state over all of them (a lone live lane solves its last two rows and
-    keeps the last, because a one-row solve rounds differently), shifts the
-    windows by one row and runs the forward pass. On any other clock, and
-    for one-row windows (T == 1), it recomputes the full windows'
+    state over all of them, shifts the windows by one row and runs the
+    forward pass. On any other clock it recomputes the full windows'
     emissions (_window_emissions). Log returns of a window's last rows have
     the bits of those rows of the full window (tests/test_hmm.py checks this
     of the running numpy).
@@ -340,13 +340,12 @@ class SlidingLabels:
         if emis is not None and not np.array_equal(live, self._live):
             keep = np.isin(self._live, live)  # lanes only leave a wave
             emis = emis[keep] if keep.sum() == len(live) else None
-        if emis is None or emis.shape[1] == 1:
+        if emis is None:
             emis = _window_emissions(model, np.diff(np.log(prices), axis=1))
         else:
-            recent = np.diff(np.log(prices[:, -3:]), axis=1)
-            rows = recent[0] if len(live) == 1 else recent[:, 1]
-            newest = _emission_logprobs(model, rows)[-len(live):]
-            emis = np.concatenate((emis[:, 1:], newest[:, None]), axis=1)
+            newest = np.diff(np.log(prices[:, -2:]), axis=1)
+            emis = np.concatenate(
+                (emis[:, 1:], _window_emissions(model, newest)), axis=1)
         self._emis, self._t, self._live = emis, t, live
         return _labels(model, emis)
 
@@ -370,18 +369,18 @@ def _floor_covariance(cov: np.ndarray, min_covar: float) -> np.ndarray:
     return 0.5 * (floored + floored.T)
 
 
-def _m_step(sequences, paths, config: HmmFitConfig):
+def _m_step(x_all, paths, config: HmmFitConfig):
     """Closed-form penalized re-estimation from hard assignments.
 
     Means shrink toward zero with weight mean_prior and covariances carry a
     covar_prior * I ridge; both are the exact maximizers of the penalized
     complete-data objective, so training log-likelihood is monotone up to the
-    floor. Returns None when some state received no observations or has no
+    floor. x_all holds the sequences' rows stacked, paths their state paths.
+    Returns None when some state received no observations or has no
     outgoing transitions (degenerate restart).
     """
     k = config.n_states
-    n = sequences[0].shape[1]
-    x_all = np.vstack(sequences)
+    n = x_all.shape[1]
     z_all = np.concatenate(paths)
 
     counts = np.bincount(z_all, minlength=k).astype(np.float64)
@@ -402,11 +401,10 @@ def _m_step(sequences, paths, config: HmmFitConfig):
         ) / counts[s]
         covariances[s] = _floor_covariance(cov, config.min_covar)
 
-    trans_counts = np.zeros((k, k))
-    init_counts = np.zeros(k)
-    for z in paths:
-        init_counts[z[0]] += 1
-        np.add.at(trans_counts, (z[:-1], z[1:]), 1.0)
+    # exact integer counts, as floats
+    trans_counts = sum(np.bincount(z[:-1] * k + z[1:], minlength=k * k)
+                       for z in paths).reshape(k, k).astype(np.float64)
+    init_counts = np.bincount([z[0] for z in paths], minlength=k)
     row_sums = trans_counts.sum(axis=1)
     if np.any(row_sums == 0):
         return None
@@ -503,7 +501,7 @@ def fit(sequences, config: HmmFitConfig = None, rng=None) -> GaussianHmmModel:
             converged = bool(run.history) and ll - run.history[-1] < config.tol
             run.history.append(ll)
             if not converged:
-                run.model = _m_step(sequences, run_paths, config)
+                run.model = _m_step(x_all, run_paths, config)
                 if run.model is None:
                     # the restarts after this one drew too early: take back
                     # what they trained and redraw from here

@@ -162,6 +162,18 @@ def test_solve_regime_switching_summary(tmp_path, capsys):
     assert switch[0] == "pi_0,pi_1,switching_growth"
 
 
+def test_solve_on_a_reducible_chain_creates_no_output(tmp_path, capsys):
+    # the per-regime solves succeed, and the stationary distribution fails
+    config = write(tmp_path, "regime.yaml", REGIME.replace(
+        "  - [0.95, 0.05]\n  - [0.1, 0.9]\n",
+        "  - [1.0, 0.0]\n  - [0.0, 1.0]\n  initial_dist: [0.5, 0.5]\n"))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: chain is reducible or periodic")
+    assert not out.exists()
+
+
 def test_simulate_writes_reproducible_paths(tmp_path):
     config = write(tmp_path, "tiny.yaml", TINY)
     first = tmp_path / "a"
@@ -502,7 +514,7 @@ def test_evaluate_checkpoint_with_corrupt_detector_fails_cleanly(
 
 
 def test_unexpected_errors_are_one_line(tmp_path, capsys, monkeypatch):
-    def fail(args):
+    def fail(args, exp):
         raise RuntimeError("first line\nsecond line")
 
     monkeypatch.setattr(cli, "cmd_solve", fail)
@@ -510,7 +522,7 @@ def test_unexpected_errors_are_one_line(tmp_path, capsys, monkeypatch):
     assert main(["solve", "--config", str(config)]) == 1
     assert capsys.readouterr().err == "error: RuntimeError: first line second line\n"
 
-    def interrupt(args):
+    def interrupt(args, exp):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(cli, "cmd_solve", interrupt)
@@ -612,12 +624,13 @@ def test_qsurface_matches_the_library(tmp_path, capsys):
 
 def test_qsurface_rejects_non_two_asset_markets(tmp_path, capsys):
     config = write(tmp_path, "tiny.yaml", TINY)
-    rc = main(["qsurface", "--config", str(config),
-               "--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    rc = main(["qsurface", "--config", str(config), "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "2 assets" in err
+    assert not out.exists()
 
 
 def test_hmm_fit_outputs(tmp_path, capsys):
@@ -631,6 +644,20 @@ def test_hmm_fit_outputs(tmp_path, capsys):
     assert len(lines) == 1 + 3
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "hmm-fit"
+
+
+def test_hmm_fit_on_episodes_too_short_for_the_fit_creates_no_output(
+        tmp_path, capsys):
+    # 16-row episodes, where a two-state fit needs 20 rows a sequence
+    config = write(tmp_path, "regime.yaml",
+                   REGIME.replace("horizon_years: 0.09375",
+                                  "horizon_years: 0.0625"))
+    out = tmp_path / "out"
+    assert main(["hmm-fit", "--config", str(config), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: sequence 0 has 16 rows; need >= 20 for 2 states\n")
+    assert not out.exists()
 
 
 def test_hmm_fit_scores_equal_per_path_decodes(tmp_path):
@@ -667,6 +694,20 @@ def test_gridsearch_outputs(tmp_path, capsys):
     lines = (out / "gridsearch.csv").read_text().splitlines()
     assert lines[0] == "fraction,adjustment_periods,mean_growth,bankruptcies"
     assert len(lines) == 1 + 2  # two fractions, one ramp length
+
+
+def test_gridsearch_where_every_cell_goes_bankrupt_creates_no_output(
+        tmp_path, capsys):
+    # with temporary impact this steep every cell of the grid goes bankrupt
+    # in every episode
+    config = write(tmp_path, "tiny.yaml", TINY.replace("eta: 0.0", "eta: 1.0"))
+    out = tmp_path / "out"
+    assert main(["gridsearch", "--config", str(config), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: every grid cell went bankrupt on every episode\n")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_train_sweep(tmp_path):
@@ -711,6 +752,42 @@ def test_bad_configs_exit_with_errors(tmp_path, capsys):
     assert main(["solve", "--config", str(missing),
                  "--out", str(tmp_path / "o2")]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+# each command, the config it runs on, and the seeds it uses of run.seeds
+# [4, 2]: the first one, all of them, or none
+COMMANDS = [
+    ("simulate", TINY, [4]),
+    ("solve", TINY, []),
+    ("train", TINY, [4, 2]),
+    ("evaluate", TINY, [4, 2]),
+    ("baseline", TINY, [4, 2]),
+    ("qsurface", TWO_ASSET, []),
+    ("hmm-fit", REGIME, [4]),
+    ("gridsearch", TINY, [4]),
+]
+
+
+def test_every_subcommand_is_tested_for_its_manifest():
+    usage = cli.build_parser().format_usage()  # "... {simulate,solve,...} ..."
+    commands = re.search(r"\{(.*?)\}", usage).group(1).split(",")
+    assert sorted(commands) == sorted(command for command, _, _ in COMMANDS)
+
+
+@pytest.mark.parametrize("command, text, seeds", COMMANDS,
+                         ids=[command for command, _, _ in COMMANDS])
+def test_every_subcommand_writes_its_manifest(tmp_path, monkeypatch, command,
+                                              text, seeds):
+    config = write(tmp_path, "small.yaml",
+                   text.replace("seeds: [0]", "seeds: [4, 2]"))
+    monkeypatch.setenv("KELLYLAB_OUT_ROOT", str(tmp_path / "root"))
+    assert main([command, "--config", str(config)]) == 0
+    out = tmp_path / "root" / "runs" / command / "small"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["seeds"] == seeds
+    assert manifest["config_sha256"] == hashlib.sha256(
+        load_config(config).dump().encode("utf-8")).hexdigest()
 
 
 def test_default_output_root(tmp_path, monkeypatch):

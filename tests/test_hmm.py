@@ -206,6 +206,20 @@ def test_covariance_floor_applies_to_constant_features():
     assert model.covariances[0, 0, 0] == pytest.approx(1e-6, rel=1e-12)
 
 
+def test_m_step_counts_transitions_within_each_path():
+    # path 0: 0->0, 0->1, 1->1, 1->1; path 1: 1->0, 0->0, 0->0. The step
+    # from the end of path 0 to the start of path 1 is no transition.
+    x_all = np.random.default_rng(3).normal(0.0, 0.01, size=(9, 2))
+    paths = [np.array([0, 0, 1, 1, 1]), np.array([1, 0, 0, 0])]
+    model = hmm_module._m_step(x_all, paths, HmmFitConfig(n_states=2))
+    assert model.transition.tolist() == [[0.75, 0.25], [1.0 / 3.0, 2.0 / 3.0]]
+    assert model.initial.tolist() == [0.5, 0.5]
+    # a state no path leaves makes the restart degenerate
+    assert hmm_module._m_step(x_all, [np.array([0, 0, 0, 0, 1]),
+                                      np.array([0, 0, 0, 0])],
+                              HmmFitConfig(n_states=2)) is None
+
+
 def test_decode_matches_brute_force_enumeration():
     model = GaussianHmmModel(
         means=np.array([[0.0], [0.5]]),
@@ -401,7 +415,7 @@ def oracle_fit(sequences, config, rng):
                 history.append(ll)
                 return model, history
             history.append(ll)
-            model = hmm_module._m_step(sequences, paths, config)
+            model = hmm_module._m_step(x_all, paths, config)
             if model is None:
                 return None
         return model, history
@@ -508,8 +522,8 @@ CUT = hmm_module._FLOAT_PASS_LANES
        seed=st.integers(0, 2**32 - 1))
 def test_stacked_predict_current_equals_each_window_on_its_own(
         model, t_len, lanes, seed):
-    # t_len == 1 is drawn often: a stack of one-row windows is solved window
-    # by window, because a one-column solve rounds differently
+    # t_len == 1 is drawn often: a stack of one-row windows is one block, and
+    # a lone one-row window is solved as that row twice over
     rng = np.random.default_rng(seed)
     states = rng.integers(0, model.n_states, size=(lanes, t_len))
     scale = rng.choice([0.5, 1.0, 3.0], size=(lanes, 1, 1))
@@ -690,6 +704,27 @@ def test_blas_solves_a_column_the_same_in_any_block_of_two_or_more():
                 assert stacked[:, w * 59 + i].tobytes() == full[:, i].tobytes()
 
 
+def test_a_one_row_emission_has_the_bits_of_its_row_in_any_block():
+    # A one-row solve rounds differently from the same row in a larger block,
+    # so _emission_logprobs solves one row as a block of itself twice over.
+    # Every row alone must then have the bits it has inside a 59-row block.
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 3, 4, 8):
+        a = rng.normal(0.0, 0.01, size=(3, n, n))
+        model = GaussianHmmModel(
+            means=rng.normal(0.0, 0.02, size=(3, n)),
+            covariances=a @ a.transpose(0, 2, 1) + 1e-4 * np.eye(n),
+            transition=np.full((3, 3), 1.0 / 3.0),
+            initial=np.full(3, 1.0 / 3.0),
+        )
+        block = rng.normal(0.0, 0.02, size=(59, n))
+        emis = hmm_module._emission_logprobs(model, block)
+        for i, row in enumerate(block):
+            alone = hmm_module._emission_logprobs(model, row[None])
+            assert alone.shape == (1, 3)
+            assert alone.tobytes() == emis[i].tobytes(), (n, i)
+
+
 LOADED_DTRTRS = """\
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -760,22 +795,24 @@ def test_the_scipy_linalg_fallback_gives_the_same_fit_and_labels(monkeypatch):
 
 
 def test_log_returns_of_a_windows_last_rows_keep_the_full_windows_bits():
-    # SlidingLabels takes each lane's newest return rows from the log of its
-    # observation's last three price rows, and relies on them having the
-    # bits of those rows of the full window's log returns. That holds for
-    # the numpy this package is tested on; a build for which it does not
-    # must fail here rather than let labels drift.
+    # SlidingLabels takes each lane's newest return row from the log of its
+    # observation's last two price rows, and relies on it having the bits
+    # of that row of the full window's log returns. That holds for the
+    # numpy this package is tested on; a build for which it does not must
+    # fail here rather than let labels drift.
     rng = np.random.default_rng(14)
     for n in (1, 2, 3, 4):
-        for window in (3, 4, 9, 60, 61):
+        for window in (2, 3, 4, 9, 60, 61):
             obs = rng.lognormal(4.0, 0.5, size=(64, window * n + n + 1))
             prices = obs[:, : window * n].reshape(64, window, n)
             full = np.diff(np.log(prices), axis=1)
-            last = np.diff(np.log(prices[:, -3:]), axis=1)
-            assert last.tobytes() == full[:, -2:].tobytes(), (n, window)
-            for lane in range(64):
-                alone = np.diff(np.log(prices[lane : lane + 1, -3:]), axis=1)
-                assert alone.tobytes() == full[lane, -2:].tobytes()
+            for rows in range(2, min(window, 3) + 1):
+                last = np.diff(np.log(prices[:, -rows:]), axis=1)
+                assert last.tobytes() == full[:, 1 - rows:].tobytes(), (n, window)
+                for lane in range(64):
+                    alone = np.diff(np.log(prices[lane : lane + 1, -rows:]),
+                                    axis=1)
+                    assert alone.tobytes() == full[lane, 1 - rows:].tobytes()
 
 
 def test_decode_of_a_stack_is_each_sequence_decoded():
@@ -892,10 +929,10 @@ def test_fit_equals_the_loop_when_restarts_degenerate_late(monkeypatch):
     # (whose results the rewind then takes back).
     real_m_step = hmm_module._m_step
 
-    def scripted_m_step(sequences, paths, config):
+    def scripted_m_step(x_all, paths, config):
         if zlib.crc32(np.concatenate(paths).tobytes()) % 100 < 30:
             return None
-        return real_m_step(sequences, paths, config)
+        return real_m_step(x_all, paths, config)
 
     monkeypatch.setattr(hmm_module, "_m_step", scripted_m_step)
     config = HmmFitConfig(n_states=2, n_init=5, max_iter=30)

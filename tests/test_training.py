@@ -277,7 +277,8 @@ class PerLaneLabelPolicy(NetPolicy):
 
 @pytest.mark.parametrize("window", [2, 9])
 def test_stacked_detector_labels_give_the_per_lane_growths_bit_for_bit(window):
-    # window 2 gives one-row return windows, which are labelled lane by lane
+    # window 2 gives one-row return windows; a lone one is solved as its
+    # row twice over, to get the bits it has in a block of lanes
     config = two_regime_config(window=window)
     detector = GaussianHmmModel(
         means=np.array([[0.002, 0.001], [-0.002, 0.0]]),
