@@ -197,10 +197,10 @@ def cmd_solve(args, exp: ExperimentConfig):
 
 def _train_one(exp: ExperimentConfig, seed: int, out: Path):
     """Train one seed into out/: checkpoint, logs, detector, evaluation."""
-    out.mkdir(parents=True, exist_ok=True)
     net = _build_net(exp, seed)
     hmm_config = exp.hmm if exp.context_policy else None
     result = train(_env_factory(exp), net, exp.algo, seed, hmm_config=hmm_config)
+    out.mkdir(parents=True, exist_ok=True)
 
     extra = {
         "seed": seed,
@@ -251,7 +251,7 @@ def cmd_train(args, exp: ExperimentConfig):
         ]
     for _, sub_exp in sub_exps:
         if sub_exp.context_policy:
-            check_detector_budget(sub_exp.env, sub_exp.algo)
+            check_detector_budget(sub_exp.env, sub_exp.algo, sub_exp.hmm)
     out = _out_dir(args)
 
     summary = []
@@ -478,7 +478,9 @@ def main(argv=None) -> int:
             check_seed(args.seed, "--seed")
         started = time.time()
         exp = load_config(args.config)
-        out, seeds = args.func(args, exp)
+        # a non-finite value ends in bankruptcy or an error line, not a warning
+        with np.errstate(all="ignore"):
+            out, seeds = args.func(args, exp)
         _write_manifest(out, args.command, exp, seeds, started)
         return 0
     except Exception as exc:  # KeyboardInterrupt is no Exception: it propagates

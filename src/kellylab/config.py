@@ -393,10 +393,6 @@ class ExperimentConfig:
     def dump(self) -> str:
         return yaml.safe_dump(self.to_dict(), sort_keys=False)
 
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.dump())
-
 
 def _parse_market(node: dict, ctx: _Ctx) -> RegimeModel:
     if "regimes" not in node:

@@ -11,10 +11,11 @@ current drifted stock weights, and W/W_0, giving dimension n*l + n + 1
 (3l + 4 for three assets). The true regime label is deliberately absent: regime structure
 is only observable through prices.
 
-The unaffected GBM path and regime path for an episode are drawn in full at
-reset from the (master_seed, episode) stream, so the noise an agent
-experiences is independent of its actions; trading feeds back only through
-impact multipliers and costs.
+The unaffected GBM path and regime path for an episode are drawn in full
+from the (master_seed, episode) stream, at reset or, for a wave's lanes, by
+the wave before it resets them, so the noise an agent experiences is
+independent of its actions; trading feeds back only through impact
+multipliers and costs.
 
 An env is one lane, stepped on Python floats, or a lockstep wave built by
 PortfolioEnv.lockstep over many one-lane envs, stepped as (L, n) arrays. A
@@ -150,11 +151,11 @@ class PortfolioEnv:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def reset(self, episode: int | None = None, like=None) -> np.ndarray:
+    def reset(self, episode: int | None = None, path=None) -> np.ndarray:
         """Start an episode and return its first observation.
 
-        like: an env of the same config and master seed, already reset to
-        this episode, whose path this env shares instead of generating it.
+        path: this episode's PricePath (see episode_path), given when the
+        caller has drawn it already; otherwise reset draws it.
         """
         if self._lanes is not None:
             raise LifecycleError("a wave is reset by PortfolioEnv.lockstep")
@@ -164,22 +165,11 @@ class PortfolioEnv:
         self._next_episode = self.episode + 1
 
         w1 = self._window - 1
-        if like is None:
+        if path is None:
             path = episode_path(self.config, self.master_seed, self.episode)
-            self._unaffected = path.prices
-            self._regimes = path.regimes.tolist()
-            self._warmup = path.warmup_prices
-        elif (like.config is not self.config
-              or like.master_seed != self.master_seed
-              or like.episode != self.episode):
-            raise ValueError(
-                "like must be an env of the same config and master seed, "
-                "reset to the same episode"
-            )
-        else:
-            self._unaffected = like._unaffected
-            self._regimes = like._regimes
-            self._warmup = like._warmup
+        self._unaffected = path.prices
+        self._regimes = path.regimes.tolist()
+        self._warmup = path.warmup_prices
         if self._eff_hist is None:
             self._eff_hist = np.empty((w1 + self._n_periods + 1, self._n))
 
@@ -200,14 +190,15 @@ class PortfolioEnv:
         """Reset lanes[i] to episodes[i] through its own reset(), and return
         a wave stepping them side by side.
 
-        The lanes are one-lane envs of one config. Lanes that replay one
-        (master seed, episode) share its path, generated once. The wave
-        holds each path and its regime labels once and each lane's
-        effective-price history as a row of one (B, rows, n) block, and the
-        lanes keep views of the paths and histories. The wave alone holds
-        the clock, holdings, cash, wealth and multipliers while it steps; a
-        lane leaves when its episode ends, and only its clock (to its final
-        t) and done flag are set then.
+        The lanes are one-lane envs of one config. The wave draws each
+        distinct (master seed, episode) path once with episode_path and
+        hands it to the reset of every lane that replays it. The wave holds
+        each path and its regime labels once and each lane's effective-price
+        history as a row of one (B, rows, n) block, and the lanes keep views
+        of the paths and histories. The wave alone holds the clock,
+        holdings, cash, wealth and multipliers while it steps; a lane leaves
+        when its episode ends, and only its clock (to its final t) and done
+        flag are set then.
         """
         config = lanes[0].config
         if any(lane.config is not config for lane in lanes):
@@ -220,23 +211,20 @@ class PortfolioEnv:
         wave = cls(config, lanes[0].master_seed)
         n, w1 = wave._n, wave._window - 1
         block = np.empty((len(lanes), w1 + wave._n_periods + 1, n))
-        owners = {}  # (master seed, episode) -> (path index, its lane)
-        path_of = []
-        for lane, row, episode in zip(lanes, block, episodes):
-            key = (lane.master_seed, int(episode))
-            p, like = owners.get(key, (len(owners), None))
-            lane._eff_hist = row
-            lane.reset(key[1], like=like)
-            owners.setdefault(key, (p, lane))
-            path_of.append(p)
-        owners = [lane for _, lane in owners.values()]
-        wave._prices = np.stack([lane._unaffected for lane in owners])
+        keys = [(lane.master_seed, int(episode))
+                for lane, episode in zip(lanes, episodes)]
+        # one path per distinct key, in order of first appearance
+        paths = {key: episode_path(config, *key) for key in dict.fromkeys(keys)}
+        wave._prices = np.stack([path.prices for path in paths.values()])
         # each path's regime label and interest factor per period
-        wave._regime_rows = np.array([lane._regimes for lane in owners])
+        wave._regime_rows = np.stack([path.regimes for path in paths.values()])
         wave._interest_rows = np.array(wave._interest)[wave._regime_rows]
-        wave._path_of = np.array(path_of)
-        for lane, p in zip(lanes, path_of):
-            lane._unaffected = wave._prices[p]
+        index = {key: p for p, key in enumerate(paths)}
+        wave._path_of = np.array([index[key] for key in keys])
+        for lane, row, key in zip(lanes, block, keys):
+            lane._eff_hist = row
+            lane.reset(key[1], path=paths[key])
+            lane._unaffected = wave._prices[index[key]]
         wave._eff_hist = block
         wave._lanes = list(lanes)
         wave._live = np.arange(len(lanes))

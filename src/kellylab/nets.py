@@ -304,6 +304,8 @@ def _layer_sizes(config: dict, field: str, default) -> tuple:
 
 def _width(config: dict, field: str) -> int:
     """A header's input, context or action width: a positive integer."""
+    if field not in config:
+        raise CheckpointError(f"net field {field!r} is missing")
     width = config[field]
     if type(width) is not int or width < 1:
         raise CheckpointError(
@@ -357,13 +359,10 @@ class Adam:
     scratch vectors, so it allocates nothing per call.
     """
 
-    def __init__(self, net, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, net, learning_rate):
         self.value = net.flat
         self.grad = net.flat_grad
         self.learning_rate = float(learning_rate)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = np.zeros_like(self.value)
         self._v = np.zeros_like(self.value)
@@ -371,7 +370,7 @@ class Adam:
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = 0.9, 0.999
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         m, v, g = self._m, self._v, self.grad
@@ -385,7 +384,7 @@ class Adam:
         # has rounded to exactly 1.0 divides nothing (x / 1.0 == x), so its
         # division is skipped
         v_hat = np.divide(v, bias2, out=denom) if bias2 != 1.0 else v
-        np.add(np.sqrt(v_hat, out=denom), self.eps, out=denom)
+        np.add(np.sqrt(v_hat, out=denom), 1e-8, out=denom)
         m_hat = np.divide(m, bias1, out=step) if bias1 != 1.0 else m
         np.multiply(m_hat, self.learning_rate, out=step)
         self.value -= np.divide(step, denom, out=step)
@@ -440,9 +439,18 @@ def load_checkpoint(path):
     try:
         with np.load(path) as data:
             meta = json.loads(bytes(data["meta_json"]).decode("utf-8"))
+            if not isinstance(meta, dict):
+                raise CheckpointError(
+                    f"header must be a JSON object, not {type(meta).__name__}")
             if meta.get("format_version") != CHECKPOINT_VERSION:
                 raise CheckpointError(
                     f"unsupported checkpoint version {meta.get('format_version')!r}"
+                )
+            if not isinstance(meta.get("net"), dict):
+                raise CheckpointError(
+                    "header field 'net' is missing" if "net" not in meta else
+                    f"header field 'net' must be a JSON object, not "
+                    f"{type(meta['net']).__name__}"
                 )
             net = build_net(meta["net"])
             for i, p in enumerate(net.params()):

@@ -56,7 +56,7 @@ class NetPolicy:
         window, n = env.config.window, env.config.n_assets
         prices = obs[:, : window * n].reshape(len(obs), window, n)
         labels = self._labels.labels(env.t, env.live, prices)
-        mean, _ = self.net.forward(obs, _one_hot(labels, self.net.context_dim))
+        mean, _ = self.net.forward(obs, np.eye(self.net.context_dim)[labels])
         return mean
 
 
@@ -72,12 +72,6 @@ def _context_from_obs(obs, window, n_assets, detector, n_states) -> np.ndarray:
     prices = obs[: n_assets * window].reshape(window, n_assets)
     return np.eye(n_states)[
         hmm_module.predict_current(detector, np.diff(np.log(prices), axis=0))]
-
-
-def _one_hot(labels, n_states) -> np.ndarray:
-    contexts = np.zeros((len(labels), n_states))
-    contexts[np.arange(len(labels)), labels] = 1.0
-    return contexts
 
 
 @dataclass
@@ -177,20 +171,27 @@ class TrainResult:
     updates: list = field(default_factory=list, repr=False)
 
 
-def check_detector_budget(env_config, config: TrainConfig):
+def check_detector_budget(env_config, config: TrainConfig,
+                          hmm_config: hmm_module.HmmFitConfig):
     """Reject a context-policy run that cannot fit its regime detector.
 
     The detector needs at least one return row per observation window, and
-    the run's rollouts must finish the DETECTOR_FIT_EPISODES episodes it is
-    fit on.
+    n_states * 10 return rows in each episode it is fit on; the run's
+    rollouts must finish the DETECTOR_FIT_EPISODES episodes it is fit on.
     """
     if env_config.window < 2:
         raise ValueError(
             "context policies need window >= 2 (at least one return row)"
         )
+    episode_steps = env_config.n_periods
+    if episode_steps < hmm_config.n_states * 10:
+        raise FitError(
+            f"episodes of {episode_steps} periods are too short to fit a "
+            f"{hmm_config.n_states}-state regime detector, which needs "
+            f"{hmm_config.n_states * 10}"
+        )
     n_rollouts = -(-config.total_steps // config.rollout_steps)
     steps = n_rollouts * config.rollout_steps
-    episode_steps = env_config.n_periods
     if steps < DETECTOR_FIT_EPISODES * episode_steps:
         raise ValueError(
             f"a context policy fits its regime detector after "
@@ -230,7 +231,7 @@ def train(
                 f"detector has {hmm_config.n_states} states, net expects "
                 f"{net.context_dim}"
             )
-        check_detector_budget(env.config, config)
+        check_detector_budget(env.config, config, hmm_config)
 
     action_rng = stream(seed, ACTION_STREAM)
     update_rng = stream(seed, UPDATE_STREAM)

@@ -321,6 +321,36 @@ def test_context_train_too_short_for_the_detector_fails_up_front(
     assert not out.exists()
 
 
+def test_context_train_on_episodes_too_short_for_the_detector_creates_no_output(
+        tmp_path, capsys):
+    # 16-period episodes, where a two-state detector needs 20 return rows
+    config = write(tmp_path, "regime.yaml",
+                   REGIME.replace("horizon_years: 0.09375",
+                                  "horizon_years: 0.0625"))
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: episodes of 16 periods are too short to fit a 2-state regime "
+        "detector, which needs 20\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_a_seed_whose_training_fails_leaves_no_seed_directory(tmp_path, capsys):
+    # episodes are long enough, but permanent impact this steep bankrupts
+    # each one on its first trade, so the detector has nothing to fit on
+    config = write(tmp_path, "regime.yaml",
+                   REGIME.replace("gamma: 0.0", "gamma: 100.0"))
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: first 10 episodes were all too short to fit the regime "
+        "detector\n")
+    assert not (out / "seed0").exists()
+
+
 def test_train_sweep_checks_every_value_before_the_first_run(tmp_path,
                                                               capsys):
     # 264 steps fit the detector; 216 finish only 9 of its 10 episodes
@@ -458,6 +488,34 @@ def test_evaluate_checkpoint_with_null_scalar_fails_cleanly(
     evaluate_with_header_field(tmp_path, capsys, field, None)
 
 
+@pytest.mark.parametrize("header, expected", [
+    ([1, 2], "header must be a JSON object, not list"),
+    ({"format_version": 1, "net": [1]},
+     "header field 'net' must be a JSON object, not list"),
+    ({"format_version": 1}, "header field 'net' is missing"),
+    ({"format_version": 1, "net": {"kind": "policy", "action_dim": 1}},
+     "net field 'obs_dim' is missing"),
+], ids=["list", "net-list", "net-missing", "obs-dim-missing"])
+def test_evaluate_checkpoint_with_a_malformed_header_fails_cleanly(
+        tmp_path, capsys, header, expected):
+    seed_dir = train_tiny(tmp_path, TINY)
+    checkpoint = seed_dir / "checkpoint.npz"
+    arrays = dict(np.load(checkpoint))
+    arrays["meta_json"] = np.frombuffer(json.dumps(header).encode("utf-8"),
+                                        dtype=np.uint8)
+    np.savez(checkpoint, **arrays)
+    config = write(tmp_path, "tiny.yaml", TINY)
+    capsys.readouterr()
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--config", str(config), "--out", str(out),
+                 "--checkpoint", str(checkpoint)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: cannot read checkpoint {checkpoint}: {expected}\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def context_run(tmp_path_factory):
     """One trained REGIME seed directory: a context checkpoint and its
@@ -528,6 +586,14 @@ def test_unexpected_errors_are_one_line(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_solve", interrupt)
     with pytest.raises(KeyboardInterrupt):
         main(["solve", "--config", str(config)])
+
+
+RUN_MAIN = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+from kellylab.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
 
 
 IMPORT_CHECK = """\
@@ -707,6 +773,27 @@ def test_gridsearch_where_every_cell_goes_bankrupt_creates_no_output(
     assert captured.err == (
         "error: every grid cell went bankrupt on every episode\n")
     assert captured.out == ""
+    assert not out.exists()
+
+
+def test_a_failing_command_prints_its_error_line_and_no_numpy_warning(
+        tmp_path):
+    # with 20 episodes a cell, trade_cost overflows on the way to bankruptcy;
+    # run as a process, so that no warning filter of the test runner hides
+    # a warning printed ahead of the error line
+    config = write(tmp_path, "tiny.yaml",
+                   TINY.replace("eta: 0.0", "eta: 1.0")
+                   .replace("episodes_per_cell: 2", "episodes_per_cell: 20"))
+    out = tmp_path / "out"
+    result = subprocess.run(
+        [sys.executable, "-c", RUN_MAIN,
+         str(Path(__file__).resolve().parent.parent / "src"),
+         "gridsearch", "--config", str(config), "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 1
+    assert result.stderr == (
+        "error: every grid cell went bankrupt on every episode\n")
     assert not out.exists()
 
 

@@ -749,14 +749,9 @@ def test_lanes_of_one_episode_share_one_generated_path(monkeypatch):
                for lane in lanes)
 
 
-def test_reset_like_and_lockstep_reject_mismatched_lanes():
+def test_lockstep_rejects_mismatched_lanes():
     cfg = make_config()
     first = PortfolioEnv(cfg, 0)
-    first.reset(episode=3)
-    for other, episode in [(PortfolioEnv(cfg, 1), 3), (PortfolioEnv(cfg, 0), 4),
-                           (PortfolioEnv(make_config(), 0), 3)]:
-        with pytest.raises(ValueError, match="like"):
-            other.reset(episode=episode, like=first)
     with pytest.raises(ValueError, match="one config"):
         PortfolioEnv.lockstep([first, PortfolioEnv(make_config(), 0)], [0, 1])
     with pytest.raises(ValueError, match="episodes"):

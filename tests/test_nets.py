@@ -380,6 +380,27 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("meta, expected", [
+    ([1, 2], "header must be a JSON object, not list"),
+    ({"format_version": 1, "net": [1]},
+     "header field 'net' must be a JSON object, not list"),
+    ({"format_version": 1}, "header field 'net' is missing"),
+    ({"format_version": 1, "net": {"kind": "policy", "action_dim": 1}},
+     "net field 'obs_dim' is missing"),
+    ({"format_version": 1, "net": {"kind": "policy", "obs_dim": 3}},
+     "net field 'action_dim' is missing"),
+], ids=["list", "net-list", "net-missing", "obs-dim-missing",
+        "action-dim-missing"])
+def test_checkpoint_rejects_malformed_headers(tmp_path, meta, expected):
+    net = PolicyNet(3, 1, np.random.default_rng(0), hidden=(4,))
+    path = tmp_path / "header.npz"
+    save_checkpoint(net, path)
+    rewrite_meta(path, meta)
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"cannot read checkpoint {path}: {expected}"
+
+
 def test_build_net_rejects_unknown_kind():
     with pytest.raises(CheckpointError, match="unknown net kind 'mystery'"):
         build_net({"kind": "mystery"})

@@ -1,5 +1,6 @@
 """Evaluation harness and the rollout/update training loop."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -575,6 +576,21 @@ def test_train_raises_when_episodes_are_too_short_for_the_detector():
         train(
             factory_for(config), net,
             small_ppo(16 * 10, rollout_steps=16, batch_size=8),
+            seed=0,
+            hmm_config=HmmFitConfig(n_states=2, n_init=2),
+        )
+
+
+def test_train_raises_when_bankruptcies_cut_every_episode_too_short():
+    # 24-period episodes clear the detector's 20-row minimum, but permanent
+    # impact this steep bankrupts each episode on its first trade
+    config = dataclasses.replace(make_config(horizon_years=0.09375, window=3),
+                                 impact=ImpactParams(0.0, 100.0))
+    with np.errstate(all="ignore"), pytest.raises(
+            FitError, match="first 10 episodes were all too short"):
+        train(
+            factory_for(config), context_net_for(config),
+            small_ppo(24 * 11, rollout_steps=24, batch_size=8),
             seed=0,
             hmm_config=HmmFitConfig(n_states=2, n_init=2),
         )
