@@ -61,16 +61,18 @@ OUT_ROOT_VAR = "KELLYLAB_OUT_ROOT"
 EVAL_HEADER = ["seed", "mean_growth", "mad", "bankruptcies", "n_episodes"]
 
 
-def _out_dir(args) -> Path:
-    """The command's output directory, created. A command asks for it only
-    after its checks and (all but train, which writes seed by seed) its
-    computation, so that a failed run leaves no directory."""
+def _out_dir(args, create=True) -> Path:
+    """The command's output directory, created unless told not to. A
+    command asks for it only after its checks and computation, so that a
+    failed run leaves no directory; train, which writes seed by seed, leaves
+    it to be created with its first seed's outputs."""
     if args.out is not None:
         out = Path(args.out)
     else:
         root = Path(os.environ.get(OUT_ROOT_VAR, "."))
         out = root / "runs" / args.command / Path(args.config).stem
-    out.mkdir(parents=True, exist_ok=True)
+    if create:
+        out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -252,7 +254,7 @@ def cmd_train(args, exp: ExperimentConfig):
     for _, sub_exp in sub_exps:
         if sub_exp.context_policy:
             check_detector_budget(sub_exp.env, sub_exp.algo, sub_exp.hmm)
-    out = _out_dir(args)
+    out = _out_dir(args, create=False)
 
     summary = []
     for value, sub_exp in sub_exps:
@@ -287,6 +289,12 @@ def _check_checkpoint_fits(path, net, detector, exp: ExperimentConfig):
                 f"checkpoint {path} does not fit the config: {field} is "
                 f"{got}, the config needs {want}"
             )
+    if detector is not None and exp.env.window < 2:
+        raise KellylabError(
+            f"checkpoint {path} does not fit the config: context policies "
+            f"need window >= 2 (at least one return row), the config has "
+            f"window {exp.env.window}"
+        )
 
 
 def cmd_evaluate(args, exp: ExperimentConfig):
@@ -301,10 +309,11 @@ def cmd_evaluate(args, exp: ExperimentConfig):
         detector = None
         if isinstance(net, ContextPolicyNet):
             detector_file = meta.get("extra", {}).get("detector_file")
-            if detector_file is None:
+            if not isinstance(detector_file, str):
                 raise KellylabError(
-                    "checkpoint holds a context policy but records no "
-                    "detector file"
+                    f"cannot read checkpoint {checkpoint}: a context policy's "
+                    f"header field 'extra.detector_file' must name its "
+                    f"detector file, got {json.dumps(detector_file)}"
                 )
             detector = hmm_module.load(Path(checkpoint).parent / detector_file)
         _check_checkpoint_fits(checkpoint, net, detector, exp)

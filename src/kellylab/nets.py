@@ -6,6 +6,10 @@ autodiff framework; the finite-difference suite in the tests is the safety
 net for every gradient path. Layers cache their last forward inputs, so a
 backward call must follow its matching forward.
 
+Both net kinds are one implementation, called forward(obs, context=None);
+they differ only in the stacks their constructors build and in their
+checkpoint headers. A ContextPolicyNet gates its features by the context.
+
 Conventions: weights are (n_in, n_out) applied as x @ W + b on (batch, n_in)
 inputs; orthogonal init with gain sqrt(2) on hidden layers, 0.01 on the actor
 head, 1.0 on the critic head, zero biases; log_std is a free state-independent
@@ -93,6 +97,7 @@ class _Stack:
     """A chain of Dense layers."""
 
     def __init__(self, sizes, activation, gain, rng, name):
+        self.width = sizes[-1]
         self.layers = [
             Dense(sizes[i], sizes[i + 1], activation, gain, rng, f"{name}.{i}")
             for i in range(len(sizes) - 1)
@@ -114,7 +119,12 @@ class _Stack:
 
 
 class _NetBase:
-    """One contiguous parameter vector per net.
+    """A feature stack, an optional regime gate, and linear actor/critic heads.
+
+    forward(obs, context=None) runs obs through the feature stack; a net
+    with a regime stack multiplies those features elementwise by the regime
+    stack's reading of the context and runs the product through the shared
+    stack, so the context gates which features reach the heads.
 
     `flat` holds every parameter and `flat_grad` every gradient, in params()
     order; each Param's value and grad are views into them, made once at
@@ -124,10 +134,16 @@ class _NetBase:
     params() list for the per-minibatch gradient norm.
     """
 
-    def params(self):
-        raise NotImplementedError
-
-    def _flatten(self):
+    def __init__(self, feature, action_dim, rng, init_log_std,
+                 regime=None, shared=None):
+        self.feature, self.regime, self.shared = feature, regime, shared
+        self._stacks = [feature] if regime is None else [feature, regime, shared]
+        self.action_dim = int(action_dim)
+        self.init_log_std = float(init_log_std)
+        last = self._stacks[-1].width
+        self.actor = Dense(last, self.action_dim, "linear", 0.01, rng, "actor")
+        self.critic = Dense(last, 1, "linear", 1.0, rng, "critic")
+        self.log_std = Param(np.full(self.action_dim, self.init_log_std), "log_std")
         params = self._params = self.params()
         self.flat = np.concatenate([p.value.ravel(order="K") for p in params])
         self.flat_grad = np.zeros_like(self.flat)
@@ -139,6 +155,36 @@ class _NetBase:
             p.grad = self.flat_grad[offset:end].reshape(p.value.shape, order=order)
             offset = end
 
+    def params(self):
+        return (
+            [p for stack in self._stacks for p in stack.params()]
+            + self.actor.params()
+            + self.critic.params()
+            + [self.log_std]
+        )
+
+    def forward(self, obs, context=None):
+        """obs (B, obs_dim) and, for a gated net, context (B, K)
+        -> (action mean (B, d), value (B,))."""
+        features = self.feature.forward(obs)
+        if self.regime is not None:
+            self._feat_out = features
+            self._regime_out = self.regime.forward(context)
+            features = self.shared.forward(features * self._regime_out)
+        mean = self.actor.forward(features)
+        value = self.critic.forward(features)[:, 0]
+        return mean, value
+
+    def backward(self, d_mean, d_value):
+        d_feat = self.actor.backward(d_mean)
+        d_feat += self.critic.backward(d_value[:, None])
+        if self.regime is None:
+            self.feature.backward(d_feat)
+            return
+        d_prod = self.shared.backward(d_feat, input_grad=True)
+        self.feature.backward(d_prod * self._regime_out)
+        self.regime.backward(d_prod * self._feat_out)
+
     def zero_grads(self):
         self.flat_grad.fill(0.0)
 
@@ -147,42 +193,16 @@ class _NetBase:
 
 
 class PolicyNet(_NetBase):
-    """Shared tanh trunk with linear actor/critic heads and free log_std."""
+    """Ungated: a tanh trunk straight into the heads."""
 
     kind = "policy"
 
     def __init__(self, obs_dim, action_dim, rng, init_log_std=0.0, hidden=(64, 64)):
         self.obs_dim = int(obs_dim)
-        self.action_dim = int(action_dim)
         self.hidden = tuple(int(h) for h in hidden)
-        self.init_log_std = float(init_log_std)
-        sizes = (self.obs_dim,) + self.hidden
-        self.trunk = _Stack(sizes, "tanh", math.sqrt(2.0), rng, "trunk")
-        last = self.hidden[-1]
-        self.actor = Dense(last, self.action_dim, "linear", 0.01, rng, "actor")
-        self.critic = Dense(last, 1, "linear", 1.0, rng, "critic")
-        self.log_std = Param(np.full(self.action_dim, self.init_log_std), "log_std")
-        self._flatten()
-
-    def params(self):
-        return (
-            self.trunk.params()
-            + self.actor.params()
-            + self.critic.params()
-            + [self.log_std]
-        )
-
-    def forward(self, obs):
-        """obs (B, obs_dim) -> (action mean (B, d), value (B,))."""
-        features = self.trunk.forward(obs)
-        mean = self.actor.forward(features)
-        value = self.critic.forward(features)[:, 0]
-        return mean, value
-
-    def backward(self, d_mean, d_value):
-        d_feat = self.actor.backward(d_mean)
-        d_feat += self.critic.backward(d_value[:, None])
-        self.trunk.backward(d_feat)
+        trunk = _Stack((self.obs_dim,) + self.hidden, "tanh", math.sqrt(2.0),
+                       rng, "trunk")
+        super().__init__(trunk, action_dim, rng, init_log_std)
 
     def config_dict(self):
         return {
@@ -195,12 +215,9 @@ class PolicyNet(_NetBase):
 
 
 class ContextPolicyNet(_NetBase):
-    """Price-feature net modulated elementwise by a regime-context net.
-
-    The feature stack reads the market observation; the regime stack reads a
-    one-hot (or soft) regime context; their equal-width outputs multiply
-    elementwise before a shared trunk and the linear heads, so the context
-    gates which features reach the heads.
+    """Gated: a tanh feature stack on the market observation, a relu regime
+    stack on a one-hot (or soft) regime context, of equal output width, and
+    a tanh shared stack on their elementwise product.
     """
 
     kind = "context_policy"
@@ -223,56 +240,20 @@ class ContextPolicyNet(_NetBase):
             )
         self.obs_dim = int(obs_dim)
         self.context_dim = int(context_dim)
-        self.action_dim = int(action_dim)
         self.feature_sizes = tuple(int(s) for s in feature_sizes)
         self.regime_sizes = tuple(int(s) for s in regime_sizes)
         self.shared_sizes = tuple(int(s) for s in shared_sizes)
-        self.init_log_std = float(init_log_std)
         gain = math.sqrt(2.0)
-        self.feature = _Stack(
+        feature = _Stack(
             (self.obs_dim,) + self.feature_sizes, "tanh", gain, rng, "feature"
         )
-        self.regime = _Stack(
+        regime = _Stack(
             (self.context_dim,) + self.regime_sizes, "relu", gain, rng, "regime"
         )
-        self.shared = _Stack(
+        shared = _Stack(
             (self.feature_sizes[-1],) + self.shared_sizes, "tanh", gain, rng, "shared"
         )
-        last = self.shared_sizes[-1]
-        self.actor = Dense(last, self.action_dim, "linear", 0.01, rng, "actor")
-        self.critic = Dense(last, 1, "linear", 1.0, rng, "critic")
-        self.log_std = Param(np.full(self.action_dim, self.init_log_std), "log_std")
-        self._feat_out = None
-        self._regime_out = None
-        self._flatten()
-
-    def params(self):
-        return (
-            self.feature.params()
-            + self.regime.params()
-            + self.shared.params()
-            + self.actor.params()
-            + self.critic.params()
-            + [self.log_std]
-        )
-
-    def forward(self, obs, context):
-        """(obs (B, m), context (B, K)) -> (mean (B, d), value (B,))."""
-        a = self.feature.forward(obs)
-        b = self.regime.forward(context)
-        self._feat_out = a
-        self._regime_out = b
-        shared = self.shared.forward(a * b)
-        mean = self.actor.forward(shared)
-        value = self.critic.forward(shared)[:, 0]
-        return mean, value
-
-    def backward(self, d_mean, d_value):
-        d_shared = self.actor.backward(d_mean)
-        d_shared += self.critic.backward(d_value[:, None])
-        d_prod = self.shared.backward(d_shared, input_grad=True)
-        self.feature.backward(d_prod * self._regime_out)
-        self.regime.backward(d_prod * self._feat_out)
+        super().__init__(feature, action_dim, rng, init_log_std, regime, shared)
 
     def config_dict(self):
         return {
@@ -451,6 +432,11 @@ def load_checkpoint(path):
                     "header field 'net' is missing" if "net" not in meta else
                     f"header field 'net' must be a JSON object, not "
                     f"{type(meta['net']).__name__}"
+                )
+            if not isinstance(meta.get("extra", {}), dict):
+                raise CheckpointError(
+                    f"header field 'extra' must be a JSON object, not "
+                    f"{type(meta['extra']).__name__}"
                 )
             net = build_net(meta["net"])
             for i, p in enumerate(net.params()):

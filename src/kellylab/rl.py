@@ -185,12 +185,6 @@ class MiniBatch(NamedTuple):
     contexts: np.ndarray = None
 
 
-def _forward(net, batch: MiniBatch):
-    if batch.contexts is None:
-        return net.forward(batch.observations)
-    return net.forward(batch.observations, batch.contexts)
-
-
 def loss_and_grads(net, batch: MiniBatch, config: TrainConfig) -> dict:
     """Forward pass, every loss term, and analytic gradients accumulated into
     the net's params, in one pass.
@@ -202,7 +196,7 @@ def loss_and_grads(net, batch: MiniBatch, config: TrainConfig) -> dict:
     rho > 1 + eps) or (A < 0 and rho < 1 - eps); ties at the boundary keep
     the unclipped branch.
     """
-    mean, value = _forward(net, batch)
+    mean, value = net.forward(batch.observations, batch.contexts)
     log_std = net.log_std.value
     log_std_sum = log_std.sum()
     std = np.exp(log_std)
@@ -260,22 +254,16 @@ def loss_and_grads(net, batch: MiniBatch, config: TrainConfig) -> dict:
     }
 
 
-def act_and_value(net, observation, rng=None, deterministic=False, context=None):
-    """(action, log-probability, value) in a single forward pass."""
+def act_and_value(net, observation, rng, context=None):
+    """(sampled action, log-probability, value) in a single forward pass."""
     obs = np.asarray(observation, dtype=np.float64)[None, :]
     if context is not None:
-        mean, value = net.forward(obs, np.asarray(context, dtype=np.float64)[None, :])
-    else:
-        mean, value = net.forward(obs)
+        context = np.asarray(context, dtype=np.float64)[None, :]
+    mean, value = net.forward(obs, context)
     mean = mean[0]
     log_std = net.log_std.value
     std = np.exp(log_std)
-    if deterministic:
-        action = mean.copy()
-    else:
-        if rng is None:
-            raise ValueError("stochastic sampling needs an rng")
-        action = mean + std * rng.standard_normal(mean.shape[0])
+    action = mean + std * rng.standard_normal(mean.shape[0])
     # loss_and_grads' log density of the one row, in its order of operations
     diff = (action - mean) / std
     log_prob = (

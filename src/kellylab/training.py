@@ -50,14 +50,13 @@ class NetPolicy:
 
     def act(self, env):
         obs = env.observations()
-        if self.detector is None:
-            mean, _ = self.net.forward(obs)
-            return mean
-        window, n = env.config.window, env.config.n_assets
-        prices = obs[:, : window * n].reshape(len(obs), window, n)
-        labels = self._labels.labels(env.t, env.live, prices)
-        mean, _ = self.net.forward(obs, np.eye(self.net.context_dim)[labels])
-        return mean
+        context = None
+        if self.detector is not None:
+            window, n = env.config.window, env.config.n_assets
+            prices = obs[:, : window * n].reshape(len(obs), window, n)
+            labels = self._labels.labels(env.t, env.live, prices)
+            context = np.eye(self.net.context_dim)[labels]
+        return self.net.forward(obs, context)[0]
 
 
 def _context_from_obs(obs, window, n_assets, detector, n_states) -> np.ndarray:
@@ -324,9 +323,9 @@ def train(
         if buffer.dones[-1]:
             bootstrap = 0.0
         else:
-            _, _, bootstrap = act_and_value(
-                net, obs, deterministic=True, context=context
-            )
+            _, value = net.forward(
+                obs[None, :], None if context is None else context[None, :])
+            bootstrap = value[0]
         buffer.compute_advantages(bootstrap, config.discount, config.gae_lambda)
         diag = ppo_update(net, buffer, config, optimizer, update_rng)
         updates.append(diag)

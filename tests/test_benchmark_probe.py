@@ -39,6 +39,46 @@ def test_probe_finds_every_layer_and_boundary():
     assert json.loads(result.stdout.splitlines()[-1]) == []
 
 
+NET_SPANS = """\
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import numpy as np
+import kellylab.cli
+from kellylab.nets import ContextPolicyNet, PolicyNet
+from probe import Probes
+
+probes = Probes()
+probes.install_layers()
+rng = np.random.default_rng(0)
+obs = rng.normal(size=(2, 3))
+nets = {
+    "policy": (PolicyNet(3, 1, rng, hidden=(4,)), (obs,)),
+    "context_policy": (
+        ContextPolicyNet(3, 2, 1, rng, feature_sizes=(4,), regime_sizes=(4,),
+                         shared_sizes=(4,)),
+        (obs, np.eye(2))),
+}
+recorded = {}
+for kind, (net, inputs) in nets.items():
+    first = len(probes.spans)
+    net.forward(*inputs)
+    net.backward(np.ones((2, 1)), np.ones(2))
+    # a nested span stores its name id as -1 - id
+    recorded[kind] = sorted(
+        probes.names[name_id if name_id >= 0 else -1 - name_id]
+        for name_id, _, _, _ in probes.spans[first:])
+print(json.dumps(recorded))
+"""
+
+
+def test_probe_records_one_span_per_net_call_of_each_kind():
+    # a net class that inherited a method the probe already wrapped on
+    # another class would record each of its calls twice
+    recorded = run_probe_script(NET_SPANS)
+    assert recorded == {kind: ["nets.backward", "nets.forward"]
+                        for kind in ("policy", "context_policy")}
+
+
 COUNT_EVAL_STEPS = """\
 import json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]

@@ -17,6 +17,7 @@ from kellylab.analytic import optimal_weights, q_surface
 from kellylab.cli import main
 from kellylab.config import load_config
 from kellylab.market import generate_path
+from kellylab.nets import ContextPolicyNet, save_checkpoint
 from kellylab.rng import episode_stream
 
 TINY = """\
@@ -349,6 +350,7 @@ def test_a_seed_whose_training_fails_leaves_no_seed_directory(tmp_path, capsys):
         "error: first 10 episodes were all too short to fit the regime "
         "detector\n")
     assert not (out / "seed0").exists()
+    assert not out.exists()
 
 
 def test_train_sweep_checks_every_value_before_the_first_run(tmp_path,
@@ -495,16 +497,31 @@ def test_evaluate_checkpoint_with_null_scalar_fails_cleanly(
     ({"format_version": 1}, "header field 'net' is missing"),
     ({"format_version": 1, "net": {"kind": "policy", "action_dim": 1}},
      "net field 'obs_dim' is missing"),
-], ids=["list", "net-list", "net-missing", "obs-dim-missing"])
+    (lambda meta: {**meta, "extra": [1]},
+     "header field 'extra' must be a JSON object, not list"),
+    (lambda meta: {**meta, "extra": {**meta["extra"], "detector_file": 1}},
+     "a context policy's header field 'extra.detector_file' must name its "
+     "detector file, got 1"),
+], ids=["list", "net-list", "net-missing", "obs-dim-missing", "extra-list",
+        "detector-file-int"])
 def test_evaluate_checkpoint_with_a_malformed_header_fails_cleanly(
-        tmp_path, capsys, header, expected):
-    seed_dir = train_tiny(tmp_path, TINY)
+        tmp_path, capsys, context_run, header, expected):
+    # a callable header edits the trained context checkpoint's own
+    if callable(header):
+        seed_dir = tmp_path / "seed0"
+        shutil.copytree(context_run, seed_dir)
+        text = REGIME
+    else:
+        seed_dir = train_tiny(tmp_path, TINY)
+        text = TINY
     checkpoint = seed_dir / "checkpoint.npz"
     arrays = dict(np.load(checkpoint))
+    if callable(header):
+        header = header(json.loads(arrays["meta_json"].tobytes()))
     arrays["meta_json"] = np.frombuffer(json.dumps(header).encode("utf-8"),
                                         dtype=np.uint8)
     np.savez(checkpoint, **arrays)
-    config = write(tmp_path, "tiny.yaml", TINY)
+    config = write(tmp_path, "eval.yaml", text)
     capsys.readouterr()
     out = tmp_path / "eval"
     assert main(["evaluate", "--config", str(config), "--out", str(out),
@@ -567,6 +584,30 @@ def test_evaluate_checkpoint_with_corrupt_detector_fails_cleanly(
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(
         f"error: cannot read detector file {detector}: {expected}")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_evaluate_context_checkpoint_under_window_1_fails_cleanly(
+        tmp_path, capsys, context_run):
+    # one asset at window 1 makes 3 inputs: a context net of obs_dim 3
+    # beside the trained detector fits every width, but its detector has no
+    # return row to label
+    seed_dir = tmp_path / "seed0"
+    shutil.copytree(context_run, seed_dir)
+    checkpoint = seed_dir / "checkpoint.npz"
+    save_checkpoint(ContextPolicyNet(3, 2, 1, np.random.default_rng(0)),
+                    checkpoint, extra_meta={"detector_file": "detector.json"})
+    config = write(tmp_path, "regime.yaml",
+                   REGIME.replace("window: 2", "window: 1"))
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--config", str(config), "--out", str(out),
+                 "--checkpoint", str(checkpoint), "--episodes", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: checkpoint {checkpoint} does not fit the config: context "
+        "policies need window >= 2 (at least one return row), the config has "
+        "window 1\n")
     assert captured.out == ""
     assert not out.exists()
 

@@ -73,6 +73,23 @@ def test_context_net_shapes():
     assert value.shape == (5,)
 
 
+def test_param_names_in_params_order():
+    # params() order is the param_i layout every checkpoint stores
+    plain = PolicyNet(3, 1, np.random.default_rng(0), hidden=(4, 4))
+    assert [p.name for p in plain.params()] == [
+        "trunk.0.W", "trunk.0.b", "trunk.1.W", "trunk.1.b",
+        "actor.W", "actor.b", "critic.W", "critic.b", "log_std",
+    ]
+    gated = ContextPolicyNet(3, 2, 1, np.random.default_rng(0),
+                             feature_sizes=(4,), regime_sizes=(4,),
+                             shared_sizes=(4,))
+    assert [p.name for p in gated.params()] == [
+        "feature.0.W", "feature.0.b", "regime.0.W", "regime.0.b",
+        "shared.0.W", "shared.0.b",
+        "actor.W", "actor.b", "critic.W", "critic.b", "log_std",
+    ]
+
+
 def test_context_net_rejects_width_mismatch():
     with pytest.raises(ValueError, match="must match regime width"):
         ContextPolicyNet(
@@ -155,7 +172,7 @@ def oracle_backward(net, d_mean, d_value):
     d_feat = dense(net.actor, d_mean)
     d_feat += dense(net.critic, d_value[:, None])
     if isinstance(net, PolicyNet):
-        return stack(net.trunk, d_feat)
+        return stack(net.feature, d_feat)
     d_prod = stack(net.shared, d_feat)
     return (stack(net.feature, d_prod * net._regime_out),
             stack(net.regime, d_prod * net._feat_out))

@@ -129,23 +129,6 @@ def test_gaussian_entropy_closed_form():
     assert gaussian_entropy(log_std) == pytest.approx(want, rel=1e-15)
 
 
-def test_act_and_value_deterministic_returns_the_mean():
-    net = PolicyNet(4, 2, np.random.default_rng(0), hidden=(8,))
-    obs = np.random.default_rng(1).normal(size=4)
-    action, log_prob, value = act_and_value(net, obs, deterministic=True)
-    mean, val = net.forward(obs[None, :])
-    assert np.array_equal(action, mean[0])
-    assert value == float(val[0])
-    want_lp = float(gaussian_log_prob(mean, net.log_std.value, action[None, :])[0])
-    assert log_prob == want_lp
-
-
-def test_sample_action_requires_rng_when_stochastic():
-    net = PolicyNet(3, 1, np.random.default_rng(0), hidden=(4,))
-    with pytest.raises(ValueError, match="needs an rng"):
-        act_and_value(net, np.zeros(3))
-
-
 def test_sample_action_moments():
     net = PolicyNet(3, 1, np.random.default_rng(4), hidden=(4,))
     net.log_std.value[:] = np.log(0.5)
@@ -155,11 +138,13 @@ def test_sample_action_moments():
     draws = np.array([act_and_value(net, obs, rng)[0][0] for _ in range(20000)])
     assert abs(draws.mean() - mean) < 3.0 * 0.5 / np.sqrt(20000)
     assert abs(draws.std(ddof=1) - 0.5) < 3.0 * 0.5 / np.sqrt(2 * 20000)
-    # reported log-probability is the density at the sampled action
-    action, log_prob, _ = act_and_value(net, obs, np.random.default_rng(2))
+    # reported log-probability is the density at the sampled action, and
+    # the value is the forward pass's
+    action, log_prob, value = act_and_value(net, obs, np.random.default_rng(2))
     want = float(gaussian_log_prob(
         np.array([[mean]]), net.log_std.value, action[None, :])[0])
     assert log_prob == pytest.approx(want, rel=1e-12)
+    assert value == float(net.forward(obs[None, :])[1][0])
 
 
 # -- finite-difference gradient verification -------------------------------------
