@@ -13,7 +13,8 @@ import os
 # 100 half-year regimes3 episodes of a context net took 11.4 s at the
 # default thread count and 3.9 s at one. This must run before numpy loads;
 # a value already in the environment wins.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_VARS:
     os.environ.setdefault(_var, "1")
 
 __version__ = "0.1.0"

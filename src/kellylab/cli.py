@@ -12,7 +12,10 @@ by default.
 
 import argparse
 import csv
+import ctypes
+import gc
 import hashlib
+import importlib.util
 import json
 import os
 import platform
@@ -21,9 +24,8 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
-from . import __version__
+from . import BLAS_VARS, __version__
 from . import hmm as hmm_module
 from .analytic import (
     expected_growth,
@@ -56,7 +58,16 @@ from .training import (
     write_training_log,
 )
 
+# Once per process, after the imports: exit then skips collecting and freeing
+# the ~25k objects numpy, yaml and kellylab make at import, one by one (a
+# command exits ~20 ms sooner on a 2-vCPU Xeon). Not in main(), which tests
+# call in-process hundreds of times; each freeze there would pin every cycle
+# then alive for the rest of the process.
+gc.freeze()
+
 OUT_ROOT_VAR = "KELLYLAB_OUT_ROOT"
+
+OPENBLAS_CORENAME = "scipy_openblas_get_corename64_"
 
 EVAL_HEADER = ["seed", "mean_growth", "mad", "bankruptcies", "n_episodes"]
 
@@ -97,9 +108,40 @@ def _eval_row(seed: int, ev) -> list:
             ev.n_episodes]
 
 
+def _scipy_version() -> str:
+    """scipy.__version__, read from scipy/version.py without importing scipy
+    (~9 ms and ~0.9 MB that no command needs)."""
+    path = hmm_module.scipy_file("version.py")
+    if path is None:
+        import scipy
+
+        return scipy.__version__
+    spec = importlib.util.spec_from_file_location("scipy.version", path)
+    version = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(version)
+    return version.version
+
+
+def _blas_kernel():
+    """The core name (e.g. SkylakeX) of the OpenBLAS that numpy's wheel
+    bundles and has loaded, or None without that library or symbol. Output
+    bits are reproducible only under the same kernel."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
+        "*openblas*"))
+    try:
+        corename = getattr(ctypes.CDLL(str(libs[0])), OPENBLAS_CORENAME)
+    except (IndexError, OSError, AttributeError):
+        return None
+    corename.argtypes = []
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 def _write_manifest(out: Path, command: str, exp: ExperimentConfig, seeds,
                     started: float):
     manifest = {
+        "blas": {"kernel": _blas_kernel(),
+                 **{var: os.environ.get(var) for var in BLAS_VARS}},
         "command": command,
         "config_format": CONFIG_FORMAT,
         "config_sha256": hashlib.sha256(exp.dump().encode("utf-8")).hexdigest(),
@@ -107,7 +149,7 @@ def _write_manifest(out: Path, command: str, exp: ExperimentConfig, seeds,
         "versions": {
             "kellylab": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _scipy_version(),
             "python": platform.python_version(),
         },
         "wall_time_seconds": time.time() - started,

@@ -132,25 +132,34 @@ class GaussianHmmModel:
 _LOG_2PI = np.log(2.0 * np.pi)
 
 
-def _flapack_path():
-    """scipy's compiled LAPACK wrappers (linalg/_flapack*.so), or None when
-    the file is not found."""
+def scipy_file(*names):
+    """The first of these files (paths relative to scipy's package
+    directory) that exists, or None: found without importing scipy, which
+    the CLI never does (its version is read from version.py)."""
     spec = importlib.util.find_spec("scipy")
     roots = spec.submodule_search_locations if spec else None
     for root in roots or ():
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(root, "linalg", "_flapack" + suffix)
+        for name in names:
+            path = os.path.join(root, name)
             if os.path.isfile(path):
                 return path
     return None
 
 
+def _flapack_path():
+    """scipy's compiled LAPACK wrappers (linalg/_flapack*.so), or None when
+    the file is not found (scipy_file)."""
+    return scipy_file(*(os.path.join("linalg", "_flapack" + suffix)
+                        for suffix in importlib.machinery.EXTENSION_SUFFIXES))
+
+
 @functools.cache
 def _dtrtrs():
     """LAPACK dtrtrs, loaded once from the extension file that
-    scipy.linalg.lapack wraps. Loading the file alone skips the import of
-    scipy.linalg, which costs ~0.2 s and ~17 MB; the function is the same
-    (one process that takes both routes gets one function object)."""
+    scipy.linalg.lapack wraps, which _flapack_path finds. Loading the file
+    alone skips the imports of scipy and scipy.linalg, which cost ~0.2 s and
+    ~17 MB; the function is the same (one process that takes both routes
+    gets one function object)."""
     path = _flapack_path()
     if path is None:
         from scipy.linalg.lapack import dtrtrs

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, manifests, overrides, reproducibility."""
 
+import ctypes
 import hashlib
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from kellylab import cli, hmm
 from kellylab.analytic import optimal_weights, q_surface
@@ -140,8 +142,9 @@ def test_solve_outputs_and_manifest(tmp_path, capsys):
     assert not (out / "switching.csv").exists()
 
     manifest = json.loads((out / "manifest.json").read_text())
-    assert set(manifest) == {"command", "config_format", "config_sha256",
-                             "seeds", "versions", "wall_time_seconds"}
+    assert set(manifest) == {"blas", "command", "config_format",
+                             "config_sha256", "seeds", "versions",
+                             "wall_time_seconds"}
     assert manifest["command"] == "solve"
     assert manifest["config_format"] == "yaml/1"
     assert manifest["seeds"] == []
@@ -150,6 +153,55 @@ def test_solve_outputs_and_manifest(tmp_path, capsys):
     ).hexdigest()
     assert manifest["config_sha256"] == want_sha
     assert set(manifest["versions"]) == {"kellylab", "numpy", "scipy", "python"}
+
+
+def _loaded_openblas_kernel():
+    """The core name of the one mapped OpenBLAS library (numpy's; scipy's,
+    if mapped, lacks the 64-bit-integer symbol), read through ctypes on the
+    file /proc/self/maps names."""
+    maps = Path("/proc/self/maps")
+    if not maps.exists():
+        pytest.skip("no /proc/self/maps")
+    paths = {line.split()[-1] for line in maps.read_text().splitlines()
+             if "openblas" in line.split()[-1]}
+    symbols = [getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_",
+                       None) for path in sorted(paths)]
+    symbols = [symbol for symbol in symbols if symbol is not None]
+    if len(symbols) != 1:
+        pytest.skip(f"not one mapped OpenBLAS with a core name: {paths}")
+    corename = symbols[0]
+    corename.argtypes = []
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def _solve_manifest(tmp_path):
+    config = write(tmp_path, "tiny.yaml", TINY)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
+    return json.loads((out / "manifest.json").read_text())
+
+
+def test_manifest_records_the_blas_kernel_and_thread_variables(tmp_path):
+    blas = _solve_manifest(tmp_path)["blas"]
+    assert blas["kernel"] == _loaded_openblas_kernel()
+    assert set(blas) == {"kernel", *BLAS_VARS}
+    for var in BLAS_VARS:
+        assert blas[var] == os.environ.get(var)
+
+
+def test_manifest_blas_kernel_is_null_without_the_symbol(tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setattr(cli, "OPENBLAS_CORENAME", "no_such_symbol_")
+    assert _solve_manifest(tmp_path)["blas"]["kernel"] is None
+
+
+def test_manifest_scipy_version_without_the_version_file(tmp_path,
+                                                         monkeypatch):
+    # scipy_file finds nothing, so the version comes from importing scipy
+    monkeypatch.setattr(hmm, "scipy_file", lambda *names: None)
+    manifest = _solve_manifest(tmp_path)
+    assert manifest["versions"]["scipy"] == scipy.__version__
 
 
 def test_solve_regime_switching_summary(tmp_path, capsys):
@@ -675,6 +727,42 @@ def test_cli_import_defers_scipy_linalg():
     assert result.stdout.splitlines()[-1] == "ok"
 
 
+FIXED_COST_CHECK = """\
+import gc
+import sys
+sys.path.insert(0, sys.argv[1])
+import kellylab.cli
+assert "scipy" not in sys.modules
+frozen = gc.get_freeze_count()
+assert frozen > 0
+for command in ("solve", "gridsearch"):
+    out = sys.argv[3] + "/" + command
+    assert kellylab.cli.main([command, "--config", sys.argv[2],
+                              "--out", out]) == 0
+assert "scipy" not in sys.modules
+assert gc.get_freeze_count() == frozen
+print("ok")
+"""
+
+
+def test_cli_never_imports_scipy_and_freezes_once_at_import(tmp_path):
+    # scipy costs ~9 ms to import, and only the manifest's version string
+    # needs it, which is read from scipy/version.py instead. The import-time
+    # objects are frozen once, so that exit skips tearing them down; main()
+    # freezes nothing more
+    config = write(tmp_path, "tiny.yaml", TINY)
+    result = subprocess.run(
+        [sys.executable, "-c", FIXED_COST_CHECK,
+         str(Path(__file__).resolve().parent.parent / "src"), str(config),
+         str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "ok"
+    manifest = json.loads((tmp_path / "gridsearch" / "manifest.json").read_text())
+    assert manifest["versions"]["scipy"] == scipy.__version__
+
+
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 BLAS_CHECK = f"""\
 import os
@@ -916,6 +1004,7 @@ def test_every_subcommand_writes_its_manifest(tmp_path, monkeypatch, command,
     assert manifest["seeds"] == seeds
     assert manifest["config_sha256"] == hashlib.sha256(
         load_config(config).dump().encode("utf-8")).hexdigest()
+    assert manifest["versions"]["scipy"] == scipy.__version__
 
 
 def test_default_output_root(tmp_path, monkeypatch):
