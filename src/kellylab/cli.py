@@ -7,7 +7,7 @@ fully determines every output byte for byte; the run manifest (which carries
 wall time) is the one exception.
 
 Outputs land in --out, or under $KELLYLAB_OUT_ROOT/runs/<command>/<config-stem>/
-by default.
+by default, and appear whole or not at all (see main).
 """
 
 import argparse
@@ -19,6 +19,7 @@ import importlib.util
 import json
 import os
 import platform
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -72,19 +73,24 @@ OPENBLAS_CORENAME = "scipy_openblas_get_corename64_"
 EVAL_HEADER = ["seed", "mean_growth", "mad", "bankruptcies", "n_episodes"]
 
 
-def _out_dir(args, create=True) -> Path:
-    """The command's output directory, created unless told not to. A
-    command asks for it only after its checks and computation, so that a
-    failed run leaves no directory; train, which writes seed by seed, leaves
-    it to be created with its first seed's outputs."""
+def _out_dir(args) -> Path:
+    """The command's output directory, --out as given or its default."""
     if args.out is not None:
-        out = Path(args.out)
+        return Path(args.out)
+    root = Path(os.environ.get(OUT_ROOT_VAR, "."))
+    return root / "runs" / args.command / Path(args.config).stem
+
+
+def _publish(stage: Path, out: Path):
+    """Move stage's entries to out: one rename while out does not exist, else
+    one by one, replacing same-named files and keeping everything else."""
+    if out.exists():
+        for entry in stage.iterdir():
+            os.replace(entry, out / entry.name)
+        stage.rmdir()
     else:
-        root = Path(os.environ.get(OUT_ROOT_VAR, "."))
-        out = root / "runs" / args.command / Path(args.config).stem
-    if create:
-        out.mkdir(parents=True, exist_ok=True)
-    return out
+        out.parent.mkdir(parents=True, exist_ok=True)
+        os.rename(stage, out)
 
 
 def _write_csv(path, header, rows):
@@ -194,20 +200,19 @@ def _episodes(args, default: int) -> int:
 
 
 # -- subcommands -------------------------------------------------------------
-# Each takes (args, exp) and returns (out, seeds) for main's manifest.
+# Each takes (args, exp, out), writes into out and returns its seeds.
 
 
-def cmd_simulate(args, exp: ExperimentConfig):
+def cmd_simulate(args, exp: ExperimentConfig, out: Path):
     episodes = _episodes(args, 1)
     seed = _seeds(args, exp)[0]
-    out = _out_dir(args)
     for ep in range(episodes):
         episode_path(exp.env, seed, ep).write_csv(out / f"path_{ep:03d}.csv")
-    print(f"wrote {episodes} path file(s) to {out}")
-    return out, [seed]
+    print(f"wrote {episodes} path file(s) to {_out_dir(args)}")
+    return [seed]
 
 
-def cmd_solve(args, exp: ExperimentConfig):
+def cmd_solve(args, exp: ExperimentConfig, out: Path):
     market = exp.market
     n = market.n_assets
     rows = []
@@ -233,10 +238,9 @@ def cmd_solve(args, exp: ExperimentConfig):
             [f"pi_{k}" for k in range(market.n_regimes)] + ["switching_growth"],
             [[_fmt(float(p)) for p in pi] + [_fmt(float(g_switch))]],
         ))
-    out = _out_dir(args)
     for name, header, table in tables:
         _write_csv(out / name, header, table)
-    return out, []
+    return []
 
 
 def _train_one(exp: ExperimentConfig, seed: int, out: Path):
@@ -244,7 +248,7 @@ def _train_one(exp: ExperimentConfig, seed: int, out: Path):
     net = _build_net(exp, seed)
     hmm_config = exp.hmm if exp.context_policy else None
     result = train(_env_factory(exp), net, exp.algo, seed, hmm_config=hmm_config)
-    out.mkdir(parents=True, exist_ok=True)
+    out.mkdir()
 
     extra = {
         "seed": seed,
@@ -279,42 +283,43 @@ def _train_one(exp: ExperimentConfig, seed: int, out: Path):
     return ev
 
 
-def cmd_train(args, exp: ExperimentConfig):
+def cmd_train(args, exp: ExperimentConfig, out: Path):
     seeds = _seeds(args, exp)
 
     # every config is built and checked before the first run
     if args.sweep is None:
-        sweep, sub_exps = None, [(None, exp)]
+        key, sub_exps = None, [(None, exp)]
     else:
         base = exp.to_dict()
-        sweep = load_sweep(args.sweep, base)
+        key, values = load_sweep(args.sweep, base)
         sub_exps = [
-            (value, build_config(apply_override(base, sweep.key, value),
-                                 source=f"{args.sweep}: {sweep.key}={value}"))
-            for value in sweep.values
+            (value, build_config(apply_override(base, key, value),
+                                 source=f"{args.sweep}: {key}={value}"))
+            for value in values
         ]
     for _, sub_exp in sub_exps:
         if sub_exp.context_policy:
             check_detector_budget(sub_exp.env, sub_exp.algo, sub_exp.hmm)
-    out = _out_dir(args, create=False)
 
     summary = []
     for value, sub_exp in sub_exps:
-        label = "" if sweep is None else f"{sweep.key}={value}"
+        label = "" if key is None else f"{key}={value}"
         for seed in seeds:
             print(f"training {label + ' ' if label else ''}seed {seed}")
-            ev = _train_one(sub_exp, seed, out / label / f"seed{seed}")
+            ev = _train_one(sub_exp, seed, out / f"seed{seed}")
+            # whole and at once, while later seeds train or fail
+            _publish(out / f"seed{seed}", _out_dir(args) / label / f"seed{seed}")
             row = _eval_row(seed, ev)
-            summary.append(row if sweep is None else [value] + row)
+            summary.append(row if key is None else [value] + row)
             print(
                 f"  eval: mean growth {ev.mean_growth:.6f}, MAD {ev.mad:.6f}, "
                 f"bankruptcies {ev.bankruptcies}"
             )
-    if sweep is None:
+    if key is None:
         _write_csv(out / "train_summary.csv", EVAL_HEADER, summary)
     else:
-        _write_csv(out / "sweep_summary.csv", [sweep.key] + EVAL_HEADER, summary)
-    return out, seeds
+        _write_csv(out / "sweep_summary.csv", [key] + EVAL_HEADER, summary)
+    return seeds
 
 
 def _check_checkpoint_fits(path, net, detector, exp: ExperimentConfig):
@@ -339,7 +344,7 @@ def _check_checkpoint_fits(path, net, detector, exp: ExperimentConfig):
         )
 
 
-def cmd_evaluate(args, exp: ExperimentConfig):
+def cmd_evaluate(args, exp: ExperimentConfig, out: Path):
     """evaluate and baseline: a checkpoint, or without one the analytic
     baseline, across seeds. baseline has no --checkpoint flag."""
     episodes = _episodes(args, exp.run.eval_episodes)
@@ -375,13 +380,12 @@ def cmd_evaluate(args, exp: ExperimentConfig):
             f"MAD {result.mad:.6f}, bankruptcies {result.bankruptcies}"
             f"/{result.n_episodes}"
         )
-    out = _out_dir(args)
     name = "eval.csv" if args.command == "evaluate" else "baseline.csv"
     _write_csv(out / name, EVAL_HEADER, rows)
-    return out, seeds
+    return seeds
 
 
-def cmd_qsurface(args, exp: ExperimentConfig):
+def cmd_qsurface(args, exp: ExperimentConfig, out: Path):
     market = exp.market
     if market.n_regimes != 1 or market.n_assets != 2:
         raise KellylabError(
@@ -395,17 +399,16 @@ def cmd_qsurface(args, exp: ExperimentConfig):
         for i in range(grid.size)
         for j in range(grid.size)
     ]
-    out = _out_dir(args)
     _write_csv(out / "qsurface.csv", ["w_1", "w_2", "growth"], rows)
     i, j = np.unravel_index(int(np.argmax(surface)), surface.shape)
     print(
         f"grid argmax at w = ({grid[i]:.6f}, {grid[j]:.6f}), growth "
         f"{surface[i, j]:.6f}"
     )
-    return out, []
+    return []
 
 
-def cmd_hmm_fit(args, exp: ExperimentConfig):
+def cmd_hmm_fit(args, exp: ExperimentConfig, out: Path):
     seed = _seeds(args, exp)[0]
     n_fit = exp.run.hmm_fit_episodes
     n_eval = exp.run.hmm_eval_episodes
@@ -431,7 +434,6 @@ def cmd_hmm_fit(args, exp: ExperimentConfig):
         score = float(np.mean(perm[predicted] == truth))
         scores.append(score)
         rows.append([ep, _fmt(score)])
-    out = _out_dir(args)
     hmm_module.save(model, out / "hmm.json")
     _write_csv(out / "hmm_eval.csv", ["episode", "accuracy"], rows)
     mean_acc = float(np.mean(scores))
@@ -439,10 +441,10 @@ def cmd_hmm_fit(args, exp: ExperimentConfig):
         f"fitted {model.n_states}-state detector on {n_fit} episodes; mean "
         f"accuracy {mean_acc:.6f} over {n_eval} held-out episodes"
     )
-    return out, [seed]
+    return [seed]
 
 
-def cmd_gridsearch(args, exp: ExperimentConfig):
+def cmd_gridsearch(args, exp: ExperimentConfig, out: Path):
     seed = _seeds(args, exp)[0]
     bcfg = exp.baseline or BaselineConfig()
     result = rs_baseline_grid_search(
@@ -457,7 +459,6 @@ def cmd_gridsearch(args, exp: ExperimentConfig):
          c["bankruptcies"]]
         for c in result.table
     ]
-    out = _out_dir(args)
     _write_csv(
         out / "gridsearch.csv",
         ["fraction", "adjustment_periods", "mean_growth", "bankruptcies"],
@@ -467,7 +468,7 @@ def cmd_gridsearch(args, exp: ExperimentConfig):
         f"best cell: fraction {result.fraction}, adjustment periods "
         f"{result.adjustment_periods}, mean growth {result.mean_growth:.6f}"
     )
-    return out, [seed]
+    return [seed]
 
 
 # -- entry point -------------------------------------------------------------
@@ -525,14 +526,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.seed is not None:  # before any output directory exists
+        if args.seed is not None:
             check_seed(args.seed, "--seed")
         started = time.time()
         exp = load_config(args.config)
-        # a non-finite value ends in bankruptcy or an error line, not a warning
-        with np.errstate(all="ignore"):
-            out, seeds = args.func(args, exp)
-        _write_manifest(out, args.command, exp, seeds, started)
+        # a hidden stage: a failed or interrupted command creates no directory
+        out = _out_dir(args)
+        path = out.resolve()
+        home = next(p for p in (path, *path.parents) if p.exists())
+        stage = home / f".{path.name}.{os.getpid()}.partial"
+        stage.mkdir()
+        try:
+            # a non-finite value ends in bankruptcy or an error line, not a warning
+            with np.errstate(all="ignore"):
+                seeds = args.func(args, exp, stage)
+            _write_manifest(stage, args.command, exp, seeds, started)
+            _publish(stage, out)
+        finally:
+            shutil.rmtree(stage, ignore_errors=True)
         return 0
     except Exception as exc:  # KeyboardInterrupt is no Exception: it propagates
         message = str(exc)

@@ -313,6 +313,9 @@ class RunConfig:
             raise ValueError("seeds must be non-empty")
         for i, seed in enumerate(self.seeds):
             check_seed(seed, f"run.seeds[{i}]")
+            if seed in self.seeds[:i]:
+                raise ConfigError(f"seed {seed} is listed twice",
+                                  path=f"run.seeds[{i}]")
         for name in ("eval_episodes", "hmm_fit_episodes", "hmm_eval_episodes"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -471,38 +474,26 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(text, filename=str(path))
 
 
-@dataclass
-class SweepSpec:
-    """One dotted config key and the values to sweep it over."""
-
-    key: str
-    values: list
-
-    def __post_init__(self):
-        if not self.key or "." not in self.key:
-            raise ValueError(
-                f"sweep key must be a dotted path into the config, got {self.key!r}"
-            )
-        if not self.values:
-            raise ValueError("sweep values must be non-empty")
-
-
-def load_sweep(path, config: dict) -> SweepSpec:
-    """Parse a sweep over `config` (a to_dict() mapping); a key whose parent
-    blocks are missing there fails at the key's line."""
+def load_sweep(path, config: dict):
+    """Parse a sweep over `config` (a to_dict() mapping) into its dotted key
+    and its values; a key whose parent blocks are missing there fails at the
+    key's line."""
     with open(path) as fh:
         text = fh.read()
     data, lines = _load_yaml(text, str(path))
     ctx = _Ctx(lines, str(path))
     spec = _read(data, "", ctx, _SWEEP)
-    if not isinstance(spec["values"], list) or not spec["values"]:
+    key, values = spec["key"], spec["values"]
+    if not isinstance(values, list) or not values:
         ctx.fail("values", "expected a non-empty list")
-    sweep = _build(SweepSpec, "", ctx, **spec)
+    if "." not in key:
+        ctx.fail("key", f"sweep key must be a dotted path into the config, "
+                        f"got {key!r}")
     try:
-        apply_override(config, sweep.key, None)
+        apply_override(config, key, None)
     except ConfigError as exc:
         ctx.fail("key", exc.message)
-    return sweep
+    return key, values
 
 
 def apply_override(data: dict, dotted_key: str, value) -> dict:

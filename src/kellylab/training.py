@@ -247,7 +247,6 @@ def train(
     latest = {"clip_fraction": float("nan"), "approx_kl": float("nan")}
     detector = None
     detector_sequences = []
-    episodes_completed = 0
 
     obs = env.reset()
     context = (_context_from_obs(obs, env.config.window, n_assets, None,
@@ -294,14 +293,13 @@ def train(
                         approx_kl=latest["approx_kl"],
                     )
                 )
-                episodes_completed += 1
                 if is_context and detector is None:
                     seq = np.diff(
                         np.log(env.effective_episode_prices()), axis=0
                     )
                     if seq.shape[0] >= hmm_config.n_states * 10:
                         detector_sequences.append(seq)
-                    if episodes_completed == DETECTOR_FIT_EPISODES:
+                    if len(log) == DETECTOR_FIT_EPISODES:
                         if not detector_sequences:
                             raise FitError(
                                 f"first {DETECTOR_FIT_EPISODES} episodes were "

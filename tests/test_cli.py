@@ -405,6 +405,185 @@ def test_a_seed_whose_training_fails_leaves_no_seed_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def two_seed_run(tmp_path_factory):
+    """A two-seed context config and the outputs of its complete train."""
+    tmp = tmp_path_factory.mktemp("two_seeds")
+    config = write(tmp, "regime.yaml",
+                   REGIME.replace("seeds: [0]", "seeds: [0, 1]"))
+    out = tmp / "out"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+    return config, out
+
+
+def assert_no_stage_left(root):
+    assert not [p for p in root.rglob("*") if p.name.endswith(".partial")]
+
+
+# (writer, the call of it that fails, the seeds finished before that call) in
+# a two-seed context train: each seed writes its detector, checkpoint,
+# training log and updates CSV, evaluates, and writes its eval CSV; the run
+# then writes its summary CSV and the manifest. evaluate's failure is an
+# interrupt.
+SEED_FAILURES = [
+    ("save_checkpoint", 0, 0), ("save_checkpoint", 1, 1),
+    ("write_training_log", 0, 0), ("write_training_log", 1, 1),
+    ("hmm.save", 0, 0), ("hmm.save", 1, 1),
+    ("_write_csv", 0, 0), ("_write_csv", 1, 0), ("_write_csv", 2, 1),
+    ("_write_csv", 3, 1), ("_write_csv", 4, 2),
+    ("_write_manifest", 0, 2),
+    ("evaluate", 0, 0), ("evaluate", 1, 1),
+]
+
+
+@pytest.mark.parametrize("writer, call, finished", SEED_FAILURES)
+def test_a_failed_train_leaves_each_seed_whole_or_absent(
+        tmp_path, capsys, monkeypatch, two_seed_run, writer, call, finished):
+    config, complete = two_seed_run
+    module, name = (hmm, "save") if writer == "hmm.save" else (cli, writer)
+    real = getattr(module, name)
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == call + 1:
+            raise KeyboardInterrupt if name == "evaluate" else OSError("disk full")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, flaky)
+    out = tmp_path / "out"
+    argv = ["train", "--config", str(config), "--out", str(out)]
+    if name == "evaluate":
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+    assert len(calls) == call + 1
+    assert_no_stage_left(tmp_path)
+    if finished == 0:
+        assert not out.exists()
+        return
+    # the finished seeds, byte for byte, and nothing else
+    seeds = [f"seed{seed}" for seed in range(finished)]
+    assert sorted(p.name for p in out.iterdir()) == seeds
+    for seed in seeds:
+        files = sorted(p.name for p in (complete / seed).iterdir())
+        assert sorted(p.name for p in (out / seed).iterdir()) == files
+        for file in files:
+            assert (out / seed / file).read_bytes() == (
+                complete / seed / file).read_bytes()
+
+
+def test_a_failed_hmm_fit_leaves_no_output(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_write_csv", fail)  # after hmm.json
+    config = write(tmp_path, "regime.yaml", REGIME)
+    out = tmp_path / "out"
+    assert main(["hmm-fit", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: disk full\n"
+    assert not out.exists()
+    assert_no_stage_left(tmp_path)
+
+
+def test_an_interrupted_simulate_leaves_no_output(tmp_path, monkeypatch):
+    real = cli.episode_path
+    paths = []
+
+    def interrupt_second(*args):
+        paths.append(args)
+        if len(paths) == 2:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    monkeypatch.setattr(cli, "episode_path", interrupt_second)
+    config = write(tmp_path, "tiny.yaml", TINY)
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        main(["simulate", "--config", str(config), "--out", str(out),
+              "--episodes", "3"])
+    assert not out.exists()
+    assert_no_stage_left(tmp_path)
+
+
+def test_an_existing_out_keeps_other_files_and_gets_new_outputs(tmp_path):
+    config = write(tmp_path, "tiny.yaml", TINY)
+    fresh = tmp_path / "fresh"
+    assert main(["train", "--config", str(config), "--out", str(fresh)]) == 0
+    out = tmp_path / "out"
+    (out / "seed0").mkdir(parents=True)
+    (out / "notes.txt").write_text("mine\n")
+    (out / "seed0" / "notes.txt").write_text("mine too\n")
+    for name in ("train_summary.csv", "seed0/eval.csv"):
+        (out / name).write_text("stale\n")
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+    assert (out / "notes.txt").read_text() == "mine\n"
+    assert (out / "seed0" / "notes.txt").read_text() == "mine too\n"
+    for path in fresh.rglob("*.csv"):
+        assert (out / path.relative_to(fresh)).read_bytes() == path.read_bytes()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "notes.txt", "seed0", "train_summary.csv"]
+    assert_no_stage_left(tmp_path)
+
+
+def test_a_failed_rerun_leaves_the_previous_outputs_as_they_were(
+        tmp_path, monkeypatch):
+    config = write(tmp_path, "tiny.yaml", TINY)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 0
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    longer = write(tmp_path, "longer.yaml",
+                   TINY.replace("total_steps: 16", "total_steps: 32"))
+
+    def fail(path, header, rows):
+        if path.name == "eval.csv":  # after the checkpoint and both logs
+            raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_write_csv", fail)
+    assert main(["train", "--config", str(longer), "--out", str(out)]) == 1
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+    assert_no_stage_left(tmp_path)
+
+
+def test_out_may_be_the_working_directory(tmp_path, capsys, monkeypatch):
+    config = write(tmp_path, "tiny.yaml", TINY)
+    here = tmp_path / "here"
+    here.mkdir()
+    monkeypatch.chdir(here)
+    for _ in range(2):  # into an empty directory, then over its own outputs
+        assert main(["simulate", "--config", str(config), "--out", "."]) == 0
+        assert capsys.readouterr().out == "wrote 1 path file(s) to .\n"
+        assert sorted(p.name for p in here.iterdir()) == [
+            "manifest.json", "path_000.csv"]
+    assert_no_stage_left(tmp_path)
+
+
+def test_an_out_that_is_a_file_fails_before_the_command_runs(tmp_path,
+                                                             capsys):
+    config = write(tmp_path, "tiny.yaml", TINY)
+    taken = write(tmp_path, "taken", "mine\n")
+    for out in (taken, taken / "sub"):
+        assert main(["solve", "--config", str(config), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 20] Not a directory: ")
+    assert taken.read_text() == "mine\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken", "tiny.yaml"]
+
+
+def test_a_repeated_seed_is_rejected(tmp_path, capsys):
+    config = write(tmp_path, "tiny.yaml",
+                   TINY.replace("seeds: [0]", "seeds: [0, 0]"))
+    line = TINY.splitlines().index("  seeds: [0]") + 1
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {config}:{line}: run.seeds[1]: seed 0 is listed twice\n")
+    assert not out.exists()
+
+
 def test_train_sweep_checks_every_value_before_the_first_run(tmp_path,
                                                               capsys):
     # 264 steps fit the detector; 216 finish only 9 of its 10 episodes
@@ -665,7 +844,9 @@ def test_evaluate_context_checkpoint_under_window_1_fails_cleanly(
 
 
 def test_unexpected_errors_are_one_line(tmp_path, capsys, monkeypatch):
-    def fail(args, exp):
+    monkeypatch.setenv("KELLYLAB_OUT_ROOT", str(tmp_path / "root"))
+
+    def fail(args, exp, out):
         raise RuntimeError("first line\nsecond line")
 
     monkeypatch.setattr(cli, "cmd_solve", fail)
@@ -673,12 +854,13 @@ def test_unexpected_errors_are_one_line(tmp_path, capsys, monkeypatch):
     assert main(["solve", "--config", str(config)]) == 1
     assert capsys.readouterr().err == "error: RuntimeError: first line second line\n"
 
-    def interrupt(args, exp):
+    def interrupt(args, exp, out):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(cli, "cmd_solve", interrupt)
     with pytest.raises(KeyboardInterrupt):
         main(["solve", "--config", str(config)])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.yaml"]
 
 
 RUN_MAIN = """\

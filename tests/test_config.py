@@ -13,7 +13,6 @@ from kellylab.config import (
     CONFIG_FORMAT,
     QSurfaceConfig,
     RunConfig,
-    SweepSpec,
     apply_override,
     load_config,
     load_sweep,
@@ -250,6 +249,13 @@ def test_run_block_validation():
     assert excinfo.value.path == "run.seeds"
     with pytest.raises(ValueError, match="seeds must be non-empty"):
         RunConfig(seeds=())
+    # a repeated seed would train twice into one directory
+    text = MINIMAL + "run:\n  seeds: [3, 0,\n          0]\n"
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text, filename="exp.yaml")
+    line = text.splitlines().index("          0]") + 1
+    assert str(excinfo.value) == (
+        f"exp.yaml:{line}: run.seeds[2]: seed 0 is listed twice")
     with pytest.raises(ValueError, match="eval_episodes must be positive"):
         RunConfig(eval_episodes=0)
 
@@ -280,18 +286,23 @@ def test_baseline_block():
 
 def test_load_sweep_file():
     config = load_config(CONFIG_DIR / "single_asset.yaml").to_dict()
-    sweep = load_sweep(CONFIG_DIR / "sweep_lambda.yaml", config)
-    assert sweep.key == "algo.gae_lambda"
-    assert sweep.values == [0.0, 0.5, 0.9, 0.95, 1.0]
+    key, values = load_sweep(CONFIG_DIR / "sweep_lambda.yaml", config)
+    assert key == "algo.gae_lambda"
+    assert values == [0.0, 0.5, 0.9, 0.95, 1.0]
 
 
 def test_sweep_spec_validation(tmp_path):
-    with pytest.raises(ValueError, match="dotted path"):
-        SweepSpec(key="lambda", values=[1])
-    with pytest.raises(ValueError, match="non-empty"):
-        SweepSpec(key="algo.gae_lambda", values=[])
     config = load_config(CONFIG_DIR / "single_asset.yaml").to_dict()
     bad = tmp_path / "sweep.yaml"
+    bad.write_text("values: [1]\nkey: lambda\n")
+    with pytest.raises(ConfigError) as excinfo:
+        load_sweep(bad, config)
+    assert str(excinfo.value) == (
+        f"{bad}:2: key: sweep key must be a dotted path into the config, "
+        f"got 'lambda'")
+    bad.write_text("key: algo.gae_lambda\nvalues: []\n")
+    with pytest.raises(ConfigError, match="non-empty list"):
+        load_sweep(bad, config)
     bad.write_text("key: algo.gae_lambda\nvalues: 3\n")
     with pytest.raises(ConfigError, match="non-empty list"):
         load_sweep(bad, config)
@@ -440,7 +451,7 @@ def valid_configs(draw):
     if draw(st.booleans()):
         run = data["run"] = {}
         _maybe(draw, run, "seeds", st.lists(st.integers(0, 99), min_size=1,
-                                            max_size=4))
+                                            max_size=4, unique=True))
         for key in ("eval_episodes", "hmm_fit_episodes", "hmm_eval_episodes"):
             _maybe(draw, run, key, counts)
     if draw(st.booleans()):
