@@ -114,10 +114,19 @@ def _eval_row(seed: int, ev) -> list:
             ev.n_episodes]
 
 
+def _scipy_file(name):
+    """The path of scipy's file name, found without importing scipy, or None."""
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec.submodule_search_locations or ()) if spec else ():
+        if os.path.isfile(os.path.join(root, name)):
+            return os.path.join(root, name)
+    return None
+
+
 def _scipy_version() -> str:
     """scipy.__version__, read from scipy/version.py without importing scipy
     (~9 ms and ~0.9 MB that no command needs)."""
-    path = hmm_module.scipy_file("version.py")
+    path = _scipy_file("version.py")
     if path is None:
         import scipy
 
@@ -130,15 +139,12 @@ def _scipy_version() -> str:
 
 def _blas_kernel():
     """The core name (e.g. SkylakeX) of the OpenBLAS that numpy's wheel
-    bundles and has loaded, or None without that library or symbol. Output
-    bits are reproducible only under the same kernel."""
-    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
-        "*openblas*"))
-    try:
-        corename = getattr(ctypes.CDLL(str(libs[0])), OPENBLAS_CORENAME)
-    except (IndexError, OSError, AttributeError):
+    bundles and has loaded, which also runs the detector's solves, or None
+    without that library or symbol. Output bits are reproducible only under
+    the same kernel."""
+    corename = hmm_module.openblas_function(OPENBLAS_CORENAME)
+    if corename is None:
         return None
-    corename.argtypes = []
     corename.restype = ctypes.c_char_p
     return corename().decode()
 

@@ -477,7 +477,7 @@ def load_config(path) -> ExperimentConfig:
 def load_sweep(path, config: dict):
     """Parse a sweep over `config` (a to_dict() mapping) into its dotted key
     and its values; a key whose parent blocks are missing there fails at the
-    key's line."""
+    key's line, and a value that prints like an earlier one at its own."""
     with open(path) as fh:
         text = fh.read()
     data, lines = _load_yaml(text, str(path))
@@ -486,6 +486,9 @@ def load_sweep(path, config: dict):
     key, values = spec["key"], spec["values"]
     if not isinstance(values, list) or not values:
         ctx.fail("values", "expected a non-empty list")
+    for i, value in enumerate(values):  # each value's runs go under key=value
+        if str(value) in map(str, values[:i]):
+            ctx.fail(f"values[{i}]", f"value {value} is listed twice")
     if "." not in key:
         ctx.fail("key", f"sweep key must be a dotted path into the config, "
                         f"got {key!r}")

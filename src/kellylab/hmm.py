@@ -8,20 +8,20 @@ arithmetic keeps million-step sequences from underflowing.
 
 The Viterbi recursion (Rabiner 1989) runs over a stack of equal-length
 sequences, one loop over time for the whole stack; one sequence is a stack of
-one. The fit trains its restarts in lockstep, decoding all of them in one
-call per sequence length, with the bits of training them one after another
-(see fit). Emission solves call LAPACK dtrtrs, loaded from scipy's extension
-file without the scipy.linalg import (_dtrtrs). predict_current runs only
-the forward max pass (no backpointers); max is exact, so its label is
-decode's last state bit for bit. It labels one window (a training
-step's). SlidingLabels labels a stack of windows that slide by one row a
-period (an evaluation wave's lanes) with predict_current's labels: it keeps
-each window's emissions and solves only the newest rows, all lanes' in one
-block, shifting the block and rerunning the forward pass; on any other clock
-it recomputes the full windows, with one triangular solve per state over all
-their rows. A one-row solve rounds differently from the same row in a larger
-block, so a one-row block is solved as that row twice over; a row then has
-the same bits in every block.
+one. The fit trains its restarts in lockstep, decoding all of them in one call
+per sequence length, with the bits of training them one after another (see
+fit). Emission solves call LAPACK dtrtrs in the OpenBLAS bundled with numpy
+(_solver), so one library runs every BLAS and LAPACK call. predict_current
+runs only the forward max pass (no backpointers); max is exact, so its label
+is decode's last state bit for bit. It labels one window (a training step's).
+SlidingLabels labels a stack of windows that slide by one row a period (an
+evaluation wave's lanes) with predict_current's labels: it keeps each window's
+emissions and solves only the newest rows, all lanes' in one block, shifting
+the block and rerunning the forward pass; on any other clock it recomputes the
+full windows, with one triangular solve per state over all their rows. A
+one-row solve rounds differently from the same row in a larger block, so a
+one-row block is solved as that row twice over; a row then has the same bits
+in every block.
 Both label by one of two forward passes with the same sums and maxes: a
 two-state model's windows, up to _FLOAT_PASS_LANES of them, one by one on
 Python floats, and any other stack as numpy over the whole stack.
@@ -32,13 +32,12 @@ The fit works on raw, unlabelled returns, so its state indices are arbitrary
 (label switching): best_permutation() maps them onto simulator regimes.
 """
 
+import ctypes
 import functools
-import importlib.machinery
-import importlib.util
 import itertools
 import json
-import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -132,43 +131,48 @@ class GaussianHmmModel:
 _LOG_2PI = np.log(2.0 * np.pi)
 
 
-def scipy_file(*names):
-    """The first of these files (paths relative to scipy's package
-    directory) that exists, or None: found without importing scipy, which
-    the CLI never does (its version is read from version.py)."""
-    spec = importlib.util.find_spec("scipy")
-    roots = spec.submodule_search_locations if spec else None
-    for root in roots or ():
-        for name in names:
-            path = os.path.join(root, name)
-            if os.path.isfile(path):
-                return path
-    return None
-
-
-def _flapack_path():
-    """scipy's compiled LAPACK wrappers (linalg/_flapack*.so), or None when
-    the file is not found (scipy_file)."""
-    return scipy_file(*(os.path.join("linalg", "_flapack" + suffix)
-                        for suffix in importlib.machinery.EXTENSION_SUFFIXES))
+@functools.cache
+def openblas_function(name):
+    """The function name of the OpenBLAS that numpy's wheel bundles and has
+    loaded (ctypes), or None without that library or symbol."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob(
+        "*openblas*"))
+    try:
+        return getattr(ctypes.CDLL(str(libs[0])), name)
+    except (IndexError, OSError, AttributeError):
+        return None
 
 
 @functools.cache
-def _dtrtrs():
-    """LAPACK dtrtrs, loaded once from the extension file that
-    scipy.linalg.lapack wraps, which _flapack_path finds. Loading the file
-    alone skips the imports of scipy and scipy.linalg, which cost ~0.2 s and
-    ~17 MB; the function is the same (one process that takes both routes
-    gets one function object)."""
-    path = _flapack_path()
-    if path is None:
+def _solver():
+    """solve(chol, rows) -> (z, info): z (n, T) = chol^-1 rows.T, for a lower
+    Cholesky factor chol (n, n) and rows (T, n), C-ordered float64 arrays.
+
+    dtrtrs of numpy's OpenBLAS (openblas_function), ILP64, on chol's memory
+    read as the upper factor chol.T, transposed, in place: z is rows.T.
+    Without that symbol, scipy.linalg.lapack.dtrtrs.
+    """
+    dtrtrs = openblas_function("scipy_dtrtrs_64_")
+    if dtrtrs is None:
         from scipy.linalg.lapack import dtrtrs
 
-        return dtrtrs
-    spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
-    flapack = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(flapack)
-    return flapack.dtrtrs
+        return lambda chol, rows: dtrtrs(chol.T, rows.T, lower=0, trans=1)
+    # every argument is a ctypes object of its C type, all but the arrays
+    # built once, so no argtypes: their conversion cost ~1.4 us a call
+    dtrtrs.restype = None
+    n, nrhs, info = ctypes.c_int64(), ctypes.c_int64(), ctypes.c_int64()
+    n_ref, nrhs_ref, info_ref = (ctypes.byref(i) for i in (n, nrhs, info))
+    upper, trans, nonunit = (ctypes.c_char_p(c) for c in (b"U", b"T", b"N"))
+    one = ctypes.c_size_t(1)  # the flags' hidden Fortran string lengths
+    ref, memory = ctypes.byref, ctypes.c_char.from_buffer
+
+    def solve(chol, rows):
+        nrhs.value, n.value = rows.shape
+        dtrtrs(upper, trans, nonunit, n_ref, nrhs_ref, ref(memory(chol)),
+               n_ref, ref(memory(rows)), n_ref, info_ref, one, one, one)
+        return rows.T, info.value
+
+    return solve
 
 
 def _emission_logprobs(model: GaussianHmmModel, x: np.ndarray) -> np.ndarray:
@@ -182,16 +186,15 @@ def _emission_logprobs(model: GaussianHmmModel, x: np.ndarray) -> np.ndarray:
     t, n = x.shape
     if t == 1:
         return _emission_logprobs(model, np.vstack((x, x)))[:1]
-    dtrtrs = _dtrtrs()
+    solve = _solver()
     out = np.empty((t, model.n_states))
     for k in range(model.n_states):
-        diff = x - model.means[k]
+        diff = np.subtract(x, model.means[k], order="C")
         if not np.isfinite(diff).all():
             raise ValueError("array must not contain infs or NaNs")
         # the LAPACK call that solve_triangular(chol, diff.T, lower=True)
-        # makes, without its per-call overhead; the check above is its
-        # check_finite
-        z, info = dtrtrs(model._chol[k].T, diff.T, lower=0, trans=1)
+        # makes, in place on C-ordered diff; check_finite is the check above
+        z, info = solve(model._chol[k], diff)
         if info != 0:
             raise np.linalg.LinAlgError(f"triangular solve failed (info {info})")
         quad = np.sum(z * z, axis=0)

@@ -30,9 +30,11 @@ LOG_STD_MAX = 2.0
 
 CHECKPOINT_VERSION = 1
 
+_ADAM_CHUNK = 2**14  # elements per pass of Adam.step
+
 
 class Param:
-    """A trainable array and its gradient accumulator."""
+    """A trainable array and its gradient, which each backward writes."""
 
     __slots__ = ("name", "value", "grad")
 
@@ -81,15 +83,15 @@ class Dense:
         return z
 
     def backward(self, d_out, input_grad=True):
-        """Accumulate W and b gradients; return the input gradient if asked."""
+        """Write the W and b gradients; return the input gradient if asked."""
         if self.activation == "tanh":
             dz = d_out * (1.0 - self._out**2)
         elif self.activation == "relu":
             dz = d_out * (self._z > 0.0)
         else:
             dz = d_out
-        self.W.grad += self._x.T @ dz
-        self.b.grad += dz.sum(axis=0)
+        np.matmul(self._x.T, dz, out=self.W.grad)
+        np.sum(dz, axis=0, out=self.b.grad)
         return dz @ self.W.value.T if input_grad else None
 
 
@@ -184,9 +186,6 @@ class _NetBase:
         d_prod = self.shared.backward(d_feat, input_grad=True)
         self.feature.backward(d_prod * self._regime_out)
         self.regime.backward(d_prod * self._feat_out)
-
-    def zero_grads(self):
-        self.flat_grad.fill(0.0)
 
     def clamp_log_std(self):
         np.clip(self.log_std.value, LOG_STD_MIN, LOG_STD_MAX, out=self.log_std.value)
@@ -336,8 +335,10 @@ class Adam:
     """Adaptive moment estimation over a net's parameter vector.
 
     beta1 = 0.9, beta2 = 0.999, eps = 1e-8; bias-corrected first and second
-    moments, one shared step counter. The step writes through preallocated
-    scratch vectors, so it allocates nothing per call.
+    moments, one shared step counter. The step runs its passes chunk by
+    chunk, _ADAM_CHUNK elements at a time, through two chunk-sized scratch
+    vectors, so it allocates nothing per call. Every pass is elementwise, so
+    the bits are those of each pass over the whole vector.
     """
 
     def __init__(self, net, learning_rate):
@@ -347,28 +348,31 @@ class Adam:
         self.t = 0
         self._m = np.zeros_like(self.value)
         self._v = np.zeros_like(self.value)
-        self._scratch = (np.empty_like(self.value), np.empty_like(self.value))
+        bounds = range(_ADAM_CHUNK, self.value.size, _ADAM_CHUNK)
+        scratch = np.empty((2, min(self.value.size, _ADAM_CHUNK)))
+        # per chunk: its (value, grad, m, v) views and two scratch rows
+        self._chunks = [(*views, *scratch[:, :len(views[0])]) for views in zip(
+            *(np.split(a, bounds) for a in (self.value, self.grad, self._m, self._v)))]
 
     def step(self):
         self.t += 1
         b1, b2 = 0.9, 0.999
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
-        m, v, g = self._m, self._v, self.grad
-        step, denom = self._scratch
-        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
-        m *= b1
-        m += np.multiply(g, 1.0 - b1, out=step)
-        v *= b2
-        v += np.multiply(np.square(g, out=step), 1.0 - b2, out=step)
-        # value -= lr (m / bias1) / (sqrt(v / bias2) + eps); a bias that
-        # has rounded to exactly 1.0 divides nothing (x / 1.0 == x), so its
-        # division is skipped
-        v_hat = np.divide(v, bias2, out=denom) if bias2 != 1.0 else v
-        np.add(np.sqrt(v_hat, out=denom), 1e-8, out=denom)
-        m_hat = np.divide(m, bias1, out=step) if bias1 != 1.0 else m
-        np.multiply(m_hat, self.learning_rate, out=step)
-        self.value -= np.divide(step, denom, out=step)
+        for value, g, m, v, step, denom in self._chunks:
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, out=step)
+            v *= b2
+            v += np.multiply(np.square(g, out=step), 1.0 - b2, out=step)
+            # value -= lr (m / bias1) / (sqrt(v / bias2) + eps); a bias that
+            # has rounded to exactly 1.0 divides nothing (x / 1.0 == x), so
+            # its division is skipped
+            v_hat = np.divide(v, bias2, out=denom) if bias2 != 1.0 else v
+            np.add(np.sqrt(v_hat, out=denom), 1e-8, out=denom)
+            m_hat = np.divide(m, bias1, out=step) if bias1 != 1.0 else m
+            np.multiply(m_hat, self.learning_rate, out=step)
+            value -= np.divide(step, denom, out=step)
 
 
 def global_grad_norm(params) -> float:

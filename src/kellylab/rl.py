@@ -186,7 +186,7 @@ class MiniBatch(NamedTuple):
 
 
 def loss_and_grads(net, batch: MiniBatch, config: TrainConfig) -> dict:
-    """Forward pass, every loss term, and analytic gradients accumulated into
+    """Forward pass, every loss term, and analytic gradients written into
     the net's params, in one pass.
 
     Row-wise log density: -0.5 sum(((a - mean) / std)^2) - sum(log_std)
@@ -241,9 +241,8 @@ def loss_and_grads(net, batch: MiniBatch, config: TrainConfig) -> dict:
     d_log_std -= config.entropy_coef  # d(-coef * entropy)/d log_std
     d_value = config.value_coef * 2.0 * value_err / n
 
-    net.zero_grads()
     net.backward(d_mean, d_value)
-    net.log_std.grad += d_log_std
+    net.log_std.grad[...] = d_log_std
     return {
         "policy_loss": policy_loss,
         "value_loss": value_loss,

@@ -198,8 +198,8 @@ def test_manifest_blas_kernel_is_null_without_the_symbol(tmp_path,
 
 def test_manifest_scipy_version_without_the_version_file(tmp_path,
                                                          monkeypatch):
-    # scipy_file finds nothing, so the version comes from importing scipy
-    monkeypatch.setattr(hmm, "scipy_file", lambda *names: None)
+    # _scipy_file finds nothing, so the version comes from importing scipy
+    monkeypatch.setattr(cli, "_scipy_file", lambda name: None)
     manifest = _solve_manifest(tmp_path)
     assert manifest["versions"]["scipy"] == scipy.__version__
 
@@ -896,10 +896,9 @@ print("ok")
 
 
 def test_cli_import_defers_scipy_linalg():
-    # scipy.linalg takes ~0.2 s and ~17 MB to import. The detector loads
-    # only the LAPACK extension file that holds dtrtrs, so fitting, decoding
-    # and labelling leave it unimported; rescale_transition, its one user,
-    # imports it on first use
+    # scipy.linalg takes ~0.2 s and ~17 MB to import. The detector solves in
+    # the OpenBLAS numpy bundles, so fitting, decoding and labelling leave it
+    # unimported; rescale_transition, its one user, imports it on first use
     result = subprocess.run(
         [sys.executable, "-c", IMPORT_CHECK,
          str(Path(__file__).resolve().parent.parent / "src")],
@@ -907,6 +906,38 @@ def test_cli_import_defers_scipy_linalg():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "ok"
+
+
+ONE_OPENBLAS_CHECK = """\
+import json
+import sys
+sys.path.insert(0, sys.argv[1])
+from kellylab.cli import main
+assert main(["train", "--config", sys.argv[2], "--out", sys.argv[3]]) == 0
+files = {line.split()[-1] for line in open("/proc/self/maps")}
+print(json.dumps([sorted(f for f in files if "openblas" in f),
+                  "scipy.linalg._flapack" in sys.modules]))
+"""
+
+
+def test_a_context_train_maps_one_openblas(tmp_path):
+    # The detector's solves run in numpy's OpenBLAS, so a context run maps
+    # no second build (scipy's, +2.6 MB resident) and no scipy LAPACK module
+    if not Path("/proc/self/maps").exists():
+        pytest.skip("no /proc/self/maps")
+    config = write(tmp_path, "regime.yaml", REGIME)
+    result = subprocess.run(
+        [sys.executable, "-c", ONE_OPENBLAS_CHECK,
+         str(Path(__file__).resolve().parent.parent / "src"), str(config),
+         str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    libraries, flapack = json.loads(result.stdout.splitlines()[-1])
+    assert len(libraries) == 1, libraries
+    assert not flapack
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())[
+        "blas"]["kernel"] == _loaded_openblas_kernel()
 
 
 FIXED_COST_CHECK = """\
@@ -1122,6 +1153,20 @@ def test_train_sweep(tmp_path):
     assert summary[0] == ("algo.gae_lambda,seed,mean_growth,mad,"
                           "bankruptcies,n_episodes")
     assert len(summary) == 3
+
+
+def test_train_sweep_rejects_a_repeated_value(tmp_path, capsys):
+    config = write(tmp_path, "tiny.yaml", TINY)
+    sweep = write(tmp_path, "sweep.yaml",
+                  "key: algo.gae_lambda\nvalues: [0.5, 0.5]\n")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config), "--out", str(out),
+                 "--sweep", str(sweep)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {sweep}:2: values[1]: value 0.5 is listed twice\n")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, message", [

@@ -311,6 +311,23 @@ def test_sweep_spec_validation(tmp_path):
         load_sweep(bad, config)
 
 
+def test_sweep_rejects_a_value_listed_twice(tmp_path):
+    # each value's runs go under key=value, so a repeat would train twice
+    # into one directory; values that print alike count as repeats
+    config = load_config(CONFIG_DIR / "single_asset.yaml").to_dict()
+    bad = tmp_path / "sweep.yaml"
+    for values, line, index, text in [
+        ("[0.5, 0.5]", 2, 1, "0.5"),
+        ("[0.9, 0.5, '0.5']", 2, 2, "0.5"),
+        ("\n  - 0.9\n  - 1\n  - 0.9", 5, 2, "0.9"),
+    ]:
+        bad.write_text(f"key: algo.gae_lambda\nvalues: {values}\n")
+        with pytest.raises(ConfigError) as excinfo:
+            load_sweep(bad, config)
+        assert str(excinfo.value) == (
+            f"{bad}:{line}: values[{index}]: value {text} is listed twice")
+
+
 def test_apply_override():
     data = yaml.safe_load(load_config(CONFIG_DIR / "etf3.yaml").dump())
     out = apply_override(data, "algo.learning_rate", 1e-4)

@@ -2,10 +2,7 @@
 
 import itertools
 import json
-import subprocess
-import sys
 import zlib
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -679,11 +676,11 @@ def test_blas_solves_a_column_the_same_in_any_block_of_two_or_more():
     # and the fit solves all its sequences' rows in one block; both rely on
     # each row getting the bits of its own window's solve. That holds for
     # the BLAS this package is tested on; a BLAS for which it does not must
-    # fail here rather than let labels drift.
-    dtrtrs = hmm_module._dtrtrs()
+    # fail here rather than let labels drift. The solver is the one in use.
+    solver = hmm_module._solver()
 
     def solve(chol, rows):
-        z, info = dtrtrs(chol.T, rows.T, lower=0, trans=1)
+        z, info = solver(chol, np.array(rows))  # it solves in place
         assert info == 0
         return z
 
@@ -725,54 +722,31 @@ def test_a_one_row_emission_has_the_bits_of_its_row_in_any_block():
             assert alone.tobytes() == emis[i].tobytes(), (n, i)
 
 
-LOADED_DTRTRS = """\
-import sys
-sys.path.insert(0, sys.argv[1])
-import numpy as np
-from kellylab import hmm
-assert hmm._flapack_path() is not None
-rng = np.random.default_rng(16)
-arrays = {}
-for n in range(1, 9):
-    a = rng.normal(0.0, 0.01, size=(n, n))
-    chol = np.linalg.cholesky(a @ a.T + 1e-4 * np.eye(n))
-    for t_len in (1, 2, 3, 59, 1280):
-        rows = rng.normal(0.0, 0.02, size=(t_len, n))
-        z, info = hmm._dtrtrs()(chol.T, rows.T, lower=0, trans=1)
-        assert info == 0
-        arrays[f"chol_{n}_{t_len}"], arrays[f"rows_{n}_{t_len}"] = chol, rows
-        arrays[f"z_{n}_{t_len}"] = z
-assert "scipy.linalg" not in sys.modules
-np.savez(sys.argv[2], **arrays)
-"""
-
-
-def test_the_loaded_dtrtrs_gives_scipy_linalg_lapacks_bits(tmp_path):
-    # The detector loads dtrtrs from scipy's LAPACK extension file, without
-    # importing scipy.linalg. In a process that never imports scipy.linalg,
-    # its solves must have the bits of scipy.linalg.lapack.dtrtrs.
+def test_the_loaded_dtrtrs_gives_scipy_linalg_lapacks_bits():
+    # The detector's solves call dtrtrs in the OpenBLAS bundled with numpy,
+    # not the build scipy.linalg.lapack wraps. Where the two differ in any
+    # bit, this fails rather than let labels and fits drift.
     from scipy.linalg.lapack import dtrtrs
 
-    out = tmp_path / "solves.npz"
-    result = subprocess.run(
-        [sys.executable, "-c", LOADED_DTRTRS,
-         str(Path(__file__).resolve().parent.parent / "src"), str(out)],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    with np.load(out) as solves:
-        keys = [k[2:] for k in solves.files if k.startswith("z_")]
-        assert len(keys) == 40
-        for key in keys:
-            chol, rows = solves[f"chol_{key}"], solves[f"rows_{key}"]
-            z, info = dtrtrs(chol.T, rows.T, lower=0, trans=1)
-            assert info == 0
-            assert z.tobytes() == solves[f"z_{key}"].tobytes(), key
+    solve = hmm_module._solver()
+    rng = np.random.default_rng(16)
+    cases = 0
+    for n in range(1, 9):
+        a = rng.normal(0.0, 0.01, size=(n, n))
+        chol = np.linalg.cholesky(a @ a.T + 1e-4 * np.eye(n))
+        for t_len in (1, 2, 3, 59, 1280):
+            rows = rng.normal(0.0, 0.02, size=(t_len, n))
+            want, want_info = dtrtrs(chol.T, rows.T, lower=0, trans=1)
+            got, info = solve(chol, rows.copy())
+            assert (info, want_info) == (0, 0)
+            assert got.tobytes() == want.tobytes(), (n, t_len)
+            cases += 1
+    assert cases == 40
 
 
 def test_the_scipy_linalg_fallback_gives_the_same_fit_and_labels(monkeypatch):
-    # Where scipy's extension file is not found, dtrtrs comes from
-    # scipy.linalg.lapack; the fit and the labels must not change.
+    # Where numpy's OpenBLAS or its dtrtrs is not found, the solve is
+    # scipy.linalg.lapack's; the fit and the labels must not change.
     rng = np.random.default_rng(17)
     seqs = [sample_chain(rng, 200, means=[-0.02, 0.02], stds=[0.01, 0.02],
                          transition=[[0.95, 0.05], [0.1, 0.9]])[0]
@@ -781,17 +755,16 @@ def test_the_scipy_linalg_fallback_gives_the_same_fit_and_labels(monkeypatch):
     config = HmmFitConfig(n_states=2, n_init=3)
     want = fit(seqs, config, rng=np.random.default_rng(0))
     labels = [predict_current(want, w) for w in windows]
-    monkeypatch.setattr(hmm_module, "_flapack_path", lambda: None)
-    hmm_module._dtrtrs.cache_clear()
+    assert hmm_module.openblas_function("scipy_dtrtrs_64_") is not None
+    monkeypatch.setattr(hmm_module, "openblas_function", lambda name: None)
+    hmm_module._solver.cache_clear()
     try:
-        from scipy.linalg.lapack import dtrtrs
-
-        assert hmm_module._dtrtrs() is dtrtrs
+        assert hmm_module._solver().__name__ == "<lambda>"
         got = fit(seqs, config, rng=np.random.default_rng(0))
         assert_same_model(got, want)
         assert [predict_current(got, w) for w in windows] == labels
     finally:
-        hmm_module._dtrtrs.cache_clear()
+        hmm_module._solver.cache_clear()
 
 
 def test_log_returns_of_a_windows_last_rows_keep_the_full_windows_bits():

@@ -160,8 +160,8 @@ def oracle_backward(net, d_mean, d_value):
             dz = d_out * (layer._z > 0.0)
         else:
             dz = d_out
-        layer.W.grad += layer._x.T @ dz
-        layer.b.grad += dz.sum(axis=0)
+        layer.W.grad[...] = layer._x.T @ dz
+        layer.b.grad[...] = dz.sum(axis=0)
         return dz @ layer.W.value.T
 
     def stack(chain, d_out):
@@ -195,11 +195,9 @@ def test_backward_matches_an_oracle_that_computes_every_input_gradient(make):
     net.forward(*inputs)
     d_mean = rng.normal(size=(rows, net.action_dim))
     d_value = rng.normal(size=rows)
-    net.zero_grads()
     net.backward(d_mean, d_value)
     got = net.flat_grad.copy()
     got_norm = clip_grad_norm(net, 0.0)
-    net.zero_grads()
     oracle_backward(net, d_mean, d_value)
     assert np.array_equal(got.view(np.int64), net.flat_grad.view(np.int64))
     # the gradient norm, per parameter in params() order, as it was summed
@@ -224,14 +222,6 @@ def test_stack_input_gradient_only_on_request():
     for layer in reversed(net.shared.layers):
         want = (want * (1.0 - layer._out**2)) @ layer.W.value.T
     assert np.array_equal(d_in, want)
-
-
-def test_zero_grads():
-    net = PolicyNet(3, 1, np.random.default_rng(0), hidden=(4,))
-    for p in net.params():
-        p.grad[...] = 1.0
-    net.zero_grads()
-    assert all(np.all(p.grad == 0.0) for p in net.params())
 
 
 def test_adam_single_step_closed_form():
@@ -285,6 +275,46 @@ def test_adam_skips_only_exact_no_op_bias_divisions(t):
         assert opt.value.tobytes() == expected.tobytes(), step
         assert opt._m.tobytes() == m.tobytes()
         assert opt._v.tobytes() == v.tobytes()
+
+
+def one_pass_adam_step(opt):
+    """Oracle: Adam's step as one pass of each operation over the whole
+    vector, through full-length scratch."""
+    opt.t += 1
+    b1, b2 = 0.9, 0.999
+    bias1 = 1.0 - b1**opt.t
+    bias2 = 1.0 - b2**opt.t
+    m, v, g = opt._m, opt._v, opt.grad
+    step, denom = np.empty_like(m), np.empty_like(m)
+    m *= b1
+    m += np.multiply(g, 1.0 - b1, out=step)
+    v *= b2
+    v += np.multiply(np.square(g, out=step), 1.0 - b2, out=step)
+    v_hat = np.divide(v, bias2, out=denom) if bias2 != 1.0 else v
+    np.add(np.sqrt(v_hat, out=denom), 1e-8, out=denom)
+    m_hat = np.divide(m, bias1, out=step) if bias1 != 1.0 else m
+    np.multiply(m_hat, opt.learning_rate, out=step)
+    opt.value -= np.divide(step, denom, out=step)
+
+
+def test_chunked_adam_has_the_bits_of_one_pass_over_the_vector():
+    # two whole chunks and a 5-element tail: every chunk bound is crossed
+    size = 2 * kellylab.nets._ADAM_CHUNK + 5
+    rng = np.random.default_rng(21)
+    value, grad = rng.normal(size=size), np.empty(size)
+    chunked = Adam(SimpleNamespace(flat=value.copy(), flat_grad=grad),
+                   learning_rate=3e-4)
+    oracle = Adam(SimpleNamespace(flat=value.copy(), flat_grad=grad),
+                  learning_rate=3e-4)
+    assert len(chunked._chunks) == 3
+    for _ in range(20):
+        grad[...] = rng.normal(size=size) * rng.choice([1e-6, 1.0, 1e3],
+                                                       size=size)
+        chunked.step()
+        one_pass_adam_step(oracle)
+        assert chunked.value.tobytes() == oracle.value.tobytes()
+        assert chunked._m.tobytes() == oracle._m.tobytes()
+        assert chunked._v.tobytes() == oracle._v.tobytes()
 
 
 def test_grad_norm_and_clipping():

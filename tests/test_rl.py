@@ -398,9 +398,8 @@ def loss_and_grads_oracle(net, batch, config):
     d_log_std -= config.entropy_coef
     d_value = config.value_coef * 2.0 * (value - batch.returns) / n
 
-    net.zero_grads()
     net.backward(d_mean, d_value)
-    net.log_std.grad += d_log_std
+    net.log_std.grad[...] = d_log_std
     return terms
 
 
@@ -489,7 +488,7 @@ def test_fused_loss_and_grads_matches_the_two_pass_oracle(
                                     entropy_coef, normalize, spread, extreme)
     want = loss_and_grads_oracle(net, batch, config)
     want_grad = net.flat_grad.copy()
-    net.flat_grad.fill(np.pi)  # the fused pass must zero what it accumulates
+    net.flat_grad.fill(np.pi)  # the fused pass must write every gradient
     got = loss_and_grads(net, batch, config)
     # the oracle also returned its forward arrays, which nothing read
     assert got.keys() == want.keys() - {"mean", "value", "log_probs", "ratio"}
@@ -499,6 +498,20 @@ def test_fused_loss_and_grads_matches_the_two_pass_oracle(
     assert same_bits(net.flat_grad, want_grad)
     if extreme == "underflow":
         assert got["approx_kl"] == np.inf  # log(0) = -inf, silenced
+
+
+@pytest.mark.parametrize("context", [False, True])
+def test_loss_and_grads_writes_every_gradient(context):
+    # nothing zeroes the gradient first: a NaN left anywhere would show
+    net, batch, config = drawn_case(41, "ppo", context, 12, 2, 0.01, True,
+                                    0.5, None)
+    net.flat_grad.fill(0.0)
+    loss_and_grads(net, batch, config)
+    want = net.flat_grad.copy()
+    net.flat_grad.fill(np.nan)
+    loss_and_grads(net, batch, config)
+    assert same_bits(net.flat_grad, want)
+    assert np.isfinite(want).all()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
