@@ -10,6 +10,10 @@ verification of every path).
 Sign conventions: losses are minimized; advantages enter PPO normalized per
 minibatch (mean 0, std 1 with ddof=1, skipped when the spread is below 1e-8)
 and raw for A2C.
+
+RolloutBuffer keeps each price row of a rollout once (an episode's
+consecutive price windows share all but one row) and gathers each minibatch's
+observations from those rows: the same floats in the same C-ordered layout.
 """
 
 import math
@@ -132,26 +136,50 @@ def gae_advantages(rewards, values, dones, bootstrap_value, gamma, lam):
 
 
 class RolloutBuffer:
-    """Fixed-size on-policy transition store for one update."""
+    """Fixed-size on-policy transition store for one update.
 
-    def __init__(self, size, obs_dim, action_dim, context_dim=None):
+    An observation is `window` rows of `row_size` values, then a tail. Each
+    step keeps its tail and its window's offset in one flat run of rows; a
+    segment start (the first step, and each step after a done) adds its whole
+    window to the run, any other step only its newest row. This rests on a
+    contract PortfolioEnv keeps, as its history rows are frozen once written:
+    inside an episode, each observation's rows are the previous one's last
+    window - 1 rows plus one new row. T steps in S segments keep
+    T + S (window - 1) rows; the default, one row of obs_dim, keeps each
+    observation whole. compute_advantages() takes one sliding-window view of
+    the run, and gather(idx) indexes it by the steps' window offsets.
+    """
+
+    def __init__(self, size, obs_dim, action_dim, context_dim=None, window=1,
+                 row_size=None):
         self.size = int(size)
-        self.observations = np.zeros((size, obs_dim))
+        self.window = int(window)
+        self.row_size = obs_dim if row_size is None else int(row_size)
+        self._head = self.window * self.row_size
+        # room for one segment; add() grows it when a rollout has more
+        self._rows = np.empty(self._head + (self.size - 1) * self.row_size)
+        self._starts = np.zeros(size, dtype=np.intp)
+        self._tails = np.zeros((size, obs_dim - self._head))
         self.actions = np.zeros((size, action_dim))
         self.log_probs = np.zeros(size)
         self.rewards = np.zeros(size)
         self.values = np.zeros(size)
         self.dones = np.zeros(size)
         self.contexts = None if context_dim is None else np.zeros((size, context_dim))
-        self.advantages = None
-        self.returns = None
-        self.pos = 0
+        self.reset()
 
     def add(self, obs, action, log_prob, reward, value, done, context=None):
         if self.pos >= self.size:
             raise ValueError("rollout buffer is full")
         i = self.pos
-        self.observations[i] = obs
+        head, r = self._head, self._n_values
+        k = head if i == 0 or self.dones[i - 1] else self.row_size
+        if r + k > self._rows.shape[0]:  # np.resize keeps the rows first
+            self._rows = np.resize(self._rows, max(r + k, 2 * r))
+        self._rows[r : r + k] = obs[head - k : head]
+        self._n_values = r = r + k
+        self._starts[i] = r - head
+        self._tails[i] = obs[head:]
         self.actions[i] = action
         self.log_probs[i] = log_prob
         self.rewards[i] = reward
@@ -169,10 +197,22 @@ class RolloutBuffer:
         self.advantages, self.returns = gae_advantages(
             self.rewards, self.values, self.dones, bootstrap_value, gamma, lam
         )
+        self._windows = np.lib.stride_tricks.sliding_window_view(
+            self._rows[: self._n_values], self._head)
+
+    def gather(self, idx) -> np.ndarray:
+        """Copies of the observations of steps idx, C-ordered (len(idx), D)."""
+        head = self._head
+        out = np.empty((len(idx), head + self._tails.shape[1]))
+        out[:, :head] = self._windows[self._starts[idx]]
+        out[:, head:] = self._tails[idx]
+        return out
 
     def reset(self):
         self.advantages = None
         self.returns = None
+        self._windows = None
+        self._n_values = 0  # in _rows
         self.pos = 0
 
 
@@ -253,20 +293,20 @@ def loss_and_grads(net, batch: MiniBatch, config: TrainConfig) -> dict:
     }
 
 
-def act_and_value(net, observation, rng, context=None):
-    """(sampled action, log-probability, value) in a single forward pass."""
+def act_and_value(net, observation, rng, std, log_std_sum, context=None):
+    """(sampled action, log-probability, value) in a single forward pass.
+    The caller computes std = exp(log_std) and log_std_sum =
+    float(log_std.sum()) once per rollout: only ppo_update moves log_std."""
     obs = np.asarray(observation, dtype=np.float64)[None, :]
     if context is not None:
         context = np.asarray(context, dtype=np.float64)[None, :]
     mean, value = net.forward(obs, context)
     mean = mean[0]
-    log_std = net.log_std.value
-    std = np.exp(log_std)
     action = mean + std * rng.standard_normal(mean.shape[0])
     # loss_and_grads' log density of the one row, in its order of operations
     diff = (action - mean) / std
     log_prob = (
-        -0.5 * float((diff**2).sum()) - float(log_std.sum())
+        -0.5 * float((diff**2).sum()) - log_std_sum
         - 0.5 * mean.shape[0] * _LOG_2PI
     )
     return action, log_prob, float(value[0])
@@ -313,11 +353,10 @@ def ppo_update(net, buffer: RolloutBuffer, config: TrainConfig, optimizer: Adam,
         order = np.arange(buffer.size) if a2c else rng.permutation(buffer.size)
         for start in range(0, buffer.size, batch_size):
             idx = order[start : start + batch_size]
-            adv = _normalized(
-                buffer.advantages[idx], config.advantage_normalization
-            )
+            adv = _normalized(buffer.advantages[idx],
+                              config.advantage_normalization)
             batch = MiniBatch(
-                observations=buffer.observations[idx],
+                observations=buffer.gather(idx),
                 actions=buffer.actions[idx],
                 old_log_probs=buffer.log_probs[idx],
                 advantages=adv,

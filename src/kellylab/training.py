@@ -236,11 +236,9 @@ def train(
     update_rng = stream(seed, UPDATE_STREAM)
     optimizer = Adam(net, config.learning_rate)
     buffer = RolloutBuffer(
-        config.rollout_steps,
-        env.config.observation_dim,
-        n_assets,
+        config.rollout_steps, env.config.observation_dim, n_assets,
         context_dim=net.context_dim if is_context else None,
-    )
+        window=env.config.window, row_size=n_assets)
 
     log = []
     updates = []
@@ -259,14 +257,14 @@ def train(
 
     while total < config.total_steps:
         buffer.reset()
+        std = np.exp(net.log_std.value)
+        log_std_sum = float(net.log_std.value.sum())
         for _ in range(config.rollout_steps):
             action, log_prob, value = act_and_value(
-                net, obs, action_rng, context=context
-            )
+                net, obs, action_rng, std, log_std_sum, context)
             result = env.step(action)
-            buffer.add(
-                obs, action, log_prob, result.reward, value, result.done, context
-            )
+            buffer.add(obs, action, log_prob, result.reward, value, result.done,
+                       context)
             total += 1
             reward_sum += result.reward
             weight_rows[episode_steps, 0] = 1.0 - action.sum()

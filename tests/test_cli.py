@@ -196,6 +196,45 @@ def test_manifest_blas_kernel_is_null_without_the_symbol(tmp_path,
     assert _solve_manifest(tmp_path)["blas"]["kernel"] is None
 
 
+TRAIN_RUN = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+from kellylab.cli import main
+sys.exit(main(["train", "--config", sys.argv[2], "--out", sys.argv[3]]))
+"""
+
+
+def test_the_recorded_blas_kernel_reproduces_the_run(tmp_path):
+    # Bits are reproducible per kernel, and the manifest names the kernel:
+    # forcing that name through OPENBLAS_CORETYPE must give the same bits,
+    # in the nets' matmuls and the detector's solves alike
+    config = write(tmp_path, "regime.yaml", REGIME)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+
+    def run(name, **preset):
+        out = tmp_path / name
+        result = subprocess.run(
+            [sys.executable, "-c", TRAIN_RUN,
+             str(Path(__file__).resolve().parent.parent / "src"), str(config),
+             str(out)],
+            capture_output=True, text=True, timeout=300, env={**env, **preset},
+        )
+        assert result.returncode == 0, result.stderr
+        return out, json.loads((out / "manifest.json").read_text())
+
+    default, manifest = run("default")
+    kernel = manifest["blas"]["kernel"]
+    if kernel is None:
+        pytest.skip("the manifest names no BLAS kernel")
+    forced, manifest = run("forced", OPENBLAS_CORETYPE=kernel)
+    assert manifest["blas"]["kernel"] == kernel
+    for name in ("training_log.csv", "updates.csv", "checkpoint.npz",
+                 "eval.csv"):
+        digests = [hashlib.sha256((out / "seed0" / name).read_bytes()).digest()
+                   for out in (default, forced)]
+        assert digests[0] == digests[1], name
+
+
 def test_manifest_scipy_version_without_the_version_file(tmp_path,
                                                          monkeypatch):
     # _scipy_file finds nothing, so the version comes from importing scipy

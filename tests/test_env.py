@@ -323,6 +323,28 @@ def test_step_observation_equals_the_weight_row_formula(leverage, bankrupt):
     assert (env.t < cfg.n_periods) == bankrupt
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("leverage", [0.4, 40.0])
+def test_each_observation_slides_the_price_window_by_one_row(leverage):
+    # RolloutBuffer keeps an episode's price rows once on this contract: an
+    # observation's rows are the previous one's last window - 1 rows and one
+    # new row
+    cfg = make_config(market=shipped("regimes3").market,
+                      impact=shipped("regimes3").env.impact, window=5,
+                      horizon_years=1.0)
+    env = PortfolioEnv(cfg, master_seed=3)
+    n = cfg.n_assets
+    head = n * cfg.window
+    obs = env.reset(episode=1)
+    result = None
+    while result is None or not result.done:
+        result = env.step(leverage * np.array([1.0, -0.5, 0.8]))
+        new = result.observation
+        assert np.array_equal(new[: head - n].view(np.int64),
+                              obs[n:head].view(np.int64))
+        obs = new
+
+
 def test_effective_prices_equal_unaffected_without_impact():
     cfg = make_config(market=RegimeModel.single(regime("etf3")))
     env = PortfolioEnv(cfg, master_seed=0)

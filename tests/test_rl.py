@@ -5,6 +5,7 @@ backward pass: central differences over the full flattened parameter vector,
 compared to the analytic gradient by vector-norm relative error.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kellylab.env import PortfolioEnv
 from kellylab.nets import Adam, ContextPolicyNet, PolicyNet, clip_grad_norm
 from kellylab.rl import (
     MiniBatch,
@@ -25,6 +27,7 @@ from kellylab.rl import (
     loss_and_grads,
     ppo_update,
 )
+from shipped import shipped
 
 
 def same_bits(a, b) -> bool:
@@ -135,12 +138,16 @@ def test_sample_action_moments():
     obs = np.array([0.3, -0.2, 0.1])
     mean = net.forward(obs[None, :])[0][0, 0]
     rng = np.random.default_rng(1)
-    draws = np.array([act_and_value(net, obs, rng)[0][0] for _ in range(20000)])
+    std = np.exp(net.log_std.value)
+    log_std_sum = float(net.log_std.value.sum())
+    draws = np.array([act_and_value(net, obs, rng, std, log_std_sum)[0][0]
+                      for _ in range(20000)])
     assert abs(draws.mean() - mean) < 3.0 * 0.5 / np.sqrt(20000)
     assert abs(draws.std(ddof=1) - 0.5) < 3.0 * 0.5 / np.sqrt(2 * 20000)
     # reported log-probability is the density at the sampled action, and
     # the value is the forward pass's
-    action, log_prob, value = act_and_value(net, obs, np.random.default_rng(2))
+    action, log_prob, value = act_and_value(net, obs, np.random.default_rng(2),
+                                            std, log_std_sum)
     want = float(gaussian_log_prob(
         np.array([[mean]]), net.log_std.value, action[None, :])[0])
     assert log_prob == pytest.approx(want, rel=1e-12)
@@ -524,30 +531,40 @@ def test_ppo_update_matches_the_two_pass_oracle_loop(case):
     context_dim = 2 if case == "context" else None
 
     def setup():
+        """A net, and a buffer of observations laid out as two 2-value rows
+        that slide within each 10-step episode, then one tail value; the
+        oracle reads its own record of the observations."""
         rng = np.random.default_rng(31)
         if context_dim:
             net = ContextPolicyNet(5, 2, 2, rng, feature_sizes=(8, 4),
                                    regime_sizes=(4, 4), shared_sizes=(4,))
         else:
             net = PolicyNet(5, 2, rng, hidden=(8, 8))
-        buffer = RolloutBuffer(24, 5, 2, context_dim=context_dim)
+        buffer = RolloutBuffer(24, 5, 2, context_dim=context_dim, window=2,
+                               row_size=2)
+        observations = np.empty((24, 5))
+        rows = rng.normal(size=(2, 2))
         for i in range(24):
-            buffer.add(rng.normal(size=5), rng.normal(size=2),
+            observations[i] = np.append(rows.ravel(), rng.normal())
+            done = i % 10 == 9
+            buffer.add(observations[i], rng.normal(size=2),
                        float(rng.normal(-2.0, 0.3)), float(rng.normal()),
-                       float(rng.normal()), i % 10 == 9,
+                       float(rng.normal()), done,
                        context=rng.dirichlet(np.ones(2)) if context_dim else None)
+            rows = (rng.normal(size=(2, 2)) if done
+                    else np.vstack([rows[1:], rng.normal(size=(1, 2))]))
         buffer.compute_advantages(0.3, 0.99, 0.9)
         if case == "nan":
             buffer.returns[17] = np.nan
-        return net, buffer
+        return net, buffer, observations
 
     config = TrainConfig(
         total_steps=24, learning_rate=1e-2, rollout_steps=24, batch_size=8,
         n_epochs=3, entropy_coef=0.05 if case == "entropy" else 0.0,
         advantage_normalization=case != "unnormalized", **ALGOS[algo],
     )
-    net, buffer = setup()
-    oracle_net, oracle_buffer = setup()
+    net, buffer, _ = setup()
+    oracle_net, oracle_buffer, oracle_observations = setup()
     optimizer, oracle_optimizer = Adam(net, 1e-2), Adam(oracle_net, 1e-2)
     rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
     a2c = config.algo == "a2c"
@@ -562,7 +579,7 @@ def test_ppo_update_matches_the_two_pass_oracle_loop(case):
                 idx = order[start:start + batch_size]
                 b = oracle_buffer
                 batch = MiniBatch(
-                    b.observations[idx], b.actions[idx], b.log_probs[idx],
+                    oracle_observations[idx], b.actions[idx], b.log_probs[idx],
                     normalized_oracle(b.advantages[idx],
                                       config.advantage_normalization),
                     b.returns[idx],
@@ -677,6 +694,91 @@ def test_buffer_lifecycle_errors():
         ppo_update(net, fresh, TrainConfig.a2c(total_steps=2), Adam(net, 1e-3))
 
 
+def env_rollouts(env_config, size, n_rollouts, leverage=0.3, context_dim=None):
+    """Fill one buffer n_rollouts times, reset() between, from PortfolioEnv
+    steps in train's order: add each observation, and after a done start the
+    next episode. Yields (buffer, observations, contexts, bankruptcies) after
+    each rollout, with test-local (size, obs_dim) and (size, K) records."""
+    env = PortfolioEnv(env_config, master_seed=3)
+    n, dim = env_config.n_assets, env_config.observation_dim
+    rng = np.random.default_rng(8)
+    buffer = RolloutBuffer(size, dim, n, context_dim=context_dim,
+                           window=env_config.window, row_size=n)
+    obs = env.reset()
+    for _ in range(n_rollouts):
+        observations = np.empty((size, dim))
+        contexts = None if context_dim is None else np.empty((size, context_dim))
+        bankruptcies = 0
+        buffer.reset()
+        for i in range(size):
+            action = leverage * (1.0 + 0.1 * rng.standard_normal(n))
+            observations[i] = obs
+            context = None
+            if contexts is not None:
+                context = contexts[i] = rng.dirichlet(np.ones(context_dim))
+            result = env.step(action)
+            buffer.add(obs, action, 0.0, result.reward, 0.0, result.done,
+                       context)
+            bankruptcies += result.bankrupt
+            obs = env.reset() if result.done else result.observation
+        buffer.compute_advantages(0.0, 0.99, 0.9)
+        yield buffer, observations, contexts, bankruptcies
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", ["episodes", "mid-episode", "bankrupt"])
+def test_the_buffer_gathers_the_observations_it_was_given(case):
+    if case == "episodes":
+        # 128-step episodes: each 400-step rollout holds several, and every
+        # step carries a context
+        env_config = dataclasses.replace(shipped("regimes3").env,
+                                         horizon_years=0.5)
+        rollouts = env_rollouts(env_config, 400, 3, context_dim=3)
+    elif case == "mid-episode":
+        # 256-step episodes, 300-step rollouts: rollouts start and end inside
+        # episodes
+        rollouts = env_rollouts(shipped("single_asset").env, 300, 3)
+    else:
+        rollouts = env_rollouts(shipped("regimes3").env, 200, 3, leverage=40.0)
+    order = np.random.default_rng(0)
+    for buffer, observations, contexts, bankruptcies in rollouts:
+        if case == "bankrupt":
+            assert bankruptcies >= 2
+        # PPO's shuffled 64-row minibatches, then A2C's whole rollout
+        idx = order.permutation(buffer.size)
+        batches = [idx[s : s + 64] for s in range(0, buffer.size, 64)]
+        for batch in batches + [np.arange(buffer.size)]:
+            got = buffer.gather(batch)
+            assert got.flags.c_contiguous
+            assert same_bits(got, observations[batch])
+        if contexts is not None:
+            assert same_bits(buffer.contexts, contexts)
+
+
+def owned_nbytes(obj) -> int:
+    """Bytes of the distinct arrays that obj's array attributes view."""
+    roots = {}
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            while value.base is not None:
+                value = value.base
+            roots[id(value)] = value.nbytes
+    return sum(roots.values())
+
+
+def test_a_full_etf3_rollout_keeps_each_price_row_once():
+    # each rollout is one 1,280-step episode: 1,339 price rows of 3, not
+    # 1,280 observations of 184 (~1.9 MB), also once the buffer is reused
+    env_config = shipped("etf3").env
+    dim = env_config.observation_dim
+    for buffer, observations, _, _ in env_rollouts(env_config, 1280, 3):
+        assert owned_nbytes(buffer) < 250_000
+        assert not any(
+            value.shape[-1:] == (dim,) for value in vars(buffer).values()
+            if isinstance(value, np.ndarray) and value.base is None)
+        assert same_bits(buffer.gather(np.arange(1280)), observations)
+
+
 def test_ppo_update_runs_and_moves_parameters():
     rng = np.random.default_rng(12)
     net = PolicyNet(4, 1, rng, hidden=(8,))
@@ -708,12 +810,12 @@ def test_a2c_update_takes_one_step():
     assert not np.array_equal(before, net.flat)
 
 
-def a2c_update_oracle(net, buffer, config, optimizer):
+def a2c_update_oracle(net, buffer, observations, config, optimizer):
     """The separate A2C update that ppo_update absorbed, kept as the oracle:
-    one step over the whole rollout as stored, no index, no rng."""
+    one step over the whole rollout as recorded, no index, no rng."""
     adv = _normalized(buffer.advantages, config.advantage_normalization)
     batch = MiniBatch(
-        observations=buffer.observations,
+        observations=observations,
         actions=buffer.actions,
         old_log_probs=buffer.log_probs,
         advantages=adv,
@@ -731,7 +833,8 @@ def a2c_update_oracle(net, buffer, config, optimizer):
 
 
 def a2c_case(case):
-    """A fresh (net, filled buffer) pair; equal on every call."""
+    """A fresh net, filled buffer and record of the buffer's observations;
+    equal on every call."""
     rng = np.random.default_rng(21)
     context_dim = 2 if case == "context" else None
     if context_dim:
@@ -740,16 +843,17 @@ def a2c_case(case):
     else:
         net = PolicyNet(4, 2, rng, hidden=(8,))
     buffer = RolloutBuffer(8, 4, 2, context_dim=context_dim)
+    observations = rng.normal(size=(8, 4))
     for i in range(8):
         buffer.add(
-            rng.normal(size=4), rng.normal(size=2), float(rng.normal()),
+            observations[i], rng.normal(size=2), float(rng.normal()),
             float(rng.normal()), float(rng.normal()), i == 7,
             context=rng.dirichlet(np.ones(2)) if context_dim else None,
         )
     buffer.compute_advantages(0.0, 0.99, 0.9)
     if case == "aborted":
         buffer.advantages[3] = np.inf
-    return net, buffer
+    return net, buffer, observations
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -760,8 +864,8 @@ def test_ppo_update_on_a2c_config_matches_the_a2c_oracle(case):
         total_steps=8, rollout_steps=8, batch_size=4, n_epochs=3,
         advantage_normalization=case == "normalized",
     )
-    net, buffer = a2c_case(case)
-    oracle_net, oracle_buffer = a2c_case(case)
+    net, buffer, _ = a2c_case(case)
+    oracle_net, oracle_buffer, oracle_observations = a2c_case(case)
     optimizer = Adam(net, 1e-3)
     oracle_optimizer = Adam(oracle_net, 1e-3)
     rng = np.random.default_rng(0)
@@ -769,8 +873,8 @@ def test_ppo_update_on_a2c_config_matches_the_a2c_oracle(case):
     start = net.flat.copy()
     for _ in range(3):
         diag = ppo_update(net, buffer, config, optimizer, rng)
-        want = a2c_update_oracle(oracle_net, oracle_buffer, config,
-                                 oracle_optimizer)
+        want = a2c_update_oracle(oracle_net, oracle_buffer,
+                                 oracle_observations, config, oracle_optimizer)
         assert diag.keys() == want.keys()
         for key, value in want.items():
             assert diag[key] == value or (math.isnan(diag[key])

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kellylab import hmm as hmm_module
+from kellylab import training
 from kellylab.baselines import RegimeSwitchingPolicy
 from kellylab.env import EnvConfig, PortfolioEnv
 from kellylab.errors import FitError
@@ -17,7 +18,7 @@ from kellylab.hmm import GaussianHmmModel, HmmFitConfig, predict_current
 from kellylab.impact import ImpactParams
 from kellylab.market import MarketParams, RegimeModel
 from kellylab.nets import ContextPolicyNet, PolicyNet
-from kellylab.rl import TrainConfig
+from kellylab.rl import RolloutBuffer, TrainConfig
 from kellylab.training import (
     EVAL_EPISODE_OFFSET,
     EvalResult,
@@ -567,6 +568,50 @@ def test_train_fits_the_detector_after_ten_episodes():
     assert result.detector.n_states == 2
     assert len(result.log) == 11
     assert all(np.isfinite(row.growth) for row in result.log)
+
+
+@pytest.mark.parametrize("case", ["context", "a2c"])
+def test_train_updates_on_the_observations_it_collected(case, monkeypatch):
+    # 24-period episodes and 40-step rollouts: rollouts start and end inside
+    # episodes, and the context run fits its detector after 10 episodes
+    config = make_config(horizon_years=0.09375, window=3)
+    buffers = []
+
+    class RecordingBuffer(RolloutBuffer):
+        """Keeps a (size, obs_dim) record of what it is given, and checks
+        every gather against it."""
+
+        def __init__(self, size, obs_dim, *args, **kwargs):
+            super().__init__(size, obs_dim, *args, **kwargs)
+            self.record = np.empty((size, obs_dim))
+            self.gathered = 0
+            buffers.append(self)
+
+        def add(self, obs, *args):
+            self.record[self.pos] = obs
+            super().add(obs, *args)
+
+        def gather(self, idx):
+            got = super().gather(idx)
+            assert np.array_equal(got.view(np.int64),
+                                  self.record[idx].view(np.int64))
+            self.gathered += len(idx)
+            return got
+
+    monkeypatch.setattr(training, "RolloutBuffer", RecordingBuffer)
+    if case == "context":
+        net = context_net_for(config)
+        algo = small_ppo(24 * 11, rollout_steps=40, batch_size=8)
+    else:
+        net = PolicyNet(config.observation_dim, 1, np.random.default_rng(5),
+                        hidden=(8,))
+        algo = TrainConfig.a2c(24 * 11, rollout_steps=40)
+    result = train(factory_for(config), net, algo, seed=0,
+                   hmm_config=HmmFitConfig(n_states=2, n_init=2))
+    (buffer,) = buffers
+    assert (buffer.window, buffer.row_size) == (3, 1)
+    assert buffer.gathered == len(result.updates) * 40 * algo.effective_epochs
+    assert (result.detector is not None) == (case == "context")
 
 
 def test_train_raises_when_episodes_are_too_short_for_the_detector():
