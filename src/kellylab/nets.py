@@ -91,7 +91,7 @@ class Dense:
         else:
             dz = d_out
         np.matmul(self._x.T, dz, out=self.W.grad)
-        np.sum(dz, axis=0, out=self.b.grad)
+        np.add.reduce(dz, axis=0, out=self.b.grad)  # np.sum, unwrapped
         return dz @ self.W.value.T if input_grad else None
 
 
@@ -188,7 +188,8 @@ class _NetBase:
         self.regime.backward(d_prod * self._feat_out)
 
     def clamp_log_std(self):
-        np.clip(self.log_std.value, LOG_STD_MIN, LOG_STD_MAX, out=self.log_std.value)
+        v = self.log_std.value  # np.clip's bits, without its wrapper
+        np.minimum(np.maximum(v, LOG_STD_MIN, out=v), LOG_STD_MAX, out=v)
 
 
 class PolicyNet(_NetBase):
@@ -379,7 +380,7 @@ def global_grad_norm(params) -> float:
     total = 0.0
     for p in params:
         g = p.grad
-        total += float((g * g).sum())
+        total += float(np.add.reduce(g * g, axis=None))
     return math.sqrt(total)
 
 

@@ -148,6 +148,7 @@ class RolloutBuffer:
     T + S (window - 1) rows; the default, one row of obs_dim, keeps each
     observation whole. compute_advantages() takes one sliding-window view of
     the run, and gather(idx) indexes it by the steps' window offsets.
+    add() leaves log_probs to the caller, which fills a rollout's at once.
     """
 
     def __init__(self, size, obs_dim, action_dim, context_dim=None, window=1,
@@ -168,10 +169,14 @@ class RolloutBuffer:
         self.contexts = None if context_dim is None else np.zeros((size, context_dim))
         self.reset()
 
-    def add(self, obs, action, log_prob, reward, value, done, context=None):
+    def add(self, obs, action, reward, value, done, context=None):
         if self.pos >= self.size:
             raise ValueError("rollout buffer is full")
         i = self.pos
+        if self.contexts is not None:  # checked and written first
+            if context is None:
+                raise ValueError("this buffer expects a context per step")
+            self.contexts[i] = context
         head, r = self._head, self._n_values
         k = head if i == 0 or self.dones[i - 1] else self.row_size
         if r + k > self._rows.shape[0]:  # np.resize keeps the rows first
@@ -181,14 +186,9 @@ class RolloutBuffer:
         self._starts[i] = r - head
         self._tails[i] = obs[head:]
         self.actions[i] = action
-        self.log_probs[i] = log_prob
         self.rewards[i] = reward
         self.values[i] = value
         self.dones[i] = float(done)
-        if self.contexts is not None:
-            if context is None:
-                raise ValueError("this buffer expects a context per step")
-            self.contexts[i] = context
         self.pos = i + 1
 
     def compute_advantages(self, bootstrap_value, gamma, lam):
@@ -225,12 +225,22 @@ class MiniBatch(NamedTuple):
     contexts: np.ndarray = None
 
 
+def log_density(diff2, log_std_sum, out=None) -> np.ndarray:
+    """Row-wise diagonal-Gaussian log density from the squared standardized
+    residuals diff2 = ((a - mean) / std)**2: -0.5 sum(diff2) - sum(log_std)
+    - 0.5 d log(2 pi), evaluated left to right, into `out` if given."""
+    out = np.add.reduce(diff2, axis=1, out=out)
+    out *= -0.5
+    out -= log_std_sum
+    out -= 0.5 * diff2.shape[1] * _LOG_2PI
+    return out
+
+
 def loss_and_grads(net, batch: MiniBatch, config: TrainConfig) -> dict:
     """Forward pass, every loss term, and analytic gradients written into
     the net's params, in one pass.
 
-    Row-wise log density: -0.5 sum(((a - mean) / std)^2) - sum(log_std)
-    - 0.5 d log(2 pi), evaluated left to right; the entropy is sum(log_std)
+    The log density is log_density's; the entropy is sum(log_std)
     + 0.5 d (log(2 pi) + 1). The per-sample policy gradient through the ratio
     is zeroed exactly when the clipped branch is active: (A > 0 and
     rho > 1 + eps) or (A < 0 and rho < 1 - eps); ties at the boundary keep
@@ -242,9 +252,7 @@ def loss_and_grads(net, batch: MiniBatch, config: TrainConfig) -> dict:
     std = np.exp(log_std)
     diff = (batch.actions - mean) / std
     diff2 = diff**2
-    log_probs = (
-        -0.5 * diff2.sum(axis=1) - log_std_sum - 0.5 * mean.shape[1] * _LOG_2PI
-    )
+    log_probs = log_density(diff2, log_std_sum)
     ratio = np.exp(log_probs - batch.old_log_probs)
     adv = batch.advantages
     n = len(adv)
@@ -277,7 +285,7 @@ def loss_and_grads(net, batch: MiniBatch, config: TrainConfig) -> dict:
     clipped_out = int(np.count_nonzero(np.abs(ratio_step) > config.clip_range))
 
     d_mean = d_log_probs[:, None] * diff / std
-    d_log_std = np.sum(d_log_probs[:, None] * (diff2 - 1.0), axis=0)
+    d_log_std = np.add.reduce(d_log_probs[:, None] * (diff2 - 1.0), axis=0)
     d_log_std -= config.entropy_coef  # d(-coef * entropy)/d log_std
     d_value = config.value_coef * 2.0 * value_err / n
 
@@ -293,23 +301,16 @@ def loss_and_grads(net, batch: MiniBatch, config: TrainConfig) -> dict:
     }
 
 
-def act_and_value(net, observation, rng, std, log_std_sum, context=None):
-    """(sampled action, log-probability, value) in a single forward pass.
-    The caller computes std = exp(log_std) and log_std_sum =
-    float(log_std.sum()) once per rollout: only ppo_update moves log_std."""
-    obs = np.asarray(observation, dtype=np.float64)[None, :]
-    if context is not None:
-        context = np.asarray(context, dtype=np.float64)[None, :]
-    mean, value = net.forward(obs, context)
+def act_and_value(net, observation, noise, std, context=None):
+    """(action, policy mean, value) in a single forward pass, with action =
+    mean + std * noise. The caller draws the noise and computes std =
+    exp(log_std) once per rollout (only ppo_update moves log_std), and
+    computes the rollout's log-probabilities after it (only the update reads
+    them)."""
+    mean, value = net.forward(
+        observation[None, :], None if context is None else context[None, :])
     mean = mean[0]
-    action = mean + std * rng.standard_normal(mean.shape[0])
-    # loss_and_grads' log density of the one row, in its order of operations
-    diff = (action - mean) / std
-    log_prob = (
-        -0.5 * float((diff**2).sum()) - log_std_sum
-        - 0.5 * mean.shape[0] * _LOG_2PI
-    )
-    return action, log_prob, float(value[0])
+    return mean + std * noise, mean, float(value[0])
 
 
 def _normalized(advantages, enabled: bool) -> np.ndarray:

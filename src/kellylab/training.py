@@ -21,7 +21,8 @@ from . import hmm as hmm_module
 from .env import PortfolioEnv
 from .errors import FitError
 from .nets import Adam, ContextPolicyNet
-from .rl import TrainConfig, RolloutBuffer, act_and_value, ppo_update
+from .rl import (TrainConfig, RolloutBuffer, act_and_value, log_density,
+                 ppo_update)
 from .rng import ACTION_STREAM, HMM_STREAM, UPDATE_STREAM, stream
 
 
@@ -59,18 +60,19 @@ class NetPolicy:
         return self.net.forward(obs, context)[0]
 
 
-def _context_from_obs(obs, window, n_assets, detector, n_states) -> np.ndarray:
-    """One-hot detector label (K,) of one observation (D,): the detector
-    sees the log returns of its leading (window, n_assets) price rows.
+def _context_from_obs(obs, window, n_assets, detector, one_hot) -> np.ndarray:
+    """Detector label of one observation (D,) as its row of the (K, K)
+    identity `one_hot`: the detector sees the log returns of the
+    observation's leading (window, n_assets) price rows.
 
     Before the detector exists the context is uniform over regimes, keeping
     the elementwise-product trunk live without asserting a label.
     """
     if detector is None:
-        return np.full(n_states, 1.0 / n_states)
-    prices = obs[: n_assets * window].reshape(window, n_assets)
-    return np.eye(n_states)[
-        hmm_module.predict_current(detector, np.diff(np.log(prices), axis=0))]
+        return np.full(len(one_hot), 1.0 / len(one_hot))
+    log_prices = np.log(obs[: n_assets * window].reshape(window, n_assets))
+    return one_hot[hmm_module.predict_current(
+        detector, log_prices[1:] - log_prices[:-1])]
 
 
 @dataclass
@@ -246,34 +248,36 @@ def train(
     detector = None
     detector_sequences = []
 
+    one_hot = np.eye(net.context_dim) if is_context else None
     obs = env.reset()
     context = (_context_from_obs(obs, env.config.window, n_assets, None,
-                                 net.context_dim) if is_context else None)
+                                 one_hot) if is_context else None)
     reward_sum = 0.0
     # the episode's weight rows so far (cash first), one row per step
     weight_rows = np.empty((env.config.n_periods, n_assets + 1))
+    # a rollout's action noise; each row becomes its step's policy mean
+    noise = np.empty((config.rollout_steps, n_assets))
     episode_steps = 0
     total = 0
 
     while total < config.total_steps:
         buffer.reset()
         std = np.exp(net.log_std.value)
-        log_std_sum = float(net.log_std.value.sum())
-        for _ in range(config.rollout_steps):
-            action, log_prob, value = act_and_value(
-                net, obs, action_rng, std, log_std_sum, context)
+        action_rng.standard_normal(out=noise)
+        for i in range(config.rollout_steps):
+            action, noise[i], value = act_and_value(net, obs, noise[i], std,
+                                                    context)
             result = env.step(action)
-            buffer.add(obs, action, log_prob, result.reward, value, result.done,
-                       context)
+            buffer.add(obs, action, result.reward, value, result.done, context)
             total += 1
             reward_sum += result.reward
-            weight_rows[episode_steps, 0] = 1.0 - action.sum()
             weight_rows[episode_steps, 1:] = action
             episode_steps += 1
 
             if result.done:
                 bankrupt = result.bankrupt
                 rows = weight_rows[:episode_steps]
+                rows[:, 0] = 1.0 - rows[:, 1:].sum(axis=1)
                 mean_w = rows.mean(axis=0)
                 log.append(
                     EpisodeLogRow(
@@ -314,8 +318,14 @@ def train(
                 obs = result.observation
             if is_context:
                 context = _context_from_obs(obs, env.config.window, n_assets,
-                                            detector, net.context_dim)
+                                            detector, one_hot)
 
+        # the update's log-probabilities: ((a - mean) / std)**2 in place of
+        # the means, then log_density, as loss_and_grads computes them
+        diff = np.divide(np.subtract(buffer.actions, noise, out=noise), std,
+                         out=noise)
+        log_density(np.square(diff, out=diff),
+                    float(net.log_std.value.sum()), out=buffer.log_probs)
         if buffer.dones[-1]:
             bootstrap = 0.0
         else:

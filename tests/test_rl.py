@@ -24,6 +24,7 @@ from kellylab.rl import (
     _normalized,
     act_and_value,
     gae_advantages,
+    log_density,
     loss_and_grads,
     ppo_update,
 )
@@ -101,7 +102,7 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 def gaussian_log_prob(mean, log_std, actions) -> np.ndarray:
     """Row-wise log density of a diagonal Gaussian, in the order of
-    operations that loss_and_grads and act_and_value follow."""
+    operations that loss_and_grads and train's rollout follow."""
     diff = (actions - mean) / np.exp(log_std)
     return (
         -0.5 * (diff**2).sum(axis=1) - log_std.sum() - 0.5 * mean.shape[1] * _LOG_2PI
@@ -136,22 +137,45 @@ def test_sample_action_moments():
     net = PolicyNet(3, 1, np.random.default_rng(4), hidden=(4,))
     net.log_std.value[:] = np.log(0.5)
     obs = np.array([0.3, -0.2, 0.1])
-    mean = net.forward(obs[None, :])[0][0, 0]
-    rng = np.random.default_rng(1)
+    mean, value = net.forward(obs[None, :])
+    std = np.exp(net.log_std.value)
+    noise = np.random.default_rng(1).standard_normal((20000, 1))
+    draws = np.array([act_and_value(net, obs, z, std)[0][0] for z in noise])
+    assert abs(draws.mean() - mean[0, 0]) < 3.0 * 0.5 / np.sqrt(20000)
+    assert abs(draws.std(ddof=1) - 0.5) < 3.0 * 0.5 / np.sqrt(2 * 20000)
+    # the action is mean + std * noise; mean and value are the forward pass's
+    got_action, got_mean, got_value = act_and_value(net, obs, noise[0], std)
+    assert same_bits(got_action, mean[0] + std * noise[0])
+    assert same_bits(got_mean, mean[0])
+    assert got_value == float(value[0])
+
+
+@pytest.mark.parametrize("n", [1, 3, 10])
+def test_log_density_gives_the_log_probabilities_of_loss_and_grads(n):
+    """train's in-place pass over a rollout's means gives each row's
+    one-row density bit for bit, and exactly the log-probabilities
+    loss_and_grads computes: with them as the old ones, every PPO ratio is
+    exactly 1."""
+    rng = np.random.default_rng(40 + n)
+    net = PolicyNet(4, n, rng, hidden=(8,))
+    net.log_std.value[:] = rng.normal(-0.5, 0.3, size=n)
+    obs = rng.normal(size=(64, 4))
+    means = net.forward(obs)[0].copy()
     std = np.exp(net.log_std.value)
     log_std_sum = float(net.log_std.value.sum())
-    draws = np.array([act_and_value(net, obs, rng, std, log_std_sum)[0][0]
-                      for _ in range(20000)])
-    assert abs(draws.mean() - mean) < 3.0 * 0.5 / np.sqrt(20000)
-    assert abs(draws.std(ddof=1) - 0.5) < 3.0 * 0.5 / np.sqrt(2 * 20000)
-    # reported log-probability is the density at the sampled action, and
-    # the value is the forward pass's
-    action, log_prob, value = act_and_value(net, obs, np.random.default_rng(2),
-                                            std, log_std_sum)
-    want = float(gaussian_log_prob(
-        np.array([[mean]]), net.log_std.value, action[None, :])[0])
-    assert log_prob == pytest.approx(want, rel=1e-12)
-    assert value == float(net.forward(obs[None, :])[1][0])
+    actions = means + std * rng.standard_normal((64, n))
+    per_step = [-0.5 * float((((a - m) / std) ** 2).sum()) - log_std_sum
+                - 0.5 * n * _LOG_2PI for a, m in zip(actions, means)]
+    diff = np.divide(np.subtract(actions, means, out=means), std, out=means)
+    log_probs = log_density(np.square(diff, out=diff), log_std_sum,
+                            out=np.empty(64))
+    assert same_bits(log_probs, per_step)
+    adv = rng.normal(size=64)
+    config = TrainConfig.ppo(64, rollout_steps=64, batch_size=64)
+    batch = MiniBatch(obs, actions, log_probs, adv, rng.normal(size=64))
+    terms = loss_and_grads(net, batch, config)
+    assert terms["policy_loss"] == -(float(adv.sum()) / 64)
+    assert terms["approx_kl"] == 0.0 and terms["clip_fraction"] == 0.0
 
 
 # -- finite-difference gradient verification -------------------------------------
@@ -547,8 +571,9 @@ def test_ppo_update_matches_the_two_pass_oracle_loop(case):
         for i in range(24):
             observations[i] = np.append(rows.ravel(), rng.normal())
             done = i % 10 == 9
-            buffer.add(observations[i], rng.normal(size=2),
-                       float(rng.normal(-2.0, 0.3)), float(rng.normal()),
+            action = rng.normal(size=2)
+            buffer.log_probs[i] = float(rng.normal(-2.0, 0.3))
+            buffer.add(observations[i], action, float(rng.normal()),
                        float(rng.normal()), done,
                        context=rng.dirichlet(np.ones(2)) if context_dim else None)
             rows = (rng.normal(size=(2, 2)) if done
@@ -653,10 +678,11 @@ def test_normalization_post_conditions():
 def filled_buffer(rng, size=8, obs_dim=4, action_dim=1):
     buffer = RolloutBuffer(size, obs_dim, action_dim)
     for i in range(size):
+        obs, action = rng.normal(size=obs_dim), rng.normal(size=action_dim)
+        buffer.log_probs[i] = float(rng.normal())
         buffer.add(
-            obs=rng.normal(size=obs_dim),
-            action=rng.normal(size=action_dim),
-            log_prob=float(rng.normal()),
+            obs=obs,
+            action=action,
             reward=float(rng.normal()),
             value=float(rng.normal()),
             done=i == size - 1,
@@ -667,12 +693,12 @@ def filled_buffer(rng, size=8, obs_dim=4, action_dim=1):
 def test_buffer_lifecycle_errors():
     rng = np.random.default_rng(11)
     buffer = RolloutBuffer(2, 3, 1)
-    buffer.add(np.zeros(3), np.zeros(1), 0.0, 0.0, 0.0, False)
+    buffer.add(np.zeros(3), np.zeros(1), 0.0, 0.0, False)
     with pytest.raises(ValueError, match="holds 1/2"):
         buffer.compute_advantages(0.0, 0.99, 0.9)
-    buffer.add(np.zeros(3), np.zeros(1), 0.0, 0.0, 0.0, True)
+    buffer.add(np.zeros(3), np.zeros(1), 0.0, 0.0, True)
     with pytest.raises(ValueError, match="full"):
-        buffer.add(np.zeros(3), np.zeros(1), 0.0, 0.0, 0.0, False)
+        buffer.add(np.zeros(3), np.zeros(1), 0.0, 0.0, False)
     buffer.compute_advantages(0.0, 0.99, 0.9)
     assert buffer.advantages is not None
     buffer.reset()
@@ -681,7 +707,7 @@ def test_buffer_lifecycle_errors():
 
     ctx_buffer = RolloutBuffer(2, 3, 1, context_dim=2)
     with pytest.raises(ValueError, match="expects a context"):
-        ctx_buffer.add(np.zeros(3), np.zeros(1), 0.0, 0.0, 0.0, False)
+        ctx_buffer.add(np.zeros(3), np.zeros(1), 0.0, 0.0, False)
 
     net = PolicyNet(3, 1, rng, hidden=(4,))
     config = TrainConfig.ppo(total_steps=2, rollout_steps=2, batch_size=2,
@@ -692,6 +718,27 @@ def test_buffer_lifecycle_errors():
                    np.random.default_rng(0))
     with pytest.raises(ValueError, match="compute_advantages"):
         ppo_update(net, fresh, TrainConfig.a2c(total_steps=2), Adam(net, 1e-3))
+
+
+def test_a_rejected_add_leaves_the_buffer_unchanged():
+    rng = np.random.default_rng(13)
+    buffer = RolloutBuffer(3, 5, 2, context_dim=2, window=2, row_size=2)
+    buffer.add(rng.normal(size=5), rng.normal(size=2), 1.0, 0.5, False,
+               context=np.array([0.0, 1.0]))
+
+    def state():
+        return {k: v.tobytes() if isinstance(v, np.ndarray) else v
+                for k, v in vars(buffer).items()}
+
+    before = state()
+    with pytest.raises(ValueError, match="expects a context"):
+        buffer.add(rng.normal(size=5), rng.normal(size=2), 2.0, 0.1, True)
+    assert state() == before
+    with pytest.raises(ValueError):  # a context of the wrong width
+        buffer.add(rng.normal(size=5), rng.normal(size=2), 2.0, 0.1, True,
+                   context=np.ones(3))
+    assert state() == before
+    assert buffer.pos == 1
 
 
 def env_rollouts(env_config, size, n_rollouts, leverage=0.3, context_dim=None):
@@ -717,7 +764,7 @@ def env_rollouts(env_config, size, n_rollouts, leverage=0.3, context_dim=None):
             if contexts is not None:
                 context = contexts[i] = rng.dirichlet(np.ones(context_dim))
             result = env.step(action)
-            buffer.add(obs, action, 0.0, result.reward, 0.0, result.done,
+            buffer.add(obs, action, result.reward, 0.0, result.done,
                        context)
             bankruptcies += result.bankrupt
             obs = env.reset() if result.done else result.observation
@@ -845,10 +892,11 @@ def a2c_case(case):
     buffer = RolloutBuffer(8, 4, 2, context_dim=context_dim)
     observations = rng.normal(size=(8, 4))
     for i in range(8):
+        action = rng.normal(size=2)
+        buffer.log_probs[i] = float(rng.normal())
         buffer.add(
-            observations[i], rng.normal(size=2), float(rng.normal()),
-            float(rng.normal()), float(rng.normal()), i == 7,
-            context=rng.dirichlet(np.ones(2)) if context_dim else None,
+            observations[i], action, float(rng.normal()), float(rng.normal()),
+            i == 7, context=rng.dirichlet(np.ones(2)) if context_dim else None,
         )
     buffer.compute_advantages(0.0, 0.99, 0.9)
     if case == "aborted":

@@ -17,10 +17,13 @@ from kellylab.errors import FitError
 from kellylab.hmm import GaussianHmmModel, HmmFitConfig, predict_current
 from kellylab.impact import ImpactParams
 from kellylab.market import MarketParams, RegimeModel
-from kellylab.nets import ContextPolicyNet, PolicyNet
-from kellylab.rl import RolloutBuffer, TrainConfig
+from kellylab.nets import Adam, ContextPolicyNet, PolicyNet
+from kellylab.rl import RolloutBuffer, TrainConfig, ppo_update
+from kellylab.rng import ACTION_STREAM, HMM_STREAM, UPDATE_STREAM, stream
 from kellylab.training import (
+    DETECTOR_FIT_EPISODES,
     EVAL_EPISODE_OFFSET,
+    EpisodeLogRow,
     EvalResult,
     NetPolicy,
     evaluate,
@@ -536,6 +539,161 @@ def test_training_log_weights_match_the_per_step_concatenate_oracle(case):
                               mean_w.view(np.int64))
         assert np.array_equal(row.mad_weights.view(np.int64),
                               mad_w.view(np.int64))
+
+
+def act_and_value_oracle(net, observation, rng, std, log_std_sum,
+                         context=None):
+    """Oracle: (action, log-probability, value) of one step, drawing the
+    step's own noise and computing its own density."""
+    obs = np.asarray(observation, dtype=np.float64)[None, :]
+    if context is not None:
+        context = np.asarray(context, dtype=np.float64)[None, :]
+    mean, value = net.forward(obs, context)
+    mean = mean[0]
+    action = mean + std * rng.standard_normal(mean.shape[0])
+    diff = (action - mean) / std
+    log_prob = (
+        -0.5 * float((diff**2).sum()) - log_std_sum
+        - 0.5 * mean.shape[0] * math.log(2.0 * math.pi)
+    )
+    return action, log_prob, float(value[0])
+
+
+def train_oracle(env_factory, net, config, seed, hmm_config=None):
+    """Oracle: train's loop with noise drawn and log density computed per
+    step, cash weights written per step, and a fresh identity and np.diff
+    for every context label. Returns (log, updates, detector, rollouts
+    ending mid-episode)."""
+    env = env_factory(seed)
+    n, window = env.config.n_assets, env.config.window
+    k = net.context_dim if isinstance(net, ContextPolicyNet) else None
+    if k and hmm_config is None:
+        hmm_config = HmmFitConfig(n_states=k)
+    action_rng = stream(seed, ACTION_STREAM)
+    update_rng = stream(seed, UPDATE_STREAM)
+    optimizer = Adam(net, config.learning_rate)
+    buffer = RolloutBuffer(config.rollout_steps, env.config.observation_dim,
+                           n, context_dim=k, window=window, row_size=n)
+
+    def context_of(obs, detector):
+        if detector is None:
+            return np.full(k, 1.0 / k)
+        prices = obs[: n * window].reshape(window, n)
+        return np.eye(k)[
+            predict_current(detector, np.diff(np.log(prices), axis=0))]
+
+    log, updates, sequences = [], [], []
+    latest = {"clip_fraction": float("nan"), "approx_kl": float("nan")}
+    detector, mid_episode = None, 0
+    obs = env.reset()
+    context = context_of(obs, None) if k else None
+    reward_sum, weights, total = 0.0, [], 0
+    while total < config.total_steps:
+        buffer.reset()
+        std = np.exp(net.log_std.value)
+        log_std_sum = float(net.log_std.value.sum())
+        log_probs = np.empty(config.rollout_steps)
+        for i in range(config.rollout_steps):
+            action, log_probs[i], value = act_and_value_oracle(
+                net, obs, action_rng, std, log_std_sum, context)
+            result = env.step(action)
+            buffer.add(obs, action, result.reward, value, result.done, context)
+            total += 1
+            reward_sum += result.reward
+            weights.append(np.concatenate([[1.0 - action.sum()], action]))
+            if result.done:
+                rows = np.asarray(weights)
+                mean_w = rows.mean(axis=0)
+                log.append(EpisodeLogRow(
+                    env.episode, total, mean_w,
+                    np.mean(np.abs(rows - mean_w), axis=0),
+                    float("nan") if result.bankrupt
+                    else reward_sum / env.config.horizon_years,
+                    result.bankrupt, latest["clip_fraction"],
+                    latest["approx_kl"]))
+                if k and detector is None:
+                    seq = np.diff(np.log(env.effective_episode_prices()),
+                                  axis=0)
+                    if seq.shape[0] >= hmm_config.n_states * 10:
+                        sequences.append(seq)
+                    if len(log) == DETECTOR_FIT_EPISODES:
+                        detector = hmm_module.fit(sequences, hmm_config,
+                                                  stream(seed, HMM_STREAM))
+                obs = env.reset()
+                reward_sum, weights = 0.0, []
+            else:
+                obs = result.observation
+            if k:
+                context = context_of(obs, detector)
+        buffer.log_probs[:] = log_probs
+        bootstrap = 0.0
+        if not buffer.dones[-1]:
+            mid_episode += 1
+            bootstrap = net.forward(
+                obs[None, :], None if context is None else context[None, :]
+            )[1][0]
+        buffer.compute_advantages(bootstrap, config.discount,
+                                  config.gae_lambda)
+        latest = ppo_update(net, buffer, config, optimizer, update_rng)
+        updates.append(latest)
+    return log, updates, detector, mid_episode
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", ["plain", "context", "a2c", "mid-episode",
+                                  "bankrupt"])
+def test_train_matches_the_per_step_rollout_oracle(case, tmp_path):
+    # two assets and 32-period episodes, except the bankrupt case's one
+    # crashing asset with wide action noise
+    config = two_regime_config()
+    hmm_config = None
+    if case == "context":
+        hmm_config = HmmFitConfig(n_states=2, n_init=2)
+        algo = small_ppo(32 * 11, rollout_steps=48, batch_size=16)
+    elif case == "a2c":
+        algo = TrainConfig.a2c(160, rollout_steps=40)
+    elif case == "bankrupt":
+        config = make_config(mu=-50.0, sigma=0.5)
+        algo = small_ppo(64)
+    else:
+        algo = small_ppo(128,
+                         rollout_steps=24 if case == "mid-episode" else 32)
+
+    def build():
+        rng = np.random.default_rng(9)
+        n = config.n_assets
+        if case == "context":
+            return ContextPolicyNet(config.observation_dim, 2, n, rng,
+                                    feature_sizes=(8, 4), regime_sizes=(4, 4),
+                                    shared_sizes=(4,))
+        return PolicyNet(config.observation_dim, n, rng, hidden=(8,),
+                         init_log_std=2.0 if case == "bankrupt" else -2.0)
+
+    got = train(factory_for(config), build(), algo, seed=4,
+                hmm_config=hmm_config)
+    oracle_net = build()
+    log, updates, detector, mid_episode = train_oracle(
+        factory_for(config), oracle_net, algo, seed=4, hmm_config=hmm_config)
+    # only the plain case's rollouts all end on an episode end
+    assert (mid_episode == 0) == (case == "plain")
+    if case == "bankrupt":
+        assert any(row.bankrupt for row in log)
+    assert len(log) >= 2
+    got_csv, want_csv = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_training_log(got.log, got_csv, config.n_assets + 1)
+    write_training_log(log, want_csv, config.n_assets + 1)
+    assert got_csv.read_bytes() == want_csv.read_bytes()
+    assert len(got.updates) == len(updates)
+    for a, b in zip(got.updates, updates):
+        assert a.keys() == b.keys()
+        assert all(np.array_equal(a[key], b[key], equal_nan=True) for key in a)
+    assert np.array_equal(got.net.flat.view(np.int64),
+                          oracle_net.flat.view(np.int64))
+    assert (got.detector is None) == (detector is None) == (case != "context")
+    if detector is not None:
+        for name in ("means", "covariances", "transition", "initial"):
+            assert np.array_equal(getattr(got.detector, name),
+                                  getattr(detector, name))
 
 
 def test_train_rejects_mismatched_observation_dim():
