@@ -13,18 +13,15 @@ per sequence length, with the bits of training them one after another (see
 fit). Emission solves call LAPACK dtrtrs in the OpenBLAS bundled with numpy
 (_solver), so one library runs every BLAS and LAPACK call. predict_current
 runs only the forward max pass (no backpointers); max is exact, so its label
-is decode's last state bit for bit. It labels one window (a training step's).
-SlidingLabels labels a stack of windows that slide by one row a period (an
-evaluation wave's lanes) with predict_current's labels: it keeps each window's
-emissions and solves only the newest rows, all lanes' in one block, shifting
-the block and rerunning the forward pass; on any other clock it recomputes the
-full windows, with one triangular solve per state over all their rows. A
-one-row solve rounds differently from the same row in a larger block, so a
-one-row block is solved as that row twice over; a row then has the same bits
-in every block.
-Both label by one of two forward passes with the same sums and maxes: a
-two-state model's windows, up to _FLOAT_PASS_LANES of them, one by one on
-Python floats, and any other stack as numpy over the whole stack.
+is decode's last state bit for bit. It labels one window (a training
+step's), a two-state model's on Python floats (_label_one). SlidingLabels
+gives an evaluation wave's lanes, whose windows slide by one row a period,
+predict_current's labels: it keeps the forward scores of every window open
+on a lane's newest return row, solves only the newest rows, all lanes' in
+one block, and steps every open window on by them; on any other clock it
+solves the full windows in one block and rebuilds the scores. A one-row
+solve rounds differently from the same row in a larger block, so a one-row
+block is solved as that row twice over, to the bits it has in every block.
 A model computes its Cholesky factors and log probabilities once, and its
 arrays are read-only so they cannot go stale.
 
@@ -36,7 +33,7 @@ import ctypes
 import functools
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -57,15 +54,7 @@ class HmmFitConfig:
     min_covar: float = 1e-6
 
     def __post_init__(self):
-        for name in (
-            "n_states",
-            "n_init",
-            "max_iter",
-            "tol",
-            "mean_prior",
-            "covar_prior",
-            "min_covar",
-        ):
+        for name in (f.name for f in fields(self)):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -103,6 +92,7 @@ class GaussianHmmModel:
                 ) from exc
             self._chol.append(chol)
             self._logdet.append(2.0 * np.sum(np.log(np.diag(chol))))
+        self._logdet = np.array(self._logdet)[:, None]  # (K, 1)
         if self.transition.shape != (k, k) or np.any(self.transition < 0):
             raise ValueError("transition must be a non-negative (K, K) matrix")
         if not np.allclose(self.transition.sum(axis=1), 1.0, atol=1e-9):
@@ -187,19 +177,19 @@ def _emission_logprobs(model: GaussianHmmModel, x: np.ndarray) -> np.ndarray:
     if t == 1:
         return _emission_logprobs(model, np.vstack((x, x)))[:1]
     solve = _solver()
-    out = np.empty((t, model.n_states))
-    for k in range(model.n_states):
-        diff = np.subtract(x, model.means[k], order="C")
-        if not np.isfinite(diff).all():
-            raise ValueError("array must not contain infs or NaNs")
-        # the LAPACK call that solve_triangular(chol, diff.T, lower=True)
-        # makes, in place on C-ordered diff; check_finite is the check above
-        z, info = solve(model._chol[k], diff)
+    # every state's rows (K, T, n), each state's block C-ordered
+    diff = np.subtract(x, model.means[:, None], order="C")
+    if not np.isfinite(diff).all():
+        raise ValueError("array must not contain infs or NaNs")
+    quad = np.empty((model.n_states, t))
+    for k, rows in enumerate(diff):
+        # the LAPACK call that solve_triangular(chol, rows.T, lower=True)
+        # makes, in place on rows; check_finite is the check above
+        z, info = solve(model._chol[k], rows)
         if info != 0:
             raise np.linalg.LinAlgError(f"triangular solve failed (info {info})")
-        quad = np.sum(z * z, axis=0)
-        out[:, k] = -0.5 * (quad + model._logdet[k] + n * _LOG_2PI)
-    return out
+        np.sum(z * z, axis=0, out=quad[k])
+    return (-0.5 * (quad + model._logdet + n * _LOG_2PI)).T
 
 
 def _viterbi(log_init, log_trans, emis: np.ndarray, last_only=False):
@@ -271,7 +261,11 @@ def predict_current(model: GaussianHmmModel, window) -> int:
         raise ValueError("window must contain at least one return row")
     if model.n_states == 1:
         return 0
-    return int(_labels(model, _emission_logprobs(model, x)[None])[0])
+    emis = _emission_logprobs(model, x)
+    if model.n_states == 2:
+        return _label_one(model, emis.tolist())
+    return int(_viterbi(model._log_init, model._log_trans, emis[None],
+                        last_only=True)[0])
 
 
 def _window_emissions(model: GaussianHmmModel, x: np.ndarray) -> np.ndarray:
@@ -280,24 +274,6 @@ def _window_emissions(model: GaussianHmmModel, x: np.ndarray) -> np.ndarray:
     l_len, t_len, n = x.shape
     emis = _emission_logprobs(model, x.reshape(-1, n))
     return emis.reshape(l_len, t_len, -1)
-
-
-# Up to this many two-state windows are labelled one by one on Python
-# floats, more as one numpy pass. On (L, 59, 2) emissions (timeit, 2-vCPU
-# Xeon, three runs) the float pass cost 10-17 us a window, tolist included,
-# and the numpy pass, nearly flat in L, 140-165 us at L = 1, 205-405 us at
-# L = 10 and 435-620 us at L = 64: they broke even at 20-30 windows.
-_FLOAT_PASS_LANES = 16
-
-
-def _labels(model: GaussianHmmModel, emis: np.ndarray) -> np.ndarray:
-    """Last states (L,) of the forward max-product pass over emissions
-    (L, T, K): the float pass for up to _FLOAT_PASS_LANES two-state windows,
-    else _viterbi's."""
-    if model.n_states == 2 and len(emis) <= _FLOAT_PASS_LANES:
-        return np.array([_label_one(model, e) for e in emis.tolist()],
-                        dtype=np.int64)
-    return _viterbi(model._log_init, model._log_trans, emis, last_only=True)
 
 
 def _label_one(model: GaussianHmmModel, emis: list) -> int:
@@ -323,43 +299,64 @@ def _label_one(model: GaussianHmmModel, emis: list) -> int:
 
 
 class SlidingLabels:
-    """predict_current's labels for lanes whose windows slide by one row a
-    period, solving only each window's newest emission row.
-
-    labels(t, live, prices) labels the live lanes at clock t from their
+    """predict_current's labels for the live lanes at clock t from their
     price windows (L, T + 1, n), whose log returns are the detector's
-    windows. It keeps each live lane's (T, K) window emissions. When t is
-    one past the previous call's clock and the live lanes are among the
-    previous call's, it solves only their newest return rows, one solve per
-    state over all of them, shifts the windows by one row and runs the
-    forward pass. On any other clock it recomputes the full windows'
-    emissions (_window_emissions). Log returns of a window's last rows have
-    the bits of those rows of the full window (tests/test_hmm.py checks this
-    of the running numpy).
-    """
+    windows. Each lane's T open windows' forward scores are kept as (K, L,
+    T), the one labelled at clock c in slot c % T; each step takes the adds
+    and maxes of _viterbi over each window alone. Log returns of a window's
+    last rows have the bits of those rows of the full window
+    (tests/test_hmm.py checks this of the running numpy)."""
 
     def __init__(self, model: GaussianHmmModel):
         self.model = model
-        # the previous call's clock, live lanes and their window emissions
-        # (L, T, K); no emissions before the first call
-        self._t, self._live, self._emis = 0, None, None
+        # the previous call's clock and live lanes, the open windows' scores
+        # (K, L, T) and room for a step's sums (K, K, L, T)
+        self._t, self._live, self._scores, self._cand = 0, None, None, None
 
     def labels(self, t: int, live, prices) -> np.ndarray:
-        model = self.model
-        if model.n_states == 1:
+        if self.model.n_states == 1:
             return np.zeros(len(live), dtype=np.int64)
-        emis = self._emis if t == self._t + 1 else None
-        if emis is not None and not np.array_equal(live, self._live):
-            keep = np.isin(self._live, live)  # lanes only leave a wave
-            emis = emis[keep] if keep.sum() == len(live) else None
-        if emis is None:
-            emis = _window_emissions(model, np.diff(np.log(prices), axis=1))
+        slide = self.slides(t, live)
+        rows = prices[:, -2:] if slide else prices
+        return self.push(t, live, slide, _window_emissions(
+            self.model, np.diff(np.log(rows), axis=1)))
+
+    def slides(self, t: int, live) -> bool:
+        """Whether clock t and the live lanes go on from the previous call's:
+        the clock moved by one and lanes only left."""
+        return self._scores is not None and t == self._t + 1 and (
+            np.array_equal(live, self._live) or np.isin(live, self._live).all())
+
+    def push(self, t: int, live, slide: bool, emis: np.ndarray) -> np.ndarray:
+        """Labels (L,) at clock t from the live lanes' window emissions
+        (L, T, K). A slide (slides(t, live)) steps every open window on by
+        the newest row alone; any other clock rebuilds the scores."""
+        if not slide:
+            k, t_len = self.model.n_states, emis.shape[1]
+            self._scores = np.zeros((k, len(live), t_len))
+            self._cand = np.empty((k,) + self._scores.shape)
+            for i in range(t_len):
+                self._step(emis[:, i], (t + i) % t_len)
         else:
-            newest = np.diff(np.log(prices[:, -2:]), axis=1)
-            emis = np.concatenate(
-                (emis[:, 1:], _window_emissions(model, newest)), axis=1)
-        self._emis, self._t, self._live = emis, t, live
-        return _labels(model, emis)
+            if len(live) < self._scores.shape[1]:
+                self._scores = self._scores[:, np.isin(self._live, live)]
+            # the window labelled at t - 1 is done: its slot opens t + T - 1's
+            self._step(emis[:, -1], (t - 1) % self._scores.shape[2])
+        self._t, self._live = t, live
+        return self._scores[:, :, t % self._scores.shape[2]].argmax(axis=0)
+
+    def _step(self, emis, slot):
+        """Step every open window on by emission rows (L, K); then slot's
+        window starts on them. cand[i, j] = score of i + log P(i -> j)."""
+        scores, model = self._scores, self.model
+        cand = np.add(scores[:, None], model._log_trans[:, :, None, None],
+                      out=self._cand[:, :, : scores.shape[1]])
+        np.maximum(cand[0], cand[-1], out=scores)
+        for rest in cand[1:-1]:
+            np.maximum(scores, rest, out=scores)
+        emis = emis.T
+        np.add(scores, emis[:, :, None], out=scores)
+        np.add(model._log_init[:, None], emis, out=scores[:, :, slot])
 
 
 def _path_log_likelihood(model, emissions, paths) -> float:

@@ -44,6 +44,8 @@ class NetPolicy:
         self.net = net
         self.detector = detector
         self._labels = None
+        if detector is not None:
+            self._one_hot = np.eye(net.context_dim)
 
     def reset(self, env, first=0):
         if self.detector is not None:
@@ -56,23 +58,8 @@ class NetPolicy:
             window, n = env.config.window, env.config.n_assets
             prices = obs[:, : window * n].reshape(len(obs), window, n)
             labels = self._labels.labels(env.t, env.live, prices)
-            context = np.eye(self.net.context_dim)[labels]
+            context = self._one_hot[labels]
         return self.net.forward(obs, context)[0]
-
-
-def _context_from_obs(obs, window, n_assets, detector, one_hot) -> np.ndarray:
-    """Detector label of one observation (D,) as its row of the (K, K)
-    identity `one_hot`: the detector sees the log returns of the
-    observation's leading (window, n_assets) price rows.
-
-    Before the detector exists the context is uniform over regimes, keeping
-    the elementwise-product trunk live without asserting a label.
-    """
-    if detector is None:
-        return np.full(len(one_hot), 1.0 / len(one_hot))
-    log_prices = np.log(obs[: n_assets * window].reshape(window, n_assets))
-    return one_hot[hmm_module.predict_current(
-        detector, log_prices[1:] - log_prices[:-1])]
 
 
 @dataclass
@@ -249,9 +236,12 @@ def train(
     detector_sequences = []
 
     one_hot = np.eye(net.context_dim) if is_context else None
+    window = env.config.window
     obs = env.reset()
-    context = (_context_from_obs(obs, env.config.window, n_assets, None,
-                                 one_hot) if is_context else None)
+    # until the detector is fit the context is uniform over regimes, keeping
+    # the elementwise-product trunk live without asserting a label
+    context = (np.full(net.context_dim, 1.0 / net.context_dim) if is_context
+               else None)
     reward_sum = 0.0
     # the episode's weight rows so far (cash first), one row per step
     weight_rows = np.empty((env.config.n_periods, n_assets + 1))
@@ -316,9 +306,12 @@ def train(
                 episode_steps = 0
             else:
                 obs = result.observation
-            if is_context:
-                context = _context_from_obs(obs, env.config.window, n_assets,
-                                            detector, one_hot)
+            if detector is not None:
+                # the label of the log returns of the observation's leading
+                # (window, n_assets) price rows, as its row of one_hot
+                log_prices = np.log(obs[: window * n_assets].reshape(window, -1))
+                context = one_hot[hmm_module.predict_current(
+                    detector, log_prices[1:] - log_prices[:-1])]
 
         # the update's log-probabilities: ((a - mean) / std)**2 in place of
         # the means, then log_density, as loss_and_grads computes them

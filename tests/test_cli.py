@@ -1045,6 +1045,38 @@ def test_cli_loads_numpy_with_one_blas_thread_unless_told_otherwise():
     assert run(OPENBLAS_NUM_THREADS="2")[1:] == ["2", "1", "1"]
 
 
+NUMPY_FIRST_CHECK = """\
+import sys
+import numpy
+import scipy.linalg
+sys.path.insert(0, sys.argv[1])
+from kellylab import hmm
+get_threads = hmm.openblas_function("scipy_openblas_get_num_threads64_")
+print(None if get_threads is None else get_threads())
+"""
+
+
+@pytest.mark.parametrize("preset, threads", [
+    ({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")], ids=["unset", "set-2"])
+def test_kellylab_imported_after_numpy_sets_its_blas_to_one_thread(preset,
+                                                                   threads):
+    # Loaded first, numpy's OpenBLAS starts a thread per core, and the
+    # variables come too late; the import then sets the library to one
+    # thread, unless one of the variables was set
+    if len(os.sched_getaffinity(0)) < int(threads):
+        pytest.skip(f"fewer than {threads} cores to run threads on")
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    result = subprocess.run(
+        [sys.executable, "-c", NUMPY_FIRST_CHECK,
+         str(Path(__file__).resolve().parent.parent / "src")],
+        capture_output=True, text=True, timeout=120, env={**env, **preset},
+    )
+    assert result.returncode == 0, result.stderr
+    if result.stdout.split() == ["None"]:
+        pytest.skip("numpy bundles no OpenBLAS with a thread count")
+    assert result.stdout.split() == [threads]
+
+
 def test_qsurface_matches_the_library(tmp_path, capsys):
     config = write(tmp_path, "two.yaml", TWO_ASSET)
     out = tmp_path / "out"

@@ -24,6 +24,8 @@ from kellylab.hmm import (
     save,
 )
 
+from forwardpass import assert_open_window_scores
+
 
 def accuracy(predicted, true) -> float:
     """Fraction of matching labels under the best label permutation.
@@ -60,10 +62,11 @@ def two_state_model():
 
 def stack_labels(model, stack):
     """Labels (L,) of a stack of equal-length windows (L, T, n), as
-    SlidingLabels labels windows it recomputes in full: one emission solve
-    per state over the whole stack, then one forward pass."""
-    stack = np.asarray(stack, dtype=np.float64)
-    return hmm_module._labels(model, hmm_module._window_emissions(model, stack))
+    SlidingLabels labels the windows of a wave's first period: one emission
+    solve per state over the whole stack, then the rebuilt forward scores."""
+    emis = hmm_module._window_emissions(model, np.asarray(stack, dtype=float))
+    return hmm_module.SlidingLabels(model).push(0, np.arange(len(emis)), False,
+                                                emis)
 
 
 def path_joint_ll(model, x, path):
@@ -507,15 +510,10 @@ def test_non_finite_windows_still_raise(model, seed, bad):
         stack_labels(model, stack)
 
 
-# a stack of up to CUT two-state windows is labelled on Python floats, a
-# larger one by numpy; stacks of CUT and CUT + 1 windows straddle the cut-over
-CUT = hmm_module._FLOAT_PASS_LANES
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(model=hmm_models(states=(2, 4), features=(1, 4)),
        t_len=st.one_of(st.just(1), st.integers(1, 60)),
-       lanes=st.one_of(st.sampled_from([CUT, CUT + 1]), st.integers(1, 70)),
+       lanes=st.one_of(st.just(64), st.integers(1, 70)),
        seed=st.integers(0, 2**32 - 1))
 def test_stacked_predict_current_equals_each_window_on_its_own(
         model, t_len, lanes, seed):
@@ -581,11 +579,20 @@ def test_stacked_labels_match_at_the_decision_boundary(t_len):
         stack = np.stack([window(a) for a in shifts])
         want = [predict_current(model, w) for w in stack]
         assert want == [decode(model, w)[-1] for w in stack]
-        # stacks centred on the flip, on either side of the cut-over
-        for size in (CUT, CUT + 1, len(stack)):
+        # stacks centred on the flip, labelled as a wave's first period, and
+        # as its second after the windows one row earlier
+        earlier = np.concatenate(
+            [rng.normal(0.0, 0.01, size=(len(stack), 1, n)), stack], axis=1)
+        emis = hmm_module._window_emissions(model, earlier)
+        for size in (1, 2, len(stack)):
             first = (len(stack) - size) // 2
-            got = stack_labels(model, stack[first : first + size])
-            assert got.tolist() == want[first : first + size]
+            lanes = slice(first, first + size)
+            assert stack_labels(model, stack[lanes]).tolist() == want[lanes]
+            sliding, live = hmm_module.SlidingLabels(model), np.arange(size)
+            sliding.push(0, live, False, emis[lanes, :-1])
+            assert sliding.slides(1, live)
+            got = sliding.push(1, live, True, emis[lanes, 1:])
+            assert got.tolist() == want[lanes]
     assert boundaries >= 10
 
 
@@ -609,29 +616,75 @@ def symmetric_models(draw):
 TWO_STATE_MODELS = st.one_of(hmm_models(states=(2, 2)), symmetric_models())
 
 
+def odd_emissions(rng, shape, tied, odd):
+    """Random emission rows (..., K) where a share `tied` of rows repeat
+    state 0's entry in every state and a share `odd` of entries are -inf or
+    NaN."""
+    emis = rng.normal(3.0, 2.0, size=shape)
+    same = rng.uniform(size=shape[:-1]) < tied
+    emis[same] = emis[same, :1]
+    special = rng.uniform(size=shape) < odd
+    emis[special] = rng.choice([-np.inf, np.nan], size=special.sum())
+    return emis
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(model=TWO_STATE_MODELS, lanes=st.sampled_from([1, 2, CUT, CUT + 1]),
+@given(model=TWO_STATE_MODELS, lanes=st.sampled_from([1, 2, 10, 64]),
        t_len=st.integers(1, 30), tied=st.sampled_from([0.0, 0.5, 1.0]),
        odd=st.sampled_from([0.0, 0.05, 0.3]), seed=st.integers(0, 2**32 - 1))
 def test_float_label_pass_equals_the_numpy_pass(model, lanes, t_len, tied,
                                                 odd, seed):
-    # Emission rows whose two entries are equal tie exactly under a
-    # symmetric model. -inf is a quadratic form that overflows, and NaN a
-    # solve that does; np.maximum and argmax pass a NaN on.
+    # predict_current's float pass and SlidingLabels' numpy one, over five
+    # periods of sliding windows. Emission rows whose two entries are equal
+    # tie exactly under a symmetric model. -inf is a quadratic form that
+    # overflows, and NaN a solve that does; np.maximum and argmax pass a NaN
+    # on.
     rng = np.random.default_rng(seed)
-    emis = rng.normal(3.0, 2.0, size=(lanes, t_len, 2))
-    same = rng.uniform(size=(lanes, t_len)) < tied
-    emis[same, 1] = emis[same, 0]
-    special = rng.uniform(size=emis.shape) < odd
-    emis[special] = rng.choice([-np.inf, np.nan], size=special.sum())
-    want = hmm_module._viterbi(model._log_init, model._log_trans, emis,
-                               last_only=True).tolist()
-    assert [hmm_module._label_one(model, w) for w in emis.tolist()] == want
-    assert hmm_module._labels(model, emis).tolist() == want
+    rows = odd_emissions(rng, (lanes, t_len + 4, 2), tied, odd)
+    sliding, live = hmm_module.SlidingLabels(model), np.arange(lanes)
+    for t in range(5):
+        emis = rows[:, t : t + t_len]
+        want = hmm_module._viterbi(model._log_init, model._log_trans, emis,
+                                   last_only=True).tolist()
+        assert [hmm_module._label_one(model, w) for w in emis.tolist()] == want
+        assert sliding.slides(t, live) == (t > 0)
+        assert sliding.push(t, live, t > 0, emis).tolist() == want
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(model=hmm_models(states=(2, 4), features=(1, 1)),
+       lanes=st.sampled_from([1, 2, 10, 64]), t_len=st.integers(1, 60),
+       tied=st.sampled_from([0.0, 0.5]), odd=st.sampled_from([0.0, 0.05]),
+       seed=st.integers(0, 2**32 - 1))
+def test_sliding_scores_are_each_open_windows_forward_pass(
+        model, lanes, t_len, tied, odd, seed):
+    # Every period of a wave whose lanes leave and whose clock may jump
+    # (forward, back or nowhere), the labels are _viterbi's, and each open
+    # window's kept score has the bits of the forward pass over its rows so
+    # far, ties, -inf and NaN included.
+    rng = np.random.default_rng(seed)
+    periods = 12
+    # a jump lands before `periods`, so the clock stays below 2 * periods
+    rows = odd_emissions(rng, (lanes, t_len + 2 * periods, model.n_states),
+                         tied, odd)
+    sliding, live, t = hmm_module.SlidingLabels(model), np.arange(lanes), 0
+    for _ in range(periods):
+        emis = rows[live, t : t + t_len]
+        slide = sliding.slides(t, live)
+        got = sliding.push(t, live, slide, emis)
+        assert got.tolist() == hmm_module._viterbi(
+            model._log_init, model._log_trans, emis, last_only=True).tolist()
+        assert_open_window_scores(sliding, t, emis)
+        move = rng.uniform()
+        t = int(rng.integers(0, periods)) if move < 0.15 else t + 1
+        if move > 0.7 and live.size > 1:
+            live = live[rng.uniform(size=live.size) < 0.6]
+            if not live.size:
+                live = np.array([int(rng.integers(0, lanes))])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(model=TWO_STATE_MODELS, lanes=st.sampled_from([1, CUT, CUT + 1]),
+@given(model=TWO_STATE_MODELS, lanes=st.sampled_from([1, 10, 64]),
        far=st.sampled_from([0.0, 0.1]), seed=st.integers(0, 2**32 - 1))
 def test_two_state_labels_equal_the_oracle(model, lanes, far, seed):
     # Rows scaled by 1e160 overflow the quadratic form: both emissions of
