@@ -48,7 +48,8 @@ from .config import (
 )
 from .env import PortfolioEnv, episode_path
 from .errors import KellylabError
-from .nets import ContextPolicyNet, PolicyNet, load_checkpoint, save_checkpoint
+from .nets import ContextPolicyNet, build_net, load_checkpoint, save_checkpoint
+from .rl import DIAGNOSTICS
 from .rng import HMM_STREAM, NET_INIT_STREAM, check_seed, stream
 from .training import (
     EVAL_EPISODE_OFFSET,
@@ -110,8 +111,7 @@ def _fmt(value) -> str:
 
 def _eval_row(seed: int, ev) -> list:
     """One EVAL_HEADER row of an evaluation result."""
-    return [seed, _fmt(ev.mean_growth), _fmt(ev.mad), ev.bankruptcies,
-            ev.n_episodes]
+    return [seed, *(_fmt(getattr(ev, k)) for k in EVAL_HEADER[1:])]
 
 
 def _scipy_file(name):
@@ -187,15 +187,11 @@ def _baseline_policy(exp: ExperimentConfig):
 
 
 def _build_net(exp: ExperimentConfig, seed: int):
-    init_rng = stream(seed, NET_INIT_STREAM)
-    obs_dim = exp.env.observation_dim
-    n = exp.env.n_assets
+    header = {"kind": "policy", "obs_dim": exp.env.observation_dim,
+              "action_dim": exp.env.n_assets, "init_log_std": exp.algo.init_log_std}
     if exp.context_policy:
-        return ContextPolicyNet(
-            obs_dim, exp.hmm.n_states, n, init_rng,
-            init_log_std=exp.algo.init_log_std,
-        )
-    return PolicyNet(obs_dim, n, init_rng, init_log_std=exp.algo.init_log_std)
+        header.update(kind="context_policy", context_dim=exp.hmm.n_states)
+    return build_net(header, stream(seed, NET_INIT_STREAM))
 
 
 def _episodes(args, default: int) -> int:
@@ -212,8 +208,12 @@ def _episodes(args, default: int) -> int:
 def cmd_simulate(args, exp: ExperimentConfig, out: Path):
     episodes = _episodes(args, 1)
     seed = _seeds(args, exp)[0]
+    header = ["t", *(f"asset_{i}" for i in range(exp.env.n_assets)), "regime"]
     for ep in range(episodes):
-        episode_path(exp.env, seed, ep).write_csv(out / f"path_{ep:03d}.csv")
+        path = episode_path(exp.env, seed, ep)
+        rows = ([t, *map(_fmt, prices), regime] for t, (prices, regime)
+                in enumerate(zip(path.prices.tolist(), path.regimes.tolist())))
+        _write_csv(out / f"path_{ep:03d}.csv", header, rows)
     print(f"wrote {episodes} path file(s) to {_out_dir(args)}")
     return [seed]
 
@@ -233,19 +233,17 @@ def cmd_solve(args, exp: ExperimentConfig, out: Path):
         print(f"regime {k}: cash {w.cash:.6f}, stocks [{weights}], "
               f"growth {g:.6f}")
     header = ["regime", "cash"] + [f"w_{i}" for i in range(n)] + ["growth"]
-    tables = [("solve.csv", header, rows)]
+    _write_csv(out / "solve.csv", header, rows)
     if market.n_regimes > 1:
         pi = stationary_distribution(market.transition)
         g_switch = switching_growth(growths, pi)
         print(f"stationary distribution {np.array2string(pi, precision=6)}, "
               f"switching growth {g_switch:.6f}")
-        tables.append((
-            "switching.csv",
+        _write_csv(
+            out / "switching.csv",
             [f"pi_{k}" for k in range(market.n_regimes)] + ["switching_growth"],
             [[_fmt(float(p)) for p in pi] + [_fmt(float(g_switch))]],
-        ))
-    for name, header, table in tables:
-        _write_csv(out / name, header, table)
+        )
     return []
 
 
@@ -268,18 +266,9 @@ def _train_one(exp: ExperimentConfig, seed: int, out: Path):
     write_training_log(
         result.log, out / "training_log.csv", n_weights=exp.env.n_assets + 1
     )
-    update_rows = [
-        [i, _fmt(d["loss"]), _fmt(d["policy_loss"]), _fmt(d["value_loss"]),
-         _fmt(d["entropy"]), _fmt(d["clip_fraction"]), _fmt(d["approx_kl"]),
-         _fmt(d["grad_norm"]), d["n_minibatches"]]
-        for i, d in enumerate(result.updates)
-    ]
-    _write_csv(
-        out / "updates.csv",
-        ["update", "loss", "policy_loss", "value_loss", "entropy",
-         "clip_fraction", "approx_kl", "grad_norm", "n_minibatches"],
-        update_rows,
-    )
+    _write_csv(out / "updates.csv", ["update", *DIAGNOSTICS, "n_minibatches"],
+               ([i, *(_fmt(d[k]) for k in DIAGNOSTICS), d["n_minibatches"]]
+                for i, d in enumerate(result.updates)))
 
     ev = evaluate(
         NetPolicy(net, result.detector), _env_factory(exp),
@@ -460,16 +449,9 @@ def cmd_gridsearch(args, exp: ExperimentConfig, out: Path):
         episodes_per_cell=bcfg.episodes_per_cell,
         master_seed=seed,
     )
-    rows = [
-        [_fmt(c["fraction"]), c["adjustment_periods"], _fmt(c["mean_growth"]),
-         c["bankruptcies"]]
-        for c in result.table
-    ]
-    _write_csv(
-        out / "gridsearch.csv",
-        ["fraction", "adjustment_periods", "mean_growth", "bankruptcies"],
-        rows,
-    )
+    columns = ["fraction", "adjustment_periods", "mean_growth", "bankruptcies"]
+    _write_csv(out / "gridsearch.csv", columns,
+               ([_fmt(cell[k]) for k in columns] for cell in result.table))
     print(
         f"best cell: fraction {result.fraction}, adjustment periods "
         f"{result.adjustment_periods}, mean growth {result.mean_growth:.6f}"
@@ -535,11 +517,13 @@ def main(argv=None) -> int:
         if args.seed is not None:
             check_seed(args.seed, "--seed")
         started = time.time()
-        exp = load_config(args.config)
         # a hidden stage: a failed or interrupted command creates no directory
         out = _out_dir(args)
         path = out.resolve()
         home = next(p for p in (path, *path.parents) if p.exists())
+        if not home.is_dir():
+            raise KellylabError(f"--out {out}: {home} is not a directory")
+        exp = load_config(args.config)
         stage = home / f".{path.name}.{os.getpid()}.partial"
         stage.mkdir()
         try:

@@ -340,8 +340,16 @@ class BaselineConfig:
             raise ValueError("episodes_per_cell must be >= 1")
         if self.fractions is not None:
             self.fractions = tuple(float(f) for f in self.fractions)
+            for i, f in enumerate(self.fractions):
+                if not 0.0 < f <= 1.0:
+                    raise ConfigError(f"fraction must be in (0, 1], got {f}",
+                                      path=f"baseline.fractions[{i}]")
         if self.adjustment_grid is not None:
             self.adjustment_grid = tuple(int(n) for n in self.adjustment_grid)
+            for i, n in enumerate(self.adjustment_grid):
+                if n < 1:
+                    raise ConfigError(f"adjustment_periods must be >= 1, got {n}",
+                                      path=f"baseline.adjustment_grid[{i}]")
 
 
 @dataclass

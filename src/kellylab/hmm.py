@@ -58,6 +58,11 @@ class HmmFitConfig:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
+    @property
+    def min_rows(self) -> int:
+        """The return rows that each fitted sequence needs: 10 per state."""
+        return self.n_states * 10
+
 
 @dataclass
 class GaussianHmmModel:
@@ -480,10 +485,10 @@ def fit(sequences, config: HmmFitConfig = None, rng=None) -> GaussianHmmModel:
     for i, s in enumerate(sequences):
         if s.shape[1] != n:
             raise ValueError(f"sequence {i} has {s.shape[1]} features, expected {n}")
-        if s.shape[0] < config.n_states * 10:
+        if s.shape[0] < config.min_rows:
             raise ValueError(
                 f"sequence {i} has {s.shape[0]} rows; need >= "
-                f"{config.n_states * 10} for {config.n_states} states"
+                f"{config.min_rows} for {config.n_states} states"
             )
     x_all = np.vstack(sequences)
     bounds = np.cumsum([len(s) for s in sequences])[:-1]
@@ -608,10 +613,7 @@ def save(model: GaussianHmmModel, path):
         "format_version": 1,
         "n_states": model.n_states,
         "n_features": model.n_features,
-        "means": model.means.tolist(),
-        "covariances": model.covariances.tolist(),
-        "transition": model.transition.tolist(),
-        "initial": model.initial.tolist(),
+        **{name: getattr(model, name).tolist() for name in _FILE_ARRAYS},
         "fit_history": [float(ll) for ll in model.fit_history],
     }
     with open(path, "w") as f:
@@ -619,7 +621,7 @@ def save(model: GaussianHmmModel, path):
         f.write("\n")
 
 
-# each array field of a model file and its number of dimensions
+# each array field of a model file, in file order, and its number of dimensions
 _FILE_ARRAYS = {"means": 2, "covariances": 3, "transition": 2, "initial": 1}
 
 

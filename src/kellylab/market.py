@@ -8,7 +8,6 @@ discrete-time Markov chain over parameter sets; the chain state at time t
 governs the period (t, t+1].
 """
 
-import csv
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -216,27 +215,10 @@ class PricePath:
     regimes: np.ndarray
     warmup_prices: np.ndarray
 
-    @property
-    def n_assets(self) -> int:
-        return self.prices.shape[1]
-
     def log_returns(self) -> np.ndarray:
         """Per-period episode log returns, shape (N, n); row t was generated
         under regimes[t]."""
         return np.diff(np.log(self.prices), axis=0)
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            header = ["t"] + [f"asset_{i}" for i in range(self.n_assets)] + ["regime"]
-            writer.writerow(header)
-            for t in range(self.prices.shape[0]):
-                row = (
-                    [t]
-                    + [repr(float(p)) for p in self.prices[t]]
-                    + [int(self.regimes[t])]
-                )
-                writer.writerow(row)
 
 
 def generate_path(

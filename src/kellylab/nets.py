@@ -8,7 +8,9 @@ backward call must follow its matching forward.
 
 Both net kinds are one implementation, called forward(obs, context=None);
 they differ only in the stacks their constructors build and in their
-checkpoint headers. A ContextPolicyNet gates its features by the context.
+checkpoint `kind` and `header`, the constructor arguments that config_dict
+writes and build_net reads. A ContextPolicyNet gates its features by the
+context.
 
 Conventions: weights are (n_in, n_out) applied as x @ W + b on (batch, n_in)
 inputs; orthogonal init with gain sqrt(2) on hidden layers, 0.01 on the actor
@@ -191,11 +193,20 @@ class _NetBase:
         v = self.log_std.value  # np.clip's bits, without its wrapper
         np.minimum(np.maximum(v, LOG_STD_MIN, out=v), LOG_STD_MAX, out=v)
 
+    def config_dict(self):
+        """The checkpoint header: the net's kind and its header fields."""
+        config = {"kind": self.kind}
+        for field in self.header:
+            value = getattr(self, field)
+            config[field] = list(value) if isinstance(value, tuple) else value
+        return config
+
 
 class PolicyNet(_NetBase):
     """Ungated: a tanh trunk straight into the heads."""
 
     kind = "policy"
+    header = ("obs_dim", "action_dim", "init_log_std", "hidden")
 
     def __init__(self, obs_dim, action_dim, rng, init_log_std=0.0, hidden=(64, 64)):
         self.obs_dim = int(obs_dim)
@@ -203,15 +214,6 @@ class PolicyNet(_NetBase):
         trunk = _Stack((self.obs_dim,) + self.hidden, "tanh", math.sqrt(2.0),
                        rng, "trunk")
         super().__init__(trunk, action_dim, rng, init_log_std)
-
-    def config_dict(self):
-        return {
-            "kind": self.kind,
-            "obs_dim": self.obs_dim,
-            "action_dim": self.action_dim,
-            "hidden": list(self.hidden),
-            "init_log_std": self.init_log_std,
-        }
 
 
 class ContextPolicyNet(_NetBase):
@@ -221,6 +223,8 @@ class ContextPolicyNet(_NetBase):
     """
 
     kind = "context_policy"
+    header = ("obs_dim", "context_dim", "action_dim", "init_log_std",
+              "feature_sizes", "regime_sizes", "shared_sizes")
 
     def __init__(
         self,
@@ -255,22 +259,10 @@ class ContextPolicyNet(_NetBase):
         )
         super().__init__(feature, action_dim, rng, init_log_std, regime, shared)
 
-    def config_dict(self):
-        return {
-            "kind": self.kind,
-            "obs_dim": self.obs_dim,
-            "context_dim": self.context_dim,
-            "action_dim": self.action_dim,
-            "feature_sizes": list(self.feature_sizes),
-            "regime_sizes": list(self.regime_sizes),
-            "shared_sizes": list(self.shared_sizes),
-            "init_log_std": self.init_log_std,
-        }
 
-
-def _layer_sizes(config: dict, field: str, default) -> tuple:
+def _layer_sizes(config: dict, field: str) -> tuple:
     """A header's hidden-layer widths: a nonempty list of positive integers."""
-    sizes = config.get(field, default)
+    sizes = config[field]
     if (
         not isinstance(sizes, (list, tuple))
         or not sizes
@@ -295,9 +287,9 @@ def _width(config: dict, field: str) -> int:
     return width
 
 
-def _init_log_std(config: dict) -> float:
+def _init_log_std(config: dict, field: str) -> float:
     """A header's initial log standard deviation: a finite number."""
-    value = config.get("init_log_std", 0.0)
+    value = config[field]
     if type(value) not in (int, float) or not math.isfinite(value):
         raise CheckpointError(
             f"net field 'init_log_std' must be a finite number, got {value!r}"
@@ -306,30 +298,20 @@ def _init_log_std(config: dict) -> float:
 
 
 def build_net(config: dict, rng=None):
-    """Construct an uninitialized-by-seed net from a config_dict payload."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    kind = config.get("kind")
-    if kind == "policy":
-        return PolicyNet(
-            _width(config, "obs_dim"),
-            _width(config, "action_dim"),
-            rng,
-            init_log_std=_init_log_std(config),
-            hidden=_layer_sizes(config, "hidden", (64, 64)),
-        )
-    if kind == "context_policy":
-        return ContextPolicyNet(
-            _width(config, "obs_dim"),
-            _width(config, "context_dim"),
-            _width(config, "action_dim"),
-            rng,
-            init_log_std=_init_log_std(config),
-            feature_sizes=_layer_sizes(config, "feature_sizes", (256, 128, 64)),
-            regime_sizes=_layer_sizes(config, "regime_sizes", (64, 64, 64)),
-            shared_sizes=_layer_sizes(config, "shared_sizes", (64, 64)),
-        )
-    raise CheckpointError(f"unknown net kind {kind!r}")
+    """Construct an uninitialized-by-seed net from a config_dict payload; a
+    header field other than a width may be left out for its default."""
+    kind = config.get("kind")  # any JSON value, hashable or not
+    cls = next((c for c in (PolicyNet, ContextPolicyNet) if c.kind == kind), None)
+    if cls is None:
+        raise CheckpointError(f"unknown net kind {kind!r}")
+    args = {}
+    for field in cls.header:
+        if field.endswith("_dim"):
+            args[field] = _width(config, field)
+        elif field in config:
+            read = _init_log_std if field == "init_log_std" else _layer_sizes
+            args[field] = read(config, field)
+    return cls(rng=np.random.default_rng(0) if rng is None else rng, **args)
 
 
 class Adam:

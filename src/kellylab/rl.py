@@ -26,6 +26,10 @@ from .nets import Adam, clip_grad_norm
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
+# an update's diagnostics, each averaged over its applied minibatches
+DIAGNOSTICS = ("loss", "policy_loss", "value_loss", "entropy", "clip_fraction",
+               "approx_kl", "grad_norm")
+
 
 @dataclass
 class TrainConfig:
@@ -77,9 +81,6 @@ class TrainConfig:
             rollout_steps=1280,
             batch_size=64,
             n_epochs=10,
-            clip_range=0.2,
-            init_log_std=0.0,
-            advantage_normalization=True,
         )
         base.update(overrides)
         return cls(**base)
@@ -326,10 +327,8 @@ def _normalized(advantages, enabled: bool) -> np.ndarray:
 
 
 def _aggregate(diags: list, aborted: bool) -> dict:
-    keys = ("loss", "policy_loss", "value_loss", "entropy", "clip_fraction",
-            "approx_kl", "grad_norm")
     out = {k: float(np.mean([d[k] for d in diags])) if diags else float("nan")
-           for k in keys}
+           for k in DIAGNOSTICS}
     out["n_minibatches"] = len(diags)
     out["aborted"] = aborted
     return out

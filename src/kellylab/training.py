@@ -164,7 +164,7 @@ def check_detector_budget(env_config, config: TrainConfig,
     """Reject a context-policy run that cannot fit its regime detector.
 
     The detector needs at least one return row per observation window, and
-    n_states * 10 return rows in each episode it is fit on; the run's
+    hmm_config.min_rows return rows in each episode it is fit on; the run's
     rollouts must finish the DETECTOR_FIT_EPISODES episodes it is fit on.
     """
     if env_config.window < 2:
@@ -172,11 +172,11 @@ def check_detector_budget(env_config, config: TrainConfig,
             "context policies need window >= 2 (at least one return row)"
         )
     episode_steps = env_config.n_periods
-    if episode_steps < hmm_config.n_states * 10:
+    if episode_steps < hmm_config.min_rows:
         raise FitError(
             f"episodes of {episode_steps} periods are too short to fit a "
             f"{hmm_config.n_states}-state regime detector, which needs "
-            f"{hmm_config.n_states * 10}"
+            f"{hmm_config.min_rows}"
         )
     n_rollouts = -(-config.total_steps // config.rollout_steps)
     steps = n_rollouts * config.rollout_steps
@@ -289,7 +289,7 @@ def train(
                     seq = np.diff(
                         np.log(env.effective_episode_prices()), axis=0
                     )
-                    if seq.shape[0] >= hmm_config.n_states * 10:
+                    if seq.shape[0] >= hmm_config.min_rows:
                         detector_sequences.append(seq)
                     if len(log) == DETECTOR_FIT_EPISODES:
                         if not detector_sequences:

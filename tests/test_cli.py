@@ -18,9 +18,12 @@ from kellylab import cli, hmm
 from kellylab.analytic import optimal_weights, q_surface
 from kellylab.cli import main
 from kellylab.config import load_config
+from kellylab.env import episode_path
 from kellylab.market import generate_path
 from kellylab.nets import ContextPolicyNet, save_checkpoint
 from kellylab.rng import episode_stream
+
+from shipped import CONFIGS
 
 TINY = """\
 market:
@@ -284,6 +287,24 @@ def test_simulate_writes_reproducible_paths(tmp_path):
     ).read_bytes()
 
 
+def test_simulate_writes_each_path_losslessly(tmp_path):
+    config = CONFIGS / "regimes3.yaml"  # three assets, three regimes
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out),
+                 "--episodes", "2", "--seed", "5"]) == 0
+    env = load_config(config).env
+    for ep in range(2):
+        path = episode_path(env, 5, ep)
+        lines = (out / f"path_{ep:03d}.csv").read_text().splitlines()
+        assert lines[0] == "t,asset_0,asset_1,asset_2,regime"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(row[0]) for row in rows] == list(range(len(path.prices)))
+        prices = np.array([[float(c) for c in row[1:4]] for row in rows])
+        assert prices.tobytes() == path.prices.tobytes()
+        regimes = np.array([int(row[4]) for row in rows])
+        assert regimes.tobytes() == path.regimes.tobytes()
+
+
 def test_train_outputs_and_determinism(tmp_path):
     config = write(tmp_path, "tiny.yaml", TINY)
     first = tmp_path / "a"
@@ -300,6 +321,8 @@ def test_train_outputs_and_determinism(tmp_path):
     assert summary[0] == "seed,mean_growth,mad,bankruptcies,n_episodes"
     assert len(summary) == 2
     updates = (first / "seed0" / "updates.csv").read_text().splitlines()
+    assert updates[0] == ("update,loss,policy_loss,value_loss,entropy,"
+                          "clip_fraction,approx_kl,grad_norm,n_minibatches")
     assert len(updates) == 2  # 16 total steps and a 16-step rollout
     log = (first / "seed0" / "training_log.csv").read_text().splitlines()
     assert len(log) == 2  # one finished episode
@@ -607,7 +630,8 @@ def test_an_out_that_is_a_file_fails_before_the_command_runs(tmp_path,
         assert main(["solve", "--config", str(config), "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: [Errno 20] Not a directory: ")
+        assert captured.err == (
+            f"error: --out {out}: {taken.resolve()} is not a directory\n")
     assert taken.read_text() == "mine\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken", "tiny.yaml"]
 
@@ -1117,7 +1141,9 @@ def test_hmm_fit_outputs(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["hmm-fit", "--config", str(config), "--out", str(out)]) == 0
     assert "mean accuracy" in capsys.readouterr().out
-    assert (out / "hmm.json").exists()
+    assert list(json.loads((out / "hmm.json").read_text())) == [
+        "format_version", "n_states", "n_features", "means", "covariances",
+        "transition", "initial", "fit_history"]
     lines = (out / "hmm_eval.csv").read_text().splitlines()
     assert lines[0] == "episode,accuracy"
     assert len(lines) == 1 + 3

@@ -284,6 +284,21 @@ def test_baseline_block():
         parse_config(MINIMAL + "baseline:\n  fraction: 1.5\n")
 
 
+@pytest.mark.parametrize("entries, expected", [
+    ("  fractions: [0.5, 1.5]\n",
+     "exp.yaml:19: baseline.fractions[1]: fraction must be in (0, 1], got 1.5"),
+    ("  adjustment_grid:\n  - 4\n  - 0\n",
+     "exp.yaml:21: baseline.adjustment_grid[1]: adjustment_periods must be "
+     ">= 1, got 0"),
+], ids=["fractions", "adjustment-grid"])
+def test_baseline_grid_entries_fail_at_their_line(tmp_path, entries, expected):
+    path = tmp_path / "exp.yaml"
+    path.write_text(MINIMAL + "baseline:\n  fraction: 0.5\n" + entries)
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(path)
+    assert str(excinfo.value) == expected.replace("exp.yaml", str(path))
+
+
 def test_load_sweep_file():
     config = load_config(CONFIG_DIR / "single_asset.yaml").to_dict()
     key, values = load_sweep(CONFIG_DIR / "sweep_lambda.yaml", config)

@@ -433,22 +433,6 @@ def test_generate_path_input_validation():
         generate_path(model, 4, 1.0 / 256, episode_stream(0, 0), warmup=-1)
 
 
-def test_price_path_csv_round_trip(tmp_path):
-    model = shipped("regimes3").market
-    path = generate_path(model, 5, 1.0 / 256, episode_stream(0, 3))
-    out = tmp_path / "path.csv"
-    path.write_csv(out)
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == "t,asset_0,asset_1,asset_2,regime"
-    assert len(lines) == 7
-    for t, line in enumerate(lines[1:]):
-        cells = line.split(",")
-        assert int(cells[0]) == t
-        parsed = np.array([float(c) for c in cells[1:4]])
-        assert np.array_equal(parsed, path.prices[t])
-        assert int(cells[4]) == path.regimes[t]
-
-
 def test_philox_streams_are_stable():
     # the (master_seed, index) -> stream mapping is part of the contract:
     # episode draws must never silently change between releases

@@ -372,6 +372,46 @@ def test_checkpoint_context_net_round_trip(tmp_path):
     assert np.array_equal(got[1], want[1])
 
 
+# the checkpoint header of each net kind, as save_checkpoint writes it
+HEADERS = [
+    (PolicyNet(3, 2, np.random.default_rng(0), init_log_std=-0.5, hidden=(4, 5)),
+     '{"extra": {"seed": 7}, "format_version": 1, "net": {"action_dim": 2, '
+     '"hidden": [4, 5], "init_log_std": -0.5, "kind": "policy", "obs_dim": 3}}'),
+    (ContextPolicyNet(6, 3, 2, np.random.default_rng(0), init_log_std=-2.0,
+                      feature_sizes=(8, 4), regime_sizes=(5, 4),
+                      shared_sizes=(4,)),
+     '{"extra": {"seed": 7}, "format_version": 1, "net": {"action_dim": 2, '
+     '"context_dim": 3, "feature_sizes": [8, 4], "init_log_std": -2.0, '
+     '"kind": "context_policy", "obs_dim": 6, "regime_sizes": [5, 4], '
+     '"shared_sizes": [4]}}'),
+]
+
+
+@pytest.mark.parametrize("net, header", HEADERS, ids=["policy", "context"])
+def test_checkpoint_header_is_pinned(tmp_path, net, header):
+    path = tmp_path / "net.npz"
+    save_checkpoint(net, path, extra_meta={"seed": 7})
+    with np.load(path) as data:
+        assert bytes(data["meta_json"]).decode("utf-8") == header
+
+
+@pytest.mark.parametrize("net, optional", [
+    (PolicyNet(3, 2, np.random.default_rng(1)), ["hidden", "init_log_std"]),
+    (ContextPolicyNet(6, 3, 2, np.random.default_rng(1)),
+     ["feature_sizes", "regime_sizes", "shared_sizes", "init_log_std"]),
+], ids=["policy", "context"])
+def test_header_fields_left_out_take_the_constructor_defaults(
+        tmp_path, net, optional):
+    path = tmp_path / "net.npz"
+    save_checkpoint(net, path)
+    header = {k: v for k, v in net.config_dict().items() if k not in optional}
+    rewrite_meta(path, {"format_version": 1, "net": header})
+    loaded, _ = load_checkpoint(path)
+    assert type(loaded) is type(net)
+    assert loaded.config_dict() == net.config_dict()
+    assert np.array_equal(loaded.flat, net.flat)
+
+
 def test_checkpoint_bytes_are_deterministic(tmp_path):
     net = PolicyNet(3, 1, np.random.default_rng(5), hidden=(4,))
     first = tmp_path / "a.npz"
