@@ -10,39 +10,13 @@ Everything here is exact linear algebra; Monte Carlo agreement is checked in
 the tests, not assumed.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .market import MarketParams
 
 
-@dataclass
-class WeightVector:
-    """Stock weights; cash weight is implied so all components sum to 1."""
-
-    stocks: np.ndarray
-
-    def __post_init__(self):
-        self.stocks = np.atleast_1d(np.asarray(self.stocks, dtype=np.float64))
-
-    @property
-    def cash(self) -> float:
-        return 1.0 - float(self.stocks.sum())
-
-    @property
-    def n_assets(self) -> int:
-        return self.stocks.shape[0]
-
-
-def _stocks_of(w) -> np.ndarray:
-    if isinstance(w, WeightVector):
-        return w.stocks
-    return np.atleast_1d(np.asarray(w, dtype=np.float64))
-
-
-def optimal_weights(params: MarketParams) -> WeightVector:
-    """Solve Sigma w = mu - r for the unconstrained growth-optimal weights."""
+def optimal_weights(params: MarketParams) -> np.ndarray:
+    """The growth-optimal stock weights (n,): Sigma w = mu - r, solved."""
     sigma = params.covariance()
     excess = params.mu - params.cash_rate
     try:
@@ -57,12 +31,12 @@ def optimal_weights(params: MarketParams) -> WeightVector:
             f"optimal-weight solve residual {residual:.3e} exceeds 1e-10; "
             f"covariance is badly conditioned"
         )
-    return WeightVector(w)
+    return w
 
 
 def expected_growth(w, params: MarketParams) -> float:
     """Per-annum expected log growth L(w) of a constantly rebalanced portfolio."""
-    stocks = _stocks_of(w)
+    stocks = np.atleast_1d(np.asarray(w, dtype=np.float64))
     sigma = params.covariance()
     cash_weight = 1.0 - stocks.sum()
     return float(

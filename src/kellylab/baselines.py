@@ -1,7 +1,7 @@
 """The analytic baseline policy and its grid search.
 
 Policies here are net-free: act(env) returns target stock weights (L, n),
-one row per live lane of a lockstep wave or one-lane env. The one analytic
+one row per live lane of a lockstep wave. The one analytic
 policy is the foresight regime-switching baseline, which reads the true
 regime label from the simulator: the upper-bound comparison an agent is
 scored against.
@@ -30,9 +30,9 @@ class RegimeSwitchingPolicy:
 
     fraction and adjustment_periods are one value for every lane, or one
     value per lane of the evaluation, in lane order. Each lane keeps its own
-    ramp counter and regime, and act computes every live lane's action at
-    once: ((k / n) * f) * targets[label] during a ramp, f * targets[label]
-    after it.
+    ramp counter and regime, and act(wave) computes every live lane's action
+    at once from the wave's regimes(): ((k / n) * f) * targets[label] during
+    a ramp, f * targets[label] after it.
     """
 
     # A lane holds its path and effective-price history (~75 KB on a
@@ -130,9 +130,7 @@ def rs_baseline_grid_search(
     if episodes_per_cell < 1:
         raise ValueError("episodes_per_cell must be >= 1")
 
-    targets = np.array(
-        [optimal_weights(reg).stocks for reg in config.market.regimes]
-    )
+    targets = np.array([optimal_weights(reg) for reg in config.market.regimes])
     cells = [(f, n) for f in fractions for n in adjustment_grid]
     policy = RegimeSwitchingPolicy(
         targets,

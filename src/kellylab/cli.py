@@ -38,7 +38,6 @@ from .analytic import (
 from .baselines import RegimeSwitchingPolicy, rs_baseline_grid_search
 from .config import (
     CONFIG_FORMAT,
-    BaselineConfig,
     ExperimentConfig,
     QSurfaceConfig,
     apply_override,
@@ -54,6 +53,7 @@ from .rng import HMM_STREAM, NET_INIT_STREAM, check_seed, stream
 from .training import (
     EVAL_EPISODE_OFFSET,
     NetPolicy,
+    check_context_window,
     check_detector_budget,
     evaluate,
     train,
@@ -181,8 +181,8 @@ def _env_factory(exp: ExperimentConfig):
 
 def _baseline_policy(exp: ExperimentConfig):
     """The analytic comparison policy the configuration describes."""
-    bcfg = exp.baseline or BaselineConfig()
-    targets = np.array([optimal_weights(reg).stocks for reg in exp.market.regimes])
+    bcfg = exp.baseline_settings
+    targets = np.array([optimal_weights(reg) for reg in exp.market.regimes])
     return RegimeSwitchingPolicy(targets, bcfg.adjustment_periods, bcfg.fraction)
 
 
@@ -225,12 +225,12 @@ def cmd_solve(args, exp: ExperimentConfig, out: Path):
     growths = []
     for k, reg in enumerate(market.regimes):
         w = optimal_weights(reg)
+        cash = 1.0 - float(w.sum())
         g = expected_growth(w, reg)
         growths.append(g)
-        rows.append([k, _fmt(float(w.cash))] + [_fmt(float(x)) for x in w.stocks]
-                    + [_fmt(float(g))])
-        weights = ", ".join(f"{x:.6f}" for x in w.stocks)
-        print(f"regime {k}: cash {w.cash:.6f}, stocks [{weights}], "
+        rows.append([k, *map(_fmt, (cash, *w, g))])
+        weights = ", ".join(f"{x:.6f}" for x in w)
+        print(f"regime {k}: cash {cash:.6f}, stocks [{weights}], "
               f"growth {g:.6f}")
     header = ["regime", "cash"] + [f"w_{i}" for i in range(n)] + ["growth"]
     _write_csv(out / "solve.csv", header, rows)
@@ -331,12 +331,12 @@ def _check_checkpoint_fits(path, net, detector, exp: ExperimentConfig):
                 f"checkpoint {path} does not fit the config: {field} is "
                 f"{got}, the config needs {want}"
             )
-    if detector is not None and exp.env.window < 2:
-        raise KellylabError(
-            f"checkpoint {path} does not fit the config: context policies "
-            f"need window >= 2 (at least one return row), the config has "
-            f"window {exp.env.window}"
-        )
+    if detector is not None:
+        try:
+            check_context_window(exp.env.window)
+        except ValueError as err:
+            raise KellylabError(
+                f"checkpoint {path} does not fit the config: {err}") from None
 
 
 def cmd_evaluate(args, exp: ExperimentConfig, out: Path):
@@ -441,7 +441,7 @@ def cmd_hmm_fit(args, exp: ExperimentConfig, out: Path):
 
 def cmd_gridsearch(args, exp: ExperimentConfig, out: Path):
     seed = _seeds(args, exp)[0]
-    bcfg = exp.baseline or BaselineConfig()
+    bcfg = exp.baseline_settings
     result = rs_baseline_grid_search(
         exp.env,
         fractions=bcfg.fractions,

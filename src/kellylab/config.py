@@ -386,6 +386,11 @@ class ExperimentConfig:
     def impact(self) -> ImpactParams:
         return self.env.impact
 
+    @property
+    def baseline_settings(self) -> BaselineConfig:
+        """The baseline block, or its defaults when the config has none."""
+        return self.baseline or BaselineConfig()
+
     def to_dict(self) -> dict:
         return _dump(
             self,

@@ -22,11 +22,10 @@ PortfolioEnv.lockstep over many one-lane envs, stepped as (L, n) arrays. A
 wave gives every lane the bits its own one-lane steps would give; it keeps
 their state, and when a lane leaves it sets the lane's clock to its final
 t and marks it done, so the lane steps again only after a reset.
-Both read as a batch to an evaluation policy: `live` names the live lanes,
+A one-lane step returns its observation. A wave's step returns none; the
+wave reads as a batch to an evaluation policy: `live` names the live lanes,
 `regimes()` gives their true labels and `observations()` their (L, D)
-observations, built only when asked for. A wave's step returns no
-observation; a one-lane step returns its own, and a one-lane env is a batch
-of one until its episode ends.
+observations, built only when asked for.
 """
 
 import math
@@ -198,7 +197,7 @@ class PortfolioEnv:
         of the paths and histories. The wave alone holds the clock,
         holdings, cash, wealth and multipliers while it steps; a lane leaves
         when its episode ends, and only its clock (to its final t) and done
-        flag are set then.
+        flag are set then. `live` holds the live lanes' positions.
         """
         config = lanes[0].config
         if any(lane.config is not config for lane in lanes):
@@ -227,7 +226,7 @@ class PortfolioEnv:
             lane._unaffected = wave._prices[index[key]]
         wave._eff_hist = block
         wave._lanes = list(lanes)
-        wave._live = np.arange(len(lanes))
+        wave.live = np.arange(len(lanes))
         wave._holdings = np.zeros((len(lanes), n))
         wave._mult = np.ones((len(lanes), n))
         wave._cash = np.full(len(lanes), wave._initial_wealth)
@@ -312,7 +311,7 @@ class PortfolioEnv:
         step's ddot and exp; each lane's costs fold left to right from 0.0
         and its reward is math.log of its wealth ratio, as there. It builds
         no observations: observations() does, for the lanes still live."""
-        lanes, live = self._lanes, self._live
+        lanes, live = self._lanes, self.live
         a = np.asarray(actions, dtype=np.float64)
         if a.shape != (len(lanes), self._n):
             raise ValueError(
@@ -370,19 +369,12 @@ class PortfolioEnv:
             lane._t, lane._done = self._t, True
         keep = ~done
         self._lanes = [lane for lane, k in zip(self._lanes, keep.tolist()) if k]
-        for name in ("_live", "_path_of", "_holdings", "_mult", "_cash",
+        for name in ("live", "_path_of", "_holdings", "_mult", "_cash",
                      "_wealth"):
             setattr(self, name, getattr(self, name)[keep])
         self._done = not self._lanes
 
     # -- views -------------------------------------------------------------
-
-    @property
-    def live(self) -> np.ndarray:
-        """The live lanes' positions in the wave."""
-        if self._lanes is None:
-            return np.arange(0 if self._done else 1)
-        return self._live
 
     @property
     def t(self) -> int:
@@ -393,27 +385,19 @@ class PortfolioEnv:
         return self._done
 
     def regimes(self) -> np.ndarray:
-        """The live lanes' true regime labels (L,) at the current clock
+        """A wave's live lanes' true regime labels (L,) at the current clock
         (foresight consumers only)."""
-        if self._lanes is None:
-            return np.array([] if self._done else [self._regimes[self._t]],
-                            dtype=np.int64)
         return self._regime_rows[:, self._t][self._path_of]
 
     def observations(self) -> np.ndarray:
-        """The live lanes' observations (L, D), with the bits of the ones
-        their one-lane steps return."""
-        if self._lanes is None:
-            if self._done:
-                return np.empty((0, self._obs_dim))
-            return self._observation(
-                self._eff_hist[self._window - 1 + self._t])[None]
+        """A wave's live lanes' observations (L, D), with the bits of the
+        ones their one-lane steps return."""
         # live lanes are solvent, so their weights are marked at the
         # newest history row
         t, window = self._t, self._window
         history = self._eff_hist[:, t : t + window]
         if len(self._lanes) < len(history):
-            history = history[self._live]
+            history = history[self.live]
         nw = self._n * window
         obs = np.empty((len(history), self._obs_dim))
         obs[:, :nw] = history.reshape(-1, nw)

@@ -27,7 +27,7 @@ from .rng import ACTION_STREAM, HMM_STREAM, UPDATE_STREAM, stream
 
 
 class NetPolicy:
-    """Evaluation wrapper: act with the policy mean, one forward for all lanes.
+    """Evaluation wrapper: act with the policy mean, one forward for a wave.
 
     A context net reads its regime context from its frozen detector, which
     it must be given; a SlidingLabels per wave labels every live lane,
@@ -159,6 +159,13 @@ class TrainResult:
     updates: list = field(default_factory=list, repr=False)
 
 
+def check_context_window(window: int):
+    """Reject a window too short to give the detector one return row."""
+    if window < 2:
+        raise ValueError("context policies need window >= 2 (at least one "
+                         f"return row), the config has window {window}")
+
+
 def check_detector_budget(env_config, config: TrainConfig,
                           hmm_config: hmm_module.HmmFitConfig):
     """Reject a context-policy run that cannot fit its regime detector.
@@ -167,10 +174,7 @@ def check_detector_budget(env_config, config: TrainConfig,
     hmm_config.min_rows return rows in each episode it is fit on; the run's
     rollouts must finish the DETECTOR_FIT_EPISODES episodes it is fit on.
     """
-    if env_config.window < 2:
-        raise ValueError(
-            "context policies need window >= 2 (at least one return row)"
-        )
+    check_context_window(env_config.window)
     episode_steps = env_config.n_periods
     if episode_steps < hmm_config.min_rows:
         raise FitError(

@@ -54,7 +54,7 @@ from kellylab.rl import (
 from kellylab.rng import episode_stream, stream, HMM_STREAM, NET_INIT_STREAM
 from kellylab.training import EVAL_EPISODE_OFFSET, NetPolicy, evaluate, train
 
-from envstate import env_state
+from envstate import BatchOfOne, env_state
 from shipped import regime, shipped
 from test_rl import gaussian_log_prob, gradient_rel_error, random_case
 
@@ -111,7 +111,7 @@ def test_criterion_02_regime_weights_and_growths():
         ))
         w = optimal_weights(params)
         growth = expected_growth(w, params)
-        full = np.concatenate([[w.cash], w.stocks])
+        full = np.array([1.0 - w.sum(), *w])
         gap = float(np.max(np.abs(full - target)))
         clauses.append((
             f"{name} weights +- 0.02", gap <= 0.02,
@@ -143,7 +143,7 @@ def test_criterion_04_monte_carlo_baseline():
     exp = shipped("etf3")
     params = exp.env.market.regimes[0]
     w_star = optimal_weights(params)
-    policy = RegimeSwitchingPolicy(w_star.stocks[None])
+    policy = RegimeSwitchingPolicy(w_star[None])
     result = evaluate(
         policy,
         lambda seed: PortfolioEnv(exp.env, seed),
@@ -160,24 +160,24 @@ def test_criterion_04_monte_carlo_baseline():
     # The expectation is unchanged: L(w*) less discretization and impact drag.
     horizon = exp.env.horizon_years
     drift = (params.mu - 0.5 * params.sigma**2) * horizon
-    env = PortfolioEnv(exp.env, 0)
+    env = BatchOfOne(PortfolioEnv(exp.env, 0))
     raw = []
     adjusted = []
     for episode in range(20):
-        env.reset(episode=episode)
+        env.reset(episode)
         policy.reset(env)
         reward_sum = 0.0
         while True:
-            step = env.step(policy.act(env)[0])
+            step = env.step(policy.act(env))
             reward_sum += step.reward
             if step.done:
                 break
         if step.bankrupt:
             continue
         raw.append(reward_sum / horizon)
-        prices = env_state(env).unaffected
+        prices = env_state(env.env).unaffected
         noise = np.log(prices[-1] / prices[0]) - drift
-        adjusted.append(raw[-1] - float(w_star.stocks @ noise) / horizon)
+        adjusted.append(raw[-1] - float(w_star @ noise) / horizon)
     adjusted = np.asarray(adjusted)
     mean = float(adjusted.mean())
     mad = float(np.mean(np.abs(adjusted - mean)))
@@ -210,7 +210,7 @@ def test_baseline_large_sample_diagnostic():
     w_star = optimal_weights(params)
     target = expected_growth(w_star, params)
     result = evaluate(
-        RegimeSwitchingPolicy(w_star.stocks[None]),
+        RegimeSwitchingPolicy(w_star[None]),
         lambda seed: PortfolioEnv(exp.env, seed),
         n_episodes=400,
         seed=0,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from kellylab.analytic import (
-    WeightVector,
     expected_growth,
     optimal_weights,
     q_surface,
@@ -30,18 +29,22 @@ BEAR_STOCKS = np.array(
 )
 
 
-def test_weight_vector_accounting():
-    w = WeightVector(np.array([0.7, 0.5]))
-    assert w.cash == pytest.approx(-0.2, abs=1e-15)
-    assert w.n_assets == 2
-    assert w.cash + w.stocks.sum() == pytest.approx(1.0, abs=1e-15)
+def test_optimal_weights_are_the_plain_solve():
+    for params in (regime("single_asset"), regime("etf3"),
+                   regime("regimes3", 1)):
+        w = optimal_weights(params)
+        assert type(w) is np.ndarray
+        assert w.dtype == np.float64 and w.shape == (params.n_assets,)
+        want = np.linalg.solve(params.covariance(),
+                               params.mu - params.cash_rate)
+        assert w.tobytes() == want.tobytes()
 
 
 def test_single_asset_closed_form():
     # w* = (mu - r) / sigma^2, L* = r + (mu - r)^2 / (2 sigma^2)
     w = optimal_weights(regime("single_asset"))
-    assert w.stocks[0] == pytest.approx(2.0, abs=1e-12)
-    assert w.cash == pytest.approx(-1.0, abs=1e-12)
+    assert w[0] == pytest.approx(2.0, abs=1e-12)
+    assert 1.0 - w.sum() == pytest.approx(-1.0, abs=1e-12)
     assert expected_growth(w, regime("single_asset")) == pytest.approx(
         0.12, abs=1e-14
     )
@@ -52,17 +55,18 @@ def test_all_cash_grows_at_the_cash_rate():
     assert expected_growth(np.zeros(3), params) == params.cash_rate
 
 
-def test_growth_accepts_weight_vector_and_array():
+def test_growth_accepts_any_array_like():
     params = regime("etf3")
     w = np.array([0.3, 0.3, 0.2])
-    assert expected_growth(w, params) == expected_growth(WeightVector(w), params)
+    assert expected_growth(w, params) == expected_growth(w.tolist(), params)
+    assert expected_growth(w, params) == expected_growth(tuple(w), params)
 
 
 def test_three_asset_optimal_weights():
     params = regime("etf3")
     w = optimal_weights(params)
-    assert np.max(np.abs(w.stocks - ETF3_STOCKS)) < 1e-12
-    assert w.cash == pytest.approx(-1.7099872734299417, abs=1e-12)
+    assert np.max(np.abs(w - ETF3_STOCKS)) < 1e-12
+    assert 1.0 - w.sum() == pytest.approx(-1.7099872734299417, abs=1e-12)
     assert expected_growth(w, params) == pytest.approx(
         0.11416686969548555, abs=1e-14
     )
@@ -70,14 +74,14 @@ def test_three_asset_optimal_weights():
 
 def test_bull_and_bear_optimal_weights():
     bull = optimal_weights(regime("regimes3", 0))
-    assert np.max(np.abs(bull.stocks - BULL_STOCKS)) < 1e-12
-    assert bull.cash == pytest.approx(-4.8026941996446935, abs=1e-12)
+    assert np.max(np.abs(bull - BULL_STOCKS)) < 1e-12
+    assert 1.0 - bull.sum() == pytest.approx(-4.8026941996446935, abs=1e-12)
     assert expected_growth(bull, regime("regimes3", 0)) == pytest.approx(
         0.2734781459394937, abs=1e-14
     )
     bear = optimal_weights(regime("regimes3", 1))
-    assert np.max(np.abs(bear.stocks - BEAR_STOCKS)) < 1e-12
-    assert bear.cash == pytest.approx(1.5669378303431423, abs=1e-12)
+    assert np.max(np.abs(bear - BEAR_STOCKS)) < 1e-12
+    assert 1.0 - bear.sum() == pytest.approx(1.5669378303431423, abs=1e-12)
     assert expected_growth(bear, regime("regimes3", 1)) == pytest.approx(
         0.10320190244134217, abs=1e-14
     )
@@ -87,10 +91,10 @@ def test_optimal_weights_satisfy_first_order_conditions():
     for params in (regime("etf3"), regime("regimes3", 0), regime("regimes3", 1)):
         w = optimal_weights(params)
         sigma = params.covariance()
-        residual = sigma @ w.stocks - (params.mu - params.cash_rate)
+        residual = sigma @ w - (params.mu - params.cash_rate)
         assert np.max(np.abs(residual)) < 1e-10
         # gradient of L vanishes at the optimum
-        grad = params.mu - params.cash_rate - sigma @ w.stocks
+        grad = params.mu - params.cash_rate - sigma @ w
         assert np.max(np.abs(grad)) < 1e-8
 
 
@@ -102,7 +106,7 @@ def test_no_perturbation_beats_the_optimum():
     for _ in range(1000):
         delta = rng.normal(size=3)
         delta *= rng.uniform(0.0, 0.1) / np.linalg.norm(delta)
-        assert expected_growth(w_star.stocks + delta, params) <= best
+        assert expected_growth(w_star + delta, params) <= best
 
 
 def test_singular_covariance_is_rejected():
@@ -132,7 +136,7 @@ def test_fractional_frontier_identity():
 def test_portfolio_volatility_scales_linearly_with_fraction():
     params = regime("etf3")
     sigma = params.covariance()
-    w = optimal_weights(params).stocks
+    w = optimal_weights(params)
     vol = np.sqrt(w @ sigma @ w)
     for f in (0.2, 0.5, 0.8):
         fw = f * w
@@ -235,7 +239,7 @@ def test_q_surface_argmax_brackets_the_optimum():
     grid = np.linspace(-1.0, 3.0, 41)
     surf = q_surface(params, grid, grid)
     i, j = np.unravel_index(np.argmax(surf), surf.shape)
-    w_star = optimal_weights(params).stocks
+    w_star = optimal_weights(params)
     h = grid[1] - grid[0]
     assert abs(grid[i] - w_star[0]) <= h
     assert abs(grid[j] - w_star[1]) <= h

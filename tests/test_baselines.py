@@ -19,11 +19,12 @@ from kellylab.impact import ImpactParams
 from kellylab.market import MarketParams, RegimeModel, generate_path
 from kellylab.training import evaluate
 
+from envstate import BatchOfOne
 from shipped import regime, shipped
 
 
 class FakeEnv:
-    """Just enough of a one-lane env's surface for policy label/ramp
+    """Just enough of a one-lane wave's surface for policy label/ramp
     logic: one live lane and its regime label."""
 
     def __init__(self, regime=0):
@@ -276,26 +277,27 @@ def per_cell_grid_search(config, fractions, adjustment_grid,
     """Oracle: the grid search as it ran before it became one evaluation.
 
     Every cell gets its own policy and one one-lane env, which plays the
-    cell's episodes one after another with the float step. Returns the
-    table and the best (growth, fraction, ramp) by the same tie rule.
+    cell's episodes one after another with the float step and which the
+    policy sees as a batch of one. Returns the table and the best (growth,
+    fraction, ramp) by the same tie rule.
     """
     targets = np.array(
-        [optimal_weights(reg).stocks for reg in config.market.regimes])
+        [optimal_weights(reg) for reg in config.market.regimes])
     best = None
     table = []
     for f in fractions:
         for n in adjustment_grid:
             policy = RegimeSwitchingPolicy(targets, adjustment_periods=n,
                                            fraction=f)
-            env = PortfolioEnv(config, master_seed)
+            env = BatchOfOne(PortfolioEnv(config, master_seed))
             growths = []
             bankruptcies = 0
             for episode in range(episodes_per_cell):
-                env.reset(episode=episode)
+                env.reset(episode)
                 policy.reset(env)
                 reward_sum = 0.0
                 while True:
-                    result = env.step(policy.act(env)[0])
+                    result = env.step(policy.act(env))
                     reward_sum += result.reward
                     if result.done:
                         break
@@ -428,7 +430,7 @@ def test_grid_search_high_wealth_regime_benchmark():
     "at high wealth under this cost model",
 )
 def test_staggered_entry_beats_immediate_jump_at_high_wealth():
-    w_star = optimal_weights(regime("etf3")).stocks
+    w_star = optimal_weights(regime("etf3"))
     config = EnvConfig(
         horizon_years=5.0,
         periods_per_year=256,

@@ -109,14 +109,14 @@ result = kellylab.training.evaluate(
 counted = probes.stats()["eval_steps"]
 
 # the true count, independently: each episode replayed alone on a one-lane
-# env with the float step, its length read off its clock
+# env with the float step, acting on the policy mean of the observation the
+# step returned, its length read off its clock
 true = 0
 env = PortfolioEnv(config, 0)
 for episode in range(70):
-    env.reset(episode=episode)
-    policy.reset(env)
+    obs = env.reset(episode=episode)
     while not env.done:
-        env.step(policy.act(env)[0])
+        obs = env.step(net.forward(obs[None])[0][0]).observation
     true += env.t
 print(json.dumps({"true": true, "counted": counted,
                   "bankruptcies": result.bankruptcies,

@@ -1119,7 +1119,7 @@ def test_qsurface_matches_the_library(tmp_path, capsys):
     assert float(best[0]) == grid[i]
     assert float(best[1]) == grid[j]
     # the argmax cell sits within one grid step of the analytic optimum
-    w_star = optimal_weights(params).stocks
+    w_star = optimal_weights(params)
     spacing = grid[1] - grid[0]
     assert abs(grid[i] - w_star[0]) <= spacing
     assert abs(grid[j] - w_star[1]) <= spacing

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from kellylab.config import (
     CONFIG_FORMAT,
+    BaselineConfig,
     QSurfaceConfig,
     RunConfig,
     apply_override,
@@ -92,6 +93,8 @@ def test_minimal_config_parses_with_defaults():
     assert not config.context_policy
     assert config.run.seeds == (0,)
     assert config.baseline is None
+    assert config.baseline_settings == BaselineConfig()
+    assert "baseline" not in config.to_dict()
     assert config.qsurface is None
 
 
@@ -280,6 +283,7 @@ def test_baseline_block():
     assert config.baseline.fraction == 0.5
     assert config.baseline.fractions == (0.5, 1.0)
     assert config.baseline.adjustment_grid == (1, 2)
+    assert config.baseline_settings is config.baseline
     with pytest.raises(ConfigError, match="fraction must be in"):
         parse_config(MINIMAL + "baseline:\n  fraction: 1.5\n")
 

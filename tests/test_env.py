@@ -730,21 +730,6 @@ def test_a_lane_that_left_its_wave_steps_again_only_after_a_reset():
     assert lanes[1].t == 0 and not lanes[1].step(0.5 * signs).done
 
 
-def test_a_one_lane_env_reads_as_a_batch_of_one_until_its_episode_ends():
-    cfg = make_config(market=shipped("regimes3").market, window=5)
-    env = PortfolioEnv(cfg, 2)
-    assert env.live.size == 0
-    obs = env.reset(episode=1)
-    while not env.done:
-        assert env.live.tolist() == [0]
-        assert env.regimes().tolist() == [env_state(env).regime]
-        assert same_bits(env.observations()[0], obs)
-        obs = env.step(np.array([0.5, 0.2, -0.1])).observation
-    assert env.live.size == 0
-    assert env.regimes().shape == (0,)
-    assert env.observations().shape == (0, cfg.observation_dim)
-
-
 def test_lanes_of_one_episode_share_one_generated_path(monkeypatch):
     import kellylab.env as env_module
 

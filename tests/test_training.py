@@ -31,7 +31,7 @@ from kellylab.training import (
     write_training_log,
 )
 
-from envstate import env_state
+from envstate import BatchOfOne, env_state
 from forwardpass import assert_open_window_scores
 
 
@@ -62,19 +62,20 @@ def sequential_evaluate(policy, env_factory, n_episodes, seed,
                         episode_offset=0):
     """Oracle: evaluate's one-episode-at-a-time loop from before lanes.
 
-    One environment plays the episodes in order, and the policy sees one
-    lane. Returns the EvalResult and each episode's step count.
+    One environment plays the episodes in order with the float step, and
+    the policy sees it as a batch of one. Returns the EvalResult and each
+    episode's step count.
     """
-    env = env_factory(seed)
+    env = BatchOfOne(env_factory(seed))
     growths = []
     lengths = []
     bankruptcies = 0
     for episode in range(episode_offset, episode_offset + n_episodes):
-        env.reset(episode=episode)
+        env.reset(episode)
         policy.reset(env)
         reward_sum = 0.0
         while True:
-            result = env.step(policy.act(env)[0])
+            result = env.step(policy.act(env))
             reward_sum += result.reward
             if result.done:
                 bankrupt = result.bankrupt
@@ -805,7 +806,8 @@ def test_train_context_config_validation():
         train(factory_for(config), net, small_ppo(16), seed=0,
               hmm_config=HmmFitConfig(n_states=3))
     narrow = make_config(window=1)
-    with pytest.raises(ValueError, match="window >= 2"):
+    with pytest.raises(ValueError, match=r"window >= 2 \(at least one "
+                       r"return row\), the config has window 1$"):
         train(factory_for(narrow), context_net_for(narrow), small_ppo(16),
               seed=0)
 

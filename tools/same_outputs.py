@@ -5,14 +5,15 @@
 
 Runs a fixed set of small commands in each checkout (its src/ on
 PYTHONPATH): every subcommand, a sweep, checkpoint evaluation of both net
-kinds, and context runs with 1 and 3 detector states. Each side runs in its
-own directory with the same config files and relative --out paths, so
-stdout can be compared too. Then every output file of the two sides is
-compared byte for byte, except manifest.json, which is compared without
-wall_time_seconds. Prints each difference and exits 1 if there is any.
+kinds, context runs with 1, 2 and 3 detector states, and unclipped PPO
+with rollouts that end mid-episode. Each side runs in its own directory
+with the same config files and relative --out paths, so stdout can be
+compared too. Then every output file of the two sides is compared byte for
+byte, except manifest.json, which is compared without wall_time_seconds.
+Prints each difference and exits 1 if there is any.
 
 The configs are configs/*.yaml cut to a few short episodes; both sides
-together take under 10 s on a 2-vCPU Xeon.
+together take under 15 s on a 2-vCPU Xeon.
 """
 
 import argparse
@@ -36,6 +37,9 @@ TRAIN = {"algo.total_steps": 256, "algo.rollout_steps": 128, "algo.n_epochs": 2}
 # a context run fits its detector after 10 episodes (640 steps here)
 CONTEXT = {"algo.total_steps": 768, "algo.rollout_steps": 128,
            "algo.n_epochs": 2}
+# 96-step rollouts on 64-period episodes: two of three end mid-episode
+NOCLIP = {"algo.total_steps": 288, "algo.rollout_steps": 96,
+          "algo.n_epochs": 2, "algo.clipping_enabled": False}
 GRID = {"baseline.fractions": [0.5, 1.0], "baseline.adjustment_grid": [1, 4],
         "baseline.episodes_per_cell": 2}
 
@@ -44,7 +48,9 @@ CONFIG_SET = {
     "etf3": ("etf3", {**SHORT, **TRAIN}),
     "a2c": ("single_asset", {**SHORT, **TRAIN, "algo.name": "a2c"}),
     "regimes3": ("regimes3", {**SHORT, **GRID}),
+    "noclip": ("etf3", {**SHORT, **NOCLIP}),
     "ctx1": ("regimes3", {**SHORT, **CONTEXT, "hmm.n_states": 1}),
+    "ctx2": ("regimes3", {**SHORT, **CONTEXT, "hmm.n_states": 2}),
     "ctx3": ("regimes3", {**SHORT, **CONTEXT, "hmm.n_states": 3}),
     "two_asset": ("two_asset", {**SHORT, "qsurface.steps": 11}),
 }
@@ -66,7 +72,11 @@ CASES = [
                             "--sweep", "../sweep_lambda.yaml"]),
     ("evaluate-policy", "etf3",
      ["evaluate", "--checkpoint", "train/seed1/checkpoint.npz"]),
+    ("train-noclip", "noclip", ["train", "--seed", "0"]),
     ("train-ctx1", "ctx1", ["train", "--seed", "0"]),
+    ("train-ctx2", "ctx2", ["train", "--seed", "0"]),
+    ("evaluate-ctx2", "ctx2",
+     ["evaluate", "--checkpoint", "train-ctx2/seed0/checkpoint.npz"]),
     ("train-ctx3", "ctx3", ["train"]),
     ("evaluate-context", "ctx3",
      ["evaluate", "--checkpoint", "train-ctx3/seed0/checkpoint.npz"]),
