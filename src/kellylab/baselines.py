@@ -143,19 +143,15 @@ def rs_baseline_grid_search(
         policy, lambda seed: PortfolioEnv(config, seed),
         [e for e in range(episodes_per_cell) for _ in cells], master_seed,
     )
-    growths = iter(result.growths)
-    cell_growths = [[] for _ in cells]
-    bankruptcies = [0] * len(cells)
-    for lane, went_bankrupt in enumerate(result.bankrupt):
-        if went_bankrupt:
-            bankruptcies[lane % len(cells)] += 1
-        else:
-            cell_growths[lane % len(cells)].append(next(growths))
+    bankrupt = np.reshape(result.bankrupt, (episodes_per_cell, len(cells)))
+    growths = np.full(bankrupt.shape, np.nan)
+    growths[~bankrupt] = result.growths
+    columns = zip(growths.T, ~bankrupt.T, bankrupt.sum(axis=0).tolist())
 
     best = None
     table = []
-    for (f, n), survivors, b in zip(cells, cell_growths, bankruptcies):
-        g = float(np.asarray(survivors).mean()) if survivors else float("nan")
+    for (f, n), (column, survived, b) in zip(cells, columns):
+        g = float(column[survived].mean() if b < episodes_per_cell else np.nan)
         table.append(
             {
                 "fraction": f,
@@ -164,19 +160,13 @@ def rs_baseline_grid_search(
                 "bankruptcies": b,
             }
         )
-        if np.isnan(g):
-            continue
-        if (
-            best is None
-            or g > best[0]
-            or (g == best[0] and (f, -n) > (best[1], -best[2]))
-        ):
-            best = (g, f, n)
+        if not np.isnan(g) and (best is None or (g, f, -n) > best):
+            best = (g, f, -n)
     if best is None:
         raise ValueError("every grid cell went bankrupt on every episode")
     return GridSearchResult(
         fraction=best[1],
-        adjustment_periods=best[2],
+        adjustment_periods=-best[2],
         mean_growth=best[0],
         table=table,
     )

@@ -11,7 +11,6 @@ by default, and appear whole or not at all (see main).
 """
 
 import argparse
-import csv
 import ctypes
 import gc
 import hashlib
@@ -56,7 +55,9 @@ from .training import (
     check_context_window,
     check_detector_budget,
     evaluate,
+    fmt as _fmt,
     train,
+    write_csv as _write_csv,
     write_training_log,
 )
 
@@ -92,21 +93,6 @@ def _publish(stage: Path, out: Path):
     else:
         out.parent.mkdir(parents=True, exist_ok=True)
         os.rename(stage, out)
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-
-
-def _fmt(value) -> str:
-    """repr for floats (lossless), str for the rest."""
-    if isinstance(value, float):
-        return repr(float(value))  # plain float: numpy scalars repr verbosely
-    return str(value)
 
 
 def _eval_row(seed: int, ev) -> list:

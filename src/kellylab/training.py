@@ -337,6 +337,21 @@ def train(
     return TrainResult(net=net, log=log, detector=detector, updates=updates)
 
 
+def write_csv(path, header, rows):
+    """The package's one CSV writer: the header, then each row's cells."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def fmt(value) -> str:
+    """repr for floats (lossless), str for the rest."""
+    if isinstance(value, float):
+        return repr(float(value))  # plain float: numpy scalars repr verbosely
+    return str(value)
+
+
 def write_training_log(log_rows, path, n_weights: int):
     """CSV export of per-episode training rows (repr-precision floats).
 
@@ -349,18 +364,7 @@ def write_training_log(log_rows, path, n_weights: int):
         + [f"mad_w{i}" for i in range(n_weights)]
         + ["growth", "bankrupt", "clip_fraction", "approx_kl"]
     )
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for row in log_rows:
-            writer.writerow(
-                [row.episode, row.steps]
-                + [repr(float(w)) for w in row.mean_weights]
-                + [repr(float(w)) for w in row.mad_weights]
-                + [
-                    repr(float(row.growth)),
-                    int(row.bankrupt),
-                    repr(float(row.clip_fraction)),
-                    repr(float(row.approx_kl)),
-                ]
-            )
+    write_csv(path, header, (map(fmt, (
+        row.episode, row.steps, *row.mean_weights, *row.mad_weights,
+        row.growth, int(row.bankrupt), row.clip_fraction, row.approx_kl))
+        for row in log_rows))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy
 
-from kellylab import cli, hmm
+from kellylab import cli, hmm, training
 from kellylab.analytic import optimal_weights, q_surface
 from kellylab.cli import main
 from kellylab.config import load_config
@@ -1199,6 +1199,36 @@ def test_gridsearch_outputs(tmp_path, capsys):
     lines = (out / "gridsearch.csv").read_text().splitlines()
     assert lines[0] == "fraction,adjustment_periods,mean_growth,bankruptcies"
     assert len(lines) == 1 + 2  # two fractions, one ramp length
+
+
+def test_every_csv_goes_through_the_one_writer(tmp_path, monkeypatch):
+    # the writer under both of its names, as perfbench/probe.py wraps it
+    written = []
+    for module, name in ((training, "write_csv"), (cli, "_write_csv")):
+        def wrapper(path, header, rows, real=getattr(module, name)):
+            written.append(Path(path))
+            return real(path, header, rows)
+
+        monkeypatch.setattr(module, name, wrapper)
+    config = write(tmp_path, "tiny.yaml", TINY)
+    for command in ("train", "gridsearch"):
+        out = tmp_path / command
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    # a command writes into its stage directory, .<out name>.<pid>.partial,
+    # which then becomes its --out
+    stages = [next(p for p in path.parents if p.name.endswith(".partial"))
+              for path in written]
+    through_writer = {(stage.name.split(".")[1], str(path.relative_to(stage)))
+                      for path, stage in zip(written, stages)}
+    on_disk = {(command, str(path.relative_to(tmp_path / command)))
+               for command in ("train", "gridsearch")
+               for path in (tmp_path / command).rglob("*.csv")}
+    assert on_disk == {("train", "train_summary.csv"),
+                       ("train", "seed0/training_log.csv"),
+                       ("train", "seed0/updates.csv"),
+                       ("train", "seed0/eval.csv"),
+                       ("gridsearch", "gridsearch.csv")}
+    assert through_writer == on_disk
 
 
 def test_gridsearch_where_every_cell_goes_bankrupt_creates_no_output(

@@ -813,21 +813,40 @@ def test_train_context_config_validation():
 
 
 def test_write_training_log(tmp_path):
-    config = make_config()
-    net = PolicyNet(config.observation_dim, 1, np.random.default_rng(0),
-                    init_log_std=-2.0, hidden=(8,))
-    result = train(factory_for(config), net, small_ppo(32), seed=0)
-    path = tmp_path / "log.csv"
-    write_training_log(result.log, path, n_weights=2)
-    lines = path.read_text().splitlines()
-    assert lines[0] == ("episode,steps,mean_w0,mean_w1,mad_w0,mad_w1,"
-                        "growth,bankrupt,clip_fraction,approx_kl")
-    assert len(lines) == 1 + len(result.log)
-    cells = lines[1].split(",")
-    assert int(cells[0]) == 0
-    assert float(cells[2]) == result.log[0].mean_weights[0]
-    assert float(cells[6]) == result.log[0].growth
-    assert cells[7] == "0"
+    plain = (make_config(), -2.0, small_ppo(32))
+    # a wide policy on a volatile asset: most episodes go bankrupt, and the
+    # rows before the first update have nan diagnostics
+    bankrupt = (make_config(sigma=1.0, horizon_years=0.25), 2.0,
+                small_ppo(256, rollout_steps=128))
+    for case, (config, init_log_std, algo) in (("plain", plain),
+                                               ("bankrupt", bankrupt)):
+        net = PolicyNet(config.observation_dim, 1, np.random.default_rng(0),
+                        init_log_std=init_log_std, hidden=(8,))
+        with np.errstate(all="ignore"):
+            result = train(factory_for(config), net, algo, seed=0)
+        path = tmp_path / f"{case}.csv"
+        write_training_log(result.log, path, n_weights=2)
+        lines = path.read_text().splitlines()
+        assert lines[0] == ("episode,steps,mean_w0,mean_w1,mad_w0,mad_w1,"
+                            "growth,bankrupt,clip_fraction,approx_kl")
+        assert len(lines) == 1 + len(result.log)
+        for line, row in zip(lines[1:], result.log):
+            floats = [*row.mean_weights, *row.mad_weights, row.growth]
+            assert line.split(",") == (
+                [str(row.episode), str(row.steps)]
+                + [repr(float(x)) for x in floats]
+                + ["1" if row.bankrupt else "0"]
+                + [repr(float(row.clip_fraction)), repr(float(row.approx_kl))])
+        cells = lines[1].split(",")
+        assert int(cells[0]) == 0
+        assert float(cells[2]) == result.log[0].mean_weights[0]
+        if case == "plain":
+            assert float(cells[6]) == result.log[0].growth
+            assert cells[7] == "0"
+        else:
+            flags = [row.bankrupt for row in result.log]
+            assert any(flags) and not all(flags)
+            assert cells[6:] == ["nan", "1", "nan", "nan"]
 
 
 def test_write_training_log_header_only(tmp_path):

@@ -5,12 +5,15 @@
 
 Runs a fixed set of small commands in each checkout (its src/ on
 PYTHONPATH): every subcommand, a sweep, checkpoint evaluation of both net
-kinds, context runs with 1, 2 and 3 detector states, and unclipped PPO
-with rollouts that end mid-episode. Each side runs in its own directory
-with the same config files and relative --out paths, so stdout can be
-compared too. Then every output file of the two sides is compared byte for
-byte, except manifest.json, which is compared without wall_time_seconds.
-Prints each difference and exits 1 if there is any.
+kinds, context runs with 1, 2 and 3 detector states, unclipped PPO with
+rollouts that end mid-episode, a training run whose log has bankrupt rows
+and undefined (nan) diagnostics, and grid searches with bankrupt cells and
+with tied cells. Each side runs in its own directory with the same config
+files and relative --out paths, so stdout can be compared too. Then every
+output file of the two sides is compared byte for byte, except
+manifest.json, which is compared without wall_time_seconds.
+Prints each difference and exits 1 if there is any. The summary line also
+gives each side's source size, the summed lines of src/kellylab/*.py.
 
 The configs are configs/*.yaml cut to a few short episodes; both sides
 together take under 15 s on a 2-vCPU Xeon.
@@ -43,6 +46,20 @@ NOCLIP = {"algo.total_steps": 288, "algo.rollout_steps": 96,
 GRID = {"baseline.fractions": [0.5, 1.0], "baseline.adjustment_grid": [1, 4],
         "baseline.episodes_per_cell": 2}
 
+
+def single_market(mu, sigma, cash_rate):
+    return {"market.regimes": [{"mu": [mu], "sigma": [sigma], "corr": [[1.0]],
+                                "cash_rate": cash_rate}]}
+
+
+# a wide policy on a volatile asset: most episodes go bankrupt, and rows
+# before the first update have nan diagnostics
+BANKRUPT = {**single_market(0.12, 1.0, 0.04), "algo.init_log_std": 2.0}
+# the default 70-cell grid on a frictionless market at window 2; at w* = 64
+# (levered) high fractions go bankrupt, at w* = 0 (tie) every cell ties
+DEFAULT_GRID = {"impact.eta": 0.0, "impact.gamma": 0.0, "env.window": 2,
+                "baseline.episodes_per_cell": 3}
+
 # name -> (base config, overrides); one YAML file each, shared by both sides
 CONFIG_SET = {
     "etf3": ("etf3", {**SHORT, **TRAIN}),
@@ -53,6 +70,11 @@ CONFIG_SET = {
     "ctx2": ("regimes3", {**SHORT, **CONTEXT, "hmm.n_states": 2}),
     "ctx3": ("regimes3", {**SHORT, **CONTEXT, "hmm.n_states": 3}),
     "two_asset": ("two_asset", {**SHORT, "qsurface.steps": 11}),
+    "bankrupt": ("single_asset", {**SHORT, **TRAIN, **BANKRUPT}),
+    "levered": ("single_asset", {**SHORT, **DEFAULT_GRID,
+                                 **single_market(4.0, 0.25, 0.0)}),
+    "tie": ("single_asset", {**SHORT, **DEFAULT_GRID,
+                             **single_market(0.05, 0.2, 0.05)}),
 }
 
 # (case, config, arguments after the subcommand's --config and --out); a
@@ -64,10 +86,13 @@ CASES = [
     ("qsurface", "two_asset", ["qsurface"]),
     ("hmm-fit", "regimes3", ["hmm-fit"]),
     ("gridsearch", "regimes3", ["gridsearch"]),
+    ("gridsearch-levered", "levered", ["gridsearch"]),
+    ("gridsearch-tie", "tie", ["gridsearch"]),
     ("baseline", "regimes3", ["baseline"]),
     ("evaluate-baseline", "etf3", ["evaluate", "--episodes", "3"]),
     ("train", "etf3", ["train"]),
     ("train-a2c", "a2c", ["train"]),
+    ("train-bankrupt", "bankrupt", ["train", "--seed", "0"]),
     ("train-sweep", "a2c", ["train", "--seed", "0",
                             "--sweep", "../sweep_lambda.yaml"]),
     ("evaluate-policy", "etf3",
@@ -110,6 +135,12 @@ def run_side(checkout: Path, side: Path) -> dict:
             cwd=side, env=env, capture_output=True, text=True)
         results[case] = (proc.returncode, proc.stdout, proc.stderr)
     return results
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of src/kellylab/*.py, as `cat src/kellylab/*.py | wc -l`."""
+    return sum(p.read_bytes().count(b"\n")
+               for p in (checkout / "src" / "kellylab").glob("*.py"))
 
 
 def same_file(a: Path, b: Path) -> bool:
@@ -164,8 +195,10 @@ def main(argv=None) -> int:
             shutil.rmtree(work, ignore_errors=True)
     for line in problems:
         print(line)
+    lines = [src_lines(args.parent), src_lines(args.change)]
     print(f"{len(CASES)} commands, {n_files} files on the parent side, "
-          f"{len(problems)} difference(s)")
+          f"{len(problems)} difference(s); src/ lines {lines[0]} -> "
+          f"{lines[1]} ({lines[1] - lines[0]:+d})")
     return 1 if problems else 0
 
 
