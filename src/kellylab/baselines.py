@@ -64,7 +64,8 @@ class RegimeSwitchingPolicy:
         self._regime = np.full(count, -1, dtype=np.int64)
 
     def act(self, env):
-        live = env.live
+        # a full wave's lanes are read and written by slice, not gathered
+        live = env.live if len(env.live) < len(self._k) else slice(None)
         labels = env.regimes()
         k = self._k[live]
         k[labels != self._regime[live]] = 0
@@ -94,6 +95,9 @@ GRID_WAVE_BYTES = 16 * 2**20
 
 @dataclass
 class GridSearchResult:
+    # the keys of every table row, in gridsearch.csv's column order
+    columns = ("fraction", "adjustment_periods", "mean_growth", "bankruptcies")
+
     fraction: float
     adjustment_periods: int
     mean_growth: float
@@ -152,14 +156,7 @@ def rs_baseline_grid_search(
     table = []
     for (f, n), (column, survived, b) in zip(cells, columns):
         g = float(column[survived].mean() if b < episodes_per_cell else np.nan)
-        table.append(
-            {
-                "fraction": f,
-                "adjustment_periods": n,
-                "mean_growth": g,
-                "bankruptcies": b,
-            }
-        )
+        table.append(dict(zip(GridSearchResult.columns, (f, n, g, b))))
         if not np.isnan(g) and (best is None or (g, f, -n) > best):
             best = (g, f, -n)
     if best is None:

@@ -435,7 +435,7 @@ def cmd_gridsearch(args, exp: ExperimentConfig, out: Path):
         episodes_per_cell=bcfg.episodes_per_cell,
         master_seed=seed,
     )
-    columns = ["fraction", "adjustment_periods", "mean_growth", "bankruptcies"]
+    columns = result.columns
     _write_csv(out / "gridsearch.csv", columns,
                ([_fmt(cell[k]) for k in columns] for cell in result.table))
     print(

@@ -26,6 +26,12 @@ A one-lane step returns its observation. A wave's step returns none; the
 wave reads as a batch to an evaluation policy: `live` names the live lanes,
 `regimes()` gives their true labels and `observations()` their (L, D)
 observations, built only when asked for.
+
+Until a lane leaves, a wave reads and writes lane rows by basic slices, and
+path rows too when no two lanes replay one path; then it gathers the live
+lanes' rows. While every lane's wealth and multipliers lie in (0, inf) before
+the final period (one wave-wide test, which NaN fails), a step masks no lane;
+otherwise per-lane masks set each lane's reward and flags.
 """
 
 import math
@@ -214,19 +220,29 @@ class PortfolioEnv:
                 for lane, episode in zip(lanes, episodes)]
         # one path per distinct key, in order of first appearance
         paths = {key: episode_path(config, *key) for key in dict.fromkeys(keys)}
-        wave._prices = np.stack([path.prices for path in paths.values()])
-        # each path's regime label and interest factor per period
-        wave._regime_rows = np.stack([path.regimes for path in paths.values()])
+        # period-major: one period's rows of every path are contiguous
+        wave._prices = np.stack([path.prices for path in paths.values()], 1)
+        # each period's regime label and interest factor, one per path
+        wave._regime_rows = np.stack(
+            [path.regimes for path in paths.values()], 1)
         wave._interest_rows = np.array(wave._interest)[wave._regime_rows]
+        wave._regime_rows.setflags(write=False)  # regimes() may return a view
         index = {key: p for p, key in enumerate(paths)}
         wave._path_of = np.array([index[key] for key in keys])
         for lane, row, key in zip(lanes, block, keys):
             lane._eff_hist = row
             lane.reset(key[1], path=paths[key])
-            lane._unaffected = wave._prices[index[key]]
+            lane._unaffected = wave._prices[:, index[key]]
         wave._eff_hist = block
         wave._lanes = list(lanes)
         wave.live = np.arange(len(lanes))
+        # until a lane leaves, lane rows are read by basic slices, and path
+        # rows too (_paths None) while no two lanes share a path
+        wave._rows = slice(None)
+        wave._paths = None if len(paths) == len(lanes) else wave._path_of
+        # done and bankrupt of a step that every lane survives
+        wave._none = np.zeros(len(lanes), dtype=bool)
+        wave._none.setflags(write=False)
         wave._holdings = np.zeros((len(lanes), n))
         wave._mult = np.ones((len(lanes), n))
         wave._cash = np.full(len(lanes), wave._initial_wealth)
@@ -311,7 +327,7 @@ class PortfolioEnv:
         step's ddot and exp; each lane's costs fold left to right from 0.0
         and its reward is math.log of its wealth ratio, as there. It builds
         no observations: observations() does, for the lanes still live."""
-        lanes, live = self._lanes, self.live
+        lanes = self._lanes
         a = np.asarray(actions, dtype=np.float64)
         if a.shape != (len(lanes), self._n):
             raise ValueError(
@@ -319,41 +335,46 @@ class PortfolioEnv:
                 f"{a.shape}"
             )
         t = self._t
-        paths = self._path_of
+        rows = self._per_lane(self._prices[t : t + 2], 1)  # periods t, t + 1
         mult = self._mult
-        s0_eff = self._prices[:, t][paths] * mult
-        s1 = self._prices[:, t + 1][paths]
+        s0_eff = rows[0] * mult
+        s1 = rows[1]
         wealth = self._wealth
         impact = self._impact
 
         target_holdings = a * wealth[:, None] / s0_eff
         traded = target_holdings - self._holdings
         costs = trade_cost(s0_eff, s1 * mult, traded, self._dt, impact)
-        cost_paid = np.zeros(len(lanes))
-        for column in costs.T:
+        cost_paid = costs[:, 0] + 0.0  # the bits of 0.0 + column 0
+        for column in costs.T[1:]:
             cost_paid += column
         cash = self._cash - _row_dots(traded, s0_eff) - cost_paid
-        cash *= self._interest_rows[:, t][paths]
+        cash *= self._per_lane(self._interest_rows[t])
         mult = self._mult = mult * np.exp(impact.gamma * traded)
         s1_eff = s1 * mult
         self._holdings = target_holdings
         new_wealth = cash + _row_dots(target_holdings, s1_eff)
 
-        self._cash = cash
+        self._cash, self._wealth = cash, new_wealth
         self._t = t = t + 1
-        self._eff_hist[:, self._window - 1 + t][live] = s1_eff
+        self._eff_hist[self._rows, self._window - 1 + t] = s1_eff
 
+        # one wave-wide test (NaN fails it): while every lane is solvent
+        # before the horizon, no lane is done and no per-lane mask is needed
+        if (t < self._n_periods
+                and 0.0 < new_wealth.min() and new_wealth.max() < math.inf
+                and 0.0 < mult.min() and mult.max() < math.inf):
+            rewards = np.fromiter(map(math.log, (new_wealth / wealth).tolist()),
+                                  np.float64, len(lanes))
+            return StepResult(None, rewards, self._none, self._none)
         solvent = (0.0 < new_wealth) & (new_wealth < math.inf)
-        bad_mult = ~((0.0 < mult) & (mult < math.inf))
-        if bad_mult.any():
-            solvent &= ~bad_mult.any(axis=1)
+        solvent &= ((0.0 < mult) & (mult < math.inf)).all(axis=1)
         bankrupt = ~solvent
         ratio = np.where(solvent, new_wealth / wealth, 1.0)
         rewards = np.fromiter(map(math.log, ratio.tolist()), np.float64,
                               len(lanes))
         rewards[bankrupt] = BANKRUPTCY_REWARD
         done = bankrupt | (t == self._n_periods)
-        self._wealth = new_wealth
         if done.any():
             self._leave(done)
         return StepResult(None, rewards, done, bankrupt)
@@ -372,6 +393,8 @@ class PortfolioEnv:
         for name in ("live", "_path_of", "_holdings", "_mult", "_cash",
                      "_wealth"):
             setattr(self, name, getattr(self, name)[keep])
+        self._rows, self._paths = self.live, self._path_of
+        self._none = self._none[: len(self._lanes)]
         self._done = not self._lanes
 
     # -- views -------------------------------------------------------------
@@ -387,7 +410,12 @@ class PortfolioEnv:
     def regimes(self) -> np.ndarray:
         """A wave's live lanes' true regime labels (L,) at the current clock
         (foresight consumers only)."""
-        return self._regime_rows[:, self._t][self._path_of]
+        return self._per_lane(self._regime_rows[self._t])
+
+    def _per_lane(self, path_rows, axis=0):
+        """Rows with one entry per path along `axis`, as one per live lane."""
+        return (path_rows if self._paths is None
+                else path_rows.take(self._paths, axis))
 
     def observations(self) -> np.ndarray:
         """A wave's live lanes' observations (L, D), with the bits of the
@@ -395,9 +423,7 @@ class PortfolioEnv:
         # live lanes are solvent, so their weights are marked at the
         # newest history row
         t, window = self._t, self._window
-        history = self._eff_hist[:, t : t + window]
-        if len(self._lanes) < len(history):
-            history = history[self.live]
+        history = self._eff_hist[self._rows, t : t + window]
         nw = self._n * window
         obs = np.empty((len(history), self._obs_dim))
         obs[:, :nw] = history.reshape(-1, nw)

@@ -118,7 +118,8 @@ def evaluate(policy, env_factory, n_episodes, seed: int,
         sums = reward_sums[first : first + len(wave_episodes)]
         flags = bankrupt[first : first + len(wave_episodes)]
         while not wave.done:
-            live = wave.live
+            # a full wave's lanes are read by slice, not gathered
+            live = wave.live if len(wave.live) < len(sums) else slice(None)
             result = wave.step(policy.act(wave))
             sums[live] += result.reward
             flags[live] = result.bankrupt

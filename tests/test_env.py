@@ -704,6 +704,16 @@ def test_a_wave_ends_bankrupt_lanes_as_the_float_step_does():
     assert lengths[:2] == [7, cfg.n_periods]
     assert lengths[3] == cfg.n_periods
 
+    # a NaN action at t = 20 makes one lane's wealth and multipliers NaN
+    # beside tame lanes: a wave-wide solvency test that skipped NaN would
+    # pay it a NaN reward and keep it live
+    def nan_action(lane, t):
+        tame = 0.5 * signs * (1.0 + 0.1 * np.sin(t + lane))
+        return np.full(3, np.nan) if lane == 1 and t == 20 else tame
+
+    lengths = check_wave_against_float_steps(cfg, 2, [0, 1, 2], nan_action)
+    assert lengths == [cfg.n_periods, 21, cfg.n_periods]
+
 
 def test_a_lane_that_left_its_wave_steps_again_only_after_a_reset():
     # regimes3 at 60x leverage, seed 3 episode 1: the first lane goes

@@ -5,13 +5,14 @@
 
 Runs a fixed set of small commands in each checkout (its src/ on
 PYTHONPATH): every subcommand, a sweep, checkpoint evaluation of both net
-kinds, context runs with 1, 2 and 3 detector states, unclipped PPO with
-rollouts that end mid-episode, a training run whose log has bankrupt rows
-and undefined (nan) diagnostics, and grid searches with bankrupt cells and
-with tied cells. Each side runs in its own directory with the same config
-files and relative --out paths, so stdout can be compared too. Then every
-output file of the two sides is compared byte for byte, except
-manifest.json, which is compared without wall_time_seconds.
+kinds, evaluations that fill a 64-lane wave and then part of one, context
+runs with 1, 2 and 3 detector states, unclipped PPO with rollouts that end
+mid-episode, a training run whose log has bankrupt rows and undefined (nan)
+diagnostics, and grid searches with bankrupt cells and with tied cells.
+Each side runs in its own directory with the same config files and relative
+--out paths, so stdout can be compared too. Then every output file of the
+two sides is compared byte for byte, except manifest.json, which is
+compared without wall_time_seconds.
 Prints each difference and exits 1 if there is any. The summary line also
 gives each side's source size, the summed lines of src/kellylab/*.py.
 
@@ -97,6 +98,11 @@ CASES = [
                             "--sweep", "../sweep_lambda.yaml"]),
     ("evaluate-policy", "etf3",
      ["evaluate", "--checkpoint", "train/seed1/checkpoint.npz"]),
+    # 70 episodes: a full 64-lane wave, then a 6-lane wave
+    ("evaluate-policy-70", "etf3",
+     ["evaluate", "--checkpoint", "train/seed1/checkpoint.npz",
+      "--episodes", "70"]),
+    ("evaluate-baseline-70", "regimes3", ["evaluate", "--episodes", "70"]),
     ("train-noclip", "noclip", ["train", "--seed", "0"]),
     ("train-ctx1", "ctx1", ["train", "--seed", "0"]),
     ("train-ctx2", "ctx2", ["train", "--seed", "0"]),
