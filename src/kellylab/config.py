@@ -59,20 +59,32 @@ def _line_map(root) -> dict:
     return lines
 
 
+def _read_text(path) -> str:
+    """A config or sweep file's text; one that is not UTF-8 fails naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"not UTF-8 text: {exc}", filename=str(path)) from exc
+
+
 def _load_yaml(text: str, filename):
     """One SafeLoader pass over text: its data and its line map."""
-    loader = yaml.SafeLoader(text)
     try:
-        node = loader.get_single_node()
-        # map lines first: constructing flattens merge keys in the tree
-        lines = _line_map(node)
-        data = None if node is None else loader.construct_document(node)
+        loader = yaml.SafeLoader(text)  # rejects non-printable characters
+        try:
+            node = loader.get_single_node()
+            # map lines first: constructing flattens merge keys in the tree
+            lines = _line_map(node)
+            data = None if node is None else loader.construct_document(node)
+        finally:
+            loader.dispose()
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = None if mark is None else mark.line + 1
+        if isinstance(exc, yaml.reader.ReaderError):  # a position, no mark
+            line = text.count("\n", 0, exc.position) + 1
         raise ConfigError(str(exc), line=line, filename=filename) from exc
-    finally:
-        loader.dispose()
     return data, lines
 
 
@@ -482,18 +494,14 @@ def build_config(data: dict, source=None) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        text = fh.read()
-    return parse_config(text, filename=str(path))
+    return parse_config(_read_text(path), filename=str(path))
 
 
 def load_sweep(path, config: dict):
     """Parse a sweep over `config` (a to_dict() mapping) into its dotted key
     and its values; a key whose parent blocks are missing there fails at the
     key's line, and a value that prints like an earlier one at its own."""
-    with open(path) as fh:
-        text = fh.read()
-    data, lines = _load_yaml(text, str(path))
+    data, lines = _load_yaml(_read_text(path), str(path))
     ctx = _Ctx(lines, str(path))
     spec = _read(data, "", ctx, _SWEEP)
     key, values = spec["key"], spec["values"]

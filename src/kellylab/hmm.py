@@ -11,19 +11,17 @@ sequences, one loop over time for the whole stack; one sequence is a stack of
 one. The fit trains its restarts in lockstep, decoding all of them in one call
 per sequence length, with the bits of training them one after another (see
 fit). Emission solves call LAPACK dtrtrs in the OpenBLAS bundled with numpy
-(_solver), so one library runs every BLAS and LAPACK call. predict_current
-runs only the forward max pass (no backpointers); max is exact, so its label
-is decode's last state bit for bit. It labels one window (a training
-step's), a two-state model's on Python floats (_label_one). SlidingLabels
-gives an evaluation wave's lanes, whose windows slide by one row a period,
-predict_current's labels: it keeps the forward scores of every window open
-on a lane's newest return row, solves only the newest rows, all lanes' in
-one block, and steps every open window on by them; on any other clock it
-solves the full windows in one block and rebuilds the scores. A one-row
-solve rounds differently from the same row in a larger block, so a one-row
-block is solved as that row twice over, to the bits it has in every block.
-A model computes its Cholesky factors and log probabilities once, and its
-arrays are read-only so they cannot go stale.
+(_solver), so one library runs every BLAS and LAPACK call. predict_current is
+the one regime label, for a training step's one lane and an evaluation wave's
+lanes alike: each lane's label is decode's last state over its window, bit
+for bit. A SlidingLabels keeps the forward max-product scores (max is exact)
+of every window open on a lane's newest return row. When the clock moves by
+one, only the newest rows are solved, all lanes' in one block, and every open
+window steps on by them; any other clock solves the full windows in one block
+and rebuilds the scores. A one-row solve rounds differently from the same row
+in a larger block, so a one-row block is solved as that row twice over, to
+the bits it has in every block. A model computes its Cholesky factors and log
+probabilities once, and its arrays are read-only so they cannot go stale.
 
 The fit works on raw, unlabelled returns, so its state indices are arbitrary
 (label switching): best_permutation() maps them onto simulator regimes.
@@ -109,10 +107,6 @@ class GaussianHmmModel:
         with np.errstate(divide="ignore"):
             self._log_trans = np.log(self.transition)
             self._log_init = np.log(self.initial)
-        # plain-float copies for the two-state label pass;
-        # _log_into[j][i] = log P(i -> j)
-        self._log_into = self._log_trans.T.tolist()
-        self._log_init_list = self._log_init.tolist()
 
     @property
     def n_states(self) -> int:
@@ -197,17 +191,15 @@ def _emission_logprobs(model: GaussianHmmModel, x: np.ndarray) -> np.ndarray:
     return (-0.5 * (quad + model._logdet + n * _LOG_2PI)).T
 
 
-def _viterbi(log_init, log_trans, emis: np.ndarray, last_only=False):
+def _viterbi(log_init, log_trans, emis: np.ndarray):
     """Most-likely state paths (S, T) from stacked emissions (S, T, K).
 
     log_init (K,) and log_trans (K, K) are one model's, or (S, K) and
     (S, K, K) give each sequence its own model (the fit decodes all its
     restarts in one call); every op is elementwise, so a sequence's path is
-    the same either way. With last_only, only each path's last state (S,):
-    the forward pass alone, keeping no backpointers. The max over the
-    from-states is a fold of np.maximum into a preallocated score (max is
-    exact, so it equals cand.max(axis=1), whose reduce made the pass 15-35%
-    slower).
+    the same either way. The max over the from-states is a fold of
+    np.maximum into a preallocated score (max is exact, so it equals
+    cand.max(axis=1), whose reduce made the pass 15-35% slower).
     """
     s_len, t_len, k = emis.shape
     steps = emis.transpose(1, 0, 2)  # one (S, K) emission row per step
@@ -215,21 +207,17 @@ def _viterbi(log_init, log_trans, emis: np.ndarray, last_only=False):
     into = score[:, :, None]
     cand = np.empty((s_len, k, k))  # (sequence, from, to)
     from_state = [cand[:, i] for i in range(k)]
-    backptr = None if last_only else np.empty((t_len, s_len, k), dtype=np.int64)
+    backptr = np.empty((t_len, s_len, k), dtype=np.int64)
     for t in range(1, t_len):
         np.add(into, log_trans, out=cand)
-        if backptr is not None:
-            cand.argmax(axis=1, out=backptr[t])
+        cand.argmax(axis=1, out=backptr[t])
         # at K = 1 (only a fit has it) this is the one column with itself
         np.maximum(from_state[0], from_state[-1], out=score)
         for rest in from_state[1:-1]:
             np.maximum(score, rest, out=score)
         np.add(score, steps[t], out=score)
-    last = score.argmax(axis=1)
-    if last_only:
-        return last
     path = np.empty((s_len, t_len), dtype=np.int64)
-    path[:, -1] = last
+    path[:, -1] = score.argmax(axis=1)
     rows = np.arange(s_len)
     for t in range(t_len - 1, 0, -1):
         path[:, t - 1] = backptr[t, rows, path[:, t]]
@@ -253,26 +241,6 @@ def decode(model: GaussianHmmModel, sequence) -> np.ndarray:
     return paths if stacked else paths[0]
 
 
-def predict_current(model: GaussianHmmModel, window) -> int:
-    """Regime label now: final state of the decode over a recent window.
-
-    window is one (T, n) window of return rows. The label is
-    decode(model, window)[-1] bit for bit: the forward max-product pass
-    keeps no backpointers, but every step takes the same max of the same
-    sums as decode.
-    """
-    x = np.atleast_2d(np.asarray(window, dtype=np.float64))
-    if len(x) < 1:
-        raise ValueError("window must contain at least one return row")
-    if model.n_states == 1:
-        return 0
-    emis = _emission_logprobs(model, x)
-    if model.n_states == 2:
-        return _label_one(model, emis.tolist())
-    return int(_viterbi(model._log_init, model._log_trans, emis[None],
-                        last_only=True)[0])
-
-
 def _window_emissions(model: GaussianHmmModel, x: np.ndarray) -> np.ndarray:
     """Emissions (L, T, K) of a stack of windows (L, T, n): one solve per
     state over all L * T rows."""
@@ -281,50 +249,18 @@ def _window_emissions(model: GaussianHmmModel, x: np.ndarray) -> np.ndarray:
     return emis.reshape(l_len, t_len, -1)
 
 
-def _label_one(model: GaussianHmmModel, emis: list) -> int:
-    """_viterbi's forward pass over one window's two-state emission rows,
-    unrolled on plain floats: the same adds in the same order, and the label
-    argmax gives (the lower state on a tie, the first NaN if any).
-
-    np.maximum passes on a NaN from either side (a solve that overflows can
-    give a NaN emission), and then every later score is NaN and the label 0.
-    Here a NaN in s1 reaches s0 through q, and one in s0 stays there through
-    the p != p test; s0 then stays NaN and the label is 0, whatever s1 holds.
-    """
-    (a00, a10), (a01, a11) = model._log_into
-    rows = iter(emis)
-    e0, e1 = next(rows)
-    s0, s1 = model._log_init_list[0] + e0, model._log_init_list[1] + e1
-    for e0, e1 in rows:
-        p, q = s0 + a00, s1 + a10
-        r, u = s0 + a01, s1 + a11
-        s0 = (p if p >= q or p != p else q) + e0
-        s1 = (r if r >= u else u) + e1
-    return 0 if s0 >= s1 or s0 != s0 else 1
-
-
 class SlidingLabels:
-    """predict_current's labels for the live lanes at clock t from their
-    price windows (L, T + 1, n), whose log returns are the detector's
-    windows. Each lane's T open windows' forward scores are kept as (K, L,
-    T), the one labelled at clock c in slot c % T; each step takes the adds
-    and maxes of _viterbi over each window alone. Log returns of a window's
-    last rows have the bits of those rows of the full window
-    (tests/test_hmm.py checks this of the running numpy)."""
+    """The state predict_current keeps between calls for one set of lanes (a
+    training run's one lane, or an evaluation wave's): each lane's T open
+    windows' forward scores as (K, L, T), the one labelled at clock c in
+    slot c % T. Each step takes the adds and maxes of _viterbi over each
+    window alone."""
 
     def __init__(self, model: GaussianHmmModel):
         self.model = model
         # the previous call's clock and live lanes, the open windows' scores
         # (K, L, T) and room for a step's sums (K, K, L, T)
         self._t, self._live, self._scores, self._cand = 0, None, None, None
-
-    def labels(self, t: int, live, prices) -> np.ndarray:
-        if self.model.n_states == 1:
-            return np.zeros(len(live), dtype=np.int64)
-        slide = self.slides(t, live)
-        rows = prices[:, -2:] if slide else prices
-        return self.push(t, live, slide, _window_emissions(
-            self.model, np.diff(np.log(rows), axis=1)))
 
     def slides(self, t: int, live) -> bool:
         """Whether clock t and the live lanes go on from the previous call's:
@@ -362,6 +298,20 @@ class SlidingLabels:
         emis = emis.T
         np.add(scores, emis[:, :, None], out=scores)
         np.add(model._log_init[:, None], emis, out=scores[:, :, slot])
+
+
+def predict_current(sliding: SlidingLabels, t: int, live, prices) -> np.ndarray:
+    """Regime labels (L,) at clock t: each live lane's last decoded state,
+    bit for bit, over the log returns of its price window (L, T + 1, n).
+    On a slide (sliding.slides) only the newest return rows are solved: log
+    returns of a window's last rows have the bits of those rows of the full
+    window (tests/test_hmm.py checks this of the running numpy)."""
+    if sliding.model.n_states == 1:
+        return np.zeros(len(live), dtype=np.int64)
+    slide = sliding.slides(t, live)
+    rows = prices[:, -2:] if slide else prices
+    return sliding.push(t, live, slide, _window_emissions(
+        sliding.model, np.diff(np.log(rows), axis=1)))
 
 
 def _path_log_likelihood(model, emissions, paths) -> float:

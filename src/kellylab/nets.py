@@ -434,6 +434,6 @@ def load_checkpoint(path):
                         f"expected {p.value.shape}"
                     )
                 p.value[...] = stored
-    except (KeyError, OSError, ValueError) as exc:
+    except (KeyError, OSError, ValueError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     return net, meta

@@ -8,8 +8,8 @@ update's clip fraction and approximate KL.
 
 For a context-conditioned net the regime detector is fit once on the log
 returns of the first 10 episodes and frozen; until then the context input is
-the uniform vector over regimes, afterwards the one-hot detector label
-recomputed from the observation window each step.
+the uniform vector over regimes, afterwards the one-hot hmm.predict_current
+label of the observation window each step, as in evaluation.
 """
 
 import csv
@@ -30,8 +30,8 @@ class NetPolicy:
     """Evaluation wrapper: act with the policy mean, one forward for a wave.
 
     A context net reads its regime context from its frozen detector, which
-    it must be given; a SlidingLabels per wave labels every live lane,
-    solving only each window's newest emission row from period to period.
+    it must be given; hmm.predict_current labels every live lane, keeping
+    a SlidingLabels per wave.
     """
 
     # Per-row forward cost is flat past 64 rows, and every lane holds one
@@ -57,8 +57,8 @@ class NetPolicy:
         if self.detector is not None:
             window, n = env.config.window, env.config.n_assets
             prices = obs[:, : window * n].reshape(len(obs), window, n)
-            labels = self._labels.labels(env.t, env.live, prices)
-            context = self._one_hot[labels]
+            context = self._one_hot[hmm_module.predict_current(
+                self._labels, env.t, env.live, prices)]
         return self.net.forward(obs, context)[0]
 
 
@@ -241,7 +241,7 @@ def train(
     detector_sequences = []
 
     one_hot = np.eye(net.context_dim) if is_context else None
-    window = env.config.window
+    window, lane = env.config.window, np.arange(1)
     obs = env.reset()
     # until the detector is fit the context is uniform over regimes, keeping
     # the elementwise-product trunk live without asserting a label
@@ -305,6 +305,7 @@ def train(
                         detector = hmm_module.fit(
                             detector_sequences, hmm_config, stream(seed, HMM_STREAM)
                         )
+                        labels = hmm_module.SlidingLabels(detector)
                         detector_sequences = []
                 obs = env.reset()
                 reward_sum = 0.0
@@ -312,11 +313,11 @@ def train(
             else:
                 obs = result.observation
             if detector is not None:
-                # the label of the log returns of the observation's leading
-                # (window, n_assets) price rows, as its row of one_hot
-                log_prices = np.log(obs[: window * n_assets].reshape(window, -1))
+                # the label of the observation's leading (window, n_assets)
+                # price rows; a reset's clock jump rebuilds the scores
                 context = one_hot[hmm_module.predict_current(
-                    detector, log_prices[1:] - log_prices[:-1])]
+                    labels, env.t, lane,
+                    obs[None, : window * n_assets].reshape(1, window, -1))[0]]
 
         # the update's log-probabilities: ((a - mean) / std)**2 in place of
         # the means, then log_density, as loss_and_grads computes them

@@ -1,6 +1,9 @@
-"""A test-local oracle for the forward scores hmm.SlidingLabels keeps."""
+"""Test-local oracles for the forward scores hmm.SlidingLabels keeps and
+the labels hmm.predict_current gives."""
 
 import numpy as np
+
+from kellylab import hmm
 
 
 def forward_score(model, emis):
@@ -15,6 +18,28 @@ def forward_score(model, emis):
             best = np.maximum(best, cand[:, i])
         score = best + row
     return score
+
+
+def forward_labels(model, emis):
+    """The last state (S,) of each sequence's decode over its emission rows
+    (S, R, K): the argmax of its forward score."""
+    return forward_score(model, emis).argmax(axis=1)
+
+
+def window_labels(model, windows) -> list:
+    """The regime labels of a stack of (T, n) windows of return rows, each
+    labelled alone: the argmax of forward_score over the window's own
+    emissions, checked against decode's last states."""
+    xs = np.asarray(windows, dtype=np.float64)
+    emis = np.stack([hmm._emission_logprobs(model, x) for x in xs])
+    labels = forward_labels(model, emis).tolist()
+    assert labels == hmm.decode(model, xs)[:, -1].tolist()
+    return labels
+
+
+def window_label(model, window) -> int:
+    """The regime label of one (T, n) window, as window_labels gives it."""
+    return window_labels(model, [window])[0]
 
 
 def assert_open_window_scores(sliding, t, emis):

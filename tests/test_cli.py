@@ -701,6 +701,29 @@ def test_evaluate_missing_checkpoint_creates_no_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("damage", ["truncated", "bit-flipped"])
+def test_evaluate_corrupt_checkpoint_names_the_file(tmp_path, capsys, damage):
+    config = write(tmp_path, "tiny.yaml", TINY)
+    train_out = tmp_path / "train"
+    assert main(["train", "--config", str(config), "--out", str(train_out)]) == 0
+    checkpoint = train_out / "seed0" / "checkpoint.npz"
+    data = bytearray(checkpoint.read_bytes())
+    if damage == "truncated":
+        data = data[: len(data) // 2]
+    else:
+        # inside a stored array, whose CRC-32 then fails
+        data[len(data) // 2] ^= 0x10
+    checkpoint.write_bytes(bytes(data))
+    capsys.readouterr()
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--config", str(config), "--out", str(out),
+                 "--checkpoint", str(checkpoint)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot read checkpoint {checkpoint}: ")
+    assert not out.exists()
+
+
 def evaluate_with_header_field(tmp_path, capsys, field, value):
     """Train TINY, set one net header field of its checkpoint, evaluate it;
     assert one `error:` line naming the file and the field, exit 1, and no
@@ -945,10 +968,11 @@ rng = np.random.default_rng(0)
 x = np.concatenate([rng.normal(0.01, 0.01, (60, 2)), rng.normal(-0.01, 0.03, (60, 2))])
 model = hmm.fit([x], hmm.HmmFitConfig(n_init=2), rng)
 assert hmm.decode(model, x).shape == (120,)
-assert hmm.predict_current(model, x[-59:]) in (0, 1)
 prices = np.exp(np.cumsum(x, axis=0))
 windows = np.stack([prices[:60], prices[1:61]])
-assert hmm.SlidingLabels(model).labels(0, np.arange(2), windows).shape == (2,)
+labels = hmm.SlidingLabels(model)
+assert hmm.predict_current(labels, 0, np.arange(2), windows).shape == (2,)
+assert hmm.predict_current(labels, 1, np.arange(1), windows[1:]).shape == (1,)
 assert "scipy.linalg" not in sys.modules
 from kellylab.market import rescale_transition
 P = np.array([[0.9, 0.1], [0.2, 0.8]])

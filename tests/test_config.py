@@ -209,6 +209,30 @@ def test_yaml_syntax_error_reports_a_line():
     assert excinfo.value.line is not None
 
 
+def test_a_file_that_is_not_utf8_is_a_config_error_naming_it(tmp_path):
+    config = tmp_path / "latin1.yaml"
+    config.write_bytes(MINIMAL.encode() + b"# caf\xe9\n")
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(config)
+    assert str(excinfo.value).startswith(f"{config}: not UTF-8 text: ")
+    sweep = tmp_path / "sweep.yaml"
+    sweep.write_bytes(b"key: algo.gae_lambda\nvalues: [0.5, 0.9]  # \xff\n")
+    with pytest.raises(ConfigError) as excinfo:
+        load_sweep(sweep, load_config(CONFIG_DIR / "single_asset.yaml").to_dict())
+    assert str(excinfo.value).startswith(f"{sweep}: not UTF-8 text: ")
+
+
+def test_a_nul_byte_is_a_config_error_at_its_line(tmp_path):
+    config = tmp_path / "nul.yaml"
+    lines = MINIMAL.splitlines(keepends=True)
+    lines[2] = lines[2].replace("\n", "\0\n")
+    config.write_text("".join(lines))
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(config)
+    assert (excinfo.value.filename, excinfo.value.line) == (str(config), 3)
+    assert excinfo.value.message.startswith("unacceptable character #x0000")
+
+
 def test_context_policy_needs_hmm_and_regimes():
     text = TWO_REGIME.replace("  context_policy: false", "")  # not present
     text = text.replace("  name: ppo", "  name: ppo\n  context_policy: true")

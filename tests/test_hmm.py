@@ -20,11 +20,11 @@ from kellylab.hmm import (
     decode,
     fit,
     load,
-    predict_current,
     save,
 )
 
-from forwardpass import assert_open_window_scores
+from forwardpass import (assert_open_window_scores, forward_labels,
+                         window_label, window_labels)
 
 
 def accuracy(predicted, true) -> float:
@@ -258,31 +258,38 @@ def test_decode_single_state_shortcut():
     )
     assert np.array_equal(decode(model, np.zeros((5, 1))),
                           np.zeros(5, dtype=np.int64))
-    assert predict_current(model, np.zeros((5, 1))) == 0
+    assert window_label(model, np.zeros((5, 1))) == 0
     assert stack_labels(model, np.zeros((3, 5, 1))).tolist() == [0, 0, 0]
     sliding = hmm_module.SlidingLabels(model)
-    assert sliding.labels(0, np.arange(3), np.ones((3, 6, 1))).tolist() == [
-        0, 0, 0]
+    assert hmm_module.predict_current(
+        sliding, 0, np.arange(3), np.ones((3, 6, 1))).tolist() == [0, 0, 0]
 
 
 def test_predict_current_returns_the_final_state():
     model = two_state_model()
-    assert predict_current(model, np.full((5, 1), 0.019)) == 1
-    assert predict_current(model, np.full((5, 1), -0.019)) == 0
+
+    def labels(returns):
+        # price windows (L, T + 1, n) whose log returns are about `returns`
+        log_prices = np.cumsum(np.pad(returns, ((0, 0), (1, 0), (0, 0))),
+                               axis=1)
+        return hmm_module.predict_current(
+            hmm_module.SlidingLabels(model), 0, np.arange(len(returns)),
+            100.0 * np.exp(log_prices)).tolist()
+
+    assert labels(np.full((1, 5, 1), 0.019)) == [1]
+    assert labels(np.full((1, 5, 1), -0.019)) == [0]
     # a window that starts down and ends up resolves to the ending regime
     window = np.array([[-0.02], [-0.02], [0.02], [0.02], [0.02]])
-    assert predict_current(model, window) == 1
-    assert predict_current(model, [0.019]) == 1
+    assert labels(window[None]) == [1]
+    assert labels(np.full((1, 1, 1), 0.019)) == [1]
     # a stack of equal-length windows gets each window's own label
     stack = np.stack([np.full((5, 1), 0.019), np.full((5, 1), -0.019), window])
-    assert [predict_current(model, w) for w in stack] == [1, 0, 1]
+    assert window_labels(model, stack) == [1, 0, 1]
+    assert labels(stack) == [1, 0, 1]
     assert stack_labels(model, stack).tolist() == [1, 0, 1]
     assert stack_labels(model, stack[1:2]).tolist() == [0]
     assert stack_labels(model, [[[0.019]], [[-0.019]]]).tolist() == [1, 0]
-    assert [predict_current(model, w) for w in [[[0.019]], [[-0.019]]]] == [
-        1, 0]
-    with pytest.raises(ValueError, match="at least one return row"):
-        predict_current(model, np.empty((0, 1)))
+    assert window_labels(model, [[[0.019]], [[-0.019]]]) == [1, 0]
 
 
 def test_best_permutation_and_accuracy():
@@ -483,7 +490,8 @@ def test_predict_current_equals_the_last_decoded_state(model, seed):
         window = model.means[states] + scale * rng.normal(
             0.0, 0.03, size=(t_len, model.n_features)
         )
-        label = predict_current(model, window)
+        # the one-lane label a training step takes
+        label = stack_labels(model, window[None])[0]
         assert label == decode(model, window)[-1]
         assert label == oracle_decode(model, window)[-1]
 
@@ -499,7 +507,7 @@ def test_non_finite_windows_still_raise(model, seed, bad):
     if model.n_states == 1:
         return  # one state needs no emissions: the label is 0 for any window
     with pytest.raises(ValueError):
-        predict_current(model, window)
+        stack_labels(model, window[None])
     with pytest.raises(ValueError):
         decode(model, window)
     # one bad entry in any one lane of a stack fails the whole solve
@@ -525,8 +533,7 @@ def test_stacked_predict_current_equals_each_window_on_its_own(
     stack = model.means[states] + scale * rng.normal(
         0.0, 0.03, size=(lanes, t_len, model.n_features)
     )
-    want = [predict_current(model, window) for window in stack]
-    assert want == [decode(model, window)[-1] for window in stack]
+    want = window_labels(model, stack)
     # lanes leave mid-wave as their episodes end, so later calls label a
     # shrinking subset of the stack, in lane order
     live = np.arange(lanes)
@@ -563,11 +570,11 @@ def test_stacked_labels_match_at_the_decision_boundary(t_len):
             return np.vstack([head, model.means[0] + a * step])
 
         lo, hi = -3.0, 4.0
-        if predict_current(model, window(lo)) == predict_current(model, window(hi)):
+        if window_label(model, window(lo)) == window_label(model, window(hi)):
             continue
         while lo < np.nextafter(lo, hi) < hi:
             mid = 0.5 * (lo + hi)
-            if predict_current(model, window(mid)) == predict_current(model, window(lo)):
+            if window_label(model, window(mid)) == window_label(model, window(lo)):
                 lo = mid
             else:
                 hi = mid
@@ -577,8 +584,7 @@ def test_stacked_labels_match_at_the_decision_boundary(t_len):
             shifts = [np.nextafter(shifts[0], -np.inf)] + shifts
             shifts.append(np.nextafter(shifts[-1], np.inf))
         stack = np.stack([window(a) for a in shifts])
-        want = [predict_current(model, w) for w in stack]
-        assert want == [decode(model, w)[-1] for w in stack]
+        want = window_labels(model, stack)
         # stacks centred on the flip, labelled as a wave's first period, and
         # as its second after the windows one row earlier
         earlier = np.concatenate(
@@ -632,21 +638,21 @@ def odd_emissions(rng, shape, tied, odd):
 @given(model=TWO_STATE_MODELS, lanes=st.sampled_from([1, 2, 10, 64]),
        t_len=st.integers(1, 30), tied=st.sampled_from([0.0, 0.5, 1.0]),
        odd=st.sampled_from([0.0, 0.05, 0.3]), seed=st.integers(0, 2**32 - 1))
-def test_float_label_pass_equals_the_numpy_pass(model, lanes, t_len, tied,
-                                                odd, seed):
-    # predict_current's float pass and SlidingLabels' numpy one, over five
-    # periods of sliding windows. Emission rows whose two entries are equal
-    # tie exactly under a symmetric model. -inf is a quadratic form that
-    # overflows, and NaN a solve that does; np.maximum and argmax pass a NaN
-    # on.
+def test_two_state_sliding_labels_equal_the_forward_pass(model, lanes, t_len,
+                                                        tied, odd, seed):
+    # SlidingLabels' labels, decode's last states and the forward pass
+    # oracle's, over five periods of sliding windows. Emission rows whose
+    # two entries are equal tie exactly under a symmetric model. -inf is a
+    # quadratic form that overflows, and NaN a solve that does; np.maximum
+    # and argmax pass a NaN on.
     rng = np.random.default_rng(seed)
     rows = odd_emissions(rng, (lanes, t_len + 4, 2), tied, odd)
     sliding, live = hmm_module.SlidingLabels(model), np.arange(lanes)
     for t in range(5):
         emis = rows[:, t : t + t_len]
-        want = hmm_module._viterbi(model._log_init, model._log_trans, emis,
-                                   last_only=True).tolist()
-        assert [hmm_module._label_one(model, w) for w in emis.tolist()] == want
+        want = forward_labels(model, emis).tolist()
+        assert hmm_module._viterbi(model._log_init, model._log_trans,
+                                   emis)[:, -1].tolist() == want
         assert sliding.slides(t, live) == (t > 0)
         assert sliding.push(t, live, t > 0, emis).tolist() == want
 
@@ -673,7 +679,7 @@ def test_sliding_scores_are_each_open_windows_forward_pass(
         slide = sliding.slides(t, live)
         got = sliding.push(t, live, slide, emis)
         assert got.tolist() == hmm_module._viterbi(
-            model._log_init, model._log_trans, emis, last_only=True).tolist()
+            model._log_init, model._log_trans, emis)[:, -1].tolist()
         assert_open_window_scores(sliding, t, emis)
         move = rng.uniform()
         t = int(rng.integers(0, periods)) if move < 0.15 else t + 1
@@ -698,7 +704,7 @@ def test_two_state_labels_equal_the_oracle(model, lanes, far, seed):
     with np.errstate(over="ignore"):
         want = [oracle_decode(model, w)[-1] for w in stack]
         assert stack_labels(model, stack).tolist() == want
-        assert [predict_current(model, w) for w in stack] == want
+        assert window_labels(model, stack) == want
 
 
 def test_nan_emissions_label_as_the_decode_does():
@@ -721,7 +727,7 @@ def test_nan_emissions_label_as_the_decode_does():
         want = [decode(model, w)[-1] for w in stack]
         assert want == [oracle_decode(model, w)[-1] for w in stack]
         assert stack_labels(model, stack).tolist() == want
-        assert [predict_current(model, w) for w in stack] == want
+        assert window_labels(model, stack) == want
 
 
 def test_blas_solves_a_column_the_same_in_any_block_of_two_or_more():
@@ -804,10 +810,10 @@ def test_the_scipy_linalg_fallback_gives_the_same_fit_and_labels(monkeypatch):
     seqs = [sample_chain(rng, 200, means=[-0.02, 0.02], stds=[0.01, 0.02],
                          transition=[[0.95, 0.05], [0.1, 0.9]])[0]
             for _ in range(3)]
-    windows = [seqs[0][i : i + 59] for i in range(0, 140, 7)]
+    windows = np.stack([seqs[0][i : i + 59] for i in range(0, 140, 7)])
     config = HmmFitConfig(n_states=2, n_init=3)
     want = fit(seqs, config, rng=np.random.default_rng(0))
-    labels = [predict_current(want, w) for w in windows]
+    labels = stack_labels(want, windows).tolist()
     assert hmm_module.openblas_function("scipy_dtrtrs_64_") is not None
     monkeypatch.setattr(hmm_module, "openblas_function", lambda name: None)
     hmm_module._solver.cache_clear()
@@ -815,7 +821,7 @@ def test_the_scipy_linalg_fallback_gives_the_same_fit_and_labels(monkeypatch):
         assert hmm_module._solver().__name__ == "<lambda>"
         got = fit(seqs, config, rng=np.random.default_rng(0))
         assert_same_model(got, want)
-        assert [predict_current(got, w) for w in windows] == labels
+        assert stack_labels(got, windows).tolist() == labels
     finally:
         hmm_module._solver.cache_clear()
 

@@ -14,7 +14,7 @@ from kellylab import training
 from kellylab.baselines import RegimeSwitchingPolicy
 from kellylab.env import EnvConfig, PortfolioEnv
 from kellylab.errors import FitError
-from kellylab.hmm import GaussianHmmModel, HmmFitConfig, predict_current
+from kellylab.hmm import GaussianHmmModel, HmmFitConfig
 from kellylab.impact import ImpactParams
 from kellylab.market import MarketParams, RegimeModel
 from kellylab.nets import Adam, ContextPolicyNet, PolicyNet
@@ -32,7 +32,7 @@ from kellylab.training import (
 )
 
 from envstate import BatchOfOne, env_state
-from forwardpass import assert_open_window_scores
+from forwardpass import assert_open_window_scores, window_label, window_labels
 
 
 def make_config(mu=0.12, sigma=0.2, horizon_years=0.0625, window=2,
@@ -261,8 +261,8 @@ def test_evaluate_all_bankrupt_is_nan():
 
 
 class PerLaneLabelPolicy(NetPolicy):
-    """Oracle: a context NetPolicy that labels each lane with its own
-    one-window predict_current call, as it did before stacked labels."""
+    """Oracle: a context NetPolicy that labels each lane's window alone,
+    with the one-window label oracle."""
 
     def __init__(self, net, detector):
         super().__init__(net, detector)
@@ -271,13 +271,10 @@ class PerLaneLabelPolicy(NetPolicy):
     def act(self, env):
         obs = env.observations()
         window, n_assets = env.config.window, env.config.n_assets
-        contexts = np.zeros((len(obs), self.net.context_dim))
-        for context, o in zip(contexts, obs):
-            prices = o[: window * n_assets].reshape(window, n_assets)
-            label = predict_current(self.detector,
-                                    np.diff(np.log(prices), axis=0))
-            self.labels_seen.add(label)
-            context[label] = 1.0
+        prices = obs[:, : window * n_assets].reshape(len(obs), window, n_assets)
+        labels = window_labels(self.detector, np.diff(np.log(prices), axis=1))
+        self.labels_seen.update(labels)
+        contexts = np.eye(self.net.context_dim)[labels]
         mean, _ = self.net.forward(obs, contexts)
         return mean
 
@@ -368,7 +365,7 @@ def test_sliding_context_labels_equal_each_windows_predict_current(
         policy.act(env)
         windows = np.diff(np.log(prices[env.live, env.t : env.t + window]),
                           axis=1)
-        want = [predict_current(detector, w) for w in windows]
+        want = window_labels(detector, windows)
         contexts = seen[-1]
         assert contexts.shape == (env.live.size, k)
         assert (contexts.sum(axis=1) == 1.0).all()
@@ -561,9 +558,9 @@ def act_and_value_oracle(net, observation, rng, std, log_std_sum,
 
 def train_oracle(env_factory, net, config, seed, hmm_config=None):
     """Oracle: train's loop with noise drawn and log density computed per
-    step, cash weights written per step, and a fresh identity and np.diff
-    for every context label. Returns (log, updates, detector, rollouts
-    ending mid-episode)."""
+    step, cash weights written per step, and every context label taken from
+    its window alone by the one-window oracle. Returns (log, updates,
+    detector, rollouts ending mid-episode)."""
     env = env_factory(seed)
     n, window = env.config.n_assets, env.config.window
     k = net.context_dim if isinstance(net, ContextPolicyNet) else None
@@ -580,7 +577,7 @@ def train_oracle(env_factory, net, config, seed, hmm_config=None):
             return np.full(k, 1.0 / k)
         prices = obs[: n * window].reshape(window, n)
         return np.eye(k)[
-            predict_current(detector, np.diff(np.log(prices), axis=0))]
+            window_label(detector, np.diff(np.log(prices), axis=0))]
 
     log, updates, sequences = [], [], []
     latest = {"clip_fraction": float("nan"), "approx_kl": float("nan")}

@@ -6,9 +6,11 @@
 Runs a fixed set of small commands in each checkout (its src/ on
 PYTHONPATH): every subcommand, a sweep, checkpoint evaluation of both net
 kinds, evaluations that fill a 64-lane wave and then part of one, context
-runs with 1, 2 and 3 detector states, unclipped PPO with rollouts that end
-mid-episode, a training run whose log has bankrupt rows and undefined (nan)
-diagnostics, and grid searches with bankrupt cells and with tied cells.
+runs with 1, 2 and 3 detector states and a two-state one at window 2 (one
+return row a detector window) whose rollouts end mid-episode, unclipped PPO
+with rollouts that end mid-episode, a training run whose log has bankrupt
+rows and undefined (nan) diagnostics, and grid searches with bankrupt cells
+and with tied cells.
 Each side runs in its own directory with the same config files and relative
 --out paths, so stdout can be compared too. Then every output file of the
 two sides is compared byte for byte, except manifest.json, which is
@@ -42,8 +44,9 @@ TRAIN = {"algo.total_steps": 256, "algo.rollout_steps": 128, "algo.n_epochs": 2}
 CONTEXT = {"algo.total_steps": 768, "algo.rollout_steps": 128,
            "algo.n_epochs": 2}
 # 96-step rollouts on 64-period episodes: two of three end mid-episode
-NOCLIP = {"algo.total_steps": 288, "algo.rollout_steps": 96,
-          "algo.n_epochs": 2, "algo.clipping_enabled": False}
+MID_EPISODE = {"algo.rollout_steps": 96}
+NOCLIP = {**MID_EPISODE, "algo.total_steps": 288, "algo.n_epochs": 2,
+          "algo.clipping_enabled": False}
 GRID = {"baseline.fractions": [0.5, 1.0], "baseline.adjustment_grid": [1, 4],
         "baseline.episodes_per_cell": 2}
 
@@ -70,6 +73,8 @@ CONFIG_SET = {
     "ctx1": ("regimes3", {**SHORT, **CONTEXT, "hmm.n_states": 1}),
     "ctx2": ("regimes3", {**SHORT, **CONTEXT, "hmm.n_states": 2}),
     "ctx3": ("regimes3", {**SHORT, **CONTEXT, "hmm.n_states": 3}),
+    "ctx2w2": ("regimes3", {**SHORT, **CONTEXT, **MID_EPISODE,
+                            "hmm.n_states": 2, "env.window": 2}),
     "two_asset": ("two_asset", {**SHORT, "qsurface.steps": 11}),
     "bankrupt": ("single_asset", {**SHORT, **TRAIN, **BANKRUPT}),
     "levered": ("single_asset", {**SHORT, **DEFAULT_GRID,
@@ -109,6 +114,7 @@ CASES = [
     ("evaluate-ctx2", "ctx2",
      ["evaluate", "--checkpoint", "train-ctx2/seed0/checkpoint.npz"]),
     ("train-ctx3", "ctx3", ["train"]),
+    ("train-ctx2-window2", "ctx2w2", ["train", "--seed", "0"]),
     ("evaluate-context", "ctx3",
      ["evaluate", "--checkpoint", "train-ctx3/seed0/checkpoint.npz"]),
 ]
